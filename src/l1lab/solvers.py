@@ -13,6 +13,7 @@ comparable across algorithms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .errors import (
     PreconditionError,
     UnboundedBelowError,
 )
-from .operators import _soft, optimality_residual, prox_gradient_map
-from .problems import ProblemSpec, _expit, as_vector, f_grad_coord, objective
+from .operators import optimality_residual, prox_gradient_map
+from .problems import ProblemSpec, as_vector, objective
 
 # Coordinate updates smaller than this (relative) are treated as trivial,
 # so no shrinkage-threshold diagnostic is recorded for them.
@@ -124,15 +125,107 @@ def gd_step(p: ProblemSpec, x) -> np.ndarray:
     return prox_gradient_map(p, x)
 
 
-def _ccd_pass(p, w, record_inner):
-    inner = [w.copy()] if record_inner else None
-    thr = p.lam / p.lipschitz
-    for j in range(p.dim):
-        gj = f_grad_coord(p, w, j)
-        w[j] = _soft(w[j] - gj / p.lipschitz, thr)
-        if record_inner:
+def _shrink(v, t):
+    # Scalar soft threshold. A NaN fails both comparisons and falls through
+    # to the last branch, so a diverging sweep still ends non-finite.
+    if v > t:
+        return v - t
+    if v >= -t:
+        return 0.0
+    return v + t
+
+
+class CoordinateKernel:
+    """Cyclic coordinate sweeps of ccd or ccm on one problem.
+
+    The per-solve parts are built once: the per-coordinate step (L for
+    ccd; for quadratic ccm the curvature A_jj, checked strictly positive)
+    and, for logistic data, the halved label-scaled columns
+    c_j / 2 = Y * X[:, j] / 2 as the rows of a d x n matrix. Each sweep
+    computes its running state once, the gradient A w + b of a quadratic or
+    the half margins Y * (X @ w) / 2 of logistic data, and then updates it
+    after every coordinate (g += delta * A[j], m += delta * c_j). A
+    coordinate thus costs O(d) or O(n), and rounding drift in the state
+    lasts at most one sweep. With half margins h the logistic derivative
+    is sum_i c_ij (tanh(h_i) - 1) / (2 n), one tanh per evaluation. Logistic
+    ccm minimizes each coordinate restriction with solve_1d_prox.
+    """
+
+    def __init__(self, p: ProblemSpec, alg: str, cfg: SolverConfig | None = None):
+        self.p = p
+        self.cfg = cfg if cfg is not None else SolverConfig()
+        exact = alg == "ccm"
+        self.solve_1d = exact and not p.is_quadratic
+        self.steps = [p.lipschitz] * p.dim
+        if p.is_quadratic:
+            self.rows = p.smooth.A
+            if exact:
+                diag = self.rows.diagonal()
+                bad = np.nonzero(diag <= 0.0)[0]
+                if bad.size:
+                    raise Assumption2Error(
+                        f"exact coordinate minimization needs strictly positive diagonal "
+                        f"entries; A_jj <= 0 at coordinates {bad.tolist()}"
+                    )
+                self.steps = diag.tolist()
+        else:
+            X, Y = p.smooth.X, p.smooth.Y
+            self.rows = np.ascontiguousarray((X * (0.5 * Y)[:, None]).T)
+            self.row_sums = self.rows.sum(axis=1).tolist()
+
+    def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None,
+              inner: list | None = None) -> np.ndarray:
+        """Update every coordinate of w in place, in order; return w.
+
+        Appends to ``taus`` a TauRecord (sweep index k) per non-trivial ccm
+        update, and to ``inner`` the within-sweep iterates j = 0..d, when
+        those lists are given.
+        """
+        p, lam, rows = self.p, self.p.lam, self.rows
+        quadratic = p.is_quadratic
+        if quadratic:
+            state = rows @ w + p.smooth.b
+        else:
+            state = 0.5 * (p.smooth.Y * (p.smooth.X @ w))
+            n, buf = p.smooth.n, np.empty(p.smooth.n)
+
+            def deriv(c, h, j):
+                np.tanh(h, out=buf)
+                return (float(c @ buf) - self.row_sums[j]) / n
+
+        if inner is not None:
             inner.append(w.copy())
-    return w, inner
+        for j, s in enumerate(self.steps):
+            z_old = float(w[j])
+            c = rows[j]
+            if self.solve_1d:
+                h0 = state - z_old * c
+
+                def g_deriv(a):
+                    np.multiply(c, a, out=buf)
+                    np.add(buf, h0, out=buf)
+                    return deriv(c, buf, j)
+
+                z_new = solve_1d_prox(g_deriv, lam, self.cfg.inner_1d_tol,
+                                      self.cfg.inner_1d_max_iters)
+            else:
+                gj = float(state[j]) if quadratic else deriv(c, state, j)
+                z_new = _shrink(z_old - gj / s, lam / s)
+            delta = z_new - z_old
+            if delta != 0.0:
+                state += delta * c
+                if taus is not None and abs(delta) > _TRIVIAL_RTOL * (1.0 + abs(z_old)):
+                    # For a quadratic restriction the implicit threshold is
+                    # the curvature A_jj itself, independent of the update.
+                    tau = s
+                    if self.solve_1d:
+                        gj = g_deriv(z_old)
+                        tau = (g_deriv(z_new) - gj) / delta
+                    taus.append(TauRecord(k, j, z_old, z_new, gj, tau))
+            w[j] = z_new
+            if inner is not None:
+                inner.append(w.copy())
+        return w
 
 
 def ccd_sweep(p: ProblemSpec, y, record_inner: bool = False):
@@ -143,112 +236,74 @@ def ccd_sweep(p: ProblemSpec, y, record_inner: bool = False):
     list of within-sweep iterates (j = 0..d).
     """
     w = as_vector(y, p.dim).copy()
-    return _ccd_pass(p, w, record_inner)
-
-
-def _logistic_restriction(p, w, j):
-    # Coordinate restriction g(a) = f(w with w_j = a) for the logistic loss.
-    X, Y = p.smooth.X, p.smooth.Y
-    n = p.smooth.n
-    c = Y * X[:, j]
-    m0 = Y * (X @ w) - w[j] * c
-
-    def g_value(a):
-        return float(np.logaddexp(0.0, -(m0 + a * c)).mean())
-
-    def g_deriv(a):
-        return float(-(c @ _expit(-(m0 + a * c))) / n)
-
-    return g_value, g_deriv
-
-
-def _ccm_pass(p, w, cfg, k, record_inner):
-    inner = [w.copy()] if record_inner else None
-    taus = []
-    if p.is_quadratic:
-        A, b = p.smooth.A, p.smooth.b
-        diag = A.diagonal()
-        bad = np.nonzero(diag <= 0.0)[0]
-        if bad.size:
-            raise Assumption2Error(
-                f"exact coordinate minimization needs strictly positive diagonal "
-                f"entries; A_jj <= 0 at coordinates {bad.tolist()}"
-            )
-        for j in range(p.dim):
-            gj = float(A[j] @ w + b[j])
-            z_old = float(w[j])
-            z_new = float(_soft(z_old - gj / diag[j], p.lam / diag[j]))
-            if abs(z_new - z_old) > _TRIVIAL_RTOL * (1.0 + abs(z_old)):
-                # For a quadratic restriction the implicit threshold is the
-                # curvature A_jj itself, independent of the update.
-                taus.append(TauRecord(k, j, z_old, z_new, gj, float(diag[j])))
-            w[j] = z_new
-            if record_inner:
-                inner.append(w.copy())
-    else:
-        for j in range(p.dim):
-            g_value, g_deriv = _logistic_restriction(p, w, j)
-            z_old = float(w[j])
-            gj = g_deriv(z_old)
-            z_new = solve_1d_prox(
-                g_value, g_deriv, p.lam, cfg.inner_1d_tol, cfg.inner_1d_max_iters
-            )
-            if abs(z_new - z_old) > _TRIVIAL_RTOL * (1.0 + abs(z_old)):
-                taus.append(TauRecord(k, j, z_old, z_new, gj, secant_tau(g_deriv, z_old, z_new)))
-            w[j] = z_new
-            if record_inner:
-                inner.append(w.copy())
-    return w, taus, inner
+    inner = [] if record_inner else None
+    return CoordinateKernel(p, "ccd").sweep(w, inner=inner), inner
 
 
 def ccm_sweep(p: ProblemSpec, z, cfg: SolverConfig | None = None, k: int = 0):
     """One cyclic sweep of exact per-coordinate minimization of F.
 
-    The quadratic branch uses the closed form S_{lam/A_jj}(z_j - g_j/A_jj);
-    the general branch minimizes the coordinate restriction numerically.
+    Quadratic coordinates use the closed form S_{lam/A_jj}(z_j - g_j/A_jj);
+    logistic ones minimize the coordinate restriction numerically.
     Returns the post-sweep vector and the threshold records of the
     non-trivial updates.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
     w = as_vector(z, p.dim).copy()
-    w, taus, _ = _ccm_pass(p, w, cfg, k, record_inner=False)
-    return w, taus
+    taus = []
+    return CoordinateKernel(p, "ccm", cfg).sweep(w, k, taus), taus
 
 
-def _positive_branch_root(q, tol, max_iters):
-    # q is nondecreasing with q(0) < 0; bracket the root by doubling, then bisect.
-    lo, hi, step = 0.0, None, 1.0
+def _positive_branch_root(q, q0, tol, max_iters):
+    # q is nondecreasing with q(0) = q0 < 0. Bracket the root by doubling,
+    # then shrink the bracket by Illinois-modified regula falsi: the secant
+    # point of the bracket, with the value at an end that survives two steps
+    # in a row halved. Each point lies at least tol/2 inside the bracket, so
+    # once a point lands next to the root the following one closes it.
+    lo, q_lo, hi, step = 0.0, q0, None, 1.0
     for _ in range(60):
-        if q(step) >= 0.0:
-            hi = step
+        q_step = q(step)
+        if q_step >= 0.0:
+            hi, q_hi = step, q_step
             break
-        lo = step
+        lo, q_lo = step, q_step
         step *= 2.0
     if hi is None:
         raise UnboundedBelowError(
             "no sign change within 60 doublings; the 1-D objective appears unbounded below"
         )
+    h = 0.5 * tol
+    side = 0
     for _ in range(max_iters):
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if q(mid) >= 0.0:
-            hi = mid
+        a = lo - q_lo * (hi - lo) / (q_hi - q_lo)
+        a = min(max(a, lo + h), hi - h)
+        q_a = q(a)
+        if q_a >= 0.0:
+            hi, q_hi = a, q_a
+            if side > 0:
+                q_lo *= 0.5
+            side = 1
         else:
-            lo = mid
+            lo, q_lo = a, q_a
+            if side < 0:
+                q_hi *= 0.5
+            side = -1
     raise ConvergenceError(
-        f"bisection did not reach width {tol:.3e} in {max_iters} iterations "
+        f"bracketed secant did not reach width {tol:.3e} in {max_iters} iterations "
         f"(bracket [{lo:.17g}, {hi:.17g}])"
     )
 
 
-def solve_1d_prox(g_value, g_deriv, lam, tol: float = 1e-12, max_iters: int = 200) -> float:
+def solve_1d_prox(g_deriv, lam, tol: float = 1e-12, max_iters: int = 200) -> float:
     """Minimize g(a) + lam * |a| for a strictly convex differentiable g.
 
-    Dispatch on g'(0): inside [-lam, lam] the minimizer is 0; otherwise the
-    minimizer has a known sign and solves g'(a) + lam = 0 (positive side)
-    or g'(a) - lam = 0 (negative side), found by a doubling bracket and
-    bisection on the shifted derivative.
+    Only the derivative g' is needed. Dispatch on g'(0): inside
+    [-lam, lam] the minimizer is 0; otherwise the minimizer has a known
+    sign and solves g'(a) + lam = 0 (positive side) or g'(a) - lam = 0
+    (negative side). A doubling bracket certifies the root, and
+    Illinois-modified regula falsi narrows it to width at most tol; the
+    midpoint is returned.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
@@ -258,8 +313,10 @@ def solve_1d_prox(g_value, g_deriv, lam, tol: float = 1e-12, max_iters: int = 20
     if abs(d0) <= lam:
         return 0.0
     if d0 < -lam:
-        return _positive_branch_root(lambda a: float(g_deriv(a)) + lam, tol, max_iters)
-    return -_positive_branch_root(lambda a: -float(g_deriv(-a)) + lam, tol, max_iters)
+        return _positive_branch_root(lambda a: float(g_deriv(a)) + lam, d0 + lam, tol, max_iters)
+    return -_positive_branch_root(
+        lambda a: -float(g_deriv(-a)) + lam, lam - d0, tol, max_iters
+    )
 
 
 def secant_tau(g_deriv, z_old: float, z_new: float) -> float:
@@ -280,42 +337,49 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
 
     Iterations stop after cfg.max_outer_iters, or earlier when the
     fixed-point residual drops to cfg.stop_residual (if positive). Raises
-    if an iterate turns non-finite, naming the iteration.
+    NonFiniteIterateError, naming the iteration, at the first iterate,
+    objective value or residual that is not finite.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
     cfg = cfg if cfg is not None else SolverConfig()
     x = as_vector(x0, p.dim).copy()
-
-    iterates = [x.copy()]
-    f_values = [objective(p, x)]
-    residuals = [optimality_residual(p, x)]
-    record_inner = cfg.record_inner and alg in ("ccd", "ccm")
+    kernel = None if alg == "gd" else CoordinateKernel(p, alg, cfg)
+    record_inner = cfg.record_inner and kernel is not None
     inner = [] if record_inner else None
     tau_log = [] if alg == "ccm" else None
+    iterates, f_values, residuals = [], [], []
 
-    for k in range(cfg.max_outer_iters):
-        if cfg.stop_residual > 0.0 and residuals[-1] <= cfg.stop_residual:
-            break
-        if alg == "gd":
-            x = gd_step(p, x)
-        elif alg == "ccd":
-            x, sweep_inner = _ccd_pass(p, x.copy(), record_inner)
-            if record_inner:
-                inner.append(sweep_inner)
-        else:
-            x, taus, sweep_inner = _ccm_pass(p, x.copy(), cfg, k, record_inner)
-            tau_log.extend(taus)
-            if record_inner:
-                inner.append(sweep_inner)
-        if not np.isfinite(x).all():
-            raise NonFiniteIterateError(
-                f"{alg} produced a non-finite iterate at iteration {k + 1}", iteration=k + 1
-            )
-        iterates.append(x.copy())
-        f_values.append(objective(p, x))
-        residuals.append(optimality_residual(p, x))
+    # Overflow shows up as a non-finite value checked below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(cfg.max_outer_iters + 1):
+            if k > 0:
+                if cfg.stop_residual > 0.0 and residuals[-1] <= cfg.stop_residual:
+                    break
+                if kernel is None:
+                    x = gd_step(p, x)
+                else:
+                    sweep_inner = [] if record_inner else None
+                    x = kernel.sweep(x.copy(), k - 1, tau_log, sweep_inner)
+                    if record_inner:
+                        inner.append(sweep_inner)
+            bad = None
+            if not np.isfinite(x).all():
+                bad = "iterate"
+            else:
+                F, r = objective(p, x), optimality_residual(p, x)
+                if not math.isfinite(F):
+                    bad = "objective value"
+                elif not math.isfinite(r):
+                    bad = "residual"
+            if bad is not None:
+                raise NonFiniteIterateError(
+                    f"{alg} produced a non-finite {bad} at iteration {k}", iteration=k
+                )
+            iterates.append(x)
+            f_values.append(F)
+            residuals.append(r)
 
     return Trace(
         algorithm=alg,

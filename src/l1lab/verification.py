@@ -31,7 +31,7 @@ from .operators import (
     optimality_residual,
 )
 from .problems import ProblemSpec, as_vector, objective
-from .solvers import SolverConfig, ccm_sweep, gd_step, run
+from .solvers import CoordinateKernel, SolverConfig, gd_step, run
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
@@ -164,12 +164,12 @@ def reference_minimizer(
     """
     use_ccm = _strict_coordinate_convexity(p)
     method = "ccm" if use_ccm else "gd"
-    cfg = SolverConfig(max_outer_iters=1)
+    kernel = CoordinateKernel(p, "ccm") if use_ccm else None
     x = np.zeros(p.dim)
     for _ in range(max_sweeps):
         if optimality_residual(p, x) <= stop_residual:
             break
-        nxt = ccm_sweep(p, x, cfg)[0] if use_ccm else gd_step(p, x)
+        nxt = kernel.sweep(x.copy()) if use_ccm else gd_step(p, x)
         if np.array_equal(nxt, x):
             break  # numerical fixed point of the sweep map
         x = nxt

@@ -250,7 +250,7 @@ def test_acceptance_6_oracle_equivalence():
         lam = rng.uniform(0.0, 2.0)
         z = rng.uniform(-3.0, 3.0)
         closed = soft(z - (a * z + r) / a, lam / a)
-        numeric = solve_1d_prox(lambda t: 0.5 * a * t * t + r * t, lambda t: a * t + r, lam)
+        numeric = solve_1d_prox(lambda t: a * t + r, lam)
         ok = ok and abs(closed - numeric) <= 1e-10
 
     for seed in range(10):

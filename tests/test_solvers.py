@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,9 +121,7 @@ def test_ccm_matches_1d_prox_on_random_coordinate_problems():
         lam = rng.uniform(0.0, 2.0)
         z = rng.uniform(-3.0, 3.0)
         closed = soft(z - (a * z + r) / a, lam / a)
-        numeric = solve_1d_prox(
-            lambda t: 0.5 * a * t * t + r * t, lambda t: a * t + r, lam
-        )
+        numeric = solve_1d_prox(lambda t: a * t + r, lam)
         assert abs(closed - numeric) <= 1e-10
 
 
@@ -131,18 +130,14 @@ def test_ccm_matches_1d_prox_on_random_coordinate_problems():
 # ---------------------------------------------------------------------------
 
 def test_solve_1d_prox_three_cases():
-    assert solve_1d_prox(lambda a: 0.5 * (a - 4) ** 2, lambda a: a - 4, 1.0) == pytest.approx(
-        3.0, abs=1e-11
-    )
-    assert solve_1d_prox(lambda a: 0.5 * a**2, lambda a: a, 1.0) == 0.0
-    assert solve_1d_prox(lambda a: 0.5 * (a + 4) ** 2, lambda a: a + 4, 1.0) == pytest.approx(
-        -3.0, abs=1e-11
-    )
+    assert solve_1d_prox(lambda a: a - 4, 1.0) == pytest.approx(3.0, abs=1e-11)
+    assert solve_1d_prox(lambda a: a, 1.0) == 0.0
+    assert solve_1d_prox(lambda a: a + 4, 1.0) == pytest.approx(-3.0, abs=1e-11)
 
 
 def test_solve_1d_prox_unbounded_below():
     with pytest.raises(UnboundedBelowError):
-        solve_1d_prox(lambda a: -2.0 * a, lambda a: -2.0, 1.0)
+        solve_1d_prox(lambda a: -2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +209,27 @@ def test_run_stop_residual_stops_early():
     assert trace.residuals[-1] <= 1e-6
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_detects_non_finite_iterates():
     p = quadratic_problem([[1.0]], [-1.0], lam=0.0, lipschitz=1e-300)
-    with pytest.raises(NonFiniteIterateError) as exc:
-        run("gd", p, [0.0], SolverConfig(max_outer_iters=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterateError) as exc:
+            run("gd", p, [0.0], SolverConfig(max_outer_iters=5))
     assert exc.value.iteration >= 1
+
+    # A step constant far below the true L makes gd and ccd diverge: the
+    # error names the first iteration whose iterate, F or residual is not
+    # finite, and no overflow warning escapes.
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
+    for alg in ("gd", "ccd"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterateError) as exc:
+                run(alg, p, [0.0, 0.0], SolverConfig(max_outer_iters=400))
+            k = exc.value.iteration
+            assert 1 <= k < 400 and f"iteration {k}" in str(exc.value)
+            before = run(alg, p, [0.0, 0.0], SolverConfig(max_outer_iters=k - 1))
+        assert np.isfinite(before.f_values).all() and np.isfinite(before.residuals).all()
 
 
 def test_run_rejects_unknown_algorithm():
