@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .problems import ProblemSpec, as_vector, f_grad
+# check_isotonicity_quadratic lives next to QuadraticForm, whose exact
+# isotonicity certificate it is; it is re-exported here with the sampled check.
+from .problems import ProblemSpec, as_vector, check_isotonicity_quadratic, f_grad  # noqa: F401
 
 _DEFAULT_CLASS_TOL = 1e-10
-_OFFDIAG_TOL = 1e-14
 _SAMPLED_TOL = 1e-10
 
 
@@ -147,25 +148,6 @@ def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLAS
         )
     gj = float(f_grad(p, x)[j])
     return _soft(float(x[j]) - gj / taus, p.lam / taus)
-
-
-def check_isotonicity_quadratic(A, tol: float = _OFFDIAG_TOL):
-    """True plus an empty list when all off-diagonal entries are <= tol.
-
-    For a quadratic smooth part this is exactly the condition under which
-    x -> x - grad f(x)/L preserves the componentwise order. Offending
-    upper-triangle index pairs are returned alongside the verdict.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
-    offenders = [
-        (i, j)
-        for i in range(A.shape[0])
-        for j in range(i + 1, A.shape[1])
-        if A[i, j] > tol or A[j, i] > tol
-    ]
-    return (not offenders), offenders
 
 
 @dataclass(frozen=True)

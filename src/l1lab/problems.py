@@ -20,17 +20,16 @@ its inputs.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PowerIterationError
+from .errors import Assumption2Error, DimensionMismatchError, PowerIterationError
 
 # Construction-time tolerances and the power-iteration policy.
 _PSD_RTOL = 1e-9
-_EIG_CHECK_MAX_DIM = 200
+_OFFDIAG_TOL = 1e-14
 _L_INFLATION = 1.0 + 1e-8
 _L_FLOOR = 1e-12
 _POWER_RTOL = 1e-10
@@ -57,18 +56,81 @@ def _expit(t):
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
+def check_isotonicity_quadratic(A, tol: float = _OFFDIAG_TOL):
+    """True plus an empty list when all off-diagonal entries are <= tol.
+
+    For a quadratic smooth part this is exactly the condition under which
+    x -> x - grad f(x)/L preserves the componentwise order. Offending
+    upper-triangle index pairs are returned alongside the verdict.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    offenders = [
+        (i, j)
+        for i in range(A.shape[0])
+        for j in range(i + 1, A.shape[1])
+        if A[i, j] > tol or A[j, i] > tol
+    ]
+    return (not offenders), offenders
+
+
+class SmoothLoss:
+    """What the solvers and the verification harness ask of a smooth part f.
+
+    Subclasses are frozen dataclasses whose fields are the arrays of their
+    problem files, in file order, and whose class attribute ``kind`` tags
+    those files. Each provides value(x) and grad(x) at a validated vector
+    x; power_operator(), a (matvec, divisor) pair such that L is the
+    dominant eigenvalue of matvec over divisor; strictly_convex_coordinates();
+    and for the coordinate kernel sweep_state(w), the running state of a
+    sweep at w, and coordinate_rows(), a (rows, deriv) pair: after
+    coordinate j moves by delta the state grows by delta * rows[j], and
+    deriv(j, state) is the partial derivative j, or deriv is None when that
+    is state[j] itself. The hooks below return None where a loss has no
+    such answer.
+    """
+
+    kind = None
+
+    def exact_steps(self):
+        """Closed-form ccm curvature of each coordinate; None: a 1-D solve."""
+        return None
+
+    def isotonicity_certificate(self):
+        """Exact (ok, offenders) for order preservation of x - grad f(x)/L;
+        None: only sampled evidence."""
+        return None
+
+    def start_fallback(self, sign):
+        """Last-resort super- (sign > 0) or subsolution candidate."""
+        return None
+
+    def active_set_solution(self, x, lam):
+        """Direct minimizer of F on the support of x, to polish x."""
+        return None
+
+    def to_dict(self):
+        arrays = {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+        return {"kind": self.kind, **arrays}
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls(*(data[f.name] for f in fields(cls)))
+
+
 @dataclass(frozen=True, eq=False)
-class QuadraticForm:
+class QuadraticForm(SmoothLoss):
     """Smooth part f(x) = 0.5 * <A x, x> + <b, x>.
 
-    A is symmetrized on construction and must be positive semidefinite.
-    The eigenvalue check runs only for dimensions up to 200; above that it
-    is skipped, a warning is emitted, and ``psd_checked`` is False.
+    A is symmetrized on construction and must be positive semidefinite:
+    a Cholesky factorization of A + _PSD_RTOL * ||A||_inf * I must exist,
+    at every dimension.
     """
 
     A: np.ndarray
     b: np.ndarray
-    psd_checked: bool = field(init=False, default=True, compare=False)
+    kind = "quadratic"
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
@@ -82,37 +144,101 @@ class QuadraticForm:
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("A and b must have finite entries")
         A = 0.5 * (A + A.T)
-        checked = True
-        if A.shape[0] <= _EIG_CHECK_MAX_DIM:
-            eigs = np.linalg.eigvalsh(A)
-            scale = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-            if float(eigs[0]) < -_PSD_RTOL * scale:
+        # The max row sum bounds every |eigenvalue|, so the shift is at least
+        # _PSD_RTOL times the spectral radius, and A passes iff its smallest
+        # eigenvalue exceeds -shift (up to rounding in the factorization).
+        shift = _PSD_RTOL * float(np.abs(A).sum(axis=1).max())
+        if shift > 0.0:
+            try:
+                np.linalg.cholesky(A + shift * np.eye(A.shape[0]))
+            except np.linalg.LinAlgError:
                 raise ValueError(
-                    f"A is not positive semidefinite (min eigenvalue {eigs[0]:.6e})"
-                )
-        else:
-            checked = False
-            warnings.warn(
-                f"dimension {A.shape[0]} > {_EIG_CHECK_MAX_DIM}: PSD check skipped",
-                stacklevel=2,
-            )
+                    f"A is not positive semidefinite (A + {shift:.6e} I has no Cholesky factor)"
+                ) from None
         A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "psd_checked", checked)
 
     @property
     def dim(self):
         return self.A.shape[0]
 
+    def value(self, x):
+        return float(0.5 * x @ (self.A @ x) + self.b @ x)
+
+    def grad(self, x):
+        return self.A @ x + self.b
+
+    def power_operator(self):
+        A = self.A
+        return (lambda v: A @ v), 1.0
+
+    sweep_state = grad  # the running state is the gradient itself
+
+    def coordinate_rows(self):
+        return self.A, None
+
+    def exact_steps(self):
+        diag = self.A.diagonal()
+        bad = np.nonzero(diag <= 0.0)[0]
+        if bad.size:
+            raise Assumption2Error(
+                f"exact coordinate minimization needs strictly positive diagonal "
+                f"entries; A_jj <= 0 at coordinates {bad.tolist()}"
+            )
+        return diag.tolist()
+
+    def strictly_convex_coordinates(self):
+        return bool(np.all(self.A.diagonal() > 0.0))
+
+    def isotonicity_certificate(self):
+        return check_isotonicity_quadratic(self.A)
+
+    def start_fallback(self, sign):
+        # For an order-preserving quadratic, A has nonnegative inverse, so
+        # solving for a positive (negative) gradient target yields a point
+        # on the wanted side.
+        target = np.maximum(-self.b, 1.0) if sign > 0 else np.minimum(-self.b, -1.0)
+        try:
+            return np.linalg.solve(self.A, target)
+        except np.linalg.LinAlgError:
+            return None
+
+    def active_set_solution(self, x, lam):
+        A, b, d = self.A, self.b, self.dim
+        if lam == 0.0:
+            on = np.ones(d, dtype=bool)
+            rhs = -b
+        else:
+            on = x != 0.0
+            if not on.any():
+                return np.zeros(d)
+            rhs = -(b[on] + lam * np.sign(x[on]))
+        try:
+            sol = np.linalg.solve(A[np.ix_(on, on)], rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if lam > 0.0 and np.any(np.sign(sol) * np.sign(x[on]) < 0.0):
+            return None
+        cand = np.zeros(d)
+        cand[on] = sol
+        return cand
+
 
 @dataclass(frozen=True, eq=False)
-class LogisticData:
-    """Design matrix X (n x d) and labels Y in {-1, +1} behind a logistic loss."""
+class LogisticData(SmoothLoss):
+    """Design matrix X (n x d) and labels Y in {-1, +1} behind a logistic loss.
+
+    The coordinate-sweep state is the half margins h = Y * (X @ w) / 2;
+    the rows are the halved label-scaled columns c_j / 2 = Y * X[:, j] / 2,
+    and the partial derivative j is sum_i c_ij (tanh(h_i) - 1) / (2 n), one
+    tanh per evaluation.
+    """
 
     X: np.ndarray
     Y: np.ndarray
+    kind = "logistic"
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float)
@@ -142,8 +268,42 @@ class LogisticData:
     def n(self):
         return self.X.shape[0]
 
+    def value(self, x):
+        m = self.Y * (self.X @ x)
+        return float(np.logaddexp(0.0, -m).mean())
+
+    def grad(self, x):
+        X, Y = self.X, self.Y
+        m = Y * (X @ x)
+        return -(X.T @ (Y * _expit(-m))) / self.n
+
+    def power_operator(self):
+        # sigma_max(X)^2 / (4 n)
+        X = self.X
+        return (lambda v: X.T @ (X @ v)), 4.0 * self.n
+
+    def sweep_state(self, w):
+        return 0.5 * (self.Y * (self.X @ w))
+
+    def coordinate_rows(self):
+        # Built per call, not cached here: the d x n copy belongs to one solve.
+        rows = np.ascontiguousarray((self.X * (0.5 * self.Y)[:, None]).T)
+        row_sums = rows.sum(axis=1).tolist()
+        n, buf = self.n, np.empty(self.n)
+
+        def deriv(j, h):
+            np.tanh(h, out=buf)
+            return (float(rows[j] @ buf) - row_sums[j]) / n
+
+        return rows, deriv
+
+    def strictly_convex_coordinates(self):
+        # A nonzero column makes the coordinate restriction strictly convex.
+        return bool(np.all(np.linalg.norm(self.X, axis=0) > 0.0))
+
 
 Smooth = Union[QuadraticForm, LogisticData]
+_KINDS = {cls.kind: cls for cls in (QuadraticForm, LogisticData)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +330,6 @@ class ProblemSpec:
                 f"dim {self.dim} does not match smooth part dimension {self.smooth.dim}"
             )
 
-    @property
-    def is_quadratic(self):
-        return isinstance(self.smooth, QuadraticForm)
-
 
 # ---------------------------------------------------------------------------
 # Smooth-loss oracles
@@ -181,39 +337,12 @@ class ProblemSpec:
 
 def f_value(p: ProblemSpec, x) -> float:
     """Value of the smooth part f at x (the l1 term is not included)."""
-    x = as_vector(x, p.dim)
-    if p.is_quadratic:
-        A, b = p.smooth.A, p.smooth.b
-        return float(0.5 * x @ (A @ x) + b @ x)
-    X, Y = p.smooth.X, p.smooth.Y
-    m = Y * (X @ x)
-    return float(np.logaddexp(0.0, -m).mean())
+    return p.smooth.value(as_vector(x, p.dim))
 
 
 def f_grad(p: ProblemSpec, x) -> np.ndarray:
     """Exact gradient of the smooth part at x."""
-    x = as_vector(x, p.dim)
-    if p.is_quadratic:
-        return p.smooth.A @ x + p.smooth.b
-    X, Y = p.smooth.X, p.smooth.Y
-    m = Y * (X @ x)
-    return -(X.T @ (Y * _expit(-m))) / p.smooth.n
-
-
-def f_grad_coord(p: ProblemSpec, x, j: int) -> float:
-    """Entry j (0-based) of the smooth gradient at x.
-
-    The quadratic branch evaluates a single row product in O(d) instead of
-    forming the full gradient.
-    """
-    x = as_vector(x, p.dim)
-    if not 0 <= j < p.dim:
-        raise IndexError(f"coordinate index {j} out of range for dimension {p.dim}")
-    if p.is_quadratic:
-        return float(p.smooth.A[j] @ x + p.smooth.b[j])
-    X, Y = p.smooth.X, p.smooth.Y
-    m = Y * (X @ x)
-    return float(-(X[:, j] @ (Y * _expit(-m))) / p.smooth.n)
+    return p.smooth.grad(as_vector(x, p.dim))
 
 
 def objective(p: ProblemSpec, x) -> float:
@@ -289,14 +418,10 @@ def estimate_lipschitz(smooth: Smooth) -> float:
     The result is multiplied by 1 + 1e-8 so the constant stays a valid
     upper bound despite estimation rounding.
     """
-    if isinstance(smooth, QuadraticForm):
-        A = smooth.A
-        est = _dominant_eigenvalue(lambda v: A @ v, smooth.dim)
-    elif isinstance(smooth, LogisticData):
-        X = smooth.X
-        est = _dominant_eigenvalue(lambda v: X.T @ (X @ v), smooth.dim) / (4.0 * smooth.n)
-    else:
+    if not isinstance(smooth, SmoothLoss):
         raise TypeError("smooth must be a QuadraticForm or LogisticData")
+    matvec, divisor = smooth.power_operator()
+    est = _dominant_eigenvalue(matvec, smooth.dim) / divisor
     return max(est * _L_INFLATION, _L_FLOOR)
 
 
@@ -304,18 +429,19 @@ def estimate_lipschitz(smooth: Smooth) -> float:
 # Builders and generators
 # ---------------------------------------------------------------------------
 
-def quadratic_problem(A, b, lam, lipschitz=None) -> ProblemSpec:
-    """Build a quadratic problem; L is estimated when not supplied."""
-    smooth = QuadraticForm(A, b)
+def _problem(smooth, lam, lipschitz) -> ProblemSpec:
     L = estimate_lipschitz(smooth) if lipschitz is None else float(lipschitz)
     return ProblemSpec(smooth, float(lam), L, smooth.dim)
+
+
+def quadratic_problem(A, b, lam, lipschitz=None) -> ProblemSpec:
+    """Build a quadratic problem; L is estimated when not supplied."""
+    return _problem(QuadraticForm(A, b), lam, lipschitz)
 
 
 def logistic_problem(X, Y, lam, lipschitz=None) -> ProblemSpec:
     """Build a logistic-regression problem; L is estimated when not supplied."""
-    smooth = LogisticData(X, Y)
-    L = estimate_lipschitz(smooth) if lipschitz is None else float(lipschitz)
-    return ProblemSpec(smooth, float(lam), L, smooth.dim)
+    return _problem(LogisticData(X, Y), lam, lipschitz)
 
 
 def lasso_build(X, Y, lam) -> ProblemSpec:
@@ -367,23 +493,7 @@ def gen_zmatrix_quadratic(d, seed, density=0.5) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 def problem_to_dict(p: ProblemSpec) -> dict:
-    if p.is_quadratic:
-        return {
-            "kind": "quadratic",
-            "A": p.smooth.A.tolist(),
-            "b": p.smooth.b.tolist(),
-            "lambda": p.lam,
-            "L": p.lipschitz,
-            "dim": p.dim,
-        }
-    return {
-        "kind": "logistic",
-        "X": p.smooth.X.tolist(),
-        "Y": p.smooth.Y.tolist(),
-        "lambda": p.lam,
-        "L": p.lipschitz,
-        "dim": p.dim,
-    }
+    return {**p.smooth.to_dict(), "lambda": p.lam, "L": p.lipschitz, "dim": p.dim}
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
@@ -391,13 +501,10 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     lam = data.get("lambda")
     if lam is None:
         raise ValueError("problem file is missing 'lambda'")
-    L = data.get("L")
-    if kind == "quadratic":
-        p = quadratic_problem(data["A"], data["b"], lam, lipschitz=L)
-    elif kind == "logistic":
-        p = logistic_problem(data["X"], data["Y"], lam, lipschitz=L)
-    else:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown problem kind {kind!r}")
+    p = _problem(cls.from_dict(data), lam, data.get("L"))
     if "dim" in data and int(data["dim"]) != p.dim:
         raise DimensionMismatchError(
             f"declared dim {data['dim']} does not match data dimension {p.dim}"

@@ -19,17 +19,18 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
-    Assumption2Error,
     ConvergenceError,
     NonFiniteIterateError,
     PreconditionError,
     UnboundedBelowError,
 )
-from .operators import optimality_residual, prox_gradient_map
+from .operators import prox_gradient_map
 from .problems import ProblemSpec, as_vector, objective
 
 # Coordinate updates smaller than this (relative) are treated as trivial,
-# so no shrinkage-threshold diagnostic is recorded for them.
+# so no shrinkage-threshold diagnostic is recorded for them. An update from
+# the 1-D solve must also exceed inner_1d_tol, the width to which that
+# solve resolves its root; a smaller one is root-bracket noise.
 _TRIVIAL_RTOL = 1e-13
 
 _ALGORITHMS = ("gd", "ccd", "ccm")
@@ -120,11 +121,6 @@ class Trace:
             fh.write("\n")
 
 
-def gd_step(p: ProblemSpec, x) -> np.ndarray:
-    """One proximal-gradient iteration (reduces to x - grad f/L when lam = 0)."""
-    return prox_gradient_map(p, x)
-
-
 def _shrink(v, t):
     # Scalar soft threshold. A NaN fails both comparisons and falls through
     # to the last branch, so a diverging sweep still ends non-finite.
@@ -138,61 +134,37 @@ def _shrink(v, t):
 class CoordinateKernel:
     """Cyclic coordinate sweeps of ccd or ccm on one problem.
 
-    The per-solve parts are built once: the per-coordinate step (L for
-    ccd; for quadratic ccm the curvature A_jj, checked strictly positive)
-    and, for logistic data, the halved label-scaled columns
-    c_j / 2 = Y * X[:, j] / 2 as the rows of a d x n matrix. Each sweep
-    computes its running state once, the gradient A w + b of a quadratic or
-    the half margins Y * (X @ w) / 2 of logistic data, and then updates it
-    after every coordinate (g += delta * A[j], m += delta * c_j). A
-    coordinate thus costs O(d) or O(n), and rounding drift in the state
-    lasts at most one sweep. With half margins h the logistic derivative
-    is sum_i c_ij (tanh(h_i) - 1) / (2 n), one tanh per evaluation. Logistic
-    ccm minimizes each coordinate restriction with solve_1d_prox.
+    The per-solve parts come from the smooth part and are built once: the
+    per-coordinate step (L for ccd; for ccm the closed-form curvature, such
+    as a quadratic's A_jj, or a numerical 1-D solve when the loss has none)
+    and the rows and partial derivative of the running state. Each sweep
+    computes its state once, the gradient A w + b of a quadratic or the half
+    margins Y * (X @ w) / 2 of logistic data, and then updates it after
+    every coordinate (state += delta * rows[j]). A coordinate thus costs
+    O(d) or O(n), and rounding drift in the state lasts at most one sweep.
     """
 
     def __init__(self, p: ProblemSpec, alg: str, cfg: SolverConfig | None = None):
         self.p = p
         self.cfg = cfg if cfg is not None else SolverConfig()
-        exact = alg == "ccm"
-        self.solve_1d = exact and not p.is_quadratic
-        self.steps = [p.lipschitz] * p.dim
-        if p.is_quadratic:
-            self.rows = p.smooth.A
-            if exact:
-                diag = self.rows.diagonal()
-                bad = np.nonzero(diag <= 0.0)[0]
-                if bad.size:
-                    raise Assumption2Error(
-                        f"exact coordinate minimization needs strictly positive diagonal "
-                        f"entries; A_jj <= 0 at coordinates {bad.tolist()}"
-                    )
-                self.steps = diag.tolist()
-        else:
-            X, Y = p.smooth.X, p.smooth.Y
-            self.rows = np.ascontiguousarray((X * (0.5 * Y)[:, None]).T)
-            self.row_sums = self.rows.sum(axis=1).tolist()
+        self.rows, self.deriv = p.smooth.coordinate_rows()
+        exact = p.smooth.exact_steps() if alg == "ccm" else None
+        self.solve_1d = alg == "ccm" and exact is None
+        self.steps = [p.lipschitz] * p.dim if exact is None else exact
+        self.tau_floor = self.cfg.inner_1d_tol if self.solve_1d else 0.0
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None,
               inner: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.
 
-        Appends to ``taus`` a TauRecord (sweep index k) per non-trivial ccm
+        Appends to ``taus`` a TauRecord (sweep index k) per non-trivial
         update, and to ``inner`` the within-sweep iterates j = 0..d, when
         those lists are given.
         """
-        p, lam, rows = self.p, self.p.lam, self.rows
-        quadratic = p.is_quadratic
-        if quadratic:
-            state = rows @ w + p.smooth.b
-        else:
-            state = 0.5 * (p.smooth.Y * (p.smooth.X @ w))
-            n, buf = p.smooth.n, np.empty(p.smooth.n)
-
-            def deriv(c, h, j):
-                np.tanh(h, out=buf)
-                return (float(c @ buf) - self.row_sums[j]) / n
-
+        lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
+        state = self.p.smooth.sweep_state(w)
+        if self.solve_1d:
+            buf = np.empty_like(state)
         if inner is not None:
             inner.append(w.copy())
         for j, s in enumerate(self.steps):
@@ -204,19 +176,21 @@ class CoordinateKernel:
                 def g_deriv(a):
                     np.multiply(c, a, out=buf)
                     np.add(buf, h0, out=buf)
-                    return deriv(c, buf, j)
+                    return deriv(j, buf)
 
                 z_new = solve_1d_prox(g_deriv, lam, self.cfg.inner_1d_tol,
                                       self.cfg.inner_1d_max_iters)
             else:
-                gj = float(state[j]) if quadratic else deriv(c, state, j)
+                gj = float(state[j]) if deriv is None else deriv(j, state)
                 z_new = _shrink(z_old - gj / s, lam / s)
             delta = z_new - z_old
             if delta != 0.0:
                 state += delta * c
-                if taus is not None and abs(delta) > _TRIVIAL_RTOL * (1.0 + abs(z_old)):
-                    # For a quadratic restriction the implicit threshold is
-                    # the curvature A_jj itself, independent of the update.
+                # Size 0 when not logging; floor > 0 only for a 1-D solve.
+                size = abs(delta) if taus is not None else 0.0
+                if size > floor and size > _TRIVIAL_RTOL * (1.0 + abs(z_old)):
+                    # For a closed-form step the implicit threshold is the
+                    # curvature itself, independent of the update.
                     tau = s
                     if self.solve_1d:
                         gj = g_deriv(z_old)
@@ -226,31 +200,6 @@ class CoordinateKernel:
             if inner is not None:
                 inner.append(w.copy())
         return w
-
-
-def ccd_sweep(p: ProblemSpec, y, record_inner: bool = False):
-    """One cyclic sweep of per-coordinate proximal steps, updating in place.
-
-    Each coordinate step uses the gradient at the current partially
-    updated point. Returns the post-sweep vector and, when requested, the
-    list of within-sweep iterates (j = 0..d).
-    """
-    w = as_vector(y, p.dim).copy()
-    inner = [] if record_inner else None
-    return CoordinateKernel(p, "ccd").sweep(w, inner=inner), inner
-
-
-def ccm_sweep(p: ProblemSpec, z, cfg: SolverConfig | None = None, k: int = 0):
-    """One cyclic sweep of exact per-coordinate minimization of F.
-
-    Quadratic coordinates use the closed form S_{lam/A_jj}(z_j - g_j/A_jj);
-    logistic ones minimize the coordinate restriction numerically.
-    Returns the post-sweep vector and the threshold records of the
-    non-trivial updates.
-    """
-    w = as_vector(z, p.dim).copy()
-    taus = []
-    return CoordinateKernel(p, "ccm", cfg).sweep(w, k, taus), taus
 
 
 def _positive_branch_root(q, q0, tol, max_iters):
@@ -358,7 +307,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 if cfg.stop_residual > 0.0 and residuals[-1] <= cfg.stop_residual:
                     break
                 if kernel is None:
-                    x = gd_step(p, x)
+                    x = image
                 else:
                     sweep_inner = [] if record_inner else None
                     x = kernel.sweep(x.copy(), k - 1, tau_log, sweep_inner)
@@ -368,7 +317,10 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
             if not np.isfinite(x).all():
                 bad = "iterate"
             else:
-                F, r = objective(p, x), optimality_residual(p, x)
+                # One prox-gradient image per iterate gives the residual
+                # and, for gd, the next iterate.
+                F, image = objective(p, x), prox_gradient_map(p, x)
+                r = float(np.max(np.abs(x - image)))
                 if not math.isfinite(F):
                     bad = "objective value"
                 elif not math.isfinite(r):

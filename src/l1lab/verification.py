@@ -25,13 +25,13 @@ import numpy as np
 from .errors import PreconditionError, ReferenceSolveError, StartSearchError
 from .operators import (
     Kind,
-    check_isotonicity_quadratic,
     check_isotonicity_sampled,
     classify_point,
     optimality_residual,
+    prox_gradient_map,
 )
 from .problems import ProblemSpec, as_vector, objective
-from .solvers import CoordinateKernel, SolverConfig, gd_step, run
+from .solvers import CoordinateKernel, SolverConfig, run
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
@@ -49,6 +49,12 @@ _LADDER = [2.0 ** i for i in range(41)]
 
 
 def _search_start(p, seed, want, tol):
+    certificate = p.smooth.isotonicity_certificate()
+    if certificate is not None and not certificate[0]:
+        raise PreconditionError(
+            f"isotonicity precondition failed: {len(certificate[1])} positive "
+            "off-diagonal pairs"
+        )
     d = p.dim
     sign = 1.0 if want is Kind.SUPERSOLUTION else -1.0
 
@@ -65,18 +71,9 @@ def _search_start(p, seed, want, tol):
         for t in _LADDER:
             if hit(t * u):
                 return t * u
-    if p.is_quadratic:
-        # For an order-preserving quadratic, A has nonnegative inverse, so
-        # solving for a positive (negative) gradient target yields a point
-        # on the wanted side.
-        A, b = p.smooth.A, p.smooth.b
-        target = np.maximum(-b, 1.0) if sign > 0 else np.minimum(-b, -1.0)
-        try:
-            x = np.linalg.solve(A, target)
-        except np.linalg.LinAlgError:
-            x = None
-        if x is not None and hit(x):
-            return x
+    x = p.smooth.start_fallback(sign)
+    if x is not None and hit(x):
+        return x
     raise StartSearchError(
         f"no {want.value} found; consider regenerating the instance"
     )
@@ -86,26 +83,15 @@ def find_supersolution(p: ProblemSpec, seed: int = 0, tol: float = 1e-10) -> np.
     """Deterministically search for a point that classifies as a supersolution.
 
     Tries scaled all-ones points, then seeded random positive directions,
-    and finally (quadratic case) a gradient-target linear solve. Quadratic
-    instances must pass the off-diagonal isotonicity check first.
+    and finally the smooth part's own fallback (for quadratics a
+    gradient-target linear solve). An instance with an exact isotonicity
+    certificate (quadratics: the off-diagonal test) must pass it first.
     """
-    if p.is_quadratic:
-        ok, _ = check_isotonicity_quadratic(p.smooth.A)
-        if not ok:
-            raise PreconditionError(
-                "isotonicity precondition failed: A has positive off-diagonal entries"
-            )
     return _search_start(p, seed, Kind.SUPERSOLUTION, tol)
 
 
 def find_subsolution(p: ProblemSpec, seed: int = 0, tol: float = 1e-10) -> np.ndarray:
     """Mirror of find_supersolution using negative directions."""
-    if p.is_quadratic:
-        ok, _ = check_isotonicity_quadratic(p.smooth.A)
-        if not ok:
-            raise PreconditionError(
-                "isotonicity precondition failed: A has positive off-diagonal entries"
-            )
     return _search_start(p, seed, Kind.SUBSOLUTION, tol)
 
 
@@ -123,64 +109,38 @@ class ReferenceSolution:
     method: str
 
 
-def _strict_coordinate_convexity(p):
-    if p.is_quadratic:
-        return bool(np.all(p.smooth.A.diagonal() > 0.0))
-    # A nonzero column makes the logistic coordinate restriction strictly convex.
-    return bool(np.all(np.linalg.norm(p.smooth.X, axis=0) > 0.0))
-
-
-def _active_set_solution(p, x):
-    A, b, lam = p.smooth.A, p.smooth.b, p.lam
-    if lam == 0.0:
-        on = np.ones(p.dim, dtype=bool)
-        rhs = -b
-    else:
-        on = x != 0.0
-        if not on.any():
-            return np.zeros(p.dim)
-        rhs = -(b[on] + lam * np.sign(x[on]))
-    try:
-        sol = np.linalg.solve(A[np.ix_(on, on)], rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if lam > 0.0 and np.any(np.sign(sol) * np.sign(x[on]) < 0.0):
-        return None
-    cand = np.zeros(p.dim)
-    cand[on] = sol
-    return cand
-
-
 def reference_minimizer(
     p: ProblemSpec, stop_residual: float = 1e-12, max_sweeps: int = 10 ** 6
 ) -> ReferenceSolution:
     """Solve p to high precision for use as the F* oracle.
 
     Runs exact coordinate minimization when every coordinate restriction
-    is verifiably strictly convex, otherwise proximal-gradient steps. For
-    quadratics the result is cross-checked against a direct linear solve
-    on the recovered support and the better of the two is kept. Raises
-    when the final residual exceeds 1e-10.
+    is verifiably strictly convex, otherwise proximal-gradient steps. When
+    the smooth part offers a direct solve on the recovered support (the
+    quadratic active-set solve), the result is cross-checked against it and
+    the better of the two is kept. Raises when the final residual exceeds
+    1e-10.
     """
-    use_ccm = _strict_coordinate_convexity(p)
+    use_ccm = p.smooth.strictly_convex_coordinates()
     method = "ccm" if use_ccm else "gd"
     kernel = CoordinateKernel(p, "ccm") if use_ccm else None
     x = np.zeros(p.dim)
     for _ in range(max_sweeps):
-        if optimality_residual(p, x) <= stop_residual:
+        # One prox-gradient image per point: its residual and the gd step.
+        image = prox_gradient_map(p, x)
+        if _inf_norm(x - image) <= stop_residual:
             break
-        nxt = kernel.sweep(x.copy()) if use_ccm else gd_step(p, x)
+        nxt = kernel.sweep(x.copy()) if use_ccm else image
         if np.array_equal(nxt, x):
             break  # numerical fixed point of the sweep map
         x = nxt
     best_res = optimality_residual(p, x)
-    if p.is_quadratic:
-        cand = _active_set_solution(p, x)
-        if cand is not None:
-            cand_res = optimality_residual(p, cand)
-            if cand_res < best_res:
-                x, best_res = cand, cand_res
-                method += "+active-set"
+    cand = p.smooth.active_set_solution(x, p.lam)
+    if cand is not None:
+        cand_res = optimality_residual(p, cand)
+        if cand_res < best_res:
+            x, best_res = cand, cand_res
+            method += "+active-set"
     if best_res > _REFERENCE_RESIDUAL:
         raise ReferenceSolveError(
             f"reference solve stalled at residual {best_res:.3e} (> {_REFERENCE_RESIDUAL})"
@@ -322,8 +282,9 @@ def run_comparison(
 
     Preconditions (skipped when report_only is set, in which case the
     outcome is merely reported): x0 classifies as a super- or subsolution,
-    and the instance passes the isotonicity check (exact off-diagonal test
-    for quadratics, a seeded sampled check otherwise).
+    and the instance passes the isotonicity check (the smooth part's exact
+    certificate, such as the off-diagonal test for quadratics, or a seeded
+    sampled check when it has none).
 
     Comparison tolerances are ``tol`` scaled by 1 + the sup norm of the
     iterates involved (or 1 + |F| for objective comparisons); the rate
@@ -332,8 +293,9 @@ def run_comparison(
     if K < 1:
         raise ValueError("K must be at least 1")
     x0 = as_vector(x0, p.dim)
-    if p.is_quadratic:
-        iso_ok, _ = check_isotonicity_quadratic(p.smooth.A)
+    certificate = p.smooth.isotonicity_certificate()
+    if certificate is not None:
+        iso_ok = certificate[0]
     else:
         iso_ok = check_isotonicity_sampled(p, isotonicity_samples, seed).ok
     start = classify_point(p, x0, tol * (1.0 + _inf_norm(x0)))

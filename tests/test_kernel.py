@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from l1lab import (
+    QuadraticForm,
     SolverConfig,
     gen_zmatrix_quadratic,
     logistic_problem,
@@ -20,7 +21,7 @@ from l1lab import (
 
 SWEEPS = 20
 RTOL = 1e-12
-TRIVIAL_RTOL = 1e-13  # the solver's threshold for recording a ccm update
+TRIVIAL_RTOL = 1e-13  # the solver's relative threshold for recording a ccm update
 
 
 def soft(a, t):
@@ -48,7 +49,7 @@ def logistic_data(seed, n=200, d=20, lam=0.02):
 
 
 def grad_coord(p, w, j):
-    if p.is_quadratic:
+    if isinstance(p.smooth, QuadraticForm):
         return float(p.smooth.A[j] @ w + p.smooth.b[j])
     X, Y = p.smooth.X, p.smooth.Y
     return float(-(X[:, j] @ (Y * expit(-(Y * (X @ w))))) / p.smooth.n)
@@ -98,7 +99,7 @@ def reference_run(alg, p, x0, sweeps, tol):
             if alg == "ccd":
                 step = p.lipschitz
                 z_new = soft(z_old - grad_coord(p, w, j) / step, p.lam / step)
-            elif p.is_quadratic:
+            elif isinstance(p.smooth, QuadraticForm):
                 step = p.smooth.A[j, j]
                 z_new = soft(z_old - grad_coord(p, w, j) / step, p.lam / step)
             else:
@@ -237,3 +238,17 @@ def test_solve_1d_prox_linear_derivative_takes_two_steps():
         counted = Counted(g_deriv)
         solve_1d_prox(counted, lam)
         assert counted.inner_steps() <= 2
+
+
+def test_logistic_ccm_tau_log_holds_only_resolved_updates():
+    # An update from the 1-D solve no larger than inner_1d_tol is
+    # root-bracket noise, and its secant slope says nothing about tau.
+    cfg = SolverConfig(max_outer_iters=40)
+    for seed in range(4):
+        p = logistic_data(seed)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=p.dim)
+        tau_log = run("ccm", p, x0, cfg).tau_log
+        assert tau_log
+        for t in tau_log:
+            assert abs(t.z_new - t.z_old) > cfg.inner_1d_tol, t
+            assert 0.0 < t.tau <= p.lipschitz * (1.0 + 1e-8), t

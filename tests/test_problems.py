@@ -11,7 +11,6 @@ from l1lab import (
     check_isotonicity_quadratic,
     estimate_lipschitz,
     f_grad,
-    f_grad_coord,
     f_value,
     gen_zmatrix_quadratic,
     lasso_build,
@@ -74,21 +73,6 @@ def test_f_grad_logistic_matches_finite_differences():
     assert abs(fd[0] - g[0]) <= 1e-8
 
 
-def test_f_grad_coord_matches_entries():
-    p = quadratic_problem(np.eye(2), [1.0, 2.0], lam=0.0, lipschitz=1.0)
-    assert f_grad_coord(p, [0.0, 0.0], 1) == 2.0
-    p2 = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.0, 0.0], lam=0.0, lipschitz=3.0)
-    assert f_grad_coord(p2, [1.0, 0.0], 0) == 2.0
-
-
-def test_f_grad_coord_logistic_finite_difference():
-    p = logistic_problem([[1.0], [1.0]], [1.0, 1.0], lam=0.0, lipschitz=1.0)
-    g0 = f_grad_coord(p, [0.0], 0)
-    fd = central_diff_grad(p, [0.0])
-    assert g0 == pytest.approx(-0.5, abs=1e-12)
-    assert abs(fd[0] - g0) <= 1e-8
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_consistency_quadratic(seed):
     rng = np.random.default_rng(seed)
@@ -112,26 +96,6 @@ def test_gradient_consistency_logistic(seed):
         g = f_grad(p, x)
         fd = central_diff_grad(p, x)
         assert np.max(np.abs(fd - g)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
-
-
-def test_coord_consistency_both_kinds():
-    rng = np.random.default_rng(11)
-    pq = gen_zmatrix_quadratic(5, seed=11)
-    X = rng.standard_normal((8, 4))
-    Y = np.where(rng.random(8) < 0.5, -1.0, 1.0)
-    pl = logistic_problem(X, Y, lam=0.1)
-    for p in (pq, pl):
-        for _ in range(10):
-            x = rng.standard_normal(p.dim)
-            g = f_grad(p, x)
-            for j in range(p.dim):
-                assert f_grad_coord(p, x, j) == pytest.approx(g[j], abs=1e-14)
-
-
-def test_f_grad_coord_index_out_of_range():
-    p = quadratic_problem(np.eye(2), [0.0, 0.0], lam=0.0, lipschitz=1.0)
-    with pytest.raises(IndexError):
-        f_grad_coord(p, [0.0, 0.0], 2)
 
 
 def test_dimension_mismatch_raises():
@@ -274,6 +238,21 @@ def test_quadratic_form_symmetrizes_and_checks_psd():
         QuadraticForm([[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0])  # eigenvalues -1, 3
 
 
+def test_quadratic_form_checks_psd_at_every_dimension():
+    d = 201  # the eigenvalue check used to be skipped above d = 200
+    A = np.eye(d)
+    A[0, 1] = A[1, 0] = 2.0  # eigenvalues -1 and 3 in the leading block
+    with pytest.raises(ValueError):
+        QuadraticForm(A, np.zeros(d))
+    # Rounding-size negative eigenvalues, singular and zero matrices pass.
+    v = np.linspace(-1.0, 1.0, d)
+    QuadraticForm(np.outer(v, v), np.zeros(d))
+    QuadraticForm(np.diag(np.r_[np.ones(d - 1), -1e-12]), np.zeros(d))
+    QuadraticForm(np.zeros((d, d)), np.zeros(d))
+    with pytest.raises(ValueError):
+        QuadraticForm(np.diag(np.r_[np.ones(d - 1), -1e-6]), np.zeros(d))
+
+
 def test_logistic_data_validates_labels():
     with pytest.raises(ValueError):
         LogisticData([[1.0]], [0.5])
@@ -305,7 +284,7 @@ def test_problem_json_roundtrip_logistic(tmp_path):
     path = tmp_path / "prob.json"
     save_problem(p, path)
     q = load_problem(path)
-    assert not q.is_quadratic
+    assert not isinstance(q.smooth, QuadraticForm)
     np.testing.assert_allclose(q.smooth.X, p.smooth.X)
     assert q.lipschitz == p.lipschitz
 

@@ -4,23 +4,24 @@ import warnings
 import numpy as np
 import pytest
 
+import l1lab.solvers
 from l1lab import (
     Assumption2Error,
     NonFiniteIterateError,
     PreconditionError,
     SolverConfig,
     UnboundedBelowError,
-    ccd_sweep,
-    ccm_sweep,
-    gd_step,
     gen_zmatrix_quadratic,
     logistic_problem,
     objective,
+    optimality_residual,
+    prox_gradient_map,
     quadratic_problem,
     run,
     secant_tau,
     solve_1d_prox,
 )
+from l1lab.solvers import CoordinateKernel
 from tests.conftest import grid_refine_minimum
 
 
@@ -37,13 +38,35 @@ def soft(a, t):
 # ---------------------------------------------------------------------------
 
 def test_gd_step_examples(shifted_scalar_quad):
-    assert gd_step(shifted_scalar_quad, [0.0])[0] == 3.0
-    assert gd_step(shifted_scalar_quad, [3.0])[0] == 3.0
+    assert prox_gradient_map(shifted_scalar_quad, [0.0])[0] == 3.0
+    assert prox_gradient_map(shifted_scalar_quad, [3.0])[0] == 3.0
 
 
 def test_gd_step_unregularized_is_plain_gradient_step():
     p = quadratic_problem([[1.0]], [0.0], lam=0.0, lipschitz=1.0)
-    assert gd_step(p, [1.0])[0] == 0.0
+    assert prox_gradient_map(p, [1.0])[0] == 0.0
+
+
+def test_gd_computes_one_prox_gradient_image_per_iterate(monkeypatch):
+    # The image at x_k gives both the residual max|x_k - T(x_k)| and x_{k+1}.
+    p = gen_zmatrix_quadratic(6, seed=4)
+    x0 = np.linspace(-2.0, 2.0, 6)
+    calls = []
+
+    def counted(q, x):
+        calls.append(1)
+        return prox_gradient_map(q, x)
+
+    monkeypatch.setattr(l1lab.solvers, "prox_gradient_map", counted)
+    K = 25
+    trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
+    assert len(calls) == K + 1
+    x = x0
+    for k in range(K + 1):
+        np.testing.assert_array_equal(trace.iterates[k], x)
+        assert trace.f_values[k] == objective(p, x)
+        assert trace.residuals[k] == optimality_residual(p, x)
+        x = prox_gradient_map(p, x)
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +75,14 @@ def test_gd_step_unregularized_is_plain_gradient_step():
 
 def test_ccd_sweep_equals_gd_step_on_separable_problem():
     p = quadratic_problem(np.diag([1.0, 1.0]), [-1.0, -2.0], lam=0.0, lipschitz=1.0)
-    swept, _ = ccd_sweep(p, [0.0, 0.0])
+    swept = CoordinateKernel(p, "ccd").sweep(np.array([0.0, 0.0]))
     np.testing.assert_allclose(swept, [1.0, 2.0])
-    np.testing.assert_allclose(gd_step(p, [0.0, 0.0]), swept)
+    np.testing.assert_allclose(prox_gradient_map(p, [0.0, 0.0]), swept)
 
 
 def test_ccd_sweep_equals_gd_step_for_one_dimension(shifted_scalar_quad):
-    swept, _ = ccd_sweep(shifted_scalar_quad, [0.0])
-    np.testing.assert_array_equal(swept, gd_step(shifted_scalar_quad, [0.0]))
+    swept = CoordinateKernel(shifted_scalar_quad, "ccd").sweep(np.array([0.0]))
+    np.testing.assert_array_equal(swept, prox_gradient_map(shifted_scalar_quad, [0.0]))
 
 
 def test_ccd_sweep_uses_refreshed_gradient():
@@ -68,15 +91,16 @@ def test_ccd_sweep_uses_refreshed_gradient():
     L, lam = 3.0, 0.1
     y1 = soft(1.0 - (2.0 * 1.0 - 1.0 * 1.0 - 1.0) / L, lam / L)
     y2 = soft(1.0 - (-1.0 * y1 + 2.0 * 1.0 - 1.0) / L, lam / L)
-    swept, _ = ccd_sweep(p, [1.0, 1.0])
+    swept = CoordinateKernel(p, "ccd").sweep(np.array([1.0, 1.0]))
     np.testing.assert_allclose(swept, [y1, y2], rtol=0, atol=1e-15)
     # differs from the simultaneous update
-    assert not np.allclose(swept, gd_step(p, [1.0, 1.0]))
+    assert not np.allclose(swept, prox_gradient_map(p, [1.0, 1.0]))
 
 
 def test_ccd_sweep_records_inner_iterates():
     p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [-1.0, -1.0], lam=0.1, lipschitz=3.0)
-    swept, inner = ccd_sweep(p, [1.0, 1.0], record_inner=True)
+    inner = []
+    swept = CoordinateKernel(p, "ccd").sweep(np.array([1.0, 1.0]), inner=inner)
     assert len(inner) == 3
     np.testing.assert_array_equal(inner[0], [1.0, 1.0])
     np.testing.assert_array_equal(inner[-1], swept)
@@ -89,19 +113,20 @@ def test_ccd_sweep_records_inner_iterates():
 
 def test_ccm_sweep_scalar_solves_exactly(shifted_scalar_quad):
     for start in (-7.0, 0.0, 11.0):
-        z, _ = ccm_sweep(shifted_scalar_quad, [start])
+        z = CoordinateKernel(shifted_scalar_quad, "ccm").sweep(np.array([start]))
         assert z[0] == 3.0
 
 
 def test_ccm_sweep_separable_reaches_minimizer():
     p = quadratic_problem(np.diag([2.0, 4.0]), [-2.0, -4.0], lam=0.0, lipschitz=4.0)
-    z, _ = ccm_sweep(p, [0.0, 0.0])
+    z = CoordinateKernel(p, "ccm").sweep(np.array([0.0, 0.0]))
     np.testing.assert_allclose(z, [1.0, 1.0])
 
 
 def test_ccm_sweep_logistic_matches_grid_oracle():
     p = logistic_problem([[1.0], [1.0]], [1.0, 1.0], lam=0.1)
-    z, taus = ccm_sweep(p, [0.0])
+    taus = []
+    z = CoordinateKernel(p, "ccm").sweep(np.array([0.0]), 0, taus)
     oracle = grid_refine_minimum(lambda a: objective(p, [a]), -5.0, 5.0, levels=4)
     assert z[0] == pytest.approx(oracle, abs=1e-6)
     assert len(taus) == 1
@@ -110,7 +135,7 @@ def test_ccm_sweep_logistic_matches_grid_oracle():
 def test_ccm_sweep_rejects_zero_diagonal():
     p = quadratic_problem([[0.0]], [0.0], lam=0.1, lipschitz=1.0)
     with pytest.raises(Assumption2Error):
-        ccm_sweep(p, [1.0])
+        CoordinateKernel(p, "ccm").sweep(np.array([1.0]))
 
 
 def test_ccm_matches_1d_prox_on_random_coordinate_problems():
@@ -157,7 +182,8 @@ def test_secant_tau_rejects_trivial_update():
 
 def test_ccm_tau_records_satisfy_shrink_representation():
     p = logistic_problem([[1.0], [2.0], [-1.0]], [1.0, 1.0, -1.0], lam=0.05)
-    z, taus = ccm_sweep(p, [2.0])
+    taus = []
+    CoordinateKernel(p, "ccm").sweep(np.array([2.0]), 0, taus)
     assert taus, "expected a non-trivial update"
     for rec in taus:
         assert 0.0 < rec.tau <= p.lipschitz * (1.0 + 1e-8)
@@ -167,7 +193,8 @@ def test_ccm_tau_records_satisfy_shrink_representation():
 
 def test_ccm_quadratic_tau_is_diagonal_entry():
     p = gen_zmatrix_quadratic(4, seed=6)
-    _, taus = ccm_sweep(p, np.ones(4) * 2.0)
+    taus = []
+    CoordinateKernel(p, "ccm").sweep(np.ones(4) * 2.0, 0, taus)
     for rec in taus:
         assert rec.tau == p.smooth.A[rec.j, rec.j]
 
