@@ -66,12 +66,9 @@ def check_isotonicity_quadratic(A, tol: float = _OFFDIAG_TOL):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    offenders = [
-        (i, j)
-        for i in range(A.shape[0])
-        for j in range(i + 1, A.shape[1])
-        if A[i, j] > tol or A[j, i] > tol
-    ]
+    # np.nonzero walks the upper triangle in row-major order.
+    rows, cols = np.nonzero(np.triu((A > tol) | (A.T > tol), k=1))
+    offenders = list(zip(rows.tolist(), cols.tolist()))
     return (not offenders), offenders
 
 

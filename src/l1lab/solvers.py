@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -97,28 +99,89 @@ class Trace:
 
     def write_csv(self, path) -> None:
         d = len(self.iterates[0])
+        # One format per row; "%.17g" renders a float as f"{v:.17g}" does.
+        row = "%d" + ",%.17g" * (d + 2) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,F,residual," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
             for k, (x, F, r) in enumerate(zip(self.iterates, self.f_values, self.residuals)):
-                cells = [str(k), f"{F:.17g}", f"{r:.17g}"] + [f"{v:.17g}" for v in x]
-                fh.write(",".join(cells) + "\n")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "iterates": [x.tolist() for x in self.iterates],
-            "f_values": list(self.f_values),
-            "residuals": list(self.residuals),
-            "inner": None
-            if self.inner is None
-            else [[y.tolist() for y in sweep] for sweep in self.inner],
-            "tau_log": None if self.tau_log is None else [asdict(t) for t in self.tau_log],
-        }
+                fh.write(row % (k, F, r, *x.tolist()))
 
     def write_json(self, path) -> None:
+        """Write the trace as ``json.dump(..., indent=2)`` plus a newline would.
+
+        The file is streamed an iterate row or a chunk of tau_log records at
+        a time (see _json_list), so the whole text is never held in memory.
+        """
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write('{\n  "algorithm": ' + json.dumps(self.algorithm) + ',\n  "iterates": ')
+            fh.writelines(_json_list(self.iterates, 2, _json_row))
+            fh.write(',\n  "f_values": ' + _json_numbers(list(self.f_values), 2)
+                     + ',\n  "residuals": ' + _json_numbers(list(self.residuals), 2)
+                     + ',\n  "inner": ')
+            fh.writelines(("null",) if self.inner is None
+                          else _json_list(self.inner, 2, _json_sweep))
+            fh.write(',\n  "tau_log": ')
+            fh.writelines(("null",) if self.tau_log is None
+                          else _json_tau_log(self.tau_log, 2))
+            fh.write("\n}\n")
+
+
+# Trace JSON is laid out here as json.dump(..., indent=2) lays it out. The
+# indenting encoder is pure Python, so numbers are rendered instead by
+# json.dumps of flat lists, which takes the C encoder and emits the same
+# tokens (float.__repr__, NaN, Infinity), and are then placed at the
+# indented positions.
+_TAU_CHUNK = 512
+_TAU_FIELDS = tuple(f.name for f in fields(TauRecord))
+_tau_values = attrgetter(*_TAU_FIELDS)
+
+
+def _json_list(items, ind, render):
+    """Yield the text of the list ``items`` at indentation ``ind``.
+
+    render(item, ind + 2) yields the text of one item; it may also render a
+    run of items joined by the item separator, as _json_tau_log does.
+    """
+    if not items:
+        yield "[]"
+        return
+    pad = "\n" + " " * (ind + 2)
+    sep = "[" + pad
+    for item in items:
+        yield sep
+        yield from render(item, ind + 2)
+        sep = "," + pad
+    yield "\n" + " " * ind + "]"
+
+
+def _json_numbers(values: list, ind: int) -> str:
+    if not values:
+        return "[]"
+    pad = ",\n" + " " * (ind + 2)
+    # No number token contains ", ", the C encoder's item separator.
+    return "[" + pad[1:] + json.dumps(values)[1:-1].replace(", ", pad) + "\n" + " " * ind + "]"
+
+
+def _json_row(x: np.ndarray, ind: int):
+    return (_json_numbers(x.tolist(), ind),)
+
+
+def _json_sweep(sweep: list, ind: int):
+    return _json_list(sweep, ind, _json_row)
+
+
+def _json_tau_log(records: list, ind: int):
+    """Yield the text of a tau_log list, _TAU_CHUNK records per piece."""
+    pad = "\n" + " " * (ind + 4)
+    record = "{" + ",".join(f"{pad}{json.dumps(name)}: %s" for name in _TAU_FIELDS) \
+        + "\n" + " " * (ind + 2) + "}"
+
+    def chunk(start, _):
+        part = records[start:start + _TAU_CHUNK]
+        tokens = json.dumps(list(chain.from_iterable(map(_tau_values, part))))[1:-1]
+        yield (",\n" + " " * (ind + 2)).join([record] * len(part)) % tuple(tokens.split(", "))
+
+    return _json_list(range(0, len(records), _TAU_CHUNK), ind, chunk)
 
 
 def _shrink(v, t):

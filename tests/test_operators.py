@@ -192,6 +192,26 @@ def test_check_isotonicity_quadratic_cases():
     assert ok and not offenders
 
 
+def test_check_isotonicity_quadratic_matches_pairwise_loop():
+    def loop(A, tol):
+        return [(i, j) for i in range(len(A)) for j in range(i + 1, len(A))
+                if A[i, j] > tol or A[j, i] > tol]
+
+    rng = np.random.default_rng(2)
+    for trial in range(120):
+        d = int(rng.integers(1, 30))
+        A = rng.standard_normal((d, d)) - 0.8 * rng.random()
+        if trial % 2:
+            A = 0.5 * (A + A.T)
+        if trial % 3 == 0:
+            A[rng.random((d, d)) < 0.1] = np.nan
+        tol = (0.0, 1e-12, 0.5)[trial % 3]
+        ok, offenders = check_isotonicity_quadratic(A, tol)
+        want = loop(A, tol)
+        assert offenders == want and ok == (not want)
+        assert all(type(i) is int and type(j) is int for i, j in offenders)
+
+
 def test_check_isotonicity_sampled_zmatrix_clean():
     p = gen_zmatrix_quadratic(5, seed=1)
     report = check_isotonicity_sampled(p, samples=1000, seed=0)

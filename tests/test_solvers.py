@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -21,7 +23,7 @@ from l1lab import (
     secant_tau,
     solve_1d_prox,
 )
-from l1lab.solvers import CoordinateKernel
+from l1lab.solvers import CoordinateKernel, TauRecord, Trace
 from tests.conftest import grid_refine_minimum
 
 
@@ -314,7 +316,76 @@ def test_trace_csv_and_json(tmp_path):
 
 def test_trace_csv_deterministic(tmp_path):
     p = gen_zmatrix_quadratic(3, seed=5)
-    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    run("ccd", p, np.ones(3), SolverConfig(max_outer_iters=7)).write_csv(a_path)
-    run("ccd", p, np.ones(3), SolverConfig(max_outer_iters=7)).write_csv(b_path)
-    assert a_path.read_bytes() == b_path.read_bytes()
+    for run_name in ("a", "b"):
+        trace = run("ccm", p, np.ones(3), SolverConfig(max_outer_iters=7, record_inner=True))
+        trace.write_csv(tmp_path / f"{run_name}.csv")
+        trace.write_json(tmp_path / f"{run_name}.json")
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+
+def reference_write_csv(trace, path):
+    # The plain writer: one f-string per value.
+    d = len(trace.iterates[0])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,F,residual," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
+        for k, (x, F, r) in enumerate(zip(trace.iterates, trace.f_values, trace.residuals)):
+            cells = [str(k), f"{F:.17g}", f"{r:.17g}"] + [f"{v:.17g}" for v in x]
+            fh.write(",".join(cells) + "\n")
+
+
+def reference_write_json(trace, path):
+    # The plain writer: the whole trace as one dict through json.dump.
+    data = {
+        "algorithm": trace.algorithm,
+        "iterates": [x.tolist() for x in trace.iterates],
+        "f_values": list(trace.f_values),
+        "residuals": list(trace.residuals),
+        "inner": None
+        if trace.inner is None
+        else [[y.tolist() for y in sweep] for sweep in trace.inner],
+        "tau_log": None if trace.tau_log is None else [dataclasses.asdict(t) for t in trace.tau_log],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def _special_trace():
+    # Tokens the encoders spell out differently from repr, plus the extremes.
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -2.5]
+    rows = [np.array(special), np.array(special[::-1])]
+    taus = [TauRecord(k, k % 3, *(special[(k + i) % len(special)] for i in range(4)))
+            for k in range(1025)]
+    return Trace("ccm", rows, special[:2], special[2:4], inner=[rows, [], rows[:1]],
+                 tau_log=taus)
+
+
+def _trace_cases():
+    zmat = gen_zmatrix_quadratic(12, seed=7)
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((200, 20))
+    Y = np.where(X @ rng.standard_normal(20) >= 0.0, 1.0, -1.0)
+    logistic = logistic_problem(X, Y, 0.02)
+    scalar = quadratic_problem([[2.0]], [-1.0], lam=0.1, lipschitz=2.0)
+    for alg in ("gd", "ccd", "ccm"):
+        for record_inner in (False, True):
+            # 60 ccm sweeps over 12 coordinates log more than one 512-record chunk.
+            cfg = SolverConfig(max_outer_iters=60, record_inner=record_inner)
+            yield f"zmat-{alg}-{record_inner}", run(alg, zmat, 3.0 * np.ones(12), cfg)
+        yield f"logistic-{alg}", run(alg, logistic, np.zeros(20), SolverConfig(max_outer_iters=15))
+        yield f"d1-{alg}", run(alg, scalar, [4.0], SolverConfig(max_outer_iters=5, record_inner=True))
+    yield "empty", Trace("ccd", [np.ones(2)], [1.0], [0.0], inner=[], tau_log=[])
+    yield "special", _special_trace()
+
+
+def test_trace_writers_match_plain_reference_byte_for_byte(tmp_path):
+    cases = list(_trace_cases())
+    assert any(len(t.tau_log or ()) > 512 for _, t in cases)
+    for name, trace in cases:
+        for write, reference, ext in ((Trace.write_csv, reference_write_csv, "csv"),
+                                      (Trace.write_json, reference_write_json, "json")):
+            got, want = tmp_path / f"{name}.{ext}", tmp_path / f"{name}.ref.{ext}"
+            write(trace, got)
+            reference(trace, want)
+            assert got.read_bytes() == want.read_bytes(), f"{name}.{ext}"
