@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of a git revision with those of the working tree.
+
+    python3 scripts/same_outputs.py <rev>
+
+Extracts <rev> with ``git archive`` into a temporary directory, runs a
+fixed set of ``l1lab`` commands with each source tree, each set in its own
+empty directory, and compares every output byte for byte: the stdout,
+stderr and exit status of each command and every file it wrote (problem
+files, reports, summaries, trace CSV and JSON). Each file that differs,
+or exists on one side only, is printed. The exit status is 1 when any
+does, 0 when none does, and 2 when <rev> cannot be extracted.
+
+This is a check for changes that mean to keep every output, not a test:
+a deliberate change of an output format makes it report differences.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, arguments of `l1lab`), run in this order in one directory.
+COMMANDS = (
+    ("gen_d10", ["gen", "--dim", "10", "--seed", "4", "--out", "zmat10.json"]),
+    ("gen_d60", ["gen", "--dim", "60", "--seed", "2", "--out", "zmat60.json"]),
+    ("run_d10", ["run", "--problem", "zmat10.json", "--alg", "all", "--record-inner",
+                 "--iters", "50", "--start", "super", "--seed", "4", "--prefix", "d10_"]),
+    ("run_d60", ["run", "--problem", "zmat60.json", "--alg", "all", "--record-inner",
+                 "--iters", "40", "--start", "sub", "--seed", "2", "--prefix", "d60_"]),
+    ("run_logistic", ["run", "--problem", "logistic.json", "--alg", "all", "--iters", "50",
+                      "--prefix", "logistic_"]),
+    ("verify_d12_super", ["verify", "--dim", "12", "--seed", "3", "--iters", "100",
+                          "--start", "super", "--report", "d12_super_report.json",
+                          "--summary", "d12_super_summary.csv"]),
+    ("verify_d12_sub", ["verify", "--dim", "12", "--seed", "3", "--iters", "100",
+                        "--start", "sub", "--report", "d12_sub_report.json",
+                        "--summary", "d12_sub_summary.csv"]),
+    ("verify_d300", ["verify", "--dim", "300", "--iters", "20", "--report", "d300_report.json",
+                     "--summary", "d300_summary.csv"]),
+)
+
+
+def logistic_problem_json():
+    """A dense l1-logistic problem, n=200, d=20, lam=0.02, as a problem file."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((200, 20))
+    w = np.zeros(20)
+    w[rng.choice(20, size=4, replace=False)] = rng.standard_normal(4)
+    Y = np.where(X @ w >= 0.0, 1.0, -1.0)
+    Y[rng.random(200) < 0.1] *= -1.0
+    return json.dumps({"kind": "logistic", "X": X.tolist(), "Y": Y.tolist(), "lambda": 0.02})
+
+
+def extract(rev, dest):
+    """Write the tree of ``rev`` into ``dest``; the repository is only read."""
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          check=True, capture_output=True).stdout
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, **safe)
+
+
+def run_all(src, out):
+    """Run COMMANDS with the package under ``src``, writing into ``out``."""
+    out.mkdir()
+    (out / "logistic.json").write_text(logistic_problem_json(), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for name, args in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "l1lab.cli", *args],
+                              cwd=out, env=env, capture_output=True)
+        (out / f"{name}.stdout").write_bytes(done.stdout)
+        (out / f"{name}.stderr").write_bytes(done.stderr)
+        (out / f"{name}.status").write_text(f"{done.returncode}\n", encoding="utf-8")
+
+
+def differing(a, b):
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    return [n for n in names
+            if not ((a / n).is_file() and (b / n).is_file()
+                    and filecmp.cmp(a / n, b / n, shallow=False))], len(names)
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python3 scripts/same_outputs.py <rev>", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="l1lab-same-outputs-") as tmp:
+        tmp = Path(tmp)
+        try:
+            extract(rev, tmp / "rev")
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot extract {rev}: {exc.stderr.decode(errors='replace').strip()}",
+                  file=sys.stderr)
+            return 2
+        run_all(tmp / "rev" / "src", tmp / "out_rev")
+        run_all(ROOT / "src", tmp / "out_tree")
+        bad, total = differing(tmp / "out_rev", tmp / "out_tree")
+    for name in bad:
+        print(f"differs: {name}")
+    print(f"{len(bad)} of {total} outputs differ between {rev} and the working tree")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

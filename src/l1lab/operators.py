@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 # check_isotonicity_quadratic lives next to QuadraticForm, whose exact
 # isotonicity certificate it is; it is re-exported here with the sampled check.
 from .problems import ProblemSpec, as_vector, check_isotonicity_quadratic, f_grad  # noqa: F401
@@ -50,7 +50,12 @@ def prox_gradient_map(p: ProblemSpec, x) -> np.ndarray:
     Fixed points of this map are exactly the minimizers of F.
     """
     x = as_vector(x, p.dim)
-    return _soft(x - f_grad(p, x) / p.lipschitz, p.lam / p.lipschitz)
+    return prox_gradient_image(p, x, f_grad(p, x))
+
+
+def prox_gradient_image(p: ProblemSpec, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The prox-gradient image of x from its gradient g = grad f(x), in hand."""
+    return _soft(x - g / p.lipschitz, p.lam / p.lipschitz)
 
 
 def optimality_residual(p: ProblemSpec, x) -> float:
@@ -91,23 +96,50 @@ def _classification_slack(x, g, lam, tau):
     return slack
 
 
-def _kind_from_slack(slack, tol):
-    if np.all(np.abs(slack) <= tol):
-        return Kind.EXACT
-    if np.all(slack >= -tol):
-        return Kind.SUPERSOLUTION
-    if np.all(slack <= tol):
-        return Kind.SUBSOLUTION
-    return Kind.NEITHER
+def check_tolerance(tol):
+    """Raise ValueError unless tol (one value or an array) is nonnegative; NaN fails."""
+    if not np.all(np.asarray(tol) >= 0.0):
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+
+
+# Indexed by 2 * (every s >= -tol) + (every s <= tol).
+_KIND_BY_CODE = (Kind.NEITHER, Kind.SUBSOLUTION, Kind.SUPERSOLUTION, Kind.EXACT)
+
+
+def _kinds(slack, tol):
+    """Kind of each row of a slack stack, from the row's extremes.
+
+    EXACT when every |s| <= tol, else SUPERSOLUTION when every s >= -tol,
+    else SUBSOLUTION when every s <= tol, else NEITHER. tol is one value or
+    one per row. A NaN makes both extremes NaN, so its row is NEITHER.
+    """
+    codes = 2 * (slack.min(axis=1) >= -tol) + (slack.max(axis=1) <= tol)
+    return [_KIND_BY_CODE[c] for c in codes.tolist()]
+
+
+def classify_rows(p: ProblemSpec, points, grads, tol) -> list:
+    """Kind of each row of ``points``, from its gradient in the same row of ``grads``.
+
+    ``tol`` is one tolerance or one per row. Row i gets the kind that
+    classify_point(p, points[i], tol[i]) gives, without a gradient call.
+    """
+    tol = np.asarray(tol, dtype=float)
+    check_tolerance(tol)
+    points = np.asarray(points, dtype=float)
+    grads = np.asarray(grads, dtype=float)
+    if points.ndim != 2 or points.shape[1] != p.dim or grads.shape != points.shape:
+        raise DimensionMismatchError(
+            f"points {points.shape} and grads {grads.shape} must both be m x {p.dim}"
+        )
+    return _kinds(_classification_slack(points, grads, p.lam, 1.0), tol)
 
 
 def classify_point(p: ProblemSpec, x, tol: float = _DEFAULT_CLASS_TOL) -> Classification:
     """Classify x as super/subsolution, exact minimizer, or neither."""
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    check_tolerance(tol)
     x = as_vector(x, p.dim)
     slack = _classification_slack(x, f_grad(p, x), p.lam, 1.0)
-    return Classification(_kind_from_slack(slack, tol), slack, tol)
+    return Classification(_kinds(slack[None], tol)[0], slack, tol)
 
 
 def classify_scale_sweep(p: ProblemSpec, x, taus, tol: float = _DEFAULT_CLASS_TOL):
@@ -116,16 +148,15 @@ def classify_scale_sweep(p: ProblemSpec, x, taus, tol: float = _DEFAULT_CLASS_TO
     A point that is a super- or subsolution keeps its kind at every tau;
     the sweep exists to check that scale invariance empirically.
     """
+    check_tolerance(tol)
     x = as_vector(x, p.dim)
     taus = [float(t) for t in taus]
     if any(t <= 0.0 for t in taus):
         raise ValueError("every tau must be positive")
     g = f_grad(p, x)
-    out = []
-    for t in taus:
-        slack = _classification_slack(x, g, p.lam, t)
-        out.append(Classification(_kind_from_slack(slack, tol), slack, tol))
-    return out
+    slacks = [_classification_slack(x, g, p.lam, t) for t in taus]
+    kinds = _kinds(np.array(slacks).reshape(len(taus), p.dim), tol)
+    return [Classification(k, s, tol) for k, s in zip(kinds, slacks)]
 
 
 def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLASS_TOL):
@@ -141,12 +172,12 @@ def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLAS
     taus = np.asarray([float(t) for t in taus], dtype=float)
     if np.any(taus <= 0.0):
         raise ValueError("every tau must be positive")
-    cls = classify_point(p, x, tol)
-    if cls.kind is Kind.NEITHER:
+    g = f_grad(p, x)
+    if classify_rows(p, x[None], g[None], tol)[0] is Kind.NEITHER:
         raise PreconditionError(
             "shrink_tau_curve requires a super- or subsolution; point classifies as neither"
         )
-    gj = float(f_grad(p, x)[j])
+    gj = float(g[j])
     return _soft(float(x[j]) - gj / taus, p.lam / taus)
 
 

@@ -78,10 +78,12 @@ class SmoothLoss:
     Subclasses are frozen dataclasses whose fields are the arrays of their
     problem files, in file order, and whose class attribute ``kind`` tags
     those files. Each provides value(x) and grad(x) at a validated vector
-    x; power_operator(), a (matvec, divisor) pair such that L is the
-    dominant eigenvalue of matvec over divisor; strictly_convex_coordinates();
-    and for the coordinate kernel sweep_state(w), the running state of a
-    sweep at w, and coordinate_rows(), a (rows, deriv) pair: after
+    x, and value_and_grad(x), bitwise (value(x), grad(x)) from one product
+    with the data; power_operator(), a (matvec, divisor) pair such that L
+    is the dominant eigenvalue of matvec over divisor;
+    strictly_convex_coordinates(); and for the coordinate kernel
+    sweep_state(w), the running state of a sweep at w, and
+    coordinate_rows(), a (rows, deriv) pair: after
     coordinate j moves by delta the state grows by delta * rows[j], and
     deriv(j, state) is the partial derivative j, or deriv is None when that
     is state[j] itself. The hooks below return None where a loss has no
@@ -89,6 +91,10 @@ class SmoothLoss:
     """
 
     kind = None
+
+    def ray_grads(self, u, ts):
+        """Gradients along a ray: row i is bitwise grad(ts[i] * u)."""
+        return np.array([self.grad(t * u) for t in ts])
 
     def exact_steps(self):
         """Closed-form ccm curvature of each coordinate; None: a 1-D solve."""
@@ -166,6 +172,16 @@ class QuadraticForm(SmoothLoss):
 
     def grad(self, x):
         return self.A @ x + self.b
+
+    def value_and_grad(self, x):
+        Ax = self.A @ x
+        return float(0.5 * x @ Ax + self.b @ x), Ax + self.b
+
+    def ray_grads(self, u, ts):
+        # A @ (t * u) == t * (A @ u) bitwise when every t is a power of two:
+        # scaling by one is exact (short of overflow and subnormals), so every
+        # product and partial sum of A @ (t * u) is t times that of A @ u.
+        return np.multiply.outer(ts, self.A @ u) + self.b
 
     def power_operator(self):
         A = self.A
@@ -270,9 +286,14 @@ class LogisticData(SmoothLoss):
         return float(np.logaddexp(0.0, -m).mean())
 
     def grad(self, x):
-        X, Y = self.X, self.Y
-        m = Y * (X @ x)
-        return -(X.T @ (Y * _expit(-m))) / self.n
+        return self._grad_at_margins(self.Y * (self.X @ x))
+
+    def value_and_grad(self, x):
+        m = self.Y * (self.X @ x)
+        return float(np.logaddexp(0.0, -m).mean()), self._grad_at_margins(m)
+
+    def _grad_at_margins(self, m):
+        return -(self.X.T @ (self.Y * _expit(-m))) / self.n
 
     def power_operator(self):
         # sigma_max(X)^2 / (4 n)

@@ -26,8 +26,8 @@ from .errors import (
     PreconditionError,
     UnboundedBelowError,
 )
-from .operators import prox_gradient_map
-from .problems import ProblemSpec, as_vector, objective
+from .operators import prox_gradient_image
+from .problems import ProblemSpec, as_vector
 
 # Coordinate updates smaller than this (relative) are treated as trivial,
 # so no shrinkage-threshold diagnostic is recorded for them. An update from
@@ -84,6 +84,8 @@ class Trace:
     fixed-point residual. ``inner`` optionally holds the within-sweep
     iterates (j = 0..d per sweep) for the coordinate methods, and
     ``tau_log`` the per-update threshold diagnostics of ccm.
+    ``gradients[k]`` is grad f at iterate k, bitwise f_grad's; it is kept
+    in memory for classifying the iterates and is not written to files.
     """
 
     algorithm: str
@@ -92,6 +94,7 @@ class Trace:
     residuals: list
     inner: list | None = None
     tau_log: list | None = None
+    gradients: list | None = None
 
     def descent_ok(self, tol: float = 1e-12) -> bool:
         vals = self.f_values
@@ -361,7 +364,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     record_inner = cfg.record_inner and kernel is not None
     inner = [] if record_inner else None
     tau_log = [] if alg == "ccm" else None
-    iterates, f_values, residuals = [], [], []
+    iterates, f_values, residuals, gradients = [], [], [], []
 
     # Overflow shows up as a non-finite value checked below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -380,9 +383,13 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
             if not np.isfinite(x).all():
                 bad = "iterate"
             else:
-                # One prox-gradient image per iterate gives the residual
-                # and, for gd, the next iterate.
-                F, image = objective(p, x), prox_gradient_map(p, x)
+                # One gradient per iterate gives F (as objective() computes
+                # it), the prox-gradient image, whose distance to x is the
+                # residual and which for gd is the next iterate, and the
+                # gradient kept on the trace.
+                value, g = p.smooth.value_and_grad(x)
+                F = value + p.lam * float(np.abs(x).sum())
+                image = prox_gradient_image(p, x, g)
                 r = float(np.max(np.abs(x - image)))
                 if not math.isfinite(F):
                     bad = "objective value"
@@ -395,6 +402,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
             iterates.append(x)
             f_values.append(F)
             residuals.append(r)
+            gradients.append(g)
 
     return Trace(
         algorithm=alg,
@@ -403,4 +411,5 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         residuals=residuals,
         inner=inner,
         tau_log=tau_log,
+        gradients=gradients,
     )

@@ -26,7 +26,9 @@ from .errors import PreconditionError, ReferenceSolveError, StartSearchError
 from .operators import (
     Kind,
     check_isotonicity_sampled,
+    check_tolerance,
     classify_point,
+    classify_rows,
     optimality_residual,
     prox_gradient_map,
 )
@@ -45,10 +47,12 @@ def _inf_norm(v):
 # Classified starting points
 # ---------------------------------------------------------------------------
 
-_LADDER = [2.0 ** i for i in range(41)]
+# Powers of two, so that a quadratic's ray_grads is bitwise grad(t * u).
+_LADDER = np.array([2.0 ** i for i in range(41)])
 
 
 def _search_start(p, seed, want, tol):
+    check_tolerance(tol)
     certificate = p.smooth.isotonicity_certificate()
     if certificate is not None and not certificate[0]:
         raise PreconditionError(
@@ -58,21 +62,26 @@ def _search_start(p, seed, want, tol):
     d = p.dim
     sign = 1.0 if want is Kind.SUPERSOLUTION else -1.0
 
-    def hit(x):
-        return classify_point(p, x, tol).kind is want
+    def first_hit(u):
+        # Every rung of the ray t * u at once, from one ray_grads; the first
+        # rung of the wanted kind wins, as in a rung-by-rung search.
+        points = np.multiply.outer(_LADDER, u)
+        kinds = classify_rows(p, points, p.smooth.ray_grads(u, _LADDER), tol)
+        for x, kind in zip(points, kinds):
+            if kind is want:
+                return x.copy()
+        return None
 
-    ones = sign * np.ones(d)
-    for t in _LADDER:
-        if hit(t * ones):
-            return t * ones
+    x = first_hit(sign * np.ones(d))
+    if x is not None:
+        return x
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        u = sign * rng.random(d)
-        for t in _LADDER:
-            if hit(t * u):
-                return t * u
+        x = first_hit(sign * rng.random(d))
+        if x is not None:
+            return x
     x = p.smooth.start_fallback(sign)
-    if x is not None and hit(x):
+    if x is not None and classify_point(p, x, tol).kind is want:
         return x
     raise StartSearchError(
         f"no {want.value} found; consider regenerating the instance"
@@ -128,13 +137,15 @@ def reference_minimizer(
     for _ in range(max_sweeps):
         # One prox-gradient image per point: its residual and the gd step.
         image = prox_gradient_map(p, x)
-        if _inf_norm(x - image) <= stop_residual:
+        best_res = _inf_norm(x - image)
+        if best_res <= stop_residual:
             break
         nxt = kernel.sweep(x.copy()) if use_ccm else image
         if np.array_equal(nxt, x):
             break  # numerical fixed point of the sweep map
         x = nxt
-    best_res = optimality_residual(p, x)
+    else:
+        best_res = optimality_residual(p, x)  # the last sweep's x has no image yet
     cand = p.smooth.active_set_solution(x, p.lam)
     if cand is not None:
         cand_res = optimality_residual(p, cand)
@@ -185,7 +196,8 @@ def check_objective_ordering(p: ProblemSpec, y, x, tol: float = 1e-10) -> bool:
             raise PreconditionError("need y >= x componentwise for a subsolution y")
     elif cls.kind is not Kind.EXACT:
         raise PreconditionError("y must classify as a super- or subsolution")
-    return objective(p, y) <= objective(p, x) + tol * (1.0 + abs(objective(p, x)))
+    fx = objective(p, x)
+    return objective(p, y) <= fx + tol * (1.0 + abs(fx))
 
 
 @dataclass(frozen=True)
@@ -269,6 +281,13 @@ class ComparisonReport:
                 )
 
 
+def _iterate_kinds(p, trace, tol):
+    # All iterates of a trace at once, from the gradients run() kept, each
+    # against tol scaled by 1 + its sup norm.
+    w = np.array(trace.iterates)
+    return classify_rows(p, w, trace.gradients, tol * (1.0 + np.abs(w).max(axis=1)))
+
+
 def run_comparison(
     p: ProblemSpec,
     x0,
@@ -292,6 +311,7 @@ def run_comparison(
     """
     if K < 1:
         raise ValueError("K must be at least 1")
+    check_tolerance(tol)
     x0 = as_vector(x0, p.dim)
     certificate = p.smooth.isotonicity_certificate()
     if certificate is not None:
@@ -317,6 +337,7 @@ def run_comparison(
     rate_flags = rate_check(traces["gd"], ref, x0, p.lipschitz)
     base = p.lipschitz * float(np.sum((ref.x_star - x0) ** 2)) / 2.0
 
+    kinds = {alg: _iterate_kinds(p, trace, tol) for alg, trace in traces.items()}
     records = []
     for k in range(K + 1):
         xk = traces["gd"].iterates[k]
@@ -332,9 +353,7 @@ def run_comparison(
         f_ccm = traces["ccm"].f_values[k]
         f_gap = tol * (1.0 + abs(f_gd))
         f_order = (f_ccm <= f_ccd + f_gap) and (f_ccd <= f_gd + f_gap)
-        classes = tuple(
-            classify_point(p, w, tol * (1.0 + _inf_norm(w))).kind for w in (xk, yk, zk)
-        )
+        classes = (kinds["gd"][k], kinds["ccd"][k], kinds["ccm"][k])
         # Exact points satisfy both defining inequalities, so convergence
         # does not break persistence of the starting kind.
         persistence = all(c is start.kind or c is Kind.EXACT for c in classes)

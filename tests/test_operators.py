@@ -6,9 +6,11 @@ from l1lab import (
     Kind,
     PreconditionError,
     check_isotonicity_quadratic,
+    DimensionMismatchError,
     check_isotonicity_sampled,
     classify_point,
     classify_scale_sweep,
+    f_grad,
     gen_zmatrix_quadratic,
     logistic_problem,
     optimality_residual,
@@ -18,6 +20,7 @@ from l1lab import (
     shrink_tau_curve,
     vector_shrink,
 )
+from l1lab.operators import classify_rows
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -106,6 +109,96 @@ def test_classify_point_neither():
     cls = classify_point(p, [2.0, -2.0])
     assert cls.kind is Kind.NEITHER
     assert cls.slack[0] > 0.0 > cls.slack[1]
+
+
+def reference_kind(slack, tol):
+    # The rule as three np.all tests over a row of slack.
+    if np.all(np.abs(slack) <= tol):
+        return Kind.EXACT
+    if np.all(slack >= -tol):
+        return Kind.SUPERSOLUTION
+    if np.all(slack <= tol):
+        return Kind.SUBSOLUTION
+    return Kind.NEITHER
+
+
+def test_classify_rows_matches_classify_point_row_by_row():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for seed in range(12):
+        p = gen_zmatrix_quadratic(1 + seed, seed=seed)
+        d = p.dim
+        # Points at many scales and signs, so that every kind occurs.
+        pts = np.array([s * rng.choice([-1.0, 1.0]) * rng.random(d) ** k
+                        for s in (1e-9, 1e-3, 0.1, 1.0, 10.0, 1e3) for k in (0, 1, 3)]
+                       + [rng.standard_normal(d) for _ in range(6)])
+        grads = np.array([f_grad(p, x) for x in pts])
+        tols = rng.choice([0.0, 1e-10, 1e-3, 0.1, 1.0, 10.0], size=len(pts))
+        kinds = classify_rows(p, pts, grads, tols)
+        assert kinds == [classify_point(p, x, t).kind for x, t in zip(pts, tols)]
+        assert classify_rows(p, pts, grads, 1e-3) == [
+            classify_point(p, x, 1e-3).kind for x in pts]
+        seen.update(kinds)
+    assert seen == set(Kind)
+
+
+def test_classify_rows_on_the_tolerance_boundary():
+    # With lam = 10 and grad f(x) = x, every |x_j| <= 1 lies in the flat
+    # part of the shrinkage, so the slack is x itself, bit for bit.
+    p = quadratic_problem(np.eye(3), np.zeros(3), lam=10.0, lipschitz=1.0)
+    rows, tols, want = [], [], []
+    for t in (0.0, 1e-10, 0.25, 0.5):
+        up = np.nextafter(t, 1.0)
+        for row, kind in (([t, -t, 0.0], Kind.EXACT),
+                          ([up, -t, 0.0], Kind.SUPERSOLUTION),
+                          ([t, -up, 0.0], Kind.SUBSOLUTION),
+                          ([up, -up, t], Kind.NEITHER)):
+            rows.append(row)
+            tols.append(t)
+            want.append(kind)
+    pts = np.array(rows)
+    tols = np.array(tols)
+    assert [classify_point(p, x, t).kind for x, t in zip(pts, tols)] == want
+    assert classify_rows(p, pts, pts, tols) == want
+    # Each row's own tolerance decides: shifting them by one row changes kinds.
+    assert classify_rows(p, pts, pts, np.roll(tols, 4)) != want
+
+
+def test_classify_rows_nan_slack_is_neither():
+    p = quadratic_problem(np.eye(3), np.zeros(3), lam=10.0, lipschitz=1.0)
+    nan = float("nan")
+    # A NaN coordinate of x lands in the slack as NaN; a NaN gradient entry
+    # leaves the slack at x.
+    pts = np.array([[nan, 0.0, 0.0], [0.0, nan, 1.0], [1.0, 1.0, nan], [0.5, 0.0, 0.0],
+                    [0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    grads = pts.copy()
+    grads[3:, 1] = nan
+    tols = np.array([1.0, 1.0, 1e-3, 1e-3, 1.0, 1e-3])
+    kinds = classify_rows(p, pts, grads, tols)
+    assert kinds == [reference_kind(slack, t) for slack, t in zip(pts, tols)]
+    assert kinds == [Kind.NEITHER] * 3 + [Kind.SUPERSOLUTION, Kind.EXACT, Kind.SUBSOLUTION]
+
+
+def test_classify_rows_rejects_mismatched_stacks():
+    p = gen_zmatrix_quadratic(3, seed=1)
+    with pytest.raises(DimensionMismatchError):
+        classify_rows(p, np.zeros((2, 3)), np.zeros((3, 3)), 1e-10)
+    with pytest.raises(DimensionMismatchError):
+        classify_rows(p, np.zeros((2, 4)), np.zeros((2, 4)), 1e-10)
+
+
+def test_classify_point_rejects_nan_and_negative_tol(scalar_quad):
+    for tol in (float("nan"), -1e-12):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            classify_point(scalar_quad, [1.0], tol)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            classify_rows(scalar_quad, [[1.0]], [[1.0]], [tol])
+
+
+def test_classify_scale_sweep_rejects_nan_and_negative_tol(scalar_quad):
+    for tol in (float("nan"), -1e-12):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            classify_scale_sweep(scalar_quad, [1.0], [0.5, 1.0], tol)
 
 
 def test_classify_scale_sweep_supersolution(scalar_quad):

@@ -104,3 +104,35 @@ def test_estimate_lipschitz_bounds_gradient_difference_quotients(problem):
         for x, y in zip(xs, ys)
     )
     assert 0.0 < worst <= L * (1.0 + 1e-12)
+
+
+def test_value_and_grad_is_bitwise_value_and_grad(problem):
+    smooth = problem.smooth
+    for x in points(problem, 10, seed=5) + [np.zeros(problem.dim), np.ones(problem.dim)]:
+        value, g = smooth.value_and_grad(x)
+        assert value == smooth.value(x)
+        assert g.tobytes() == smooth.grad(x).tobytes()
+
+
+def test_ray_grads_is_bitwise_grad_at_each_rung(problem):
+    # The start search's ladder: powers of two from 1 to 2**40.
+    smooth, ladder = problem.smooth, np.array([2.0 ** i for i in range(41)])
+    rays = points(problem, 10, seed=6) + [np.ones(problem.dim), -np.ones(problem.dim)]
+    for u in rays + [np.abs(u) for u in rays]:
+        rows = smooth.ray_grads(u, ladder)
+        assert rows.shape == (len(ladder), problem.dim)
+        for t, row in zip(ladder, rows):
+            assert row.tobytes() == smooth.grad(t * u).tobytes()
+
+
+@pytest.mark.parametrize("d", [33, 128, 500])
+def test_quadratic_ray_grads_is_bitwise_at_larger_dimensions(d):
+    # A @ (t * u) == t * (A @ u) must also hold for the blocked BLAS products
+    # of larger matrices.
+    smooth = gen_zmatrix_quadratic(d, seed=d).smooth
+    ladder = np.array([2.0 ** i for i in range(41)])
+    rng = np.random.default_rng(d)
+    for u in (rng.random(d), -rng.random(d), rng.standard_normal(d)):
+        rows = smooth.ray_grads(u, ladder)
+        for t, row in zip(ladder, rows):
+            assert row.tobytes() == smooth.grad(t * u).tobytes()

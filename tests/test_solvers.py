@@ -6,13 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-import l1lab.solvers
 from l1lab import (
     Assumption2Error,
     NonFiniteIterateError,
     PreconditionError,
     SolverConfig,
     UnboundedBelowError,
+    f_grad,
     gen_zmatrix_quadratic,
     logistic_problem,
     objective,
@@ -50,25 +50,46 @@ def test_gd_step_unregularized_is_plain_gradient_step():
 
 
 def test_gd_computes_one_prox_gradient_image_per_iterate(monkeypatch):
-    # The image at x_k gives both the residual max|x_k - T(x_k)| and x_{k+1}.
+    # One value_and_grad at x_k gives F(x_k) and the image T(x_k), which is
+    # both the residual max|x_k - T(x_k)| and x_{k+1}.
     p = gen_zmatrix_quadratic(6, seed=4)
     x0 = np.linspace(-2.0, 2.0, 6)
     calls = []
+    cls = type(p.smooth)
 
-    def counted(q, x):
-        calls.append(1)
-        return prox_gradient_map(q, x)
+    def counted(name):
+        original = getattr(cls, name)
 
-    monkeypatch.setattr(l1lab.solvers, "prox_gradient_map", counted)
+        def wrapper(self, x):
+            calls.append(name)
+            return original(self, x)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("value", "grad", "value_and_grad"):
+        counted(name)
     K = 25
     trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
-    assert len(calls) == K + 1
+    monkeypatch.undo()
+    assert calls == ["value_and_grad"] * (K + 1)
     x = x0
     for k in range(K + 1):
         np.testing.assert_array_equal(trace.iterates[k], x)
         assert trace.f_values[k] == objective(p, x)
         assert trace.residuals[k] == optimality_residual(p, x)
         x = prox_gradient_map(p, x)
+
+
+@pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
+def test_trace_gradients_are_f_grad_of_each_iterate(alg):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 5))
+    logistic = logistic_problem(X, np.where(rng.random(40) < 0.5, -1.0, 1.0), lam=0.05)
+    for p in (gen_zmatrix_quadratic(7, seed=2), logistic):
+        trace = run(alg, p, np.linspace(-1.0, 2.0, p.dim), SolverConfig(max_outer_iters=15))
+        assert len(trace.gradients) == len(trace.iterates) == 16
+        for x, g in zip(trace.iterates, trace.gradients):
+            assert g.tobytes() == f_grad(p, x).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,14 @@ def test_find_subsolution_mirrors(scalar_quad):
     assert classify_point(g, z).kind is Kind.SUBSOLUTION
 
 
+def test_start_search_rejects_nan_and_negative_tol():
+    p = gen_zmatrix_quadratic(5, seed=3)
+    for tol in (float("nan"), -1e-12):
+        for search in (find_supersolution, find_subsolution):
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                search(p, seed=3, tol=tol)
+
+
 def test_find_supersolution_rejects_non_isotone_instance():
     with pytest.raises(PreconditionError):
         find_supersolution(neg_control_problem(), seed=0)
@@ -211,6 +219,45 @@ def test_run_comparison_rejects_unclassified_start():
     p = quadratic_problem(np.eye(2), [-1.0, -1.0], lam=0.1, lipschitz=1.0)
     with pytest.raises(PreconditionError):
         run_comparison(p, [2.0, -2.0], K=5)
+
+
+def test_run_comparison_rejects_nan_and_negative_tol():
+    p = gen_zmatrix_quadratic(5, seed=3)
+    x0 = find_supersolution(p, seed=3)
+    for tol in (float("nan"), -1e-12):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            run_comparison(p, x0, K=5, tol=tol)
+
+
+@pytest.mark.parametrize("case,tol", [
+    (case, tol) for case in ("zmatrix_super", "zmatrix_sub", "far_super") for tol in (1e-8, 1e-3, 0.1)
+] + [("logistic", 1e-8)])
+def test_run_comparison_classes_are_classify_point_of_each_iterate(case, tol):
+    if case == "logistic":
+        p = logistic_problem([[1.0], [2.0], [-0.5]], [1.0, 1.0, -1.0], lam=0.1)
+        x0 = find_supersolution(p, seed=1)
+    elif case == "far_super":
+        # A start far above the minimizer: the iterates' sup norms, and so
+        # their tolerances, shrink by orders of magnitude along the run.
+        p = gen_zmatrix_quadratic(8, seed=25)
+        x0 = 2.0 ** 30 * np.ones(8)
+    else:
+        p = gen_zmatrix_quadratic(8, seed=21)
+        x0 = find_subsolution(p, seed=21) if case == "zmatrix_sub" else find_supersolution(p, 21)
+    report = run_comparison(p, x0, K=120, tol=tol)
+    traces = [report.traces[alg] for alg in ("gd", "ccd", "ccm")]
+    kinds = set()
+    for r in report.records:
+        want = tuple(
+            classify_point(p, t.iterates[r.k], tol * (1.0 + np.max(np.abs(t.iterates[r.k])))).kind
+            for t in traces
+        )
+        assert r.classes == want, r.k
+        kinds.update(want)
+    assert report.verdict
+    # Both the start's kind and EXACT occur, so a tolerance or gradient taken
+    # from the wrong row would show.
+    assert kinds == {report.start.kind, Kind.EXACT}
 
 
 def test_run_comparison_negative_control_refuses():
