@@ -11,6 +11,7 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     L1LabError,
+    LipschitzCertificateError,
     NonFiniteIterateError,
     PowerIterationError,
     PreconditionError,
@@ -70,28 +71,20 @@ from .verification import (
 
 __version__ = "0.1.0"
 
+# The public API: the names that the README, the command line and the tests
+# use. Every other name imported above stays importable from l1lab.
 __all__ = [
     "Assumption2Error",
-    "Classification",
-    "ComparisonReport",
-    "ConvergenceError",
     "DimensionMismatchError",
-    "IsotonicityReport",
-    "IterationRecord",
     "Kind",
     "L1LabError",
+    "LipschitzCertificateError",
     "LogisticData",
     "NonFiniteIterateError",
-    "PowerIterationError",
     "PreconditionError",
-    "ProblemSpec",
     "QuadraticForm",
-    "ReferenceSolution",
-    "ReferenceSolveError",
     "SolverConfig",
     "StartSearchError",
-    "TauRecord",
-    "Trace",
     "UnboundedBelowError",
     "check_isotonicity_quadratic",
     "check_isotonicity_sampled",

@@ -10,11 +10,33 @@ class DimensionMismatchError(L1LabError, ValueError):
 
 
 class PowerIterationError(L1LabError, RuntimeError):
-    """Power iteration failed to converge within its iteration budget."""
+    """Power iteration failed to converge within its iteration budget.
+
+    Kept only for compatibility with code that catches it: l1lab computes
+    the step constant by a dense eigensolve and no longer raises it.
+    """
 
     def __init__(self, message, best_estimate):
         super().__init__(message)
         self.best_estimate = best_estimate
+
+
+class LipschitzCertificateError(L1LabError, RuntimeError):
+    """A computed step constant L failed its certificate L >= lambda_max.
+
+    ``lipschitz`` is L, ``lambda_max`` the top eigenvalue it falls short
+    of, and ``shortfall`` their difference lambda_max - L.
+    """
+
+    def __init__(self, lipschitz, lambda_max, shortfall):
+        super().__init__(
+            f"L = {lipschitz:.17g} is below the top eigenvalue "
+            f"lambda_max = {lambda_max:.17g} by {shortfall:.6e}: "
+            f"L I - H has no Cholesky factor"
+        )
+        self.lipschitz = lipschitz
+        self.lambda_max = lambda_max
+        self.shortfall = shortfall
 
 
 class Assumption2Error(L1LabError, ValueError):

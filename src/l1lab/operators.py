@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 # check_isotonicity_quadratic lives next to QuadraticForm, whose exact
 # isotonicity certificate it is; it is re-exported here with the sampled check.
-from .problems import ProblemSpec, as_vector, check_isotonicity_quadratic, f_grad  # noqa: F401
+from .problems import ProblemSpec, as_vector, check_isotonicity_quadratic  # noqa: F401
 
 _DEFAULT_CLASS_TOL = 1e-10
 _SAMPLED_TOL = 1e-10
@@ -50,7 +50,7 @@ def prox_gradient_map(p: ProblemSpec, x) -> np.ndarray:
     Fixed points of this map are exactly the minimizers of F.
     """
     x = as_vector(x, p.dim)
-    return prox_gradient_image(p, x, f_grad(p, x))
+    return prox_gradient_image(p, x, p.smooth.grad(x))
 
 
 def prox_gradient_image(p: ProblemSpec, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -138,7 +138,7 @@ def classify_point(p: ProblemSpec, x, tol: float = _DEFAULT_CLASS_TOL) -> Classi
     """Classify x as super/subsolution, exact minimizer, or neither."""
     check_tolerance(tol)
     x = as_vector(x, p.dim)
-    slack = _classification_slack(x, f_grad(p, x), p.lam, 1.0)
+    slack = _classification_slack(x, p.smooth.grad(x), p.lam, 1.0)
     return Classification(_kinds(slack[None], tol)[0], slack, tol)
 
 
@@ -153,7 +153,7 @@ def classify_scale_sweep(p: ProblemSpec, x, taus, tol: float = _DEFAULT_CLASS_TO
     taus = [float(t) for t in taus]
     if any(t <= 0.0 for t in taus):
         raise ValueError("every tau must be positive")
-    g = f_grad(p, x)
+    g = p.smooth.grad(x)
     slacks = [_classification_slack(x, g, p.lam, t) for t in taus]
     kinds = _kinds(np.array(slacks).reshape(len(taus), p.dim), tol)
     return [Classification(k, s, tol) for k, s in zip(kinds, slacks)]
@@ -172,7 +172,7 @@ def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLAS
     taus = np.asarray([float(t) for t in taus], dtype=float)
     if np.any(taus <= 0.0):
         raise ValueError("every tau must be positive")
-    g = f_grad(p, x)
+    g = p.smooth.grad(x)
     if classify_rows(p, x[None], g[None], tol)[0] is Kind.NEITHER:
         raise PreconditionError(
             "shrink_tau_curve requires a super- or subsolution; point classifies as neither"
@@ -212,8 +212,8 @@ def check_isotonicity_sampled(
         delta = rng.uniform(0.0, 2.0, size=p.dim)
         keep = rng.random(p.dim) >= 0.5
         x = y + delta * keep
-        tx = x - f_grad(p, x) / p.lipschitz
-        ty = y - f_grad(p, y) / p.lipschitz
+        tx = x - p.smooth.grad(x) / p.lipschitz
+        ty = y - p.smooth.grad(y) / p.lipschitz
         gaps = tx - ty
         for j in np.nonzero(gaps < -tol)[0]:
             violations.append((s, int(j), float(gaps[j])))

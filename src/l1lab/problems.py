@@ -25,16 +25,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import Assumption2Error, DimensionMismatchError, PowerIterationError
+from .errors import Assumption2Error, DimensionMismatchError, LipschitzCertificateError
 
-# Construction-time tolerances and the power-iteration policy.
+# Construction-time tolerances.
 _PSD_RTOL = 1e-9
 _OFFDIAG_TOL = 1e-14
 _L_INFLATION = 1.0 + 1e-8
 _L_FLOOR = 1e-12
-_POWER_RTOL = 1e-10
-_POWER_MAX_ITERS = 10_000
-_POWER_SEED = 42
 
 
 def as_vector(x, dim=None, name="x"):
@@ -49,6 +46,19 @@ def as_vector(x, dim=None, name="x"):
     if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _has_shifted_cholesky(M, shift):
+    """Whether M + shift * I has a Cholesky factor; shifts M's diagonal in place.
+
+    Only the lower triangle of M is read, so M must be symmetric.
+    """
+    M.flat[:: M.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _expit(t):
@@ -79,8 +89,8 @@ class SmoothLoss:
     problem files, in file order, and whose class attribute ``kind`` tags
     those files. Each provides value(x) and grad(x) at a validated vector
     x, and value_and_grad(x), bitwise (value(x), grad(x)) from one product
-    with the data; power_operator(), a (matvec, divisor) pair such that L
-    is the dominant eigenvalue of matvec over divisor;
+    with the data; lipschitz_matrix(), the dense symmetric matrix whose
+    largest eigenvalue is the gradient's Lipschitz constant;
     strictly_convex_coordinates(); and for the coordinate kernel
     sweep_state(w), the running state of a sweep at w, and
     coordinate_rows(), a (rows, deriv) pair: after
@@ -146,18 +156,16 @@ class QuadraticForm(SmoothLoss):
             )
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("A and b must have finite entries")
-        A = 0.5 * (A + A.T)
+        A += A.T  # numpy buffers the overlapping operand
+        A *= 0.5
         # The max row sum bounds every |eigenvalue|, so the shift is at least
         # _PSD_RTOL times the spectral radius, and A passes iff its smallest
         # eigenvalue exceeds -shift (up to rounding in the factorization).
         shift = _PSD_RTOL * float(np.abs(A).sum(axis=1).max())
-        if shift > 0.0:
-            try:
-                np.linalg.cholesky(A + shift * np.eye(A.shape[0]))
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"A is not positive semidefinite (A + {shift:.6e} I has no Cholesky factor)"
-                ) from None
+        if shift > 0.0 and not _has_shifted_cholesky(A.copy(), shift):
+            raise ValueError(
+                f"A is not positive semidefinite (A + {shift:.6e} I has no Cholesky factor)"
+            )
         A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -183,9 +191,8 @@ class QuadraticForm(SmoothLoss):
         # product and partial sum of A @ (t * u) is t times that of A @ u.
         return np.multiply.outer(ts, self.A @ u) + self.b
 
-    def power_operator(self):
-        A = self.A
-        return (lambda v: A @ v), 1.0
+    def lipschitz_matrix(self):
+        return self.A
 
     sweep_state = grad  # the running state is the gradient itself
 
@@ -295,10 +302,12 @@ class LogisticData(SmoothLoss):
     def _grad_at_margins(self, m):
         return -(self.X.T @ (self.Y * _expit(-m))) / self.n
 
-    def power_operator(self):
-        # sigma_max(X)^2 / (4 n)
+    def lipschitz_matrix(self):
+        # sigma_max(X)^2 / (4 n), from the smaller of the two Gram matrices.
         X = self.X
-        return (lambda v: X.T @ (X @ v)), 4.0 * self.n
+        gram = X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
+        gram /= 4.0 * self.n
+        return gram
 
     def sweep_state(self, w):
         return 0.5 * (self.Y * (self.X @ w))
@@ -373,74 +382,28 @@ def objective(p: ProblemSpec, x) -> float:
 # Lipschitz-constant estimation
 # ---------------------------------------------------------------------------
 
-def _power_sweep(matvec, v, rtol, max_iters):
-    """Run power iteration from start v; return (rayleigh estimate, converged)."""
-    prev = None
-    for _ in range(max_iters):
-        w = matvec(v)
-        cur = float(v @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0, True
-        v = w / nrm
-        if prev is not None and abs(cur - prev) <= rtol * max(abs(cur), 1e-30):
-            return cur, True
-        prev = cur
-    return (prev if prev is not None else 0.0), False
-
-
-def _dominant_eigenvalue(matvec, d, rtol=_POWER_RTOL, max_iters=_POWER_MAX_ITERS):
-    """Largest-magnitude eigenvalue of a symmetric operator by power iteration.
-
-    Runs from the normalized all-ones vector and from one seeded random
-    start; the all-ones start alone can be exactly orthogonal to the
-    dominant eigenspace (e.g. [[2,-1],[-1,2]]).
-    """
-    rng = np.random.default_rng(_POWER_SEED)
-    starts = [np.ones(d) / np.sqrt(d)]
-    v = rng.standard_normal(d)
-    nrm = float(np.linalg.norm(v))
-    if nrm > 0.0:
-        starts.append(v / nrm)
-    best = 0.0
-    for v0 in starts:
-        est, converged = _power_sweep(matvec, v0, rtol, max_iters)
-        best = max(best, abs(est))
-        if not converged:
-            raise PowerIterationError(
-                f"power iteration did not converge within {max_iters} iterations "
-                f"(best estimate {best:.6e})",
-                best_estimate=best,
-            )
-    return best
-
-
-def _perron_value(N):
-    """Largest eigenvalue of a symmetric entrywise-nonnegative matrix.
-
-    Shifting by the max row sum makes the target eigenvalue dominant, which
-    keeps power iteration from stalling on +/- paired spectra of bipartite
-    sparsity patterns.
-    """
-    shift = float(np.abs(N).sum(axis=1).max())
-    if shift == 0.0:
-        return 0.0
-    est = _dominant_eigenvalue(lambda v: N @ v + shift * v, N.shape[0])
-    return max(est - shift, 0.0)
-
-
 def estimate_lipschitz(smooth: Smooth) -> float:
-    """Gradient-Lipschitz constant of a smooth part, slightly inflated.
+    """Certified gradient-Lipschitz constant of a smooth part, slightly inflated.
 
     Quadratic: largest eigenvalue of A. Logistic: sigma_max(X)^2 / (4 n).
-    The result is multiplied by 1 + 1e-8 so the constant stays a valid
-    upper bound despite estimation rounding.
+    With H = smooth.lipschitz_matrix(), the top eigenvalue of H from one
+    dense eigensolve is multiplied by 1 + 1e-8, and the result L is
+    certified by a Cholesky factorization of L I - H, which exists only
+    when L exceeds every eigenvalue of H (up to rounding in the
+    factorization, far below the 1e-8 margin). Raises
+    LipschitzCertificateError when the factorization fails.
     """
     if not isinstance(smooth, SmoothLoss):
         raise TypeError("smooth must be a QuadraticForm or LogisticData")
-    matvec, divisor = smooth.power_operator()
-    est = _dominant_eigenvalue(matvec, smooth.dim) / divisor
-    return max(est * _L_INFLATION, _L_FLOOR)
+    H = smooth.lipschitz_matrix()
+    top = float(np.linalg.eigvalsh(H)[-1])
+    L = max(top * _L_INFLATION, _L_FLOOR)
+    M = np.negative(H)
+    if not _has_shifted_cholesky(M, L):
+        # M is now L I - H; its smallest eigenvalue is L minus the top of H.
+        shortfall = -float(np.linalg.eigvalsh(M)[0])
+        raise LipschitzCertificateError(L, L + shortfall, shortfall)
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +448,10 @@ def gen_zmatrix_quadratic(d, seed, density=0.5) -> ProblemSpec:
 
     Draws a symmetric nonnegative N with zero diagonal (each off-diagonal
     pair is nonzero with probability ``density``, magnitudes uniform in
-    [0, 1]) and sets A = c I - N with c = 1.1 * rho(N) + 0.1, which keeps A
-    positive definite with a margin and every diagonal entry strictly
-    positive. b is uniform in [-1, 1]^d and lam uniform in [0.01, 0.5].
+    [0, 1]) and sets A = c I - N with c = 1.1 * rho(N) + 0.1, rho(N) the
+    largest eigenvalue of N. So the smallest eigenvalue of A is
+    c - rho(N) = 0.1 * rho(N) + 0.1 >= 0.1, and every diagonal entry is
+    strictly positive. b is uniform in [-1, 1]^d and lam uniform in [0.01, 0.5].
     Deterministic for a given seed.
     """
     if d < 1:
@@ -501,8 +465,10 @@ def gen_zmatrix_quadratic(d, seed, density=0.5) -> ProblemSpec:
     N = upper + upper.T
     b = rng.uniform(-1.0, 1.0, size=d)
     lam = float(rng.uniform(0.01, 0.5))
-    c = 1.1 * _perron_value(N) + 0.1
-    A = c * np.eye(d) - N
+    rho = max(float(np.linalg.eigvalsh(N)[-1]), 0.0)
+    # A = c I - N in N's buffer; 0.0 - N keeps its zeros positive.
+    A = np.subtract(0.0, N, out=N)
+    A.flat[:: d + 1] = 1.1 * rho + 0.1
     return quadratic_problem(A, b, lam)
 
 

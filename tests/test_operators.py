@@ -20,7 +20,7 @@ from l1lab import (
     shrink_tau_curve,
     vector_shrink,
 )
-from l1lab.operators import classify_rows
+from l1lab.operators import classify_rows, prox_gradient_image
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -78,6 +78,32 @@ def test_prox_gradient_map_unregularized(scalar_quad):
 def test_prox_gradient_map_shifted(shifted_scalar_quad):
     assert prox_gradient_map(shifted_scalar_quad, [0.0])[0] == 3.0
     assert prox_gradient_map(shifted_scalar_quad, [3.0])[0] == 3.0  # fixed point
+
+
+def _validation_cases():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((30, 4))
+    Y = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+    return [gen_zmatrix_quadratic(4, seed=2), logistic_problem(X, Y, lam=0.05)]
+
+
+@pytest.mark.parametrize("p", _validation_cases(), ids=["quadratic", "logistic"])
+def test_prox_gradient_map_validates_once_and_keeps_its_values(p):
+    # The map validates x itself and then asks the smooth part for the
+    # gradient; bad input still raises, and good input gives bitwise the
+    # values of the validating f_grad path.
+    with pytest.raises(DimensionMismatchError):
+        prox_gradient_map(p, np.zeros(p.dim + 1))
+    with pytest.raises(DimensionMismatchError):
+        prox_gradient_map(p, np.zeros((p.dim, 1)))
+    with pytest.raises(ValueError):
+        prox_gradient_map(p, np.full(p.dim, np.nan))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = rng.standard_normal(p.dim) * 3.0
+        want = prox_gradient_image(p, x, f_grad(p, x))
+        got = prox_gradient_map(p, list(x))
+        assert np.array_equal(got, want)
 
 
 def test_optimality_residual_examples(scalar_quad):

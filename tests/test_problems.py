@@ -5,8 +5,8 @@ import pytest
 
 from l1lab import (
     DimensionMismatchError,
+    LipschitzCertificateError,
     LogisticData,
-    PowerIterationError,
     QuadraticForm,
     check_isotonicity_quadratic,
     estimate_lipschitz,
@@ -21,7 +21,6 @@ from l1lab import (
     quadratic_problem,
     save_problem,
 )
-from l1lab.problems import _dominant_eigenvalue
 
 INFL = 1.0 + 1e-8
 
@@ -150,11 +149,62 @@ def test_lipschitz_validity_random_instances(seed):
         assert lhs <= p.lipschitz * np.linalg.norm(x - y) * (1.0 + 1e-12)
 
 
-def test_power_iteration_budget_error():
-    A = np.diag([1.0, 3.0])
-    with pytest.raises(PowerIterationError) as exc:
-        _dominant_eigenvalue(lambda v: A @ v, 2, max_iters=1)
-    assert exc.value.best_estimate > 0.0
+def _random_logistic(n, d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    Y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return logistic_problem(X, Y, lam=0.01)
+
+
+def _hessian_bound(s):
+    """The matrix whose top eigenvalue L must reach, built here from the data."""
+    if isinstance(s, QuadraticForm):
+        return s.A
+    return s.X.T @ s.X / (4.0 * s.n)  # d x d, whichever Gram side the code used
+
+
+_CERTIFIED_CASES = (
+    [("zmatrix", d, seed) for d in (60, 120, 300, 500) for seed in range(4)]
+    + [("logistic", n, d) for n, d in ((200, 20), (2000, 50), (20, 200), (50, 50))]
+)
+
+
+@pytest.mark.parametrize("case", _CERTIFIED_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_lipschitz_is_certified_above_the_top_eigenvalue(case):
+    # The top of a Z-matrix spectrum is crowded at d >= 120, where an
+    # iterative estimate stops short of lambda_max; logistic data take
+    # either Gram side (n > d and n < d).
+    kind, a, b = case
+    p = gen_zmatrix_quadratic(a, seed=b) if kind == "zmatrix" else _random_logistic(a, b, seed=a + b)
+    H = _hessian_bound(p.smooth)
+    assert p.lipschitz >= np.linalg.eigvalsh(H)[-1]
+    np.linalg.cholesky(p.lipschitz * np.eye(p.dim) - H)  # raises when L I - H is not PD
+
+
+@pytest.mark.parametrize("smooth", [
+    gen_zmatrix_quadratic(20, seed=0).smooth,
+    _random_logistic(15, 40, seed=1).smooth,
+], ids=["quadratic", "logistic"])
+def test_short_lipschitz_raises_with_its_shortfall(monkeypatch, smooth):
+    eigvalsh = np.linalg.eigvalsh
+    top = float(eigvalsh(_hessian_bound(smooth))[-1])
+    # An eigensolve that reports every eigenvalue 1e-6 too low (relative).
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: eigvalsh(H) * (1.0 - 1e-6))
+    with pytest.raises(LipschitzCertificateError) as exc:
+        estimate_lipschitz(smooth)
+    err = exc.value
+    assert err.lipschitz == pytest.approx(top * (1.0 - 1e-6) * INFL, rel=1e-12)
+    assert err.shortfall == pytest.approx(top - err.lipschitz, rel=1e-3)
+    assert err.lambda_max == pytest.approx(top, rel=1e-12)
+    assert f"{err.shortfall:.6e}" in str(err)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 20, 60, 120, 300, 500])
+def test_generator_keeps_its_eigenvalue_margin(d):
+    # c - rho(N) = 0.1 * rho(N) + 0.1, so every eigenvalue of A is >= 0.1.
+    for seed in range(3):
+        A = gen_zmatrix_quadratic(d, seed=seed).smooth.A
+        assert np.linalg.eigvalsh(A)[0] >= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +357,13 @@ def test_load_xy_csv_with_and_without_header(tmp_path):
         X, Y = load_xy_csv(path)
         np.testing.assert_allclose(X, [[1.0, 2.0], [-1.0, 0.0]])
         np.testing.assert_allclose(Y, [0.5, 1.5])
+
+
+def test_public_names_resolve_and_the_rest_stay_importable():
+    import l1lab
+
+    assert len(set(l1lab.__all__)) == len(l1lab.__all__)
+    for name in l1lab.__all__:
+        assert getattr(l1lab, name) is not None
+    # Names outside __all__ are still bound on the package.
+    from l1lab import ComparisonReport, PowerIterationError, ProblemSpec, Trace  # noqa: F401
