@@ -49,18 +49,26 @@ COMMANDS = (
                         "--summary", "d12_sub_summary.csv"]),
     ("verify_d300", ["verify", "--dim", "300", "--iters", "20", "--report", "d300_report.json",
                      "--summary", "d300_summary.csv"]),
+    # Logistic data have no exact isotonicity certificate, so these take
+    # the sampled check.
+    ("verify_logistic1d_super", ["verify", "--problem", "logistic1d.json", "--iters", "60",
+                                 "--start", "super", "--report", "logistic1d_super_report.json",
+                                 "--summary", "logistic1d_super_summary.csv"]),
+    ("verify_logistic1d_sub", ["verify", "--problem", "logistic1d.json", "--iters", "60",
+                               "--start", "sub", "--report", "logistic1d_sub_report.json",
+                               "--summary", "logistic1d_sub_summary.csv"]),
 )
 
 
-def logistic_problem_json():
-    """A dense l1-logistic problem, n=200, d=20, lam=0.02, as a problem file."""
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((200, 20))
-    w = np.zeros(20)
-    w[rng.choice(20, size=4, replace=False)] = rng.standard_normal(4)
+def logistic_problem_json(n=200, d=20, lam=0.02, seed=0):
+    """A dense l1-logistic problem, by default n=200, d=20, as a problem file."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    w = np.zeros(d)
+    w[rng.choice(d, size=max(1, d // 5), replace=False)] = rng.standard_normal(max(1, d // 5))
     Y = np.where(X @ w >= 0.0, 1.0, -1.0)
-    Y[rng.random(200) < 0.1] *= -1.0
-    return json.dumps({"kind": "logistic", "X": X.tolist(), "Y": Y.tolist(), "lambda": 0.02})
+    Y[rng.random(n) < 0.1] *= -1.0
+    return json.dumps({"kind": "logistic", "X": X.tolist(), "Y": Y.tolist(), "lambda": lam})
 
 
 def extract(rev, dest):
@@ -76,6 +84,8 @@ def run_all(src, out):
     """Run COMMANDS with the package under ``src``, writing into ``out``."""
     out.mkdir()
     (out / "logistic.json").write_text(logistic_problem_json(), encoding="utf-8")
+    (out / "logistic1d.json").write_text(logistic_problem_json(n=50, d=1, lam=0.05, seed=1),
+                                         encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

@@ -195,14 +195,6 @@ def cmd_verify(args) -> int:
             raise PreconditionError("verify needs --problem or --dim")
         density = float(_opt(args, config, "density", 0.5))
         p = gen_zmatrix_quadratic(int(dim), seed=seed, density=density)
-    certificate = p.smooth.isotonicity_certificate()
-    if certificate is not None and not certificate[0]:
-        print(
-            f"isotonicity precondition failed: {len(certificate[1])} positive "
-            "off-diagonal pairs",
-            file=sys.stderr,
-        )
-        return 2
     mode = _opt(args, config, "start", "super")
     iters = int(_opt(args, config, "iters", 100))
     tol = float(_opt(args, config, "tol", 1e-8))

@@ -31,16 +31,19 @@ from .problems import ProblemSpec, as_vector
 
 # Coordinate updates smaller than this (relative) are treated as trivial,
 # so no shrinkage-threshold diagnostic is recorded for them. An update from
-# the 1-D solve must also exceed inner_1d_tol, the width to which that
+# the 1-D solve must also exceed INNER_1D_TOL, the width to which that
 # solve resolves its root; a smaller one is root-bracket noise.
 _TRIVIAL_RTOL = 1e-13
+
+# Bracket width to which solve_1d_prox resolves a coordinate root.
+INNER_1D_TOL = 1e-12
 
 _ALGORITHMS = ("gd", "ccd", "ccm")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer-loop budget, stopping rule, and 1-D inner-solver tolerances.
+    """Outer-loop budget, stopping rule, and within-sweep recording.
 
     stop_residual is a sup-norm fixed-point residual threshold; the
     default 0 disables early stopping so exactly max_outer_iters
@@ -50,18 +53,12 @@ class SolverConfig:
     max_outer_iters: int = 100
     stop_residual: float = 0.0
     record_inner: bool = False
-    inner_1d_tol: float = 1e-12
-    inner_1d_max_iters: int = 200
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
         if self.stop_residual < 0.0:
             raise ValueError("stop_residual must be nonnegative")
-        if not self.inner_1d_tol > 0.0:
-            raise ValueError("inner_1d_tol must be positive")
-        if self.inner_1d_max_iters < 1:
-            raise ValueError("inner_1d_max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -210,14 +207,13 @@ class CoordinateKernel:
     O(d) or O(n), and rounding drift in the state lasts at most one sweep.
     """
 
-    def __init__(self, p: ProblemSpec, alg: str, cfg: SolverConfig | None = None):
+    def __init__(self, p: ProblemSpec, alg: str):
         self.p = p
-        self.cfg = cfg if cfg is not None else SolverConfig()
         self.rows, self.deriv = p.smooth.coordinate_rows()
         exact = p.smooth.exact_steps() if alg == "ccm" else None
         self.solve_1d = alg == "ccm" and exact is None
         self.steps = [p.lipschitz] * p.dim if exact is None else exact
-        self.tau_floor = self.cfg.inner_1d_tol if self.solve_1d else 0.0
+        self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None,
               inner: list | None = None) -> np.ndarray:
@@ -244,8 +240,7 @@ class CoordinateKernel:
                     np.add(buf, h0, out=buf)
                     return deriv(j, buf)
 
-                z_new = solve_1d_prox(g_deriv, lam, self.cfg.inner_1d_tol,
-                                      self.cfg.inner_1d_max_iters)
+                z_new = solve_1d_prox(g_deriv, lam)
             else:
                 gj = float(state[j]) if deriv is None else deriv(j, state)
                 z_new = _shrink(z_old - gj / s, lam / s)
@@ -310,7 +305,7 @@ def _positive_branch_root(q, q0, tol, max_iters):
     )
 
 
-def solve_1d_prox(g_deriv, lam, tol: float = 1e-12, max_iters: int = 200) -> float:
+def solve_1d_prox(g_deriv, lam, tol: float = INNER_1D_TOL, max_iters: int = 200) -> float:
     """Minimize g(a) + lam * |a| for a strictly convex differentiable g.
 
     Only the derivative g' is needed. Dispatch on g'(0): inside
@@ -360,7 +355,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
     cfg = cfg if cfg is not None else SolverConfig()
     x = as_vector(x0, p.dim).copy()
-    kernel = None if alg == "gd" else CoordinateKernel(p, alg, cfg)
+    kernel = None if alg == "gd" else CoordinateKernel(p, alg)
     record_inner = cfg.record_inner and kernel is not None
     inner = [] if record_inner else None
     tau_log = [] if alg == "ccm" else None

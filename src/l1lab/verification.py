@@ -5,13 +5,15 @@ arithmetic theory predicts, at every outer iteration k,
 
   * componentwise dominance  z(k) <= y(k) <= x(k)  (ccm, ccd, gd),
   * objective ordering       F(z(k)) <= F(y(k)) <= F(x(k)),
-  * the sublinear bound      F(x(k)) <= F* + L ||x* - x0||^2 / (2 k),
+  * the sublinear bound      F(w(k)) <= F* + L ||x* - x0||^2 / (2 k)
+                             for each of w = x, y, z,
   * preservation of the supersolution property along every sequence,
 
 with mirrored inequalities from a subsolution. These hold under two
 hypotheses: x - grad f(x)/L preserves the componentwise order, and the
-start is classified. The harness runs the three solvers, checks each
-prediction per iteration within floating-point tolerances, and reports.
+start is classified. The harness runs the three solvers, stacks their
+traces, checks each prediction at every iteration with one array
+expression within floating-point tolerances, and reports.
 """
 
 from __future__ import annotations
@@ -167,15 +169,21 @@ def reference_minimizer(
 # Per-iteration checks and the comparison report
 # ---------------------------------------------------------------------------
 
-def rate_check(trace, ref: ReferenceSolution, x0, L: float, rtol: float = _RATE_RTOL):
+def _rate_flags(f_values, ref: ReferenceSolution, x0, L: float):
+    """F(k) - F* <= L ||x* - x0||^2 / (2k) + slack for k >= 1, along the last axis.
+
+    Returns the flags and the bound's headroom L ||x* - x0||^2 / (2k) for
+    k = 1..K; column k - 1 belongs to iteration k of every row.
+    """
+    f = np.asarray(f_values, dtype=float)[..., 1:]
+    base = L * float(np.sum((ref.x_star - as_vector(x0)) ** 2)) / 2.0
+    headroom = base / np.arange(1, f.shape[-1] + 1)
+    return f - ref.f_star <= headroom + _RATE_RTOL * (1.0 + abs(ref.f_star)), headroom
+
+
+def rate_check(trace, ref: ReferenceSolution, x0, L: float):
     """Per-iteration flags for F(x(k)) - F* <= L ||x* - x0||^2 / (2k), k >= 1."""
-    x0 = as_vector(x0)
-    base = L * float(np.sum((ref.x_star - x0) ** 2)) / 2.0
-    slack = rtol * (1.0 + abs(ref.f_star))
-    return [
-        trace.f_values[k] - ref.f_star <= base / k + slack
-        for k in range(1, len(trace.f_values))
-    ]
+    return _rate_flags(trace.f_values, ref, x0, L)[0].tolist()
 
 
 def check_objective_ordering(p: ProblemSpec, y, x, tol: float = 1e-10) -> bool:
@@ -202,7 +210,11 @@ def check_objective_ordering(p: ProblemSpec, y, x, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration verdicts of a three-way comparison run."""
+    """Per-iteration verdicts of a three-way comparison run.
+
+    bound is F* + L ||x* - x0||^2 / (2k) (infinite at k = 0), and rate_ok
+    holds when gd, ccd and ccm all meet it within the rate slack.
+    """
 
     k: int
     f_gd: float
@@ -281,33 +293,26 @@ class ComparisonReport:
                 )
 
 
-def _iterate_kinds(p, trace, tol):
-    # All iterates of a trace at once, from the gradients run() kept, each
-    # against tol scaled by 1 + its sup norm.
-    w = np.array(trace.iterates)
-    return classify_rows(p, w, trace.gradients, tol * (1.0 + np.abs(w).max(axis=1)))
-
-
 def run_comparison(
     p: ProblemSpec,
     x0,
     K: int,
     tol: float = 1e-8,
     report_only: bool = False,
-    isotonicity_samples: int = 1000,
-    seed: int = 0,
 ) -> ComparisonReport:
     """Run gd, ccd, and ccm for K iterations from x0 and check every prediction.
 
     Preconditions (skipped when report_only is set, in which case the
     outcome is merely reported): x0 classifies as a super- or subsolution,
     and the instance passes the isotonicity check (the smooth part's exact
-    certificate, such as the off-diagonal test for quadratics, or a seeded
-    sampled check when it has none).
+    certificate, such as the off-diagonal test for quadratics, or
+    check_isotonicity_sampled with its default samples and seed when it
+    has none).
 
     Comparison tolerances are ``tol`` scaled by 1 + the sup norm of the
-    iterates involved (or 1 + |F| for objective comparisons); the rate
-    bound uses the fixed relative slack of rate_check.
+    iterates involved (or 1 + |F| for objective comparisons). The rate
+    bound is checked for gd, ccd and ccm with the fixed relative slack of
+    rate_check, and rate_ok holds when all three meet it.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -317,7 +322,7 @@ def run_comparison(
     if certificate is not None:
         iso_ok = certificate[0]
     else:
-        iso_ok = check_isotonicity_sampled(p, isotonicity_samples, seed).ok
+        iso_ok = check_isotonicity_sampled(p).ok
     start = classify_point(p, x0, tol * (1.0 + _inf_norm(x0)))
     if not report_only:
         if not iso_ok:
@@ -334,43 +339,43 @@ def run_comparison(
     cfg = SolverConfig(max_outer_iters=K, stop_residual=0.0)
     traces = {alg: run(alg, p, x0, cfg) for alg in ("gd", "ccd", "ccm")}
     ref = reference_minimizer(p)
-    rate_flags = rate_check(traces["gd"], ref, x0, p.lipschitz)
-    base = p.lipschitz * float(np.sum((ref.x_star - x0) ** 2)) / 2.0
 
-    kinds = {alg: _iterate_kinds(p, trace, tol) for alg, trace in traces.items()}
-    records = []
-    for k in range(K + 1):
-        xk = traces["gd"].iterates[k]
-        yk = traces["ccd"].iterates[k]
-        zk = traces["ccm"].iterates[k]
-        gap = tol * (1.0 + max(_inf_norm(xk), _inf_norm(yk), _inf_norm(zk)))
-        if from_above:
-            dominance = bool(np.all(zk <= yk + gap) and np.all(yk <= xk + gap))
-        else:
-            dominance = bool(np.all(zk >= yk - gap) and np.all(yk >= xk - gap))
-        f_gd = traces["gd"].f_values[k]
-        f_ccd = traces["ccd"].f_values[k]
-        f_ccm = traces["ccm"].f_values[k]
-        f_gap = tol * (1.0 + abs(f_gd))
-        f_order = (f_ccm <= f_ccd + f_gap) and (f_ccd <= f_gd + f_gap)
-        classes = (kinds["gd"][k], kinds["ccd"][k], kinds["ccm"][k])
-        # Exact points satisfy both defining inequalities, so convergence
-        # does not break persistence of the starting kind.
-        persistence = all(c is start.kind or c is Kind.EXACT for c in classes)
-        records.append(
-            IterationRecord(
-                k=k,
-                f_gd=f_gd,
-                f_ccd=f_ccd,
-                f_ccm=f_ccm,
-                bound=math.inf if k == 0 else ref.f_star + base / k,
-                dominance_ok=dominance,
-                f_order_ok=f_order,
-                rate_ok=True if k == 0 else rate_flags[k - 1],
-                classes=classes,
-                persistence_ok=persistence,
-            )
-        )
+    # Rows gd, ccd, ccm; stop_residual = 0 gives each trace K + 1 iterates.
+    W = np.array([t.iterates for t in traces.values()])
+    G = np.array([t.gradients for t in traces.values()])
+    F = np.array([t.f_values for t in traces.values()])
+    row_norms = np.abs(W).max(axis=2)
+    gap = tol * (1.0 + row_norms.max(axis=0))[:, None]
+    # From a supersolution ccm <= ccd <= gd, each row at most the row before
+    # it plus gap. Negation is exact, so -w <= -v + gap holds exactly when
+    # w >= v - gap, the mirror order.
+    signed = W if from_above else -W
+    dominance = (signed[1:] <= signed[:-1] + gap).all(axis=(0, 2))
+    f_order = (F[1:] <= F[:-1] + tol * (1.0 + np.abs(F[0]))).all(axis=0)
+    # Each iterate against tol scaled by 1 + its own sup norm, from the
+    # gradient run() kept.
+    kinds = np.array(
+        classify_rows(p, W.reshape(-1, p.dim), G.reshape(-1, p.dim),
+                      tol * (1.0 + row_norms.ravel())),
+        dtype=object,
+    ).reshape(3, K + 1)
+    # Exact points satisfy both defining inequalities, so convergence
+    # does not break persistence of the starting kind.
+    persistence = ((kinds == start.kind) | (kinds == Kind.EXACT)).all(axis=0)
+    rate_flags, headroom = _rate_flags(F, ref, x0, p.lipschitz)
+
+    # k = 0 has no bound: the rate predicate starts at k = 1.
+    records = list(map(
+        IterationRecord,
+        range(K + 1),
+        *F.tolist(),
+        [math.inf] + (ref.f_star + headroom).tolist(),
+        dominance.tolist(),
+        f_order.tolist(),
+        [True] + rate_flags.all(axis=0).tolist(),
+        zip(*kinds.tolist()),
+        persistence.tolist(),
+    ))
 
     return ComparisonReport(
         start=start,

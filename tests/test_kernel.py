@@ -18,6 +18,7 @@ from l1lab import (
     run,
     solve_1d_prox,
 )
+from l1lab.solvers import INNER_1D_TOL
 
 SWEEPS = 20
 RTOL = 1e-12
@@ -116,7 +117,7 @@ def assert_same_run(p, alg, x0, atol_of_ref, resolved=0.0):
     every non-trivial ccm update larger than ``resolved``."""
     cfg = SolverConfig(max_outer_iters=SWEEPS)
     trace = run(alg, p, x0, cfg)
-    ref, updates = reference_run(alg, p, x0, SWEEPS, cfg.inner_1d_tol)
+    ref, updates = reference_run(alg, p, x0, SWEEPS, INNER_1D_TOL)
     assert len(trace.iterates) == len(ref)
     for k, (got, want) in enumerate(zip(trace.iterates, ref)):
         err = float(np.max(np.abs(got - want)))
@@ -151,14 +152,14 @@ def test_kernel_matches_reference_sweep_on_logistic_ccd():
 
 def test_kernel_matches_reference_sweep_on_logistic_ccm():
     # Both inner solvers resolve each coordinate root only to a bracket of
-    # width inner_1d_tol, so the iterates may differ by a few of those. Once
+    # width INNER_1D_TOL, so the iterates may differ by a few of those. Once
     # the sweeps have converged to that width, updates of that size are
     # inner-solver noise in either run, so only larger ones must match.
-    tol = SolverConfig().inner_1d_tol
     for seed in range(4):
         p = logistic_data(seed)
         x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=p.dim)
-        assert_same_run(p, "ccm", x0, lambda want: 10.0 * tol, resolved=10.0 * tol)
+        assert_same_run(p, "ccm", x0, lambda want: 10.0 * INNER_1D_TOL,
+                        resolved=10.0 * INNER_1D_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def test_solve_1d_prox_linear_derivative_takes_two_steps():
 
 
 def test_logistic_ccm_tau_log_holds_only_resolved_updates():
-    # An update from the 1-D solve no larger than inner_1d_tol is
+    # An update from the 1-D solve no larger than INNER_1D_TOL is
     # root-bracket noise, and its secant slope says nothing about tau.
     cfg = SolverConfig(max_outer_iters=40)
     for seed in range(4):
@@ -250,5 +251,5 @@ def test_logistic_ccm_tau_log_holds_only_resolved_updates():
         tau_log = run("ccm", p, x0, cfg).tau_log
         assert tau_log
         for t in tau_log:
-            assert abs(t.z_new - t.z_old) > cfg.inner_1d_tol, t
+            assert abs(t.z_new - t.z_old) > INNER_1D_TOL, t
             assert 0.0 < t.tau <= p.lipschitz * (1.0 + 1e-8), t

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from l1lab import (
+    IterationRecord,
     Kind,
     PreconditionError,
     SolverConfig,
@@ -268,10 +270,119 @@ def test_run_comparison_negative_control_refuses():
 
 
 def test_run_comparison_negative_control_report_only():
+    # Reported, not asserted: from either start the iterates leave the
+    # predicted order at k = 1, while the rate bound still holds.
     p = neg_control_problem()
-    report = run_comparison(p, [1.0, 1.0], K=5, report_only=True)
-    assert not report.isotonicity_ok
-    assert len(report.records) == 6  # reported, not asserted
+    for x0, kind in (([1.0, 1.0], Kind.SUPERSOLUTION), ([-1.0, -1.0], Kind.SUBSOLUTION)):
+        report = run_comparison(p, x0, K=5, report_only=True)
+        assert not report.isotonicity_ok
+        assert report.start.kind is kind
+        assert [r.k for r in report.records] == list(range(6))
+        assert report.records[0].all_ok
+        for r in report.records[1:]:
+            assert not r.dominance_ok, r.k
+            assert not r.f_order_ok, r.k
+            assert not r.persistence_ok, r.k
+            assert r.rate_ok, r.k
+        assert report.verdict is False
+
+
+def reference_records(p, report, x0, tol):
+    """The verdicts of ``report`` made one iteration and one iterate at a time.
+
+    A plain reference for run_comparison's array verdicts, given the same
+    traces, reference solution and start: classify_point on each iterate,
+    and the rate flag as the conjunction of rate_check on each trace.
+    """
+    traces = [report.traces[alg] for alg in ("gd", "ccd", "ccm")]
+    ref = report.reference
+    base = p.lipschitz * float(np.sum((ref.x_star - np.asarray(x0, dtype=float)) ** 2)) / 2.0
+    rate = [all(flags) for flags in zip(*(rate_check(t, ref, x0, p.lipschitz) for t in traces))]
+    from_above = report.start.kind is not Kind.SUBSOLUTION
+    records = []
+    for k in range(len(traces[0].iterates)):
+        xk, yk, zk = (t.iterates[k] for t in traces)
+        norms = [float(np.max(np.abs(w))) for w in (xk, yk, zk)]
+        gap = tol * (1.0 + max(norms))
+        if from_above:
+            dominance = bool(np.all(zk <= yk + gap) and np.all(yk <= xk + gap))
+        else:
+            dominance = bool(np.all(zk >= yk - gap) and np.all(yk >= xk - gap))
+        f_gd, f_ccd, f_ccm = (t.f_values[k] for t in traces)
+        f_gap = tol * (1.0 + abs(f_gd))
+        classes = tuple(
+            classify_point(p, w, tol * (1.0 + n)).kind for w, n in zip((xk, yk, zk), norms)
+        )
+        records.append(IterationRecord(
+            k=k,
+            f_gd=f_gd,
+            f_ccd=f_ccd,
+            f_ccm=f_ccm,
+            bound=math.inf if k == 0 else ref.f_star + base / k,
+            dominance_ok=dominance,
+            f_order_ok=(f_ccm <= f_ccd + f_gap) and (f_ccd <= f_gd + f_gap),
+            rate_ok=True if k == 0 else rate[k - 1],
+            classes=classes,
+            persistence_ok=all(c is report.start.kind or c is Kind.EXACT for c in classes),
+        ))
+    return records
+
+
+def assert_records_match_reference(p, report, x0, tol):
+    assert report.records == reference_records(p, report, x0, tol)
+    for r in report.records:
+        # Python scalars, as json.dump and `is True` checks need.
+        assert type(r.k) is int
+        assert {type(v) for v in (r.f_gd, r.f_ccd, r.f_ccm, r.bound)} == {float}
+        assert {type(v) for v in (r.dominance_ok, r.f_order_ok, r.rate_ok,
+                                  r.persistence_ok)} == {bool}
+        assert type(r.classes) is tuple
+
+
+def differential_cases():
+    # Ten instances of the acceptance mix (d = 2 + seed % 19, density by
+    # seed % 5), spread over its dimensions and densities, from both starts.
+    for seed in (11 * i % 50 for i in range(10)):
+        p = gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
+                                  density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
+        yield f"mix{seed}-super", p, find_supersolution(p, seed=seed), 200, 1e-8
+        yield f"mix{seed}-sub", p, find_subsolution(p, seed=seed), 200, 1e-8
+    yield "far_super", gen_zmatrix_quadratic(8, seed=25), 2.0 ** 30 * np.ones(8), 120, 1e-8
+    p = logistic_problem([[1.0], [2.0], [-0.5]], [1.0, 1.0, -1.0], lam=0.1)
+    yield "logistic-super", p, find_supersolution(p, seed=1), 60, 1e-8
+    yield "logistic-sub", p, find_subsolution(p, seed=1), 60, 1e-8
+    # Negative controls, where the dominance, F-order and persistence
+    # flags are False; at tol = 0.2 some dominance flags hold only by the
+    # gap from the largest sup norm of the three iterates.
+    yield "neg-super", neg_control_problem(), [1.0, 1.0], 5, 1e-8
+    yield "neg-sub", neg_control_problem(), [-1.0, -1.0], 5, 1e-8
+    yield "neg-sub-loose", neg_control_problem(), [-1.0, -1.0], 5, 0.2
+
+
+def test_run_comparison_verdicts_match_the_per_iteration_reference():
+    flags = set()
+    for label, p, x0, K, tol in differential_cases():
+        report = run_comparison(p, x0, K=K, tol=tol, report_only=label.startswith("neg"))
+        assert len(report.records) == K + 1, label
+        assert_records_match_reference(p, report, x0, tol)
+        flags.update((r.dominance_ok, r.f_order_ok, r.persistence_ok) for r in report.records)
+    assert {(True, True, True), (False, False, False)} <= flags
+
+
+def test_rate_bound_is_checked_for_ccm():
+    # Outside isotonicity (every off-diagonal of A is +0.3), cyclic ccm can
+    # converge more slowly than gd: it goes over the L ||x* - x0||^2 / (2k)
+    # bound from k = 33 while gd stays far below it.
+    d = 200
+    p = quadratic_problem(0.7 * np.eye(d) + 0.3 * np.ones((d, d)),
+                          np.random.default_rng(200).uniform(-1.0, 1.0, d), lam=0.01)
+    x0 = 10.0 * np.ones(d)
+    report = run_comparison(p, x0, K=40, report_only=True)
+    assert [r.k for r in report.records if not r.rate_ok] == list(range(33, 41))
+    assert all(rate_check(report.traces["gd"], report.reference, x0, p.lipschitz))
+    assert not all(rate_check(report.traces["ccm"], report.reference, x0, p.lipschitz))
+    assert report.verdict is False
+    assert_records_match_reference(p, report, x0, 1e-8)
 
 
 def test_report_serialization(tmp_path):
