@@ -41,6 +41,14 @@ COMMANDS = (
                  "--iters", "40", "--start", "sub", "--seed", "2", "--prefix", "d60_"]),
     ("run_logistic", ["run", "--problem", "logistic.json", "--alg", "all", "--iters", "50",
                       "--prefix", "logistic_"]),
+    # A stop rule makes run() measure each iterate as it is made, not all
+    # of them after the loop.
+    ("run_d10_stop", ["run", "--problem", "zmat10.json", "--alg", "all", "--record-inner",
+                      "--iters", "5000", "--stop-residual", "1e-8", "--start", "sub",
+                      "--seed", "4", "--prefix", "d10_stop_"]),
+    ("run_logistic_stop", ["run", "--problem", "logistic.json", "--alg", "all",
+                           "--iters", "5000", "--stop-residual", "1e-8",
+                           "--prefix", "logistic_stop_"]),
     ("verify_d12_super", ["verify", "--dim", "12", "--seed", "3", "--iters", "100",
                           "--start", "super", "--report", "d12_super_report.json",
                           "--summary", "d12_super_summary.csv"]),

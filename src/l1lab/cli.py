@@ -165,7 +165,8 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     x0 = _resolve_start(p, args, config)
-    cfg = SolverConfig(max_outer_iters=iters, stop_residual=stop, record_inner=record_inner)
+    cfg = SolverConfig(max_outer_iters=iters, stop_residual=stop, record_inner=record_inner,
+                       record_tau=True)
     algs = ("gd", "ccd", "ccm") if alg == "all" else (alg,)
     all_descent = True
     for name in algs:

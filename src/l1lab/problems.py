@@ -25,6 +25,7 @@ from typing import Union
 
 import numpy as np
 
+from ._jsonlayout import json_value
 from .errors import Assumption2Error, DimensionMismatchError, LipschitzCertificateError
 
 # Construction-time tolerances.
@@ -89,7 +90,12 @@ class SmoothLoss:
     problem files, in file order, and whose class attribute ``kind`` tags
     those files. Each provides value(x) and grad(x) at a validated vector
     x, and value_and_grad(x), bitwise (value(x), grad(x)) from one product
-    with the data; lipschitz_matrix(), the dense symmetric matrix whose
+    with the data; values_and_grads(W), whose row i is bitwise
+    value_and_grad(W[i]) for a stack W of points, one row each (stacked
+    np.matmul shapes give each row the BLAS call of the one-point
+    product; one matrix product over all rows, such as W @ A, would
+    round differently);
+    lipschitz_matrix(), the dense symmetric matrix whose
     largest eigenvalue is the gradient's Lipschitz constant;
     strictly_convex_coordinates(); and for the coordinate kernel
     sweep_state(w), the running state of a sweep at w, and
@@ -124,8 +130,8 @@ class SmoothLoss:
         return None
 
     def to_dict(self):
-        arrays = {f.name: getattr(self, f.name).tolist() for f in fields(self)}
-        return {"kind": self.kind, **arrays}
+        """The loss's fields of a problem file, in file order, as its own arrays."""
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
     def from_dict(cls, data):
@@ -184,6 +190,11 @@ class QuadraticForm(SmoothLoss):
     def value_and_grad(self, x):
         Ax = self.A @ x
         return float(0.5 * x @ Ax + self.b @ x), Ax + self.b
+
+    def values_and_grads(self, W):
+        AW = np.matmul(self.A, W[:, :, None])
+        values = np.matmul((0.5 * W)[:, None, :], AW) + np.matmul(W[:, None, :], self.b[:, None])
+        return values[:, 0, 0], AW[:, :, 0] + self.b
 
     def ray_grads(self, u, ts):
         # A @ (t * u) == t * (A @ u) bitwise when every t is a power of two:
@@ -298,6 +309,12 @@ class LogisticData(SmoothLoss):
     def value_and_grad(self, x):
         m = self.Y * (self.X @ x)
         return float(np.logaddexp(0.0, -m).mean()), self._grad_at_margins(m)
+
+    def values_and_grads(self, W):
+        M = self.Y * np.matmul(self.X, W[:, :, None])[:, :, 0]
+        S = self.Y * _expit(-M)
+        G = -np.matmul(self.X.T, S[:, :, None])[:, :, 0] / self.n
+        return np.logaddexp(0.0, -M).mean(axis=1), G
 
     def _grad_at_margins(self, m):
         return -(self.X.T @ (self.Y * _expit(-m))) / self.n
@@ -476,8 +493,14 @@ def gen_zmatrix_quadratic(d, seed, density=0.5) -> ProblemSpec:
 # File formats
 # ---------------------------------------------------------------------------
 
-def problem_to_dict(p: ProblemSpec) -> dict:
+def _problem_fields(p: ProblemSpec) -> dict:
+    # A problem file's fields in file order, the data as the loss's own arrays.
     return {**p.smooth.to_dict(), "lambda": p.lam, "L": p.lipschitz, "dim": p.dim}
+
+
+def problem_to_dict(p: ProblemSpec) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in _problem_fields(p).items()}
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
@@ -497,8 +520,14 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 
 
 def save_problem(p: ProblemSpec, path) -> None:
+    """Write p as ``json.dump(problem_to_dict(p), fh, indent=2)`` plus a newline would.
+
+    The data are rendered from the arrays a row at a time; the nested lists
+    of problem_to_dict, about three times the size of the arrays, are never
+    built.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(p), fh, indent=2)
+        fh.writelines(json_value(_problem_fields(p)))
         fh.write("\n")
 
 

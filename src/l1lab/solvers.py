@@ -20,8 +20,10 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._jsonlayout import json_list, json_numbers, json_value
 from .errors import (
     ConvergenceError,
+    L1LabError,
     NonFiniteIterateError,
     PreconditionError,
     UnboundedBelowError,
@@ -47,12 +49,16 @@ class SolverConfig:
 
     stop_residual is a sup-norm fixed-point residual threshold; the
     default 0 disables early stopping so exactly max_outer_iters
-    iterations run.
+    iterations run. record_inner keeps the within-sweep iterates of ccd
+    and ccm, record_tau the TauRecord of every non-trivial ccm update;
+    both are off by default, since they cost time and memory per
+    coordinate.
     """
 
     max_outer_iters: int = 100
     stop_residual: float = 0.0
     record_inner: bool = False
+    record_tau: bool = False
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -77,21 +83,24 @@ class TauRecord:
 class Trace:
     """Record of one solver run: iterates, objective values, residuals.
 
-    f_values[k] is the full objective F at iterate k, residuals[k] the
-    fixed-point residual. ``inner`` optionally holds the within-sweep
-    iterates (j = 0..d per sweep) for the coordinate methods, and
-    ``tau_log`` the per-update threshold diagnostics of ccm.
-    ``gradients[k]`` is grad f at iterate k, bitwise f_grad's; it is kept
-    in memory for classifying the iterates and is not written to files.
+    run() gives ``iterates`` as an (n, d) array whose row k is iterate k;
+    the writers also take a list of rows. f_values[k] is the full
+    objective F at iterate k, residuals[k] the fixed-point residual.
+    ``inner`` optionally holds the within-sweep iterates (j = 0..d per
+    sweep) for the coordinate methods, and ``tau_log`` the per-update
+    threshold diagnostics of ccm (see SolverConfig). ``gradients`` is an
+    (n, d) array whose row k is grad f at iterate k, bitwise f_grad's; it
+    is kept in memory for classifying the iterates and is not written to
+    files.
     """
 
     algorithm: str
-    iterates: list
+    iterates: np.ndarray | list
     f_values: list
     residuals: list
     inner: list | None = None
     tau_log: list | None = None
-    gradients: list | None = None
+    gradients: np.ndarray | list | None = None
 
     def descent_ok(self, tol: float = 1e-12) -> bool:
         vals = self.f_values
@@ -110,64 +119,30 @@ class Trace:
         """Write the trace as ``json.dump(..., indent=2)`` plus a newline would.
 
         The file is streamed an iterate row or a chunk of tau_log records at
-        a time (see _json_list), so the whole text is never held in memory.
+        a time (see json_list), so the whole text is never held in memory.
         """
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{\n  "algorithm": ' + json.dumps(self.algorithm) + ',\n  "iterates": ')
-            fh.writelines(_json_list(self.iterates, 2, _json_row))
-            fh.write(',\n  "f_values": ' + _json_numbers(list(self.f_values), 2)
-                     + ',\n  "residuals": ' + _json_numbers(list(self.residuals), 2)
+            fh.writelines(json_list(self.iterates, 2, json_value))
+            fh.write(',\n  "f_values": ' + json_numbers(list(self.f_values), 2)
+                     + ',\n  "residuals": ' + json_numbers(list(self.residuals), 2)
                      + ',\n  "inner": ')
             fh.writelines(("null",) if self.inner is None
-                          else _json_list(self.inner, 2, _json_sweep))
+                          else json_list(self.inner, 2, _json_sweep))
             fh.write(',\n  "tau_log": ')
             fh.writelines(("null",) if self.tau_log is None
                           else _json_tau_log(self.tau_log, 2))
             fh.write("\n}\n")
 
 
-# Trace JSON is laid out here as json.dump(..., indent=2) lays it out. The
-# indenting encoder is pure Python, so numbers are rendered instead by
-# json.dumps of flat lists, which takes the C encoder and emits the same
-# tokens (float.__repr__, NaN, Infinity), and are then placed at the
-# indented positions.
+# TauRecords are rendered _TAU_CHUNK at a time by one json.dumps each.
 _TAU_CHUNK = 512
 _TAU_FIELDS = tuple(f.name for f in fields(TauRecord))
 _tau_values = attrgetter(*_TAU_FIELDS)
 
 
-def _json_list(items, ind, render):
-    """Yield the text of the list ``items`` at indentation ``ind``.
-
-    render(item, ind + 2) yields the text of one item; it may also render a
-    run of items joined by the item separator, as _json_tau_log does.
-    """
-    if not items:
-        yield "[]"
-        return
-    pad = "\n" + " " * (ind + 2)
-    sep = "[" + pad
-    for item in items:
-        yield sep
-        yield from render(item, ind + 2)
-        sep = "," + pad
-    yield "\n" + " " * ind + "]"
-
-
-def _json_numbers(values: list, ind: int) -> str:
-    if not values:
-        return "[]"
-    pad = ",\n" + " " * (ind + 2)
-    # No number token contains ", ", the C encoder's item separator.
-    return "[" + pad[1:] + json.dumps(values)[1:-1].replace(", ", pad) + "\n" + " " * ind + "]"
-
-
-def _json_row(x: np.ndarray, ind: int):
-    return (_json_numbers(x.tolist(), ind),)
-
-
 def _json_sweep(sweep: list, ind: int):
-    return _json_list(sweep, ind, _json_row)
+    return json_list(sweep, ind, json_value)
 
 
 def _json_tau_log(records: list, ind: int):
@@ -181,7 +156,7 @@ def _json_tau_log(records: list, ind: int):
         tokens = json.dumps(list(chain.from_iterable(map(_tau_values, part))))[1:-1]
         yield (",\n" + " " * (ind + 2)).join([record] * len(part)) % tuple(tokens.split(", "))
 
-    return _json_list(range(0, len(records), _TAU_CHUNK), ind, chunk)
+    return json_list(range(0, len(records), _TAU_CHUNK), ind, chunk)
 
 
 def _shrink(v, t):
@@ -342,69 +317,138 @@ def secant_tau(g_deriv, z_old: float, z_new: float) -> float:
     return (float(g_deriv(z_new)) - float(g_deriv(z_old))) / (z_new - z_old)
 
 
+def _assess(p: ProblemSpec, W, values, images):
+    """Objective values and residuals of the iterates (rows of W), and the first fault.
+
+    values and images hold f and the prox-gradient image at each row. Row
+    k gives F = f + lam * ||x||_1 and the residual max |x - image|, as
+    objective() and optimality_residual() compute them for that iterate.
+    The fault is (row, what) at the first row whose F or residual is not
+    finite, F named first, or None.
+    """
+    F = values + p.lam * np.abs(W).sum(axis=1)
+    R = np.abs(W - images).max(axis=1)
+    bad = ~(np.isfinite(F) & np.isfinite(R))
+    if not bad.any():
+        return F, R, None
+    k = int(bad.argmax())
+    return F, R, (k, "residual" if math.isfinite(F[k]) else "objective value")
+
+
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:
     """Run one algorithm from x0 and record a full trace.
 
     Iterations stop after cfg.max_outer_iters, or earlier when the
     fixed-point residual drops to cfg.stop_residual (if positive). Raises
     NonFiniteIterateError, naming the iteration, at the first iterate,
-    objective value or residual that is not finite.
+    objective value or residual that is not finite; at one iteration the
+    iterate is named before F, and F before the residual. Such a fault
+    also comes before any error of the sweep that starts from that iterate.
+
+    Every iterate gets F, its gradient, its prox-gradient image and its
+    residual. Without a stop rule, gd takes f and the gradient from the
+    one value_and_grad per iterate that also makes its next iterate, ccd
+    and ccm from one values_and_grads of all their iterates after the
+    sweeps, and one array pass gives the rest. A stop rule needs each
+    residual as its iterate is made, so each iterate is then measured
+    alone, by values_and_grads of a one-row block: the same numbers.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
     cfg = cfg if cfg is not None else SolverConfig()
+    K = cfg.max_outer_iters
     x = as_vector(x0, p.dim).copy()
     kernel = None if alg == "gd" else CoordinateKernel(p, alg)
     record_inner = cfg.record_inner and kernel is not None
     inner = [] if record_inner else None
-    tau_log = [] if alg == "ccm" else None
-    iterates, f_values, residuals, gradients = [], [], [], []
+    tau_log = [] if cfg.record_tau and alg == "ccm" else None
 
-    # Overflow shows up as a non-finite value checked below, not as a warning.
+    def sweep(w, k):
+        # Sweep w in place from iterate k - 1 to iterate k.
+        sweep_inner = [] if record_inner else None
+        kernel.sweep(w, k - 1, tau_log, sweep_inner)
+        if record_inner:
+            inner.append(sweep_inner)
+
+    def measure(W):
+        # f, grad f and the prox-gradient image at every row of W.
+        values, G = p.smooth.values_and_grads(W)
+        return values, G, prox_gradient_image(p, W, G)
+
+    def fault(k, what):
+        return NonFiniteIterateError(
+            f"{alg} produced a non-finite {what} at iteration {k}", iteration=k
+        )
+
+    # Overflow shows up as a non-finite value checked here, not as a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(cfg.max_outer_iters + 1):
-            if k > 0:
-                if cfg.stop_residual > 0.0 and residuals[-1] <= cfg.stop_residual:
-                    break
-                if kernel is None:
-                    x = image
-                else:
-                    sweep_inner = [] if record_inner else None
-                    x = kernel.sweep(x.copy(), k - 1, tau_log, sweep_inner)
-                    if record_inner:
-                        inner.append(sweep_inner)
-            bad = None
-            if not np.isfinite(x).all():
-                bad = "iterate"
+        if cfg.stop_residual > 0.0:
+            rows = []  # (W, G, F, R) of each iterate, one row each
+            for k in range(K + 1):
+                if k > 0:
+                    if R[0] <= cfg.stop_residual:
+                        break
+                    if kernel is None:
+                        x = images[0]
+                    else:
+                        x = x.copy()
+                        sweep(x, k)
+                if not np.isfinite(x).all():
+                    raise fault(k, "iterate")
+                W = x[None]
+                values, G, images = measure(W)
+                F, R, bad = _assess(p, W, values, images)
+                if bad is not None:
+                    raise fault(k, bad[1])
+                rows.append((W, G, F, R))
+            W, G, F, R = map(np.concatenate, zip(*rows))
+        else:
+            n = K + 1  # iterates 0..n-1 are finite; iterate n, if n <= K, is not
+            if kernel is None:
+                # Row k + 1 of X is the image of row k, which is iterate k + 1.
+                X = np.empty((K + 2, p.dim))
+                X[0] = x
+                values, G = np.empty(K + 1), np.empty((K + 1, p.dim))
+                for k in range(K + 1):
+                    values[k], G[k] = p.smooth.value_and_grad(X[k])
+                    X[k + 1] = prox_gradient_image(p, X[k], G[k])
+                    if not np.isfinite(X[k + 1]).all():
+                        n = k + 1
+                        break
+                W, images, values, G = X[:n], X[1:n + 1], values[:n], G[:n]
             else:
-                # One gradient per iterate gives F (as objective() computes
-                # it), the prox-gradient image, whose distance to x is the
-                # residual and which for gd is the next iterate, and the
-                # gradient kept on the trace.
-                value, g = p.smooth.value_and_grad(x)
-                F = value + p.lam * float(np.abs(x).sum())
-                image = prox_gradient_image(p, x, g)
-                r = float(np.max(np.abs(x - image)))
-                if not math.isfinite(F):
-                    bad = "objective value"
-                elif not math.isfinite(r):
-                    bad = "residual"
+                W = np.empty((K + 1, p.dim))
+                W[0] = x
+                for k in range(1, K + 1):
+                    W[k] = W[k - 1]
+                    try:
+                        sweep(W[k], k)
+                    except L1LabError:
+                        # A sweep from an iterate whose F or residual is not
+                        # finite may fail; that iterate's fault comes first.
+                        values, _, images = measure(W[:k])
+                        bad = _assess(p, W[:k], values, images)[2]
+                        if bad is not None:
+                            raise fault(*bad) from None
+                        raise
+                    if not np.isfinite(W[k]).all():
+                        n = k
+                        break
+                W = W[:n]
+                values, G, images = measure(W)
+            F, R, bad = _assess(p, W, values, images)
             if bad is not None:
-                raise NonFiniteIterateError(
-                    f"{alg} produced a non-finite {bad} at iteration {k}", iteration=k
-                )
-            iterates.append(x)
-            f_values.append(F)
-            residuals.append(r)
-            gradients.append(g)
+                raise fault(*bad)
+            if n <= K:
+                raise fault(n, "iterate")
 
     return Trace(
         algorithm=alg,
-        iterates=iterates,
-        f_values=f_values,
-        residuals=residuals,
+        iterates=W,
+        f_values=F.tolist(),
+        residuals=R.tolist(),
         inner=inner,
         tau_log=tau_log,
-        gradients=gradients,
+        gradients=G,
     )

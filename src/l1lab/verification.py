@@ -32,7 +32,7 @@ from .operators import (
     classify_point,
     classify_rows,
     optimality_residual,
-    prox_gradient_map,
+    prox_gradient_image,
 )
 from .problems import ProblemSpec, as_vector, objective
 from .solvers import CoordinateKernel, SolverConfig, run
@@ -138,7 +138,7 @@ def reference_minimizer(
     x = np.zeros(p.dim)
     for _ in range(max_sweeps):
         # One prox-gradient image per point: its residual and the gd step.
-        image = prox_gradient_map(p, x)
+        image = prox_gradient_image(p, x, p.smooth.grad(x))
         best_res = _inf_norm(x - image)
         if best_res <= stop_residual:
             break
@@ -341,8 +341,8 @@ def run_comparison(
     ref = reference_minimizer(p)
 
     # Rows gd, ccd, ccm; stop_residual = 0 gives each trace K + 1 iterates.
-    W = np.array([t.iterates for t in traces.values()])
-    G = np.array([t.gradients for t in traces.values()])
+    W = np.stack([t.iterates for t in traces.values()])
+    G = np.stack([t.gradients for t in traces.values()])
     F = np.array([t.f_values for t in traces.values()])
     row_norms = np.abs(W).max(axis=2)
     gap = tol * (1.0 + row_norms.max(axis=0))[:, None]

@@ -1,9 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from l1lab import check_isotonicity_quadratic, load_problem, quadratic_problem, save_problem
+from l1lab import (
+    SolverConfig,
+    check_isotonicity_quadratic,
+    find_supersolution,
+    load_problem,
+    quadratic_problem,
+    run,
+    run_comparison,
+    save_problem,
+)
 from l1lab.cli import main
 
 
@@ -98,6 +108,24 @@ def test_run_all_writes_three_descending_traces(tmp_path):
     for alg in ("gd", "ccd", "ccm"):
         F = read_csv_column(tmp_path / f"trace_{alg}.csv", "F")
         assert all(b <= a + 1e-12 for a, b in zip(F, F[1:]))
+
+
+def test_tau_log_is_recorded_only_when_asked_for(tmp_path):
+    # run() and run_comparison keep no TauRecords by default; `l1lab run`
+    # asks for them, so its ccm trace file still holds the log.
+    prob = tmp_path / "prob.json"
+    assert main(["gen", "--dim", "6", "--seed", "2", "--out", str(prob)]) == 0
+    p = load_problem(prob)
+    x0 = find_supersolution(p, seed=2)
+    assert run("ccm", p, x0, SolverConfig(max_outer_iters=10)).tau_log is None
+    report = run_comparison(p, x0, K=10)
+    assert all(t.tau_log is None for t in report.traces.values())
+    code = main(["run", "--problem", str(prob), "--alg", "ccm", "--iters", "10",
+                 "--start", "super", "--seed", "2", "--out-dir", str(tmp_path)])
+    assert code == 0
+    logged = json.loads((tmp_path / "trace_ccm.json").read_text())["tau_log"]
+    want = run("ccm", p, x0, SolverConfig(max_outer_iters=10, record_tau=True)).tau_log
+    assert want and logged == [dataclasses.asdict(t) for t in want]
 
 
 def test_run_deterministic_outputs(tmp_path):

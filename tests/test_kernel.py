@@ -115,7 +115,7 @@ def reference_run(alg, p, x0, sweeps, tol):
 def assert_same_run(p, alg, x0, atol_of_ref, resolved=0.0):
     """Kernel and reference agree on every iterate and on the (k, j) of
     every non-trivial ccm update larger than ``resolved``."""
-    cfg = SolverConfig(max_outer_iters=SWEEPS)
+    cfg = SolverConfig(max_outer_iters=SWEEPS, record_tau=True)
     trace = run(alg, p, x0, cfg)
     ref, updates = reference_run(alg, p, x0, SWEEPS, INNER_1D_TOL)
     assert len(trace.iterates) == len(ref)
@@ -244,7 +244,7 @@ def test_solve_1d_prox_linear_derivative_takes_two_steps():
 def test_logistic_ccm_tau_log_holds_only_resolved_updates():
     # An update from the 1-D solve no larger than INNER_1D_TOL is
     # root-bracket noise, and its secant slope says nothing about tau.
-    cfg = SolverConfig(max_outer_iters=40)
+    cfg = SolverConfig(max_outer_iters=40, record_tau=True)
     for seed in range(4):
         p = logistic_data(seed)
         x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=p.dim)

@@ -21,6 +21,7 @@ from l1lab import (
     quadratic_problem,
     save_problem,
 )
+from l1lab.problems import problem_to_dict
 
 INFL = 1.0 + 1e-8
 
@@ -337,6 +338,22 @@ def test_problem_json_roundtrip_logistic(tmp_path):
     assert not isinstance(q.smooth, QuadraticForm)
     np.testing.assert_allclose(q.smooth.X, p.smooth.X)
     assert q.lipschitz == p.lipschitz
+
+
+def test_save_problem_writes_the_bytes_of_json_dump_indent_2(tmp_path):
+    # The writer renders numbers with the C encoder and lays them out itself.
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((30, 3)) * np.array([1e-300, 1.0, 1e300])
+    cases = [gen_zmatrix_quadratic(d, seed=d) for d in (1, 2, 9)]
+    cases += [logistic_problem(X, np.where(rng.random(30) < 0.5, -1.0, 1.0), 0.0, 1.0),
+              quadratic_problem([[1.0]], [-0.0], lam=0.1, lipschitz=1.0)]
+    for i, p in enumerate(cases):
+        got, want = tmp_path / f"{i}.json", tmp_path / f"{i}.ref.json"
+        save_problem(p, got)
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(problem_to_dict(p), fh, indent=2)
+            fh.write("\n")
+        assert got.read_bytes() == want.read_bytes(), i
 
 
 def test_problem_json_estimates_missing_L(tmp_path):

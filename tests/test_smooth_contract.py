@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from l1lab import (
+    LogisticData,
     estimate_lipschitz,
     f_grad,
     gen_zmatrix_quadratic,
@@ -88,7 +89,7 @@ def test_to_dict_round_trips_bit_for_bit(problem):
     back = problem_from_dict(json.loads(text))
     assert type(back.smooth) is type(smooth)
     assert (back.lam, back.lipschitz, back.dim) == (problem.lam, problem.lipschitz, problem.dim)
-    again = type(smooth).from_dict(json.loads(json.dumps(smooth.to_dict())))
+    again = type(smooth).from_dict(json.loads(text))
     for copy in (back.smooth, again):
         for name, value in smooth.to_dict().items():
             if name != "kind":
@@ -136,3 +137,25 @@ def test_quadratic_ray_grads_is_bitwise_at_larger_dimensions(d):
         rows = smooth.ray_grads(u, ladder)
         for t, row in zip(ladder, rows):
             assert row.tobytes() == smooth.grad(t * u).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("d", [2, 33, 128, 500])
+def test_values_and_grads_rows_are_bitwise_value_and_grad(kind, d):
+    # run() measures a whole run's iterates with one values_and_grads call,
+    # so each row must carry the bits of the one-point oracle.
+    rng = np.random.default_rng(d)
+    if kind == "quadratic":
+        smooth = gen_zmatrix_quadratic(d, seed=d).smooth
+    else:
+        n = 2 * d + 1
+        smooth = LogisticData(rng.standard_normal((n, d)),
+                              np.where(rng.random(n) < 0.5, -1.0, 1.0))
+    W = rng.standard_normal((21, d)) * rng.uniform(0.01, 100.0, size=(21, 1))
+    for block in (W, W[:1]):
+        values, G = smooth.values_and_grads(block)
+        assert values.shape == (len(block),) and G.shape == block.shape
+        for w, value, g in zip(block, values, G):
+            one_value, one_g = smooth.value_and_grad(w.copy())
+            assert value == one_value
+            assert g.tobytes() == one_g.tobytes()

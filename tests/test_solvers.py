@@ -282,6 +282,74 @@ def test_run_detects_non_finite_iterates():
         assert np.isfinite(before.f_values).all() and np.isfinite(before.residuals).all()
 
 
+# A stop rule that cannot fire: no residual below is exactly zero.
+NEVER_STOPS = 1e-300
+
+
+def small_logistic_problem():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((60, 6))
+    return logistic_problem(X, np.where(X @ rng.standard_normal(6) >= 0.0, 1.0, -1.0), 0.03)
+
+
+@pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
+def test_stop_rule_path_measures_iterates_bitwise_like_fixed_path(alg):
+    # Without a stop rule run() measures all iterates in one pass after the
+    # loop; with one it measures each iterate as it is made.
+    K = 30
+    for p in (gen_zmatrix_quadratic(9, seed=1), small_logistic_problem()):
+        x0 = np.linspace(-1.5, 2.0, p.dim)
+        fixed = run(alg, p, x0, SolverConfig(max_outer_iters=K))
+        stopped = run(alg, p, x0, SolverConfig(max_outer_iters=K, stop_residual=NEVER_STOPS))
+        assert len(stopped.iterates) == K + 1
+        for name in ("iterates", "gradients"):
+            got, want = getattr(stopped, name), getattr(fixed, name)
+            assert got.shape == want.shape == (K + 1, p.dim)
+            assert got.tobytes() == want.tobytes(), name
+        for name in ("f_values", "residuals"):
+            got, want = getattr(stopped, name), getattr(fixed, name)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), name
+        # Both are the plain one-point formulas.
+        for x, F, r in zip(fixed.iterates, fixed.f_values, fixed.residuals):
+            assert F == objective(p, x) and r == optimality_residual(p, x)
+
+
+def overflow_cases():
+    """(alg, problem, x0, K, iteration, what) of runs that leave the floats."""
+    # Overflowing steps: the test_run_detects_non_finite_iterates cases.
+    tiny_L = quadratic_problem([[1.0]], [-1.0], lam=0.0, lipschitz=1e-300)
+    yield "gd", tiny_L, [0.0], 5, None, None
+    low_L = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
+    for alg in ("gd", "ccd"):
+        yield alg, low_L, [0.0, 0.0], 400, None, None
+    # F(x0) overflows while its gradient and image stay finite.
+    unit = quadratic_problem([[1.0]], [0.0], lam=0.0, lipschitz=1.0)
+    for alg in ("gd", "ccd", "ccm"):
+        yield alg, unit, [1e155], 5, 0, "objective value"
+    # F(x0) overflows in the logistic margins: the 1-D solve of the sweep from
+    # x0 finds no root, and the fault at x0 is named first.
+    margins = logistic_problem(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), 0.1)
+    yield "ccm", margins, [1e308], 5, 0, "objective value"
+    # F(x0) is finite but g / L, and so the image and the residual, are not;
+    # gd's iterate 1 is not finite either, and the residual at 0 comes first.
+    yield "gd", tiny_L, [1e10], 5, 0, "residual"
+
+
+def test_both_paths_raise_the_same_non_finite_fault():
+    for alg, p, x0, K, iteration, what in overflow_cases():
+        errors = []
+        for stop in (0.0, NEVER_STOPS):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteIterateError) as exc:
+                    run(alg, p, x0, SolverConfig(max_outer_iters=K, stop_residual=stop))
+            errors.append((exc.value.iteration, str(exc.value)))
+        assert errors[0] == errors[1], (alg, errors)
+        if what is not None:
+            assert errors[0] == (iteration, f"{alg} produced a non-finite {what} "
+                                            f"at iteration {iteration}")
+
+
 def test_run_rejects_unknown_algorithm():
     p = quadratic_problem([[1.0]], [0.0], lam=0.0, lipschitz=1.0)
     with pytest.raises(ValueError):
@@ -318,7 +386,8 @@ def test_diagonal_gd_and_ccd_coincide_sweep_for_step():
 
 def test_trace_csv_and_json(tmp_path):
     p = quadratic_problem(np.diag([1.0, 2.0]), [-1.0, -2.0], lam=0.1, lipschitz=2.0)
-    trace = run("ccm", p, [1.0, 1.0], SolverConfig(max_outer_iters=4, record_inner=True))
+    cfg = SolverConfig(max_outer_iters=4, record_inner=True, record_tau=True)
+    trace = run("ccm", p, [1.0, 1.0], cfg)
     csv_path = tmp_path / "trace.csv"
     trace.write_csv(csv_path)
     lines = csv_path.read_text().strip().splitlines()
@@ -338,7 +407,8 @@ def test_trace_csv_and_json(tmp_path):
 def test_trace_csv_deterministic(tmp_path):
     p = gen_zmatrix_quadratic(3, seed=5)
     for run_name in ("a", "b"):
-        trace = run("ccm", p, np.ones(3), SolverConfig(max_outer_iters=7, record_inner=True))
+        cfg = SolverConfig(max_outer_iters=7, record_inner=True, record_tau=True)
+        trace = run("ccm", p, np.ones(3), cfg)
         trace.write_csv(tmp_path / f"{run_name}.csv")
         trace.write_json(tmp_path / f"{run_name}.json")
     for ext in ("csv", "json"):
@@ -383,7 +453,7 @@ def _special_trace():
 
 
 def _trace_cases():
-    zmat = gen_zmatrix_quadratic(12, seed=7)
+    zmat = gen_zmatrix_quadratic(20, seed=7)
     rng = np.random.default_rng(11)
     X = rng.standard_normal((200, 20))
     Y = np.where(X @ rng.standard_normal(20) >= 0.0, 1.0, -1.0)
@@ -391,18 +461,21 @@ def _trace_cases():
     scalar = quadratic_problem([[2.0]], [-1.0], lam=0.1, lipschitz=2.0)
     for alg in ("gd", "ccd", "ccm"):
         for record_inner in (False, True):
-            # 60 ccm sweeps over 12 coordinates log more than one 512-record chunk.
-            cfg = SolverConfig(max_outer_iters=60, record_inner=record_inner)
-            yield f"zmat-{alg}-{record_inner}", run(alg, zmat, 3.0 * np.ones(12), cfg)
-        yield f"logistic-{alg}", run(alg, logistic, np.zeros(20), SolverConfig(max_outer_iters=15))
-        yield f"d1-{alg}", run(alg, scalar, [4.0], SolverConfig(max_outer_iters=5, record_inner=True))
+            # 60 ccm sweeps over 20 coordinates log more than two 512-record chunks.
+            cfg = SolverConfig(max_outer_iters=60, record_inner=record_inner, record_tau=True)
+            yield f"zmat-{alg}-{record_inner}", run(alg, zmat, 3.0 * np.ones(20), cfg)
+        cfg = SolverConfig(max_outer_iters=15, record_tau=True)
+        yield f"logistic-{alg}", run(alg, logistic, np.zeros(20), cfg)
+        cfg = SolverConfig(max_outer_iters=5, record_inner=True, record_tau=True)
+        yield f"d1-{alg}", run(alg, scalar, [4.0], cfg)
     yield "empty", Trace("ccd", [np.ones(2)], [1.0], [0.0], inner=[], tau_log=[])
     yield "special", _special_trace()
 
 
 def test_trace_writers_match_plain_reference_byte_for_byte(tmp_path):
     cases = list(_trace_cases())
-    assert any(len(t.tau_log or ()) > 512 for _, t in cases)
+    solved = dict(cases[:-2])  # the runs, not the hand-built traces
+    assert len(solved["zmat-ccm-False"].tau_log) > 1024 and solved["logistic-ccm"].tau_log
     for name, trace in cases:
         for write, reference, ext in ((Trace.write_csv, reference_write_csv, "csv"),
                                       (Trace.write_json, reference_write_json, "json")):
