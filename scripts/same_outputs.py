@@ -55,6 +55,9 @@ COMMANDS = (
     ("verify_d12_sub", ["verify", "--dim", "12", "--seed", "3", "--iters", "100",
                         "--start", "sub", "--report", "d12_sub_report.json",
                         "--summary", "d12_sub_summary.csv"]),
+    # A mid-size quadratic reference solve, checked byte for byte.
+    ("verify_d60", ["verify", "--problem", "zmat60.json", "--iters", "40",
+                    "--report", "d60_report.json", "--summary", "d60_summary.csv"]),
     ("verify_d300", ["verify", "--dim", "300", "--iters", "20", "--report", "d300_report.json",
                      "--summary", "d300_summary.csv"]),
     # Logistic data have no exact isotonicity certificate, so these take

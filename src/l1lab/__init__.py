@@ -9,6 +9,7 @@ O(1/k) rate predictions of the three-way comparison.
 from .errors import (
     Assumption2Error,
     ConvergenceError,
+    DataOverflowError,
     DimensionMismatchError,
     L1LabError,
     LipschitzCertificateError,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 # use. Every other name imported above stays importable from l1lab.
 __all__ = [
     "Assumption2Error",
+    "DataOverflowError",
     "DimensionMismatchError",
     "Kind",
     "L1LabError",
@@ -83,6 +85,7 @@ __all__ = [
     "NonFiniteIterateError",
     "PreconditionError",
     "QuadraticForm",
+    "ReferenceSolveError",
     "SolverConfig",
     "StartSearchError",
     "UnboundedBelowError",

@@ -21,6 +21,10 @@ class PowerIterationError(L1LabError, RuntimeError):
         self.best_estimate = best_estimate
 
 
+class DataOverflowError(L1LabError, ValueError):
+    """Finite input data are too large: a quantity derived from them overflows float64."""
+
+
 class LipschitzCertificateError(L1LabError, RuntimeError):
     """A computed step constant L failed its certificate L >= lambda_max.
 

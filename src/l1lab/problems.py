@@ -20,19 +20,31 @@ its inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
 from ._jsonlayout import json_value
-from .errors import Assumption2Error, DimensionMismatchError, LipschitzCertificateError
+from .errors import (
+    Assumption2Error,
+    DataOverflowError,
+    DimensionMismatchError,
+    LipschitzCertificateError,
+)
 
 # Construction-time tolerances.
 _PSD_RTOL = 1e-9
 _OFFDIAG_TOL = 1e-14
 _L_INFLATION = 1.0 + 1e-8
 _L_FLOOR = 1e-12
+
+# Newton's method of the logistic support polish stops after a step that
+# moves no entry by more than _NEWTON_STEP_RTOL * (1 + the iterate's sup
+# norm), or after _NEWTON_MAX_ITERS steps.
+_NEWTON_MAX_ITERS = 50
+_NEWTON_STEP_RTOL = 1e-12
 
 
 def as_vector(x, dim=None, name="x"):
@@ -126,7 +138,9 @@ class SmoothLoss:
         return None
 
     def active_set_solution(self, x, lam):
-        """Direct minimizer of F on the support of x, to polish x."""
+        """Minimizer of f + lam * <sign(x), .> on the support of x (all
+        coordinates when lam is 0), to polish x; None when it flips a sign
+        of x or cannot be computed."""
         return None
 
     def to_dict(self):
@@ -162,12 +176,17 @@ class QuadraticForm(SmoothLoss):
             )
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("A and b must have finite entries")
-        A += A.T  # numpy buffers the overlapping operand
-        A *= 0.5
         # The max row sum bounds every |eigenvalue|, so the shift is at least
         # _PSD_RTOL times the spectral radius, and A passes iff its smallest
         # eigenvalue exceeds -shift (up to rounding in the factorization).
-        shift = _PSD_RTOL * float(np.abs(A).sum(axis=1).max())
+        # An overflow in either step leaves the shift infinite.
+        with np.errstate(over="ignore"):
+            A += A.T  # numpy buffers the overlapping operand
+            A *= 0.5
+            shift = _PSD_RTOL * float(np.abs(A).sum(axis=1).max())
+        if not math.isfinite(shift):
+            what = "the row sums of |A| overflow" if np.isfinite(A).all() else "A + A^T overflows"
+            raise DataOverflowError(f"{what} float64; rescale A")
         if shift > 0.0 and not _has_shifted_cholesky(A.copy(), shift):
             raise ValueError(
                 f"A is not positive semidefinite (A + {shift:.6e} I has no Cholesky factor)"
@@ -341,6 +360,34 @@ class LogisticData(SmoothLoss):
 
         return rows, deriv
 
+    def active_set_solution(self, x, lam):
+        # Newton's method from x on the support; the Hessian of f there is
+        # X_S^T diag(s (1 - s)) X_S / n with s = expit(-margins).
+        on = np.ones(self.dim, dtype=bool) if lam == 0.0 else x != 0.0
+        if not on.any():
+            return np.zeros(self.dim)
+        XS, Y, n = self.X[:, on], self.Y, self.n
+        sign = np.sign(x[on])
+        z = x[on]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_MAX_ITERS):
+                s = _expit(-(Y * (XS @ z)))
+                g = lam * sign - (XS.T @ (Y * s)) / n
+                try:
+                    step = np.linalg.solve((XS.T * (s * (1.0 - s))) @ XS / n, g)
+                except np.linalg.LinAlgError:
+                    return None
+                z = z - step
+                if not np.isfinite(z).all():
+                    return None
+                if np.abs(step).max() <= _NEWTON_STEP_RTOL * (1.0 + np.abs(z).max()):
+                    break
+        if lam > 0.0 and np.any(np.sign(z) * sign < 0.0):
+            return None
+        cand = np.zeros(self.dim)
+        cand[on] = z
+        return cand
+
     def strictly_convex_coordinates(self):
         # A nonzero column makes the coordinate restriction strictly convex.
         return bool(np.all(np.linalg.norm(self.X, axis=0) > 0.0))
@@ -408,13 +455,20 @@ def estimate_lipschitz(smooth: Smooth) -> float:
     certified by a Cholesky factorization of L I - H, which exists only
     when L exceeds every eigenvalue of H (up to rounding in the
     factorization, far below the 1e-8 margin). Raises
-    LipschitzCertificateError when the factorization fails.
+    LipschitzCertificateError when the factorization fails, and
+    DataOverflowError when H or L overflows float64.
     """
     if not isinstance(smooth, SmoothLoss):
         raise TypeError("smooth must be a QuadraticForm or LogisticData")
-    H = smooth.lipschitz_matrix()
-    top = float(np.linalg.eigvalsh(H)[-1])
-    L = max(top * _L_INFLATION, _L_FLOOR)
+    with np.errstate(over="ignore"):
+        H = smooth.lipschitz_matrix()
+        top = float(np.linalg.eigvalsh(H)[-1]) if np.isfinite(H).all() else math.inf
+        L = max(top * _L_INFLATION, _L_FLOOR)
+    if not math.isfinite(L):
+        raise DataOverflowError(
+            f"the {smooth.kind} loss's Lipschitz matrix or its top eigenvalue "
+            "overflows float64; rescale the data"
+        )
     M = np.negative(H)
     if not _has_shifted_cholesky(M, L):
         # M is now L I - H; its smallest eigenvalue is L minus the top of H.

@@ -346,10 +346,9 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     also comes before any error of the sweep that starts from that iterate.
 
     Every iterate gets F, its gradient, its prox-gradient image and its
-    residual. Without a stop rule, gd takes f and the gradient from the
-    one value_and_grad per iterate that also makes its next iterate, ccd
-    and ccm from one values_and_grads of all their iterates after the
-    sweeps, and one array pass gives the rest. A stop rule needs each
+    residual. Without a stop rule, the iterates are made first, gd's each
+    the prox-gradient image of the one before; then one values_and_grads
+    of them all and one array pass give the rest. A stop rule needs each
     residual as its iterate is made, so each iterate is then measured
     alone, by values_and_grads of a one-row block: the same numbers.
     """
@@ -405,22 +404,12 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
             W, G, F, R = map(np.concatenate, zip(*rows))
         else:
             n = K + 1  # iterates 0..n-1 are finite; iterate n, if n <= K, is not
-            if kernel is None:
-                # Row k + 1 of X is the image of row k, which is iterate k + 1.
-                X = np.empty((K + 2, p.dim))
-                X[0] = x
-                values, G = np.empty(K + 1), np.empty((K + 1, p.dim))
-                for k in range(K + 1):
-                    values[k], G[k] = p.smooth.value_and_grad(X[k])
-                    X[k + 1] = prox_gradient_image(p, X[k], G[k])
-                    if not np.isfinite(X[k + 1]).all():
-                        n = k + 1
-                        break
-                W, images, values, G = X[:n], X[1:n + 1], values[:n], G[:n]
-            else:
-                W = np.empty((K + 1, p.dim))
-                W[0] = x
-                for k in range(1, K + 1):
+            W = np.empty((K + 1, p.dim))
+            W[0] = x
+            for k in range(1, K + 1):
+                if kernel is None:
+                    W[k] = prox_gradient_image(p, W[k - 1], p.smooth.grad(W[k - 1]))
+                else:
                     W[k] = W[k - 1]
                     try:
                         sweep(W[k], k)
@@ -432,11 +421,11 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                         if bad is not None:
                             raise fault(*bad) from None
                         raise
-                    if not np.isfinite(W[k]).all():
-                        n = k
-                        break
-                W = W[:n]
-                values, G, images = measure(W)
+                if not np.isfinite(W[k]).all():
+                    n = k
+                    break
+            W = W[:n]
+            values, G, images = measure(W)
             F, R, bad = _assess(p, W, values, images)
             if bad is not None:
                 raise fault(*bad)

@@ -126,27 +126,43 @@ def reference_minimizer(
     """Solve p to high precision for use as the F* oracle.
 
     Runs exact coordinate minimization when every coordinate restriction
-    is verifiably strictly convex, otherwise proximal-gradient steps. When
-    the smooth part offers a direct solve on the recovered support (the
-    quadratic active-set solve), the result is cross-checked against it and
-    the better of the two is kept. Raises when the final residual exceeds
-    1e-10.
+    is verifiably strictly convex, otherwise proximal-gradient steps, from
+    0 until the residual is at most stop_residual. Once the sign pattern of
+    an iterate equals the previous one, the smooth part's support polish
+    (the exact solve on the support for quadratics, Newton's method for
+    logistic data) is tried, at most once per pattern; a polished point
+    whose residual is at most stop_residual is returned at once. After n
+    failed attempts the next waits until a pattern has held for 2**n
+    sweeps, so the attempts stay few when the pattern keeps changing. Past
+    the sweeps the polish is tried once more, and the better of the two
+    points is kept. Raises when the final residual exceeds 1e-10.
     """
     use_ccm = p.smooth.strictly_convex_coordinates()
     method = "ccm" if use_ccm else "gd"
     kernel = CoordinateKernel(p, "ccm") if use_ccm else None
     x = np.zeros(p.dim)
-    for _ in range(max_sweeps):
+    pattern, held, tried = None, 0, set()
+    for sweeps in range(max_sweeps):
         # One prox-gradient image per point: its residual and the gd step.
         image = prox_gradient_image(p, x, p.smooth.grad(x))
         best_res = _inf_norm(x - image)
         if best_res <= stop_residual:
             break
+        last, pattern = pattern, np.sign(x).astype(np.int8).tobytes()
+        held = held + 1 if pattern == last else 0
+        if held >= 2 ** len(tried) and pattern not in tried:
+            tried.add(pattern)
+            cand = p.smooth.active_set_solution(x, p.lam)
+            if cand is not None:
+                cand_res = optimality_residual(p, cand)
+                if cand_res <= stop_residual:
+                    return _solution(p, cand, cand_res, method + "+active-set")
         nxt = kernel.sweep(x.copy()) if use_ccm else image
         if np.array_equal(nxt, x):
             break  # numerical fixed point of the sweep map
         x = nxt
     else:
+        sweeps = max_sweeps
         best_res = optimality_residual(p, x)  # the last sweep's x has no image yet
     cand = p.smooth.active_set_solution(x, p.lam)
     if cand is not None:
@@ -156,12 +172,17 @@ def reference_minimizer(
             method += "+active-set"
     if best_res > _REFERENCE_RESIDUAL:
         raise ReferenceSolveError(
-            f"reference solve stalled at residual {best_res:.3e} (> {_REFERENCE_RESIDUAL})"
+            f"reference solve stalled at residual {best_res:.3e} (> {_REFERENCE_RESIDUAL}) "
+            f"after {sweeps} {'ccm' if use_ccm else 'gd'} iterations"
         )
+    return _solution(p, x, best_res, method)
+
+
+def _solution(p, x, residual, method):
     x = np.array(x)
     x.setflags(write=False)
     return ReferenceSolution(
-        x_star=x, f_star=objective(p, x), residual=best_res, method=method
+        x_star=x, f_star=objective(p, x), residual=residual, method=method
     )
 
 

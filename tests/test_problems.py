@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from l1lab import (
+    DataOverflowError,
     DimensionMismatchError,
     LipschitzCertificateError,
     LogisticData,
@@ -198,6 +199,24 @@ def test_short_lipschitz_raises_with_its_shortfall(monkeypatch, smooth):
     assert err.shortfall == pytest.approx(top - err.lipschitz, rel=1e-3)
     assert err.lambda_max == pytest.approx(top, rel=1e-12)
     assert f"{err.shortfall:.6e}" in str(err)
+
+
+def test_logistic_lipschitz_matrix_overflow_raises_a_typed_error():
+    # Finite data whose X^T X overflows: the step constant cannot be computed,
+    # and no overflow warning escapes (tier-1 turns warnings into errors).
+    smooth = LogisticData([[1e300, 1.0], [2.0, 1e-300], [3.0, 1.0]], [1.0, -1.0, 1.0])
+    with pytest.raises(DataOverflowError, match="logistic loss's Lipschitz matrix"):
+        estimate_lipschitz(smooth)
+    with pytest.raises(DataOverflowError):
+        logistic_problem(smooth.X, smooth.Y, lam=0.1)
+
+
+def test_quadratic_symmetrization_overflow_raises_a_typed_error():
+    with pytest.raises(DataOverflowError, match=r"A \+ A\^T overflows"):
+        quadratic_problem([[1e308, 0.0], [0.0, 1e308]], [0.0, 0.0], 0.1)
+    # A + A^T is finite here, but the row sums of |A| behind the PSD check are not.
+    with pytest.raises(DataOverflowError, match=r"row sums of \|A\| overflow"):
+        QuadraticForm(np.full((3, 3), 8e307), np.zeros(3))
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 20, 60, 120, 300, 500])

@@ -16,6 +16,8 @@ from l1lab import (
     f_grad,
     gen_zmatrix_quadratic,
     logistic_problem,
+    optimality_residual,
+    reference_minimizer,
 )
 from l1lab.problems import problem_from_dict, problem_to_dict
 
@@ -81,6 +83,23 @@ def test_exact_steps_are_coordinate_curvatures(problem):
             e[j] = h
             curv = (f_grad(problem, x + e)[j] - f_grad(problem, x - e)[j]) / (2.0 * h)
             assert s == pytest.approx(curv, rel=1e-9)
+
+
+def test_active_set_solution_polishes_and_refuses_a_sign_flip(problem):
+    # reference_minimizer trusts a polished point only after checking its
+    # residual, but a polish that works must reach it from near x*.
+    smooth, lam = problem.smooth, problem.lam
+    x_star = reference_minimizer(problem).x_star
+    assert np.count_nonzero(x_star) >= 1
+    rng = np.random.default_rng(7)
+    for scale in (1e-6, 1e-3, 1e-2):
+        near = x_star * (1.0 + scale * rng.standard_normal(problem.dim))
+        cand = smooth.active_set_solution(near, lam)
+        assert cand is not None and optimality_residual(problem, cand) <= 1e-12
+        np.testing.assert_array_equal(np.sign(cand), np.sign(x_star))
+    # On the support of x* with every sign flipped, the minimizer of
+    # f + lam * <sign, .> leaves those signs.
+    assert smooth.active_set_solution(-x_star, lam) is None
 
 
 def test_to_dict_round_trips_bit_for_bit(problem):

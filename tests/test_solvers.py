@@ -49,9 +49,10 @@ def test_gd_step_unregularized_is_plain_gradient_step():
     assert prox_gradient_map(p, [1.0])[0] == 0.0
 
 
-def test_gd_computes_one_prox_gradient_image_per_iterate(monkeypatch):
-    # One value_and_grad at x_k gives F(x_k) and the image T(x_k), which is
-    # both the residual max|x_k - T(x_k)| and x_{k+1}.
+def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch):
+    # Without a stop rule, each gd step x_{k+1} = T(x_k) takes one grad at
+    # x_k, and one values_and_grads of all the iterates then gives F, the
+    # gradients, the images and the residuals, as the ccd and ccm runs do.
     p = gen_zmatrix_quadratic(6, seed=4)
     x0 = np.linspace(-2.0, 2.0, 6)
     calls = []
@@ -66,15 +67,15 @@ def test_gd_computes_one_prox_gradient_image_per_iterate(monkeypatch):
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    for name in ("value", "grad", "value_and_grad"):
+    for name in ("value", "grad", "value_and_grad", "values_and_grads"):
         counted(name)
     K = 25
     trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
     monkeypatch.undo()
-    assert calls == ["value_and_grad"] * (K + 1)
+    assert calls == ["grad"] * K + ["values_and_grads"]
     x = x0
     for k in range(K + 1):
-        np.testing.assert_array_equal(trace.iterates[k], x)
+        assert trace.iterates[k].tobytes() == x.tobytes()
         assert trace.f_values[k] == objective(p, x)
         assert trace.residuals[k] == optimality_residual(p, x)
         x = prox_gradient_map(p, x)

@@ -8,6 +8,7 @@ from l1lab import (
     IterationRecord,
     Kind,
     PreconditionError,
+    ReferenceSolveError,
     SolverConfig,
     check_objective_ordering,
     classify_point,
@@ -17,12 +18,15 @@ from l1lab import (
     lasso_build,
     logistic_problem,
     objective,
+    optimality_residual,
     quadratic_problem,
     rate_check,
     reference_minimizer,
     run,
     run_comparison,
 )
+from l1lab.operators import prox_gradient_image
+from l1lab.solvers import CoordinateKernel
 
 NEG_CONTROL = dict(A=[[2.0, 1.0], [1.0, 2.0]], b=[-1.0, -1.0], lam=0.1)
 
@@ -111,6 +115,120 @@ def test_reference_minimizer_logistic():
     ref = reference_minimizer(p)
     assert ref.residual <= 1e-10
     assert ref.x_star[0] == pytest.approx(np.log(9.0), abs=1e-8)
+
+
+def sweeps_then_polish(p, stop_residual=1e-12, max_sweeps=10 ** 6):
+    """The plain reference solve: sweep from 0 to stop_residual, then polish once.
+
+    Returns (x, residual, method) as reference_minimizer's x_star, residual
+    and method, or raises ReferenceSolveError as it does.
+    """
+    use_ccm = p.smooth.strictly_convex_coordinates()
+    method = "ccm" if use_ccm else "gd"
+    kernel = CoordinateKernel(p, "ccm") if use_ccm else None
+    x = np.zeros(p.dim)
+    for _ in range(max_sweeps):
+        image = prox_gradient_image(p, x, p.smooth.grad(x))
+        best_res = float(np.max(np.abs(x - image)))
+        if best_res <= stop_residual:
+            break
+        nxt = kernel.sweep(x.copy()) if use_ccm else image
+        if np.array_equal(nxt, x):
+            break
+        x = nxt
+    else:
+        best_res = optimality_residual(p, x)
+    cand = p.smooth.active_set_solution(x, p.lam)
+    if cand is not None:
+        cand_res = optimality_residual(p, cand)
+        if cand_res < best_res:
+            x, best_res = cand, cand_res
+            method += "+active-set"
+    if best_res > 1e-10:
+        raise ReferenceSolveError(f"stalled at residual {best_res:.3e}")
+    return x, best_res, method
+
+
+def acceptance_mix(seed):
+    # The acceptance suite's instance formula; seeds 0-49 are the suite's own
+    # instances, and 50 * s + i the benchmark's verify_small mix of seed s.
+    return gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
+                                 density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
+
+
+def test_reference_minimizer_is_bitwise_the_plain_solve_on_quadratics():
+    # Stopping at the first certified polish keeps every quadratic F* to the
+    # bit: the polish is the exact solve on the support that the sweeps to
+    # 1e-12 would have reached.
+    cases = [acceptance_mix(seed) for seed in range(150)]
+    cases.append(gen_zmatrix_quadratic(300, seed=1))
+    methods = []
+    for p in cases:
+        ref = reference_minimizer(p)
+        x, _, method = sweeps_then_polish(p)
+        assert ref.x_star.tobytes() == x.tobytes(), p.dim
+        assert ref.f_star == objective(p, x)
+        assert ref.method == method
+        assert ref.residual <= 1e-12
+        methods.append(method)
+    # Most instances take the polish (138 of 151 when written); the rest,
+    # such as x* = 0 or sweeps that reach a residual of exactly 0, keep x.
+    assert methods.count("ccm+active-set") > 120
+
+
+def logistic_cases():
+    # Like the benchmark's solve_logistic data: Gaussian X, n = 2000, d = 50,
+    # labels of a planted sparse w with 10% flipped, lam = 0.01.
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((2000, 50))
+        w = np.zeros(50)
+        w[rng.choice(50, size=10, replace=False)] = rng.standard_normal(10)
+        Y = np.where(X @ w >= 0.0, 1.0, -1.0)
+        Y[rng.random(2000) < 0.1] *= -1.0
+        yield logistic_problem(X, Y, lam=0.01)
+    yield logistic_problem([[1.0], [2.0], [-0.5]], [1.0, 1.0, -1.0], lam=0.1)
+
+
+def test_reference_minimizer_agrees_with_the_plain_solve_on_logistic_data():
+    for p in logistic_cases():
+        ref = reference_minimizer(p)
+        x, _, _ = sweeps_then_polish(p)
+        f_plain = objective(p, x)
+        assert abs(ref.f_star - f_plain) <= 1e-12 * abs(f_plain)
+        assert ref.residual <= 1e-12
+        assert ref.residual == optimality_residual(p, ref.x_star)
+        assert ref.method == "ccm+active-set"
+
+
+def test_reference_solve_error_names_the_iterations_and_the_residual(monkeypatch):
+    # Outside isotonicity and badly conditioned (A = 0.01 I + 0.99 11^T), 300
+    # ccm sweeps stay far from the 1e-10 the oracle needs, and the sign
+    # pattern keeps changing.
+    d = 100
+    p = quadratic_problem(0.01 * np.eye(d) + 0.99 * np.ones((d, d)),
+                          np.random.default_rng(100).uniform(-1.0, 1.0, d), lam=0.01)
+    with pytest.raises(ReferenceSolveError) as plain:
+        sweeps_then_polish(p, max_sweeps=300)
+    calls = []
+    polish = type(p.smooth).active_set_solution
+
+    def counted(self, x, lam):
+        calls.append(np.sign(x).tobytes())
+        return polish(self, x, lam)
+
+    monkeypatch.setattr(type(p.smooth), "active_set_solution", counted)
+    with pytest.raises(ReferenceSolveError) as exc:
+        reference_minimizer(p, max_sweeps=300)
+    # The same best residual as the plain solve, which polishes only once.
+    residual = str(plain.value).split()[-1]
+    assert str(exc.value) == (f"reference solve stalled at residual {residual} (> 1e-10) "
+                              "after 300 ccm iterations")
+    # The polish attempts stay few: in the loop at most one per pattern, and
+    # after n failures only on a pattern that held 2**n sweeps, so at most 9
+    # in 300 sweeps (2**0 + ... + 2**8 > 300); then one past the sweeps.
+    assert len(set(calls[:-1])) == len(calls) - 1
+    assert len(calls) - 1 <= 9
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +461,7 @@ def differential_cases():
     # Ten instances of the acceptance mix (d = 2 + seed % 19, density by
     # seed % 5), spread over its dimensions and densities, from both starts.
     for seed in (11 * i % 50 for i in range(10)):
-        p = gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
-                                  density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
+        p = acceptance_mix(seed)
         yield f"mix{seed}-super", p, find_supersolution(p, seed=seed), 200, 1e-8
         yield f"mix{seed}-sub", p, find_subsolution(p, seed=seed), 200, 1e-8
     yield "far_super", gen_zmatrix_quadratic(8, seed=25), 2.0 ** 30 * np.ones(8), 120, 1e-8
