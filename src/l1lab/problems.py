@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Union
 
 import numpy as np
 
@@ -100,9 +99,10 @@ class SmoothLoss:
 
     Subclasses are frozen dataclasses whose fields are the arrays of their
     problem files, in file order, and whose class attribute ``kind`` tags
-    those files. Each provides value(x) and grad(x) at a validated vector
-    x, and value_and_grad(x), bitwise (value(x), grad(x)) from one product
-    with the data; values_and_grads(W), whose row i is bitwise
+    those files. Each provides dim, the number of coordinates; value(x)
+    and grad(x) at a validated vector x, and value_and_grad(x), bitwise
+    (value(x), grad(x)) from one product with the data;
+    values_and_grads(W), whose row i is bitwise
     value_and_grad(W[i]) for a stack W of points, one row each (stacked
     np.matmul shapes give each row the BLAS call of the one-point
     product; one matrix product over all rows, such as W @ A, would
@@ -393,7 +393,6 @@ class LogisticData(SmoothLoss):
         return bool(np.all(np.linalg.norm(self.X, axis=0) > 0.0))
 
 
-Smooth = Union[QuadraticForm, LogisticData]
 _KINDS = {cls.kind: cls for cls in (QuadraticForm, LogisticData)}
 
 
@@ -401,25 +400,23 @@ _KINDS = {cls.kind: cls for cls in (QuadraticForm, LogisticData)}
 class ProblemSpec:
     """One l1-regularized problem: smooth part, l1 weight lam, step constant L."""
 
-    smooth: Smooth
+    smooth: SmoothLoss
     lam: float
     lipschitz: float
-    dim: int
 
     def __post_init__(self):
-        if not isinstance(self.smooth, (QuadraticForm, LogisticData)):
-            raise TypeError("smooth must be a QuadraticForm or LogisticData")
+        if not isinstance(self.smooth, SmoothLoss):
+            raise TypeError("smooth must be a SmoothLoss")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "lipschitz", float(self.lipschitz))
-        object.__setattr__(self, "dim", int(self.dim))
         if self.lam < 0.0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if not self.lipschitz > 0.0:
             raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
-        if self.dim != self.smooth.dim:
-            raise DimensionMismatchError(
-                f"dim {self.dim} does not match smooth part dimension {self.smooth.dim}"
-            )
+
+    @property
+    def dim(self) -> int:
+        return self.smooth.dim
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +443,7 @@ def objective(p: ProblemSpec, x) -> float:
 # Lipschitz-constant estimation
 # ---------------------------------------------------------------------------
 
-def estimate_lipschitz(smooth: Smooth) -> float:
+def estimate_lipschitz(smooth: SmoothLoss) -> float:
     """Certified gradient-Lipschitz constant of a smooth part, slightly inflated.
 
     Quadratic: largest eigenvalue of A. Logistic: sigma_max(X)^2 / (4 n).
@@ -483,7 +480,7 @@ def estimate_lipschitz(smooth: Smooth) -> float:
 
 def _problem(smooth, lam, lipschitz) -> ProblemSpec:
     L = estimate_lipschitz(smooth) if lipschitz is None else float(lipschitz)
-    return ProblemSpec(smooth, float(lam), L, smooth.dim)
+    return ProblemSpec(smooth, float(lam), L)
 
 
 def quadratic_problem(A, b, lam, lipschitz=None) -> ProblemSpec:

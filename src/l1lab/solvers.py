@@ -42,6 +42,9 @@ INNER_1D_TOL = 1e-12
 
 _ALGORITHMS = ("gd", "ccd", "ccm")
 
+# Rows run() allocates for iterates at first; the buffer doubles as it fills.
+_FIRST_ROWS = 64
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -83,9 +86,10 @@ class TauRecord:
 class Trace:
     """Record of one solver run: iterates, objective values, residuals.
 
-    run() gives ``iterates`` as an (n, d) array whose row k is iterate k;
-    the writers also take a list of rows. f_values[k] is the full
-    objective F at iterate k, residuals[k] the fixed-point residual.
+    run() gives ``iterates`` as an (n, d) array whose row k is iterate k,
+    the first n rows of its iterate buffer; the writers also take a list
+    of rows. f_values[k] is the full objective F at iterate k,
+    residuals[k] the fixed-point residual.
     ``inner`` optionally holds the within-sweep iterates (j = 0..d per
     sweep) for the coordinate methods, and ``tau_log`` the per-update
     threshold diagnostics of ccm (see SolverConfig). ``gradients`` is an
@@ -317,24 +321,6 @@ def secant_tau(g_deriv, z_old: float, z_new: float) -> float:
     return (float(g_deriv(z_new)) - float(g_deriv(z_old))) / (z_new - z_old)
 
 
-def _assess(p: ProblemSpec, W, values, images):
-    """Objective values and residuals of the iterates (rows of W), and the first fault.
-
-    values and images hold f and the prox-gradient image at each row. Row
-    k gives F = f + lam * ||x||_1 and the residual max |x - image|, as
-    objective() and optimality_residual() compute them for that iterate.
-    The fault is (row, what) at the first row whose F or residual is not
-    finite, F named first, or None.
-    """
-    F = values + p.lam * np.abs(W).sum(axis=1)
-    R = np.abs(W - images).max(axis=1)
-    bad = ~(np.isfinite(F) & np.isfinite(R))
-    if not bad.any():
-        return F, R, None
-    k = int(bad.argmax())
-    return F, R, (k, "residual" if math.isfinite(F[k]) else "objective value")
-
-
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:
     """Run one algorithm from x0 and record a full trace.
 
@@ -345,23 +331,28 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     iterate is named before F, and F before the residual. Such a fault
     also comes before any error of the sweep that starts from that iterate.
 
+    One loop makes the iterates, rows of a buffer that doubles as it fills.
     Every iterate gets F, its gradient, its prox-gradient image and its
-    residual. Without a stop rule, the iterates are made first, gd's each
-    the prox-gradient image of the one before; then one values_and_grads
-    of them all and one array pass give the rest. A stop rule needs each
-    residual as its iterate is made, so each iterate is then measured
-    alone, by values_and_grads of a one-row block: the same numbers.
+    residual from measure(), which takes the rows not yet measured as one
+    values_and_grads block (row i bitwise value_and_grad of that row). A
+    stop rule needs each residual before the next iterate is made, so each
+    iterate is then its own block, and gd steps to its measured image.
+    Without one, gd steps by its own grad and one block after the loop
+    measures every iterate: the same numbers.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
     cfg = cfg if cfg is not None else SolverConfig()
-    K = cfg.max_outer_iters
-    x = as_vector(x0, p.dim).copy()
+    K, stop = cfg.max_outer_iters, cfg.stop_residual
     kernel = None if alg == "gd" else CoordinateKernel(p, alg)
     record_inner = cfg.record_inner and kernel is not None
     inner = [] if record_inner else None
     tau_log = [] if cfg.record_tau and alg == "ccm" else None
+    W = np.empty((min(K + 1, _FIRST_ROWS), p.dim))
+    W[0] = as_vector(x0, p.dim)
+    blocks = []  # (G, F, R) of each measured block of rows, in order
+    measured = 0  # rows of W measured so far
 
     def sweep(w, k):
         # Sweep w in place from iterate k - 1 to iterate k.
@@ -370,71 +361,65 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         if record_inner:
             inner.append(sweep_inner)
 
-    def measure(W):
-        # f, grad f and the prox-gradient image at every row of W.
-        values, G = p.smooth.values_and_grads(W)
-        return values, G, prox_gradient_image(p, W, G)
-
     def fault(k, what):
         return NonFiniteIterateError(
             f"{alg} produced a non-finite {what} at iteration {k}", iteration=k
         )
 
+    def measure(n):
+        # Measure rows measured..n-1 of W as one block and raise its first
+        # fault, F named before the residual. F = f + lam * ||x||_1 and the
+        # residual max |x - image| are objective()'s and
+        # optimality_residual()'s. Return the last row's image and residual.
+        nonlocal measured
+        if n == measured:
+            return
+        B = W[measured:n]
+        values, G = p.smooth.values_and_grads(B)
+        images = prox_gradient_image(p, B, G)
+        F = values + p.lam * np.abs(B).sum(axis=1)
+        R = np.abs(B - images).max(axis=1)
+        bad = ~(np.isfinite(F) & np.isfinite(R))
+        if bad.any():
+            i = int(bad.argmax())
+            raise fault(measured + i, "residual" if math.isfinite(F[i]) else "objective value")
+        blocks.append((G, F, R))
+        measured = n
+        return images[-1], R[-1]
+
     # Overflow shows up as a non-finite value checked here, not as a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if cfg.stop_residual > 0.0:
-            rows = []  # (W, G, F, R) of each iterate, one row each
-            for k in range(K + 1):
-                if k > 0:
-                    if R[0] <= cfg.stop_residual:
-                        break
-                    if kernel is None:
-                        x = images[0]
-                    else:
-                        x = x.copy()
-                        sweep(x, k)
-                if not np.isfinite(x).all():
-                    raise fault(k, "iterate")
-                W = x[None]
-                values, G, images = measure(W)
-                F, R, bad = _assess(p, W, values, images)
-                if bad is not None:
-                    raise fault(k, bad[1])
-                rows.append((W, G, F, R))
-            W, G, F, R = map(np.concatenate, zip(*rows))
-        else:
-            n = K + 1  # iterates 0..n-1 are finite; iterate n, if n <= K, is not
-            W = np.empty((K + 1, p.dim))
-            W[0] = x
-            for k in range(1, K + 1):
-                if kernel is None:
-                    W[k] = prox_gradient_image(p, W[k - 1], p.smooth.grad(W[k - 1]))
-                else:
-                    W[k] = W[k - 1]
-                    try:
-                        sweep(W[k], k)
-                    except L1LabError:
-                        # A sweep from an iterate whose F or residual is not
-                        # finite may fail; that iterate's fault comes first.
-                        values, _, images = measure(W[:k])
-                        bad = _assess(p, W[:k], values, images)[2]
-                        if bad is not None:
-                            raise fault(*bad) from None
-                        raise
-                if not np.isfinite(W[k]).all():
+        n = K + 1  # iterates in the trace
+        for k in range(1, K + 1):
+            if stop > 0.0:
+                image, r = measure(k)
+                if r <= stop:
                     n = k
                     break
-            W = W[:n]
-            values, G, images = measure(W)
-            F, R, bad = _assess(p, W, values, images)
-            if bad is not None:
-                raise fault(*bad)
-            if n <= K:
-                raise fault(n, "iterate")
+            if k == len(W):
+                W = np.concatenate((W, np.empty((min(k, K + 1 - k), p.dim))))
+            if kernel is not None:
+                W[k] = W[k - 1]
+                try:
+                    sweep(W[k], k)
+                except L1LabError:
+                    # A sweep from an iterate whose F or residual is not
+                    # finite may fail; that iterate's fault comes first.
+                    measure(k)
+                    raise
+            elif stop > 0.0:
+                W[k] = image
+            else:
+                W[k] = prox_gradient_image(p, W[k - 1], p.smooth.grad(W[k - 1]))
+            if not np.isfinite(W[k]).all():
+                measure(k)
+                raise fault(k, "iterate")
+        measure(n)
 
+    G, F, R = map(np.concatenate, zip(*blocks))
     return Trace(
         algorithm=alg,
-        iterates=W,
+        iterates=W[:n],
         f_values=F.tolist(),
         residuals=R.tolist(),
         inner=inner,

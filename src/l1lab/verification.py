@@ -39,6 +39,8 @@ from .solvers import CoordinateKernel, SolverConfig, run
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
+# Residual at which the reference solve stops: its sweeps, or a polished point.
+_REFERENCE_STOP = 1e-12
 
 
 def _inf_norm(v):
@@ -120,33 +122,32 @@ class ReferenceSolution:
     method: str
 
 
-def reference_minimizer(
-    p: ProblemSpec, stop_residual: float = 1e-12, max_sweeps: int = 10 ** 6
-) -> ReferenceSolution:
+def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceSolution:
     """Solve p to high precision for use as the F* oracle.
 
     Runs exact coordinate minimization when every coordinate restriction
     is verifiably strictly convex, otherwise proximal-gradient steps, from
-    0 until the residual is at most stop_residual. Once the sign pattern of
-    an iterate equals the previous one, the smooth part's support polish
-    (the exact solve on the support for quadratics, Newton's method for
-    logistic data) is tried, at most once per pattern; a polished point
-    whose residual is at most stop_residual is returned at once. After n
-    failed attempts the next waits until a pattern has held for 2**n
-    sweeps, so the attempts stay few when the pattern keeps changing. Past
-    the sweeps the polish is tried once more, and the better of the two
-    points is kept. Raises when the final residual exceeds 1e-10.
+    0 until the residual is at most 1e-12 or max_sweeps sweeps are done.
+    Once the sign pattern of an iterate equals the previous one, the smooth
+    part's support polish (the exact solve on the support for quadratics,
+    Newton's method for logistic data) is tried, at most once per pattern;
+    a polished point whose residual is at most 1e-12 is returned at once.
+    After n failed attempts the next waits until a pattern has held for
+    2**n sweeps, so the attempts stay few when the pattern keeps changing.
+    Past the sweeps the polish is tried once more, and the better of the
+    two points is kept. Raises ReferenceSolveError when the final residual
+    exceeds 1e-10.
     """
     use_ccm = p.smooth.strictly_convex_coordinates()
     method = "ccm" if use_ccm else "gd"
     kernel = CoordinateKernel(p, "ccm") if use_ccm else None
     x = np.zeros(p.dim)
     pattern, held, tried = None, 0, set()
-    for sweeps in range(max_sweeps):
+    for sweeps in range(max_sweeps + 1):
         # One prox-gradient image per point: its residual and the gd step.
         image = prox_gradient_image(p, x, p.smooth.grad(x))
         best_res = _inf_norm(x - image)
-        if best_res <= stop_residual:
+        if best_res <= _REFERENCE_STOP or sweeps == max_sweeps:
             break
         last, pattern = pattern, np.sign(x).astype(np.int8).tobytes()
         held = held + 1 if pattern == last else 0
@@ -155,15 +156,12 @@ def reference_minimizer(
             cand = p.smooth.active_set_solution(x, p.lam)
             if cand is not None:
                 cand_res = optimality_residual(p, cand)
-                if cand_res <= stop_residual:
+                if cand_res <= _REFERENCE_STOP:
                     return _solution(p, cand, cand_res, method + "+active-set")
         nxt = kernel.sweep(x.copy()) if use_ccm else image
         if np.array_equal(nxt, x):
             break  # numerical fixed point of the sweep map
         x = nxt
-    else:
-        sweeps = max_sweeps
-        best_res = optimality_residual(p, x)  # the last sweep's x has no image yet
     cand = p.smooth.active_set_solution(x, p.lam)
     if cand is not None:
         cand_res = optimality_residual(p, cand)

@@ -12,14 +12,17 @@ import pytest
 
 from l1lab import (
     LogisticData,
+    ProblemSpec,
+    SolverConfig,
     estimate_lipschitz,
     f_grad,
     gen_zmatrix_quadratic,
     logistic_problem,
     optimality_residual,
     reference_minimizer,
+    run,
 )
-from l1lab.problems import problem_from_dict, problem_to_dict
+from l1lab.problems import SmoothLoss, problem_from_dict, problem_to_dict
 
 
 def small_logistic():
@@ -178,3 +181,42 @@ def test_values_and_grads_rows_are_bitwise_value_and_grad(kind, d):
             one_value, one_g = smooth.value_and_grad(w.copy())
             assert value == one_value
             assert g.tobytes() == one_g.tobytes()
+
+
+class DelegatingLoss(SmoothLoss):
+    """A loss l1lab does not name anywhere: every hook answers as a wrapped loss."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+
+for _hook in ("value", "grad", "value_and_grad", "values_and_grads", "ray_grads",
+              "lipschitz_matrix", "strictly_convex_coordinates", "sweep_state",
+              "coordinate_rows", "exact_steps", "isotonicity_certificate",
+              "start_fallback", "active_set_solution"):
+    setattr(DelegatingLoss, _hook,
+            lambda self, *args, _hook=_hook: getattr(self.inner, _hook)(*args))
+
+
+@pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
+def test_a_new_loss_runs_like_the_loss_it_wraps(alg):
+    # ProblemSpec takes any SmoothLoss, and the solvers ask it only the
+    # SmoothLoss questions: a loss that answers them as a quadratic does
+    # gives that quadratic's traces bit for bit.
+    q = gen_zmatrix_quadratic(7, seed=3)
+    loss = DelegatingLoss(q.smooth)
+    wrapped = ProblemSpec(loss, q.lam, estimate_lipschitz(loss))
+    assert wrapped.dim == q.dim and wrapped.lipschitz == q.lipschitz
+    x0 = np.linspace(-1.0, 2.0, q.dim)
+    for stop in (0.0, 1e-9):
+        cfg = SolverConfig(max_outer_iters=40, stop_residual=stop, record_inner=True)
+        want, got = run(alg, q, x0, cfg), run(alg, wrapped, x0, cfg)
+        for name in ("iterates", "gradients"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("f_values", "residuals", "inner"):
+            got_list, want_list = getattr(got, name), getattr(want, name)
+            assert np.array(got_list).tobytes() == np.array(want_list).tobytes(), name

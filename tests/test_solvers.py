@@ -351,6 +351,46 @@ def test_both_paths_raise_the_same_non_finite_fault():
                                             f"at iteration {iteration}")
 
 
+@pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
+def test_stop_rule_met_at_x0_gives_a_one_iterate_trace(alg):
+    for p in (gen_zmatrix_quadratic(6, seed=2), small_logistic_problem()):
+        x0 = np.linspace(-1.0, 1.5, p.dim)
+        trace = run(alg, p, x0, SolverConfig(max_outer_iters=20, stop_residual=1e300))
+        assert trace.iterates.shape == trace.gradients.shape == (1, p.dim)
+        assert trace.iterates[0].tobytes() == x0.tobytes()
+        assert trace.gradients[0].tobytes() == f_grad(p, x0).tobytes()
+        assert trace.f_values == [objective(p, x0)]
+        assert trace.residuals == [optimality_residual(p, x0)]
+
+
+@pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
+def test_stop_rule_run_allocates_the_rows_it_uses_not_max_outer_iters(alg):
+    # 10**12 rows could not be allocated: the iterate buffer grows with the run.
+    p = quadratic_problem([[1.0]], [-4.0], lam=1.0, lipschitz=1.0)
+    trace = run(alg, p, [0.0], SolverConfig(max_outer_iters=10 ** 12, stop_residual=1e-6))
+    assert len(trace.iterates) < 10 and trace.residuals[-1] <= 1e-6
+    buffer = trace.iterates if trace.iterates.base is None else trace.iterates.base
+    assert buffer.nbytes <= 2 ** 16
+
+
+@pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
+def test_both_schedules_agree_after_the_iterate_buffer_grows(alg):
+    # 200 iterations take the buffer past its first rows twice.
+    K, p = 200, gen_zmatrix_quadratic(5, seed=6)
+    x0 = np.linspace(2.0, -1.0, p.dim)
+    fixed = run(alg, p, x0, SolverConfig(max_outer_iters=K))
+    stopped = run(alg, p, x0, SolverConfig(max_outer_iters=K, stop_residual=NEVER_STOPS))
+    for trace in (fixed, stopped):
+        assert trace.iterates.shape == trace.gradients.shape == (K + 1, p.dim)
+    for name in ("iterates", "gradients", "f_values", "residuals"):
+        got, want = getattr(stopped, name), getattr(fixed, name)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name
+    for k in (0, 63, 64, 127, 128, K):
+        x = fixed.iterates[k]
+        assert fixed.f_values[k] == objective(p, x)
+        assert fixed.residuals[k] == optimality_residual(p, x)
+
+
 def test_run_rejects_unknown_algorithm():
     p = quadratic_problem([[1.0]], [0.0], lam=0.0, lipschitz=1.0)
     with pytest.raises(ValueError):
