@@ -11,8 +11,8 @@ files, reports, summaries, trace CSV and JSON). Each file that differs,
 or exists on one side only, is printed. The exit status is 1 when any
 does, 0 when none does, and 2 when <rev> cannot be extracted.
 
-This is a check for changes that mean to keep every output, not a test:
-a deliberate change of an output format makes it report differences.
+This is a check for changes that mean to keep every output: a deliberate
+change of an output format makes it report differences.
 """
 
 from __future__ import annotations
@@ -68,7 +68,23 @@ COMMANDS = (
     ("verify_logistic1d_sub", ["verify", "--problem", "logistic1d.json", "--iters", "60",
                                "--start", "sub", "--report", "logistic1d_sub_report.json",
                                "--summary", "logistic1d_sub_summary.csv"]),
+    # A step constant far below the true L: each run fails with exit status
+    # 1 naming the first non-finite objective value, with and without a
+    # stop rule.
+    ("run_diverging_gd", ["run", "--problem", "diverging.json", "--alg", "gd",
+                          "--prefix", "diverging_gd_"]),
+    ("run_diverging_gd_stop", ["run", "--problem", "diverging.json", "--alg", "gd",
+                               "--stop-residual", "1e-300", "--prefix", "diverging_gd_stop_"]),
+    ("run_diverging_ccd", ["run", "--problem", "diverging.json", "--alg", "ccd",
+                           "--prefix", "diverging_ccd_"]),
+    ("run_diverging_ccd_stop", ["run", "--problem", "diverging.json", "--alg", "ccd",
+                                "--stop-residual", "1e-300", "--prefix", "diverging_ccd_stop_"]),
 )
+
+# A 2x2 quadratic whose step constant L is far below its true Lipschitz
+# constant 3, so gd and ccd diverge.
+DIVERGING = {"kind": "quadratic", "A": [[2.0, -1.0], [-1.0, 2.0]], "b": [0.5, -0.3],
+             "lambda": 0.1, "L": 0.001}
 
 
 def logistic_problem_json(n=200, d=20, lam=0.02, seed=0):
@@ -97,6 +113,7 @@ def run_all(src, out):
     (out / "logistic.json").write_text(logistic_problem_json(), encoding="utf-8")
     (out / "logistic1d.json").write_text(logistic_problem_json(n=50, d=1, lam=0.05, seed=1),
                                          encoding="utf-8")
+    (out / "diverging.json").write_text(json.dumps(DIVERGING), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

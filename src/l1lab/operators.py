@@ -61,7 +61,7 @@ def prox_gradient_image(p: ProblemSpec, x: np.ndarray, g: np.ndarray) -> np.ndar
 def optimality_residual(p: ProblemSpec, x) -> float:
     """Sup-norm distance between x and its proximal-gradient image."""
     x = as_vector(x, p.dim)
-    return float(np.max(np.abs(x - prox_gradient_map(p, x))))
+    return float(np.max(np.abs(x - prox_gradient_image(p, x, p.smooth.grad(x)))))
 
 
 class Kind(enum.Enum):

@@ -100,10 +100,8 @@ class SmoothLoss:
     Subclasses are frozen dataclasses whose fields are the arrays of their
     problem files, in file order, and whose class attribute ``kind`` tags
     those files. Each provides dim, the number of coordinates; value(x)
-    and grad(x) at a validated vector x, and value_and_grad(x), bitwise
-    (value(x), grad(x)) from one product with the data;
-    values_and_grads(W), whose row i is bitwise
-    value_and_grad(W[i]) for a stack W of points, one row each (stacked
+    and grad(x) at a validated vector x; values_and_grads(W), whose row i
+    is bitwise (value(W[i]), grad(W[i])) for a stack W of points (stacked
     np.matmul shapes give each row the BLAS call of the one-point
     product; one matrix product over all rows, such as W @ A, would
     round differently);
@@ -205,10 +203,6 @@ class QuadraticForm(SmoothLoss):
 
     def grad(self, x):
         return self.A @ x + self.b
-
-    def value_and_grad(self, x):
-        Ax = self.A @ x
-        return float(0.5 * x @ Ax + self.b @ x), Ax + self.b
 
     def values_and_grads(self, W):
         AW = np.matmul(self.A, W[:, :, None])
@@ -323,20 +317,14 @@ class LogisticData(SmoothLoss):
         return float(np.logaddexp(0.0, -m).mean())
 
     def grad(self, x):
-        return self._grad_at_margins(self.Y * (self.X @ x))
-
-    def value_and_grad(self, x):
         m = self.Y * (self.X @ x)
-        return float(np.logaddexp(0.0, -m).mean()), self._grad_at_margins(m)
+        return -(self.X.T @ (self.Y * _expit(-m))) / self.n
 
     def values_and_grads(self, W):
         M = self.Y * np.matmul(self.X, W[:, :, None])[:, :, 0]
         S = self.Y * _expit(-M)
         G = -np.matmul(self.X.T, S[:, :, None])[:, :, 0] / self.n
         return np.logaddexp(0.0, -M).mean(axis=1), G
-
-    def _grad_at_margins(self, m):
-        return -(self.X.T @ (self.Y * _expit(-m))) / self.n
 
     def lipschitz_matrix(self):
         # sigma_max(X)^2 / (4 n), from the smaller of the two Gram matrices.
@@ -436,7 +424,7 @@ def f_grad(p: ProblemSpec, x) -> np.ndarray:
 def objective(p: ProblemSpec, x) -> float:
     """Full objective F(x) = f(x) + lam * ||x||_1."""
     x = as_vector(x, p.dim)
-    return f_value(p, x) + p.lam * float(np.abs(x).sum())
+    return p.smooth.value(x) + p.lam * float(np.abs(x).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +444,7 @@ def estimate_lipschitz(smooth: SmoothLoss) -> float:
     DataOverflowError when H or L overflows float64.
     """
     if not isinstance(smooth, SmoothLoss):
-        raise TypeError("smooth must be a QuadraticForm or LogisticData")
+        raise TypeError("smooth must be a SmoothLoss")
     with np.errstate(over="ignore"):
         H = smooth.lipschitz_matrix()
         top = float(np.linalg.eigvalsh(H)[-1]) if np.isfinite(H).all() else math.inf

@@ -13,7 +13,6 @@ comparable across algorithms.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from itertools import chain
 from operator import attrgetter
@@ -53,9 +52,9 @@ class SolverConfig:
     stop_residual is a sup-norm fixed-point residual threshold; the
     default 0 disables early stopping so exactly max_outer_iters
     iterations run. record_inner keeps the within-sweep iterates of ccd
-    and ccm, record_tau the TauRecord of every non-trivial ccm update;
-    both are off by default, since they cost time and memory per
-    coordinate.
+    and ccm, derived from the iterates after the run ((d + 1) d floats
+    per sweep); record_tau keeps the TauRecord of every non-trivial ccm
+    update, which costs time per coordinate. Both are off by default.
     """
 
     max_outer_iters: int = 100
@@ -90,8 +89,10 @@ class Trace:
     the first n rows of its iterate buffer; the writers also take a list
     of rows. f_values[k] is the full objective F at iterate k,
     residuals[k] the fixed-point residual.
-    ``inner`` optionally holds the within-sweep iterates (j = 0..d per
-    sweep) for the coordinate methods, and ``tau_log`` the per-update
+    ``inner`` optionally holds the within-sweep iterates of ccd and ccm:
+    run() gives an (n - 1, d + 1, d) array whose [k, j] is the point after
+    j coordinate steps of the sweep from iterate k ([k, 0] is iterate k,
+    [k, d] iterate k + 1). ``tau_log`` optionally holds the per-update
     threshold diagnostics of ccm (see SolverConfig). ``gradients`` is an
     (n, d) array whose row k is grad f at iterate k, bitwise f_grad's; it
     is kept in memory for classifying the iterates and is not written to
@@ -102,7 +103,7 @@ class Trace:
     iterates: np.ndarray | list
     f_values: list
     residuals: list
-    inner: list | None = None
+    inner: np.ndarray | list | None = None
     tau_log: list | None = None
     gradients: np.ndarray | list | None = None
 
@@ -194,20 +195,18 @@ class CoordinateKernel:
         self.steps = [p.lipschitz] * p.dim if exact is None else exact
         self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
 
-    def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None,
-              inner: list | None = None) -> np.ndarray:
+    def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.
 
-        Appends to ``taus`` a TauRecord (sweep index k) per non-trivial
-        update, and to ``inner`` the within-sweep iterates j = 0..d, when
-        those lists are given.
+        Each coordinate changes once, so the point after j steps is the
+        returned w on coordinates < j and the given w on the rest. Appends
+        to ``taus``, when given, a TauRecord (sweep index k) per non-trivial
+        update.
         """
         lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
         state = self.p.smooth.sweep_state(w)
         if self.solve_1d:
             buf = np.empty_like(state)
-        if inner is not None:
-            inner.append(w.copy())
         for j, s in enumerate(self.steps):
             z_old = float(w[j])
             c = rows[j]
@@ -237,8 +236,6 @@ class CoordinateKernel:
                         tau = (g_deriv(z_new) - gj) / delta
                     taus.append(TauRecord(k, j, z_old, z_new, gj, tau))
             w[j] = z_new
-            if inner is not None:
-                inner.append(w.copy())
         return w
 
 
@@ -329,16 +326,19 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     NonFiniteIterateError, naming the iteration, at the first iterate,
     objective value or residual that is not finite; at one iteration the
     iterate is named before F, and F before the residual. Such a fault
-    also comes before any error of the sweep that starts from that iterate.
+    also comes before any error of a sweep that starts from that iterate
+    or a later one.
 
-    One loop makes the iterates, rows of a buffer that doubles as it fills.
-    Every iterate gets F, its gradient, its prox-gradient image and its
-    residual from measure(), which takes the rows not yet measured as one
-    values_and_grads block (row i bitwise value_and_grad of that row). A
-    stop rule needs each residual before the next iterate is made, so each
+    One loop only makes the iterates, rows of a buffer that doubles as it
+    fills. measure() takes the rows not yet measured as one block: their
+    finiteness, F, gradients (one values_and_grads call, row i bitwise
+    (value(W[i]), grad(W[i]))), prox-gradient images and residuals. A stop
+    rule needs each residual before the next iterate is made, so each
     iterate is then its own block, and gd steps to its measured image.
-    Without one, gd steps by its own grad and one block after the loop
-    measures every iterate: the same numbers.
+    Without one, gd steps by its own grad, and a block is measured before
+    the buffer grows and after the loop: the same numbers, and a diverging
+    run stops within one block. The within-sweep iterates of ccd and ccm
+    are derived from the iterates after the loop.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
@@ -346,31 +346,18 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     cfg = cfg if cfg is not None else SolverConfig()
     K, stop = cfg.max_outer_iters, cfg.stop_residual
     kernel = None if alg == "gd" else CoordinateKernel(p, alg)
-    record_inner = cfg.record_inner and kernel is not None
-    inner = [] if record_inner else None
     tau_log = [] if cfg.record_tau and alg == "ccm" else None
     W = np.empty((min(K + 1, _FIRST_ROWS), p.dim))
     W[0] = as_vector(x0, p.dim)
     blocks = []  # (G, F, R) of each measured block of rows, in order
     measured = 0  # rows of W measured so far
 
-    def sweep(w, k):
-        # Sweep w in place from iterate k - 1 to iterate k.
-        sweep_inner = [] if record_inner else None
-        kernel.sweep(w, k - 1, tau_log, sweep_inner)
-        if record_inner:
-            inner.append(sweep_inner)
-
-    def fault(k, what):
-        return NonFiniteIterateError(
-            f"{alg} produced a non-finite {what} at iteration {k}", iteration=k
-        )
-
     def measure(n):
         # Measure rows measured..n-1 of W as one block and raise its first
-        # fault, F named before the residual. F = f + lam * ||x||_1 and the
-        # residual max |x - image| are objective()'s and
-        # optimality_residual()'s. Return the last row's image and residual.
+        # fault: the first bad row, its iterate named before F and F before
+        # the residual. F = f + lam * ||x||_1 and the residual
+        # max |x - image| are objective()'s and optimality_residual()'s.
+        # Return the last row's image and residual.
         nonlocal measured
         if n == measured:
             return
@@ -379,10 +366,17 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         images = prox_gradient_image(p, B, G)
         F = values + p.lam * np.abs(B).sum(axis=1)
         R = np.abs(B - images).max(axis=1)
-        bad = ~(np.isfinite(F) & np.isfinite(R))
-        if bad.any():
-            i = int(bad.argmax())
-            raise fault(measured + i, "residual" if math.isfinite(F[i]) else "objective value")
+        ok = np.isfinite(F) & np.isfinite(R)
+        if not ok.all():
+            # A non-finite iterate makes F non-finite too (its l1 term is
+            # inf, or NaN at lam = 0), so the first bad row is found here.
+            i = int(ok.argmin())
+            what = ("iterate" if not np.isfinite(B[i]).all() else
+                    "objective value" if not np.isfinite(F[i]) else "residual")
+            k = measured + i
+            raise NonFiniteIterateError(
+                f"{alg} produced a non-finite {what} at iteration {k}", iteration=k
+            )
         blocks.append((G, F, R))
         measured = n
         return images[-1], R[-1]
@@ -397,25 +391,31 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                     n = k
                     break
             if k == len(W):
+                # Measured before the buffer grows, a diverging run stops
+                # within one block.
+                measure(k)
                 W = np.concatenate((W, np.empty((min(k, K + 1 - k), p.dim))))
             if kernel is not None:
                 W[k] = W[k - 1]
                 try:
-                    sweep(W[k], k)
+                    kernel.sweep(W[k], k - 1, tau_log)
                 except L1LabError:
-                    # A sweep from an iterate whose F or residual is not
-                    # finite may fail; that iterate's fault comes first.
+                    # A sweep from a non-finite iterate, or from one whose F
+                    # or residual is not finite, may fail; its fault comes first.
                     measure(k)
                     raise
             elif stop > 0.0:
                 W[k] = image
             else:
                 W[k] = prox_gradient_image(p, W[k - 1], p.smooth.grad(W[k - 1]))
-            if not np.isfinite(W[k]).all():
-                measure(k)
-                raise fault(k, "iterate")
         measure(n)
 
+    inner = None
+    if cfg.record_inner and kernel is not None:
+        # Sweep k changes each coordinate once, in order: after j steps it is
+        # at iterate k + 1 on coordinates < j and at iterate k on the rest.
+        inner = np.where(np.tri(p.dim + 1, p.dim, -1, dtype=bool),
+                         W[1:n, None, :], W[:n - 1, None, :])
     G, F, R = map(np.concatenate, zip(*blocks))
     return Trace(
         algorithm=alg,

@@ -127,6 +127,11 @@ def test_estimate_lipschitz_ones_start_trap():
     assert L == pytest.approx(3.0 * INFL, rel=1e-9)
 
 
+def test_estimate_lipschitz_rejects_what_is_not_a_smooth_loss():
+    with pytest.raises(TypeError, match="must be a SmoothLoss"):
+        estimate_lipschitz(np.eye(2))
+
+
 def test_estimate_lipschitz_logistic():
     smooth = LogisticData([[2.0]], [1.0])
     L = estimate_lipschitz(smooth)

@@ -129,14 +129,6 @@ def test_estimate_lipschitz_bounds_gradient_difference_quotients(problem):
     assert 0.0 < worst <= L * (1.0 + 1e-12)
 
 
-def test_value_and_grad_is_bitwise_value_and_grad(problem):
-    smooth = problem.smooth
-    for x in points(problem, 10, seed=5) + [np.zeros(problem.dim), np.ones(problem.dim)]:
-        value, g = smooth.value_and_grad(x)
-        assert value == smooth.value(x)
-        assert g.tobytes() == smooth.grad(x).tobytes()
-
-
 def test_ray_grads_is_bitwise_grad_at_each_rung(problem):
     # The start search's ladder: powers of two from 1 to 2**40.
     smooth, ladder = problem.smooth, np.array([2.0 ** i for i in range(41)])
@@ -178,9 +170,8 @@ def test_values_and_grads_rows_are_bitwise_value_and_grad(kind, d):
         values, G = smooth.values_and_grads(block)
         assert values.shape == (len(block),) and G.shape == block.shape
         for w, value, g in zip(block, values, G):
-            one_value, one_g = smooth.value_and_grad(w.copy())
-            assert value == one_value
-            assert g.tobytes() == one_g.tobytes()
+            assert value == smooth.value(w.copy())
+            assert g.tobytes() == smooth.grad(w.copy()).tobytes()
 
 
 class DelegatingLoss(SmoothLoss):
@@ -194,7 +185,7 @@ class DelegatingLoss(SmoothLoss):
         return self.inner.dim
 
 
-for _hook in ("value", "grad", "value_and_grad", "values_and_grads", "ray_grads",
+for _hook in ("value", "grad", "values_and_grads", "ray_grads",
               "lipschitz_matrix", "strictly_convex_coordinates", "sweep_state",
               "coordinate_rows", "exact_steps", "isotonicity_certificate",
               "start_fallback", "active_set_solution"):

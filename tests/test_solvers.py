@@ -67,7 +67,7 @@ def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch):
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    for name in ("value", "grad", "value_and_grad", "values_and_grads"):
+    for name in ("value", "grad", "values_and_grads"):
         counted(name)
     K = 25
     trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
@@ -123,12 +123,50 @@ def test_ccd_sweep_uses_refreshed_gradient():
 
 def test_ccd_sweep_records_inner_iterates():
     p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [-1.0, -1.0], lam=0.1, lipschitz=3.0)
-    inner = []
-    swept = CoordinateKernel(p, "ccd").sweep(np.array([1.0, 1.0]), inner=inner)
+    trace = run("ccd", p, [1.0, 1.0], SolverConfig(max_outer_iters=1, record_inner=True))
+    inner = trace.inner[0]
     assert len(inner) == 3
     np.testing.assert_array_equal(inner[0], [1.0, 1.0])
-    np.testing.assert_array_equal(inner[-1], swept)
+    np.testing.assert_array_equal(inner[-1], trace.iterates[1])
     assert inner[1][1] == 1.0  # second coordinate untouched after first update
+
+
+def replay_quadratic_ccd(p, x0, K):
+    """The within-sweep points of K ccd sweeps, one coordinate step at a time."""
+    A, b = p.smooth.A, p.smooth.b
+    w, sweeps = np.array(x0, dtype=float), []
+    for _ in range(K):
+        points = [w.copy()]
+        for j in range(p.dim):
+            w[j] = soft(w[j] - (A[j] @ w + b[j]) / p.lipschitz, p.lam / p.lipschitz)
+            points.append(w.copy())
+        sweeps.append(points)
+    return np.array(sweeps)
+
+
+@pytest.mark.parametrize("alg", ["ccd", "ccm"])
+def test_inner_iterates_are_the_sweeps_coordinate_steps(alg):
+    # run() derives the within-sweep points from the iterates: one sweep
+    # changes each coordinate once, in order.
+    K = 12
+    for p in (gen_zmatrix_quadratic(7, seed=5), small_logistic_problem()):
+        d, x0 = p.dim, np.linspace(-1.0, 2.0, p.dim)
+        for stop in (0.0, NEVER_STOPS):
+            cfg = SolverConfig(max_outer_iters=K, stop_residual=stop, record_inner=True)
+            trace = run(alg, p, x0, cfg)
+            W, inner = trace.iterates, trace.inner
+            assert inner.shape == (len(W) - 1, d + 1, d) == (K, d + 1, d)
+            for k, sweep in enumerate(inner):
+                assert sweep[0].tobytes() == W[k].tobytes()
+                assert sweep[d].tobytes() == W[k + 1].tobytes()
+                for j in range(d):
+                    moved = np.flatnonzero(sweep[j + 1] != sweep[j])
+                    assert set(moved.tolist()) <= {j}
+            if alg == "ccd" and p.smooth.kind == "quadratic":
+                np.testing.assert_allclose(inner, replay_quadratic_ccd(p, x0, K),
+                                           rtol=1e-12, atol=0.0)
+    gd = run("gd", p, x0, SolverConfig(max_outer_iters=K, record_inner=True))
+    assert gd.inner is None
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +319,47 @@ def test_run_detects_non_finite_iterates():
             assert 1 <= k < 400 and f"iteration {k}" in str(exc.value)
             before = run(alg, p, [0.0, 0.0], SolverConfig(max_outer_iters=k - 1))
         assert np.isfinite(before.f_values).all() and np.isfinite(before.residuals).all()
+
+
+def test_a_non_finite_iterate_is_named_before_its_objective_value():
+    # ccd's second coordinate step overflows from a finite iterate 0 whose
+    # F and residual are finite; iterate 1's F is not finite either (its l1
+    # term is inf, or NaN at lam = 0), and the iterate is named.
+    for lam in (0.1, 0.0):
+        p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=lam,
+                              lipschitz=1e-300)
+        for stop in (0.0, NEVER_STOPS):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteIterateError) as exc:
+                    run("ccd", p, [0.0, 0.0], SolverConfig(max_outer_iters=5, stop_residual=stop))
+            assert exc.value.iteration == 1
+            assert str(exc.value) == "ccd produced a non-finite iterate at iteration 1"
+
+
+def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch):
+    # The low-L case above: F overflows at iteration 45. A budget of 10**6
+    # iterations raises the same fault, measured before the row buffer
+    # first grows, so gd takes fewer than 128 steps.
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
+    errors, steps = [], []
+    cls = type(p.smooth)
+    original = cls.grad
+
+    def counted(self, x):
+        steps.append(1)
+        return original(self, x)
+
+    for K in (400, 10 ** 6):
+        monkeypatch.setattr(cls, "grad", counted)
+        steps.clear()
+        with pytest.raises(NonFiniteIterateError) as exc:
+            run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=K))
+        monkeypatch.undo()
+        errors.append((exc.value.iteration, str(exc.value)))
+    assert errors[0] == errors[1] == (45, "gd produced a non-finite objective value "
+                                          "at iteration 45")
+    assert len(steps) < 128
 
 
 # A stop rule that cannot fire: no residual below is exactly zero.
