@@ -60,6 +60,10 @@ COMMANDS = (
                     "--report", "d60_report.json", "--summary", "d60_summary.csv"]),
     ("verify_d300", ["verify", "--dim", "300", "--iters", "20", "--report", "d300_report.json",
                      "--summary", "d300_summary.csv"]),
+    # Large enough that the compiled quadratic sweep carries the run.
+    ("verify_d300_sub", ["verify", "--dim", "300", "--seed", "5", "--iters", "30",
+                         "--start", "sub", "--report", "d300_sub_report.json",
+                         "--summary", "d300_sub_summary.csv"]),
     # Logistic data have no exact isotonicity certificate, so these take
     # the sampled check.
     ("verify_logistic1d_super", ["verify", "--problem", "logistic1d.json", "--iters", "60",

@@ -1,0 +1,139 @@
+"""The compiled quadratic sweep: _qsweep.c, built with the system cc on first use.
+
+load() returns the C function, or None when it cannot be had; the caller
+then keeps the numpy sweep. Nothing here runs at import.
+
+The library is cached per user in ``$XDG_CACHE_HOME/l1lab`` (by default
+``~/.cache/l1lab``), a directory created with mode 0700 and used only if
+this user owns it and no one else may write to it. Its name carries the
+hash of the source and the flags, and the digest of its own bytes: a
+build is written under a unique temporary name and then renamed into
+place, and a file whose bytes do not match its name (truncated or
+corrupt) is never loaded, because loading such a file can crash the
+process. When the cache cannot be used, the library is built in a private
+temporary directory, which is removed once the library is loaded.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_qsweep.c")
+
+# No FMA contraction and no fast-math: every operation rounds as numpy's.
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+_COMPILE_TIMEOUT_S = 60
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "l1lab")
+
+
+def _private_dir(path: Path) -> bool:
+    """Create ``path`` (mode 0700) if it is missing; True if it is a real
+    directory owned by this user that no one else may write to."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _cached(directory: Path, key: str) -> Path | None:
+    """A library built for ``key`` whose bytes match the digest in its name."""
+    for path in sorted(directory.glob(f"qsweep-{key}-*.so")):
+        try:
+            data = path.read_bytes()
+        except OSError:
+            continue
+        if path.name == f"qsweep-{key}-{_digest(data)}.so":
+            return path
+    return None
+
+
+def _compile(cc: str, directory: Path, key: str) -> Path | None:
+    """Build into a unique temporary name in ``directory`` and rename it into place."""
+    tmp = directory / f".qsweep-{key}-{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        done = subprocess.run([cc, *FLAGS, "-o", str(tmp), str(SOURCE)],
+                              capture_output=True, timeout=_COMPILE_TIMEOUT_S)
+        if done.returncode != 0:
+            return None
+        path = directory / f"qsweep-{key}-{_digest(tmp.read_bytes())}.so"
+        os.replace(tmp, path)
+        return path
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def _open(path: Path | None):
+    if path is None:
+        return None
+    try:
+        fn = ctypes.CDLL(str(path)).qsweep
+    except OSError:
+        return None
+    fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
+                   ctypes.c_void_p, ctypes.c_void_p)
+    fn.restype = None
+    return fn
+
+
+@functools.cache
+def load():
+    """The C sweep ``qsweep(d, A, steps, lam, w, state)``, or None.
+
+    Looks up the cache first and compiles on a miss; without a ``cc`` on
+    PATH, a failed compile or an unusable cache and temporary directory it
+    returns None, as it does off POSIX systems. It raises nothing and warns
+    nothing.
+    """
+    if os.name != "posix":
+        return None
+    try:
+        source = SOURCE.read_bytes()
+    except OSError:
+        return None
+    key = _digest(b"\0".join([source, *map(str.encode, FLAGS), platform.machine().encode()]))
+    cc = shutil.which("cc")
+    directory = _cache_dir()
+    if _private_dir(directory):
+        fn = _open(_cached(directory, key))
+        if fn is None and cc is not None:
+            fn = _open(_compile(cc, directory, key))
+        if fn is not None:
+            return fn
+    if cc is None:
+        return None
+    try:
+        private = Path(tempfile.mkdtemp(prefix="l1lab-qsweep-"))
+    except OSError:
+        return None
+    try:
+        # The loaded library stays mapped after its file is removed.
+        return _open(_compile(cc, private, key))
+    finally:
+        shutil.rmtree(private, ignore_errors=True)

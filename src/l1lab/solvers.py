@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 
@@ -185,6 +186,14 @@ class CoordinateKernel:
     margins Y * (X @ w) / 2 of logistic data, and then updates it after
     every coordinate (state += delta * rows[j]). A coordinate thus costs
     O(d) or O(n), and rounding drift in the state lasts at most one sweep.
+
+    When the state is the gradient itself (deriv is None) and the rows are
+    a C-contiguous float64 d x d array, a sweep of a float64 w without
+    ``taus`` runs its loop in C (``_qsweep.c``, built on first use): the
+    same float operations in the same order, so the same bits. The C loop
+    works on buffers of the kernel, into which w and the state are copied,
+    so every pointer is taken once. ``compiled`` is None when that path is
+    off, for instance when there is no compiler.
     """
 
     def __init__(self, p: ProblemSpec, alg: str):
@@ -194,6 +203,19 @@ class CoordinateKernel:
         self.solve_1d = alg == "ccm" and exact is None
         self.steps = [p.lipschitz] * p.dim if exact is None else exact
         self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
+        self.compiled = None
+        rows, d = self.rows, p.dim
+        if (self.deriv is None and isinstance(rows, np.ndarray) and rows.dtype == np.float64
+                and rows.shape == (d, d) and rows.flags.c_contiguous and rows.flags.aligned):
+            from . import _qsweep  # imported, and built, only when a sweep needs it
+
+            fn = _qsweep.load()
+            if fn is not None:
+                # The arrays behind the pointers live as long as the kernel.
+                self._steps = np.array(self.steps, dtype=np.float64)
+                self._w, self._state = np.empty(d), np.empty(d)
+                self.compiled = partial(fn, d, rows.ctypes.data, self._steps.ctypes.data, p.lam,
+                                        self._w.ctypes.data, self._state.ctypes.data)
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.
@@ -203,8 +225,15 @@ class CoordinateKernel:
         to ``taus``, when given, a TauRecord (sweep index k) per non-trivial
         update.
         """
-        lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
         state = self.p.smooth.sweep_state(w)
+        if (self.compiled is not None and taus is None
+                and w.dtype == np.float64 and state.dtype == np.float64):
+            self._w[...] = w
+            self._state[...] = state
+            self.compiled()
+            w[...] = self._w
+            return w
+        lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
         if self.solve_1d:
             buf = np.empty_like(state)
         for j, s in enumerate(self.steps):

@@ -1,5 +1,6 @@
-"""The incremental coordinate kernel against a plain reference sweep, and
-the bracketed-secant 1-D solver.
+"""The incremental coordinate kernel against a plain reference sweep, the
+compiled quadratic sweep against the numpy one, and the bracketed-secant
+1-D solver.
 
 The reference sweeps below recompute every coordinate gradient from
 scratch (a row product for quadratics, the full X @ w for logistic data)
@@ -11,14 +12,20 @@ import numpy as np
 import pytest
 
 from l1lab import (
+    NonFiniteIterateError,
     QuadraticForm,
     SolverConfig,
+    find_subsolution,
+    find_supersolution,
     gen_zmatrix_quadratic,
     logistic_problem,
+    quadratic_problem,
+    reference_minimizer,
     run,
     solve_1d_prox,
 )
-from l1lab.solvers import INNER_1D_TOL
+from l1lab import _qsweep
+from l1lab.solvers import INNER_1D_TOL, CoordinateKernel
 
 SWEEPS = 20
 RTOL = 1e-12
@@ -114,16 +121,18 @@ def reference_run(alg, p, x0, sweeps, tol):
 
 def assert_same_run(p, alg, x0, atol_of_ref, resolved=0.0):
     """Kernel and reference agree on every iterate and on the (k, j) of
-    every non-trivial ccm update larger than ``resolved``."""
-    cfg = SolverConfig(max_outer_iters=SWEEPS, record_tau=True)
-    trace = run(alg, p, x0, cfg)
+    every non-trivial ccm update larger than ``resolved``. Logging ccm's
+    updates, which keeps a quadratic on the numpy loop, changes no iterate."""
+    trace = run(alg, p, x0, SolverConfig(max_outer_iters=SWEEPS))
     ref, updates = reference_run(alg, p, x0, SWEEPS, INNER_1D_TOL)
     assert len(trace.iterates) == len(ref)
     for k, (got, want) in enumerate(zip(trace.iterates, ref)):
         err = float(np.max(np.abs(got - want)))
         assert err <= atol_of_ref(want), (alg, k, err)
     if alg == "ccm":
-        logged = {(t.k, t.j): abs(t.z_new - t.z_old) for t in trace.tau_log}
+        logging = run(alg, p, x0, SolverConfig(max_outer_iters=SWEEPS, record_tau=True))
+        assert same_bits(logging.iterates, trace.iterates)
+        logged = {(t.k, t.j): abs(t.z_new - t.z_old) for t in logging.tau_log}
         assert list(logged) == sorted(logged)
         for mine, other in ((logged, updates), (updates, logged)):
             assert {key for key, size in mine.items() if size > resolved} <= set(other)
@@ -133,14 +142,105 @@ def relative(want):
     return RTOL * float(np.max(np.abs(want)))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request, monkeypatch):
+    """The quadratic sweep under test: the C loop, or the numpy loop it replaces."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_qsweep, "load", lambda: None)
+    elif _qsweep.load() is None:
+        pytest.skip("the compiled sweep cannot be built here")
+    return request.param
+
+
 @pytest.mark.parametrize("alg", ["ccd", "ccm"])
-def test_kernel_matches_reference_sweep_on_quadratics(alg):
+def test_kernel_matches_reference_sweep_on_quadratics(alg, kernel):
     rng = np.random.default_rng(7)
     for seed in range(12):
         d = int(rng.integers(2, 51))
         p = gen_zmatrix_quadratic(d, seed=seed, density=(0.2, 0.5, 0.9)[seed % 3])
+        assert (CoordinateKernel(p, alg).compiled is not None) == (kernel == "compiled")
         x0 = rng.uniform(-3.0, 3.0, size=d)
         assert_same_run(p, alg, x0, relative)
+
+
+# ---------------------------------------------------------------------------
+# The compiled quadratic sweep: bitwise the numpy one
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def both_kernels(monkeypatch):
+    """Call f() with the compiled sweep, then with the numpy one; return both results."""
+    if _qsweep.load() is None:
+        pytest.skip("the compiled sweep cannot be built here")
+
+    def call(f):
+        compiled = f()
+        with monkeypatch.context() as m:
+            m.setattr(_qsweep, "load", lambda: None)
+            return compiled, f()
+
+    return call
+
+
+def assert_same_traces(both_kernels, p, x0, K):
+    cfg = SolverConfig(max_outer_iters=K, record_inner=True)
+    for alg in ("ccd", "ccm"):
+        assert CoordinateKernel(p, alg).compiled is not None
+        compiled, numpy_ = both_kernels(lambda: run(alg, p, x0, cfg))
+        for name in ("iterates", "f_values", "residuals", "gradients", "inner"):
+            assert same_bits(getattr(compiled, name), getattr(numpy_, name)), (alg, name)
+
+
+def assert_same_reference(both_kernels, p):
+    compiled, numpy_ = both_kernels(lambda: reference_minimizer(p))
+    assert same_bits(compiled.x_star, numpy_.x_star)
+    assert same_bits(compiled.f_star, numpy_.f_star)
+    assert compiled.method == numpy_.method
+
+
+def test_compiled_sweep_is_bitwise_the_numpy_sweep_on_the_acceptance_family(both_kernels):
+    for seed in range(50):
+        # The acceptance suite's instances and starts.
+        p = gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
+                                  density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
+        for x0 in (find_supersolution(p, seed=seed), find_subsolution(p, seed=seed)):
+            assert_same_traces(both_kernels, p, x0, 200)
+        assert_same_reference(both_kernels, p)
+
+
+@pytest.mark.parametrize("d", [300, 500])
+def test_compiled_sweep_is_bitwise_the_numpy_sweep_at_large_d(both_kernels, d):
+    p = gen_zmatrix_quadratic(d, seed=d)
+    assert_same_traces(both_kernels, p, np.random.default_rng(d).uniform(-3.0, 3.0, d), 50)
+    assert_same_reference(both_kernels, p)
+
+
+def test_compiled_sweep_is_bitwise_the_numpy_sweep_at_lam_zero(both_kernels):
+    for seed in range(4):
+        q = gen_zmatrix_quadratic(8 + seed, seed=seed).smooth
+        p = quadratic_problem(q.A, q.b, lam=0.0)
+        assert_same_traces(both_kernels, p, np.full(p.dim, 2.0), 100)
+        assert_same_reference(both_kernels, p)
+
+
+def test_compiled_sweep_diverges_as_the_numpy_sweep_does(both_kernels):
+    # A step constant far below the true L: ccd's iterates overflow, and
+    # both kernels name the same first non-finite value.
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
+
+    def fault():
+        with pytest.raises(NonFiniteIterateError) as exc:
+            run("ccd", p, [0.0, 0.0], SolverConfig(max_outer_iters=400))
+        return exc.value.iteration, str(exc.value)
+
+    compiled, numpy_ = both_kernels(fault)
+    assert compiled == numpy_
+    assert compiled[0] == 26
 
 
 def test_kernel_matches_reference_sweep_on_logistic_ccd():

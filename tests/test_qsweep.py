@@ -1,0 +1,199 @@
+"""Building, caching and loading the compiled quadratic sweep.
+
+Every way the build can fail leaves the numpy sweep in use, with the same
+bits and with no exception and no warning. The cache directory is chosen
+through XDG_CACHE_HOME, and a fake ``cc`` on PATH stands in for a broken
+compiler. Cases that load a library from a damaged cache, or that must
+start from a fresh interpreter, run in subprocesses.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import l1lab
+from l1lab import SolverConfig, _qsweep, gen_zmatrix_quadratic, run
+from l1lab.solvers import CoordinateKernel
+
+HAS_CC = shutil.which("cc") is not None
+needs_cc = pytest.mark.skipif(not HAS_CC, reason="no cc on PATH")
+SRC = Path(l1lab.__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+# Run in a subprocess: prints whether the kernel is compiled and whether a
+# ccd run has the bits of the numpy sweep.
+CHILD = textwrap.dedent("""
+    import numpy as np
+    from l1lab import SolverConfig, _qsweep, gen_zmatrix_quadratic, run
+    from l1lab.solvers import CoordinateKernel
+
+    p = gen_zmatrix_quadratic(12, seed=5)
+    x0 = np.full(12, 3.0)
+    compiled = CoordinateKernel(p, "ccd").compiled is not None
+    got = run("ccd", p, x0, SolverConfig(max_outer_iters=30)).iterates
+    _qsweep.load = lambda: None
+    want = run("ccd", p, x0, SolverConfig(max_outer_iters=30)).iterates
+    print(compiled, got.tobytes() == want.tobytes())
+""")
+
+
+@pytest.fixture
+def fresh_load(monkeypatch, tmp_path):
+    """load() with an empty cache and no library loaded yet in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _qsweep.load.cache_clear()
+    yield _qsweep.load
+    _qsweep.load.cache_clear()
+
+
+def fake_cc(tmp_path, script):
+    """A directory holding only an executable ``cc`` shell script."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text("#!/bin/sh\n" + script, encoding="utf-8")
+    cc.chmod(0o755)
+    return bin_dir
+
+
+def libraries(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def assert_one_valid_library(directory):
+    names = libraries(directory)
+    assert len(names) == 1 and names[0].endswith(".so"), names
+    assert _qsweep._cached(directory, names[0].split("-")[1]) == directory / names[0]
+
+
+def ccd_iterates(p):
+    return run("ccd", p, np.full(p.dim, 3.0), SolverConfig(max_outer_iters=30)).iterates
+
+
+@pytest.fixture(scope="module")
+def numpy_bits():
+    """A problem and the iterates of the numpy sweep on it."""
+    p = gen_zmatrix_quadratic(12, seed=5)
+    saved = _qsweep.load
+    _qsweep.load = lambda: None
+    try:
+        return p, ccd_iterates(p).tobytes()
+    finally:
+        _qsweep.load = saved
+
+
+def assert_numpy_path(p, want):
+    assert CoordinateKernel(p, "ccd").compiled is None
+    assert ccd_iterates(p).tobytes() == want
+
+
+def child(env_updates, timeout=TIMEOUT_S):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env_updates)
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    return done.stdout.split()
+
+
+@needs_cc
+def test_compiled_kernel_is_in_use_when_a_compiler_is_found():
+    # Without this, a CI run could pass every kernel test on the numpy path.
+    assert _qsweep.load() is not None
+    p = gen_zmatrix_quadratic(6, seed=1)
+    assert CoordinateKernel(p, "ccd").compiled is not None
+    assert CoordinateKernel(p, "ccm").compiled is not None
+
+
+def test_import_compiles_and_loads_nothing(tmp_path):
+    cache = tmp_path / "cache"
+    marker = tmp_path / "cc_ran"
+    bin_dir = fake_cc(tmp_path, f"touch {marker}\nexit 1\n")
+    code = textwrap.dedent("""
+        import os, sys
+        import l1lab
+        maps = "/proc/self/maps"
+        mapped = os.path.exists(maps) and "qsweep" in open(maps).read()
+        print("l1lab._qsweep" in sys.modules, mapped)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache),
+               PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
+    assert not marker.exists() and not cache.exists()
+
+
+def test_no_compiler_keeps_the_numpy_sweep(fresh_load, monkeypatch, tmp_path, numpy_bits):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    assert fresh_load() is None
+    assert_numpy_path(*numpy_bits)
+
+
+def test_a_failing_compile_keeps_the_numpy_sweep(fresh_load, monkeypatch, tmp_path, numpy_bits):
+    monkeypatch.setenv("PATH", str(fake_cc(tmp_path, "echo broken >&2\nexit 1\n")))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert fresh_load() is None
+    assert_numpy_path(*numpy_bits)
+    assert libraries(tmp_path / "cache" / "l1lab") == []
+    assert not list(tmp_path.glob("l1lab-qsweep-*"))
+
+
+@needs_cc
+@pytest.mark.parametrize("cache", ["a file", "writable by all"])
+def test_an_unusable_cache_builds_in_a_private_temporary_directory(
+        fresh_load, monkeypatch, tmp_path, numpy_bits, cache):
+    base = tmp_path / "cache"
+    if cache == "a file":
+        base.write_text("", encoding="utf-8")  # so base/l1lab cannot be made
+    else:
+        (base / "l1lab").mkdir(parents=True)
+        (base / "l1lab").chmod(0o777)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    assert fresh_load() is not None
+    p, want = numpy_bits
+    assert CoordinateKernel(p, "ccd").compiled is not None
+    assert ccd_iterates(p).tobytes() == want
+    assert libraries(scratch) == []
+    if cache != "a file":
+        assert libraries(base / "l1lab") == []
+
+
+@needs_cc
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_a_damaged_cached_library_is_rebuilt_not_loaded(tmp_path, damage):
+    # Loading a truncated library can kill the process, so subprocesses
+    # build the cache and then take the damaged one.
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    assert child(env) == ["True", "True"]
+    directory = tmp_path / "cache" / "l1lab"
+    (path,) = directory.iterdir()
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2] if damage == "truncated" else b"\0" * len(data))
+    assert child(env) == ["True", "True"]
+    assert path.read_bytes() == data
+    assert_one_valid_library(directory)
+
+
+@needs_cc
+def test_concurrent_builds_leave_one_valid_library(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    procs = [subprocess.Popen([sys.executable, "-c", CHILD], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(2)]
+    outs = [proc.communicate(timeout=TIMEOUT_S) for proc in procs]
+    for proc, (out, err) in zip(procs, outs):
+        assert proc.returncode == 0 and not err, err
+        assert out.split() == ["True", "True"]
+    assert_one_valid_library(tmp_path / "cache" / "l1lab")
