@@ -39,6 +39,11 @@ COMMANDS = (
                  "--iters", "50", "--start", "super", "--seed", "4", "--prefix", "d10_"]),
     ("run_d60", ["run", "--problem", "zmat60.json", "--alg", "all", "--record-inner",
                  "--iters", "40", "--start", "sub", "--seed", "2", "--prefix", "d60_"]),
+    # Large traces, inner sweeps and a large problem file: numbers the
+    # compiled renderer writes, at size.
+    ("gen_d300", ["gen", "--dim", "300", "--seed", "6", "--out", "zmat300.json"]),
+    ("run_d300", ["run", "--problem", "zmat300.json", "--alg", "all", "--record-inner",
+                  "--iters", "20", "--start", "sub", "--seed", "6", "--prefix", "d300_"]),
     ("run_logistic", ["run", "--problem", "logistic.json", "--alg", "all", "--iters", "50",
                       "--prefix", "logistic_"]),
     # A stop rule makes run() measure each iterate as it is made, not all

@@ -1,11 +1,20 @@
-/* One cyclic ccd or ccm sweep of a quadratic, the loop of
+/* The compiled parts of l1lab, built and loaded by _qsweep.py.
+ *
+ * qsweep: one cyclic ccd or ccm sweep of a quadratic, the loop of
  * CoordinateKernel.sweep with the same float operations in the same order.
  *
- * A is the d x d matrix (row-major), steps the per-coordinate step (L for
- * ccd, A_jj for ccm), w the iterate and state the gradient A w + b at w;
- * both are updated in place. Compile without FMA contraction or fast-math
- * (see _qsweep.py), so every operation rounds as numpy's does.
+ * render_floats: a block of doubles as text, each value spelled as
+ * Python's repr (float.__repr__) or '%.17g' % v spells it.
+ *
+ * Compile without FMA contraction or fast-math (see _qsweep.py), so every
+ * operation of the sweep rounds as numpy's does. Neither part uses libm.
  */
+#include <stdint.h>
+#include <string.h>
+
+/* A is the d x d matrix (row-major), steps the per-coordinate step (L for
+ * ccd, A_jj for ccm), w the iterate and state the gradient A w + b at w;
+ * both are updated in place. */
 void qsweep(long d, const double *A, const double *steps, double lam,
             double *w, double *state)
 {
@@ -24,4 +33,216 @@ void qsweep(long d, const double *A, const double *steps, double lam,
         }
         w[j] = z_new;
     }
+}
+
+/* Float-to-text by exact integer arithmetic (Steele & White 1990; Adams,
+ * "Ryu", 2018). A finite double v = m 2^e with 1e-15 <= |v| < 1e17 has a
+ * decimal exponent E in [-15, 16]; with s = 16 - E, X = |v| 10^s lies in
+ * [1e16, 1e17), and X and the ends of v's rounding interval are
+ * (4m - 2, 4m + 2) 5^s 2^(s + e - 2) (4m - 1 below when m = 2^52): at most
+ * 2^127, exact in unsigned __int128. '%.17g' takes X rounded half to even;
+ * repr the integer with the most trailing zeros inside the interval (its
+ * ends count when m is even), the one nearest X if there are two. Every
+ * other value is declined: non-finite, subnormal or out of range values,
+ * and an exact tie between the two nearest shortest candidates. */
+
+typedef unsigned __int128 u128;
+
+/* POW10_CEIL[E + 15] is the least double >= 10^E, E = -15..17. */
+static const double POW10_CEIL[33] = {
+    0x1.203af9ee75616p-50, 0x1.6849b86a12b9cp-47, 0x1.c25c268497682p-44,
+    0x1.19799812dea12p-40, 0x1.5fd7fe1796496p-37, 0x1.b7cdfd9d7bdbbp-34,
+    0x1.12e0be826d695p-30, 0x1.5798ee2308c3ap-27, 0x1.ad7f29abcaf49p-24,
+    0x1.0c6f7a0b5ed8ep-20, 0x1.4f8b588e368f1p-17, 0x1.a36e2eb1c432dp-14,
+    0x1.0624dd2f1a9fcp-10, 0x1.47ae147ae147bp-7, 0x1.999999999999ap-4,
+    0x1.0000000000000p+0, 0x1.4000000000000p+3, 0x1.9000000000000p+6,
+    0x1.f400000000000p+9, 0x1.3880000000000p+13, 0x1.86a0000000000p+16,
+    0x1.e848000000000p+19, 0x1.312d000000000p+23, 0x1.7d78400000000p+26,
+    0x1.dcd6500000000p+29, 0x1.2a05f20000000p+33, 0x1.74876e8000000p+36,
+    0x1.d1a94a2000000p+39, 0x1.2309ce5400000p+43, 0x1.6bcc41e900000p+46,
+    0x1.c6bf526340000p+49, 0x1.1c37937e08000p+53, 0x1.6345785d8a000p+56,
+};
+
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+
+/* floor(X) of the value N / 2^k, and whether N / 2^k is an integer. */
+static uint64_t floor_shift(u128 N, int k, int *exact)
+{
+    *exact = k == 0 || (N & (((u128)1 << k) - 1)) == 0;
+    return (uint64_t)(N >> k);
+}
+
+/* The digits of |v| as an integer c in [1e16, 1e17) and its decimal
+ * exponent *E (|v| ~ c 10^(*E - 16)); 0 when v is declined. */
+static uint64_t digits17(double v, int repr, int *E)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    double a = v < 0 ? -v : v;
+    if (!(a >= POW10_CEIL[0] && a < POW10_CEIL[32]))
+        return 0;  /* NaN, infinities, subnormals and out of range */
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    int e = biased - 1075;
+    /* floor((e + 52) log10 2) is E or E - 1; 78913 / 2^18 ~ log10 2, and
+     * the added 2^40 keeps the shifted number nonnegative. */
+    int est = (int)((((int64_t)(e + 52) * 78913) + ((int64_t)1 << 40)) >> 18) - (1 << 22);
+    *E = est + (a >= POW10_CEIL[est + 16]);
+    int s = 16 - *E;
+    static const uint64_t POW5[28] = {
+        1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+        1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL,
+        6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
+        3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
+        476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+        59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
+        7450580596923828125ULL,
+    };
+    u128 p5 = (u128)POW5[s > 27 ? 27 : s] * POW5[s > 27 ? s - 27 : 0];
+    int sh = s + e - 2;  /* X = 4m 5^s 2^sh */
+    int k = sh < 0 ? -sh : 0;
+    u128 x4 = (u128)(4 * m) * p5 << (sh > 0 ? sh : 0);
+    int xi_exact;
+    uint64_t xi = floor_shift(x4, k, &xi_exact);
+    if (!repr) {
+        /* Round X half to even. */
+        if (!xi_exact) {
+            u128 rem = x4 & (((u128)1 << k) - 1), half = (u128)1 << (k - 1);
+            xi += rem > half || (rem == half && (xi & 1));
+        }
+    } else {
+        u128 gap_lo = (m == 1ULL << 52 ? 1 : 2) * p5 << (sh > 0 ? sh : 0);
+        u128 gap_hi = 2 * p5 << (sh > 0 ? sh : 0);
+        int inclusive = (m & 1) == 0, lo_exact, hi_exact;
+        uint64_t lo = floor_shift(x4 - gap_lo, k, &lo_exact);
+        uint64_t hi = floor_shift(x4 + gap_hi, k, &hi_exact);
+        /* The integers of the interval are lo..hi; X lies strictly inside. */
+        lo += !lo_exact || !inclusive;
+        hi -= hi_exact && !inclusive;
+        uint64_t p = 1;  /* the largest power of ten with a multiple in lo..hi */
+        while (p < E17 && (lo + 10 * p - 1) / (10 * p) * (10 * p) <= hi)
+            p *= 10;
+        uint64_t below = xi / p * p, above = below + p;
+        int in_below = below >= lo, in_above = above <= hi;
+        if (in_below && in_above) {
+            /* The sign of (X - below) - (above - X) = u + 2 rem / 2^k, where
+             * rem / 2^k in [0, 1) is the fraction of X. */
+            int64_t u = 2 * (int64_t)(xi - below) - (int64_t)p;
+            int cmp;
+            if (xi_exact)
+                cmp = (u > 0) - (u < 0);
+            else if (u != -1)
+                cmp = u >= 0 ? 1 : -1;
+            else {
+                u128 rem = x4 & (((u128)1 << k) - 1), half = (u128)1 << (k - 1);
+                cmp = (rem > half) - (rem < half);
+            }
+            if (cmp == 0)
+                return 0;  /* a tie: Python's own rule decides */
+            xi = cmp < 0 ? below : above;
+        } else if (in_below || in_above) {
+            xi = in_below ? below : above;
+        } else {
+            return 0;
+        }
+    }
+    if (xi == E17) {
+        xi = E16;
+        *E += 1;
+    }
+    return xi;
+}
+
+/* Write the text of v at o and return its end, or NULL when declined. */
+static char *put_float(char *o, double v, int repr)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        *o++ = '-';
+    if (v == 0.0) {
+        *o++ = '0';
+        if (repr) {
+            *o++ = '.';
+            *o++ = '0';
+        }
+        return o;
+    }
+    int E;
+    uint64_t c = digits17(v, repr, &E);
+    if (c == 0)
+        return NULL;
+    char dig[17];
+    for (int i = 16; i >= 0; i--) {
+        dig[i] = (char)('0' + c % 10);
+        c /= 10;
+    }
+    int n = 17;
+    while (dig[n - 1] == '0')
+        n--;
+    if (E < -4 || E >= (repr ? 16 : 17)) {
+        *o++ = dig[0];
+        if (n > 1) {
+            *o++ = '.';
+            memcpy(o, dig + 1, n - 1);
+            o += n - 1;
+        }
+        *o++ = 'e';
+        *o++ = E < 0 ? '-' : '+';
+        int x = E < 0 ? -E : E;  /* at most 17: two digits */
+        *o++ = (char)('0' + x / 10);
+        *o++ = (char)('0' + x % 10);
+    } else if (E < 0) {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = -1; i > E; i--)
+            *o++ = '0';
+        memcpy(o, dig, n);
+        o += n;
+    } else if (n <= E + 1) {
+        memcpy(o, dig, n);
+        o += n;
+        for (int i = n; i <= E; i++)
+            *o++ = '0';
+        if (repr) {
+            *o++ = '.';
+            *o++ = '0';
+        }
+    } else {
+        memcpy(o, dig, E + 1);
+        o += E + 1;
+        *o++ = '.';
+        memcpy(o, dig + E + 1, n - E - 1);
+        o += n - E - 1;
+    }
+    return o;
+}
+
+/* Write v[0..n) joined by sep (nsep bytes) to out, which holds at least
+ * n * (24 + nsep) bytes, and return the number of bytes written. A
+ * declined value is written as nothing: holes[0] counts them, and
+ * holes[1 + 2h], holes[2 + 2h] hold the index of the h-th and the offset
+ * in out at which its text belongs. */
+long render_floats(long n, const double *v, int repr, const char *sep, long nsep,
+                   char *out, long *holes)
+{
+    char *o = out;
+    long nh = 0;
+    for (long i = 0; i < n; i++) {
+        if (i > 0) {
+            memcpy(o, sep, nsep);
+            o += nsep;
+        }
+        char *end = put_float(o, v[i], repr);
+        if (end == NULL) {
+            holes[1 + 2 * nh] = i;
+            holes[2 + 2 * nh] = o - out;
+            nh++;
+        } else {
+            o = end;
+        }
+    }
+    holes[0] = nh;
+    return o - out;
 }

@@ -1,7 +1,11 @@
-"""The compiled quadratic sweep: _qsweep.c, built with the system cc on first use.
+"""The compiled library _qsweep.c, built with the system cc on first use.
 
-load() returns the C function, or None when it cannot be had; the caller
-then keeps the numpy sweep. Nothing here runs at import.
+It holds two functions: ``qsweep``, the quadratic ccd/ccm sweep, and
+``render_floats``, which spells a block of floats as repr or '%.17g' does
+(see _jsonlayout.render). load() returns the library, or None when it
+cannot be had; the callers then keep the numpy sweep and Python's own
+number formatting, with the same bits and bytes. Nothing here runs at
+import.
 
 The library is cached per user in ``$XDG_CACHE_HOME/l1lab`` (by default
 ``~/.cache/l1lab``), a directory created with mode 0700 and used only if
@@ -93,18 +97,22 @@ def _open(path: Path | None):
     if path is None:
         return None
     try:
-        fn = ctypes.CDLL(str(path)).qsweep
+        lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
-                   ctypes.c_void_p, ctypes.c_void_p)
-    fn.restype = None
-    return fn
+    lib.qsweep.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
+                           ctypes.c_void_p, ctypes.c_void_p)
+    lib.qsweep.restype = None
+    lib.render_floats.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p,
+                                  ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
+    lib.render_floats.restype = ctypes.c_long
+    return lib
 
 
 @functools.cache
 def load():
-    """The C sweep ``qsweep(d, A, steps, lam, w, state)``, or None.
+    """The library, with ``qsweep(d, A, steps, lam, w, state)`` and
+    ``render_floats(n, values, repr, sep, nsep, out, holes)``, or None.
 
     Looks up the cache first and compiles on a miss; without a ``cc`` on
     PATH, a failed compile or an unusable cache and temporary directory it
@@ -121,11 +129,11 @@ def load():
     cc = shutil.which("cc")
     directory = _cache_dir()
     if _private_dir(directory):
-        fn = _open(_cached(directory, key))
-        if fn is None and cc is not None:
-            fn = _open(_compile(cc, directory, key))
-        if fn is not None:
-            return fn
+        lib = _open(_cached(directory, key))
+        if lib is None and cc is not None:
+            lib = _open(_compile(cc, directory, key))
+        if lib is not None:
+            return lib
     if cc is None:
         return None
     try:

@@ -20,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._jsonlayout import json_list, json_numbers, json_value
+from ._jsonlayout import json_list, json_numbers, json_value, render
 from .errors import (
     ConvergenceError,
     L1LabError,
@@ -113,13 +113,15 @@ class Trace:
         return all(vals[k + 1] <= vals[k] + tol for k in range(len(vals) - 1))
 
     def write_csv(self, path) -> None:
+        """Write the trace as CSV, every float as f"{v:.17g}" spells it.
+
+        The file is streamed a row at a time; each iterate is one render().
+        """
         d = len(self.iterates[0])
-        # One format per row; "%.17g" renders a float as f"{v:.17g}" does.
-        row = "%d" + ",%.17g" * (d + 2) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,F,residual," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
             for k, (x, F, r) in enumerate(zip(self.iterates, self.f_values, self.residuals)):
-                fh.write(row % (k, F, r, *x.tolist()))
+                fh.write(f"{k},{F:.17g},{r:.17g}," + render(x, "%.17g", ",") + "\n")
 
     def write_json(self, path) -> None:
         """Write the trace as ``json.dump(..., indent=2)`` plus a newline would.
@@ -130,8 +132,8 @@ class Trace:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{\n  "algorithm": ' + json.dumps(self.algorithm) + ',\n  "iterates": ')
             fh.writelines(json_list(self.iterates, 2, json_value))
-            fh.write(',\n  "f_values": ' + json_numbers(list(self.f_values), 2)
-                     + ',\n  "residuals": ' + json_numbers(list(self.residuals), 2)
+            fh.write(',\n  "f_values": ' + json_numbers(np.asarray(self.f_values), 2)
+                     + ',\n  "residuals": ' + json_numbers(np.asarray(self.residuals), 2)
                      + ',\n  "inner": ')
             fh.writelines(("null",) if self.inner is None
                           else json_list(self.inner, 2, _json_sweep))
@@ -209,13 +211,13 @@ class CoordinateKernel:
                 and rows.shape == (d, d) and rows.flags.c_contiguous and rows.flags.aligned):
             from . import _qsweep  # imported, and built, only when a sweep needs it
 
-            fn = _qsweep.load()
-            if fn is not None:
+            lib = _qsweep.load()
+            if lib is not None:
                 # The arrays behind the pointers live as long as the kernel.
                 self._steps = np.array(self.steps, dtype=np.float64)
                 self._w, self._state = np.empty(d), np.empty(d)
-                self.compiled = partial(fn, d, rows.ctypes.data, self._steps.ctypes.data, p.lam,
-                                        self._w.ctypes.data, self._state.ctypes.data)
+                self.compiled = partial(lib.qsweep, d, rows.ctypes.data, self._steps.ctypes.data,
+                                        p.lam, self._w.ctypes.data, self._state.ctypes.data)
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.

@@ -18,12 +18,12 @@ expression within floating-point tolerances, and reports.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonlayout import json_value, render
 from .errors import PreconditionError, ReferenceSolveError, StartSearchError
 from .operators import (
     Kind,
@@ -298,18 +298,26 @@ class ComparisonReport:
         }
 
     def write_json(self, path) -> None:
+        """Write ``json.dump(self.to_json_dict(), fh, indent=2)`` plus a newline.
+
+        The text is streamed piece by piece (see json_value), with x_star
+        rendered from its array.
+        """
+        data = self.to_json_dict()
+        data["reference"]["x_star"] = np.asarray(self.reference.x_star)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+            fh.writelines(json_value(data))
             fh.write("\n")
 
     def write_summary_csv(self, path) -> None:
+        """Write one row per iteration, every float as f"{v:.17g}" spells it."""
+        floats = np.array([(r.f_gd, r.f_ccd, r.f_ccm, r.bound) for r in self.records])
+        cells = render(floats, "%.17g", ",").split(",")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,F_gd,F_ccd,F_ccm,bound,dominance_ok\n")
-            for r in self.records:
-                fh.write(
-                    f"{r.k},{r.f_gd:.17g},{r.f_ccd:.17g},{r.f_ccm:.17g},"
-                    f"{r.bound:.17g},{int(r.dominance_ok)}\n"
-                )
+            for i, r in enumerate(self.records):
+                fh.write(f"{r.k}," + ",".join(cells[4 * i:4 * i + 4])
+                         + f",{int(r.dominance_ok)}\n")
 
 
 def run_comparison(

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from l1lab import quadratic_problem
+from l1lab import _qsweep, quadratic_problem
+
+
+@pytest.fixture(params=["compiled", "python"])
+def renderer(request, monkeypatch):
+    """The number renderer under test: the compiled one, or Python's own formatting."""
+    if request.param == "python":
+        monkeypatch.setattr(_qsweep, "load", lambda: None)
+    elif _qsweep.load() is None:
+        pytest.skip("the compiled renderer cannot be built here")
+    return request.param
 
 
 @pytest.fixture

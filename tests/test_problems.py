@@ -364,8 +364,9 @@ def test_problem_json_roundtrip_logistic(tmp_path):
     assert q.lipschitz == p.lipschitz
 
 
-def test_save_problem_writes_the_bytes_of_json_dump_indent_2(tmp_path):
-    # The writer renders numbers with the C encoder and lays them out itself.
+def test_save_problem_writes_the_bytes_of_json_dump_indent_2(tmp_path, renderer):
+    # The writer renders numbers itself and lays them out itself; the file
+    # loads back bit for bit.
     rng = np.random.default_rng(4)
     X = rng.standard_normal((30, 3)) * np.array([1e-300, 1.0, 1e300])
     cases = [gen_zmatrix_quadratic(d, seed=d) for d in (1, 2, 9)]
@@ -378,6 +379,9 @@ def test_save_problem_writes_the_bytes_of_json_dump_indent_2(tmp_path):
             json.dump(problem_to_dict(p), fh, indent=2)
             fh.write("\n")
         assert got.read_bytes() == want.read_bytes(), i
+        back = problem_to_dict(load_problem(got))
+        for key, value in problem_to_dict(p).items():
+            assert np.asarray(back[key]).tobytes() == np.asarray(value).tobytes(), (i, key)
 
 
 def test_problem_json_estimates_missing_L(tmp_path):

@@ -592,7 +592,7 @@ def _trace_cases():
     yield "special", _special_trace()
 
 
-def test_trace_writers_match_plain_reference_byte_for_byte(tmp_path):
+def test_trace_writers_match_plain_reference_byte_for_byte(tmp_path, renderer):
     cases = list(_trace_cases())
     solved = dict(cases[:-2])  # the runs, not the hand-built traces
     assert len(solved["zmat-ccm-False"].tau_log) > 1024 and solved["logistic-ccm"].tau_log

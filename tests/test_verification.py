@@ -517,3 +517,37 @@ def test_report_serialization(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "k,F_gd,F_ccd,F_ccm,bound,dominance_ok"
     assert len(lines) == 10
+
+
+def plain_write_json(report, path):
+    # The plain writer: the whole report as one dict through json.dump.
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2)
+        fh.write("\n")
+
+
+def plain_write_summary_csv(report, path):
+    # The plain writer: one f-string per value.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,F_gd,F_ccd,F_ccm,bound,dominance_ok\n")
+        for r in report.records:
+            fh.write(f"{r.k},{r.f_gd:.17g},{r.f_ccd:.17g},{r.f_ccm:.17g},"
+                     f"{r.bound:.17g},{int(r.dominance_ok)}\n")
+
+
+def test_report_writers_match_plain_reference_byte_for_byte(tmp_path, renderer):
+    # Reports as `l1lab verify` makes them, from both starts, and the
+    # negative control, whose predicates fail.
+    p = gen_zmatrix_quadratic(40, seed=3)
+    reports = [run_comparison(p, find(p, seed=3), K=60)
+               for find in (find_supersolution, find_subsolution)]
+    reports.append(run_comparison(neg_control_problem(), [1.0, 1.0], K=5, report_only=True))
+    assert reports[0].records[0].bound == math.inf and not reports[2].verdict
+    for i, report in enumerate(reports):
+        for write, plain, name in ((report.write_json, plain_write_json, "report.json"),
+                                   (report.write_summary_csv, plain_write_summary_csv,
+                                    "summary.csv")):
+            got, want = tmp_path / f"{i}.{name}", tmp_path / f"{i}.plain.{name}"
+            write(got)
+            plain(report, want)
+            assert got.read_bytes() == want.read_bytes(), (i, name)
