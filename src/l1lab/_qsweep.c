@@ -3,11 +3,15 @@
  * qsweep: one cyclic ccd or ccm sweep of a quadratic, the loop of
  * CoordinateKernel.sweep with the same float operations in the same order.
  *
+ * qprox: one gd step of a quadratic from the product A x, the numpy
+ * prox-gradient image with the same float operations.
+ *
  * render_floats: a block of doubles as text, each value spelled as
  * Python's repr (float.__repr__) or '%.17g' % v spells it.
  *
  * Compile without FMA contraction or fast-math (see _qsweep.py), so every
- * operation of the sweep rounds as numpy's does. Neither part uses libm.
+ * float operation of qsweep and qprox rounds as numpy's does. No part uses
+ * libm.
  */
 #include <stdint.h>
 #include <string.h>
@@ -32,6 +36,22 @@ void qsweep(long d, const double *A, const double *steps, double lam,
                 state[i] += delta * row[i];
         }
         w[j] = z_new;
+    }
+}
+
+/* One gd step of a quadratic: out = _soft(x - g / L, tau) with the gradient
+ * g = ax + b, ax the product A x. Each entry takes the float operations of
+ * operators._soft, np.sign(v) * np.maximum(np.abs(v) - tau, 0.0): sign keeps
+ * a NaN and gives +0 for +-0, maximum keeps a NaN, and the dead zone of a
+ * negative v gives -1 * +0 = -0.0. */
+void qprox(long d, const double *x, const double *ax, const double *b, double L, double tau,
+           double *out)
+{
+    for (long i = 0; i < d; i++) {
+        double v = x[i] - (ax[i] + b[i]) / L;
+        double sign = v > 0.0 ? 1.0 : v < 0.0 ? -1.0 : v == 0.0 ? 0.0 : v;
+        double m = __builtin_fabs(v) - tau;
+        out[i] = sign * (m < 0.0 ? 0.0 : m);
     }
 }
 

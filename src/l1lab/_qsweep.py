@@ -1,9 +1,10 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It holds two functions: ``qsweep``, the quadratic ccd/ccm sweep, and
+It holds three functions: ``qsweep``, the quadratic ccd/ccm sweep,
+``qprox``, gd's step of a quadratic from the product A x, and
 ``render_floats``, which spells a block of floats as repr or '%.17g' does
 (see _jsonlayout.render). load() returns the library, or None when it
-cannot be had; the callers then keep the numpy sweep and Python's own
+cannot be had; the callers then keep the numpy loops and Python's own
 number formatting, with the same bits and bytes. Nothing here runs at
 import.
 
@@ -14,8 +15,10 @@ hash of the source and the flags, and the digest of its own bytes: a
 build is written under a unique temporary name and then renamed into
 place, and a file whose bytes do not match its name (truncated or
 corrupt) is never loaded, because loading such a file can crash the
-process. When the cache cannot be used, the library is built in a private
-temporary directory, which is removed once the library is loaded.
+process. Once a library is loaded from the cache, the libraries of other
+sources and flags there are removed. When the cache cannot be used, the
+library is built in a private temporary directory, which is removed once
+the library is loaded.
 """
 
 from __future__ import annotations
@@ -75,6 +78,14 @@ def _cached(directory: Path, key: str) -> Path | None:
     return None
 
 
+def _remove_stale(directory: Path, key: str) -> None:
+    """Remove the libraries of every other key from ``directory``, ignoring errors."""
+    for path in directory.glob("qsweep-*.so"):
+        if not path.name.startswith(f"qsweep-{key}-"):
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+
 def _compile(cc: str, directory: Path, key: str) -> Path | None:
     """Build into a unique temporary name in ``directory`` and rename it into place."""
     tmp = directory / f".qsweep-{key}-{os.getpid()}-{os.urandom(4).hex()}.tmp"
@@ -103,6 +114,9 @@ def _open(path: Path | None):
     lib.qsweep.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
                            ctypes.c_void_p, ctypes.c_void_p)
     lib.qsweep.restype = None
+    lib.qprox.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                          ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
+    lib.qprox.restype = None
     lib.render_floats.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p,
                                   ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
     lib.render_floats.restype = ctypes.c_long
@@ -111,7 +125,8 @@ def _open(path: Path | None):
 
 @functools.cache
 def load():
-    """The library, with ``qsweep(d, A, steps, lam, w, state)`` and
+    """The library, with ``qsweep(d, A, steps, lam, w, state)``,
+    ``qprox(d, x, ax, b, L, tau, out)`` and
     ``render_floats(n, values, repr, sep, nsep, out, holes)``, or None.
 
     Looks up the cache first and compiles on a miss; without a ``cc`` on
@@ -133,6 +148,7 @@ def load():
         if lib is None and cc is not None:
             lib = _open(_compile(cc, directory, key))
         if lib is not None:
+            _remove_stale(directory, key)
             return lib
     if cc is None:
         return None

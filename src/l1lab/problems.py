@@ -126,6 +126,14 @@ class SmoothLoss:
         """Closed-form ccm curvature of each coordinate; None: a 1-D solve."""
         return None
 
+    def affine_gradient(self):
+        """(A, b), float64 arrays with grad(x) bitwise np.matmul(A, x) + b,
+        when the loss's values_and_grads(W, AW) also takes the products
+        AW[i] = np.matmul(A, W[i]) and then computes none; None otherwise.
+        run() then forms each iterate's product once, for its step and its
+        measurement."""
+        return None
+
     def isotonicity_certificate(self):
         """Exact (ok, offenders) for order preservation of x - grad f(x)/L;
         None: only sampled evidence."""
@@ -204,10 +212,13 @@ class QuadraticForm(SmoothLoss):
     def grad(self, x):
         return self.A @ x + self.b
 
-    def values_and_grads(self, W):
-        AW = np.matmul(self.A, W[:, :, None])
+    def values_and_grads(self, W, AW=None):
+        AW = np.matmul(self.A, W[:, :, None]) if AW is None else AW[:, :, None]
         values = np.matmul((0.5 * W)[:, None, :], AW) + np.matmul(W[:, None, :], self.b[:, None])
         return values[:, 0, 0], AW[:, :, 0] + self.b
+
+    def affine_gradient(self):
+        return self.A, self.b
 
     def ray_grads(self, u, ts):
         # A @ (t * u) == t * (A @ u) bitwise when every t is a power of two:

@@ -143,10 +143,12 @@ class Trace:
             fh.write("\n}\n")
 
 
-# TauRecords are rendered _TAU_CHUNK at a time by one json.dumps each.
+# TauRecords are rendered _TAU_CHUNK at a time: the float fields of a chunk
+# (all but the int fields k and j) by one render() call.
 _TAU_CHUNK = 512
 _TAU_FIELDS = tuple(f.name for f in fields(TauRecord))
-_tau_values = attrgetter(*_TAU_FIELDS)
+_TAU_FLOATS = len(_TAU_FIELDS) - 2
+_tau_floats = attrgetter(*_TAU_FIELDS[2:])
 
 
 def _json_sweep(sweep: list, ind: int):
@@ -161,10 +163,21 @@ def _json_tau_log(records: list, ind: int):
 
     def chunk(start, _):
         part = records[start:start + _TAU_CHUNK]
-        tokens = json.dumps(list(chain.from_iterable(map(_tau_values, part))))[1:-1]
-        yield (",\n" + " " * (ind + 2)).join([record] * len(part)) % tuple(tokens.split(", "))
+        values = np.fromiter(chain.from_iterable(map(_tau_floats, part)), np.float64)
+        floats = render(values, "json", " ").split(" ")
+        # A record's k and j (str() spells an int as json.dumps does), then its floats.
+        rows = zip([t.k for t in part], [t.j for t in part],
+                   *(floats[i::_TAU_FLOATS] for i in range(_TAU_FLOATS)))
+        yield (",\n" + " " * (ind + 2)).join([record] * len(part)) \
+            % tuple(chain.from_iterable(rows))
 
     return json_list(range(0, len(records), _TAU_CHUNK), ind, chunk)
+
+
+def _c_array(a, shape) -> bool:
+    """Whether C code may take ``a`` as a float64 array of ``shape`` by its address."""
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
+            and a.flags.c_contiguous and a.flags.aligned)
 
 
 def _shrink(v, t):
@@ -192,10 +205,12 @@ class CoordinateKernel:
     When the state is the gradient itself (deriv is None) and the rows are
     a C-contiguous float64 d x d array, a sweep of a float64 w without
     ``taus`` runs its loop in C (``_qsweep.c``, built on first use): the
-    same float operations in the same order, so the same bits. The C loop
-    works on buffers of the kernel, into which w and the state are copied,
-    so every pointer is taken once. ``compiled`` is None when that path is
-    off, for instance when there is no compiler.
+    same float operations in the same order, so the same bits.
+    ``compiled(w, state)`` is that loop on the float64 buffers at those
+    addresses, or None when the path is off, for instance when there is no
+    compiler. sweep() copies w and the state into buffers of the kernel,
+    whose addresses are taken once; run() calls ``compiled`` on its own
+    iterate rows and state buffer, with nothing copied.
     """
 
     def __init__(self, p: ProblemSpec, alg: str):
@@ -207,8 +222,7 @@ class CoordinateKernel:
         self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
         self.compiled = None
         rows, d = self.rows, p.dim
-        if (self.deriv is None and isinstance(rows, np.ndarray) and rows.dtype == np.float64
-                and rows.shape == (d, d) and rows.flags.c_contiguous and rows.flags.aligned):
+        if self.deriv is None and _c_array(rows, (d, d)):
             from . import _qsweep  # imported, and built, only when a sweep needs it
 
             lib = _qsweep.load()
@@ -216,8 +230,9 @@ class CoordinateKernel:
                 # The arrays behind the pointers live as long as the kernel.
                 self._steps = np.array(self.steps, dtype=np.float64)
                 self._w, self._state = np.empty(d), np.empty(d)
+                self._buffers = self._w.ctypes.data, self._state.ctypes.data
                 self.compiled = partial(lib.qsweep, d, rows.ctypes.data, self._steps.ctypes.data,
-                                        p.lam, self._w.ctypes.data, self._state.ctypes.data)
+                                        p.lam)
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.
@@ -232,7 +247,7 @@ class CoordinateKernel:
                 and w.dtype == np.float64 and state.dtype == np.float64):
             self._w[...] = w
             self._state[...] = state
-            self.compiled()
+            self.compiled(*self._buffers)
             w[...] = self._w
             return w
         lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
@@ -349,6 +364,25 @@ def secant_tau(g_deriv, z_old: float, z_new: float) -> float:
     return (float(g_deriv(z_new)) - float(g_deriv(z_old))) / (z_new - z_old)
 
 
+def _in_place_steps(p: ProblemSpec, kernel, tau_log):
+    """(lib, A, b) when run() steps p in C on its own buffers, else None.
+
+    That needs a smooth part whose affine_gradient() (A, b) C code may take
+    by address, and the compiled library; for ccd and ccm also a compiled
+    kernel and no tau_log.
+    """
+    if tau_log is not None or kernel is not None and kernel.compiled is None:
+        return None
+    affine = p.smooth.affine_gradient()
+    if affine is None or not (_c_array(affine[0], (p.dim, p.dim))
+                              and _c_array(affine[1], (p.dim,))):
+        return None
+    from . import _qsweep  # imported, and built, only when a step needs it
+
+    lib = _qsweep.load()
+    return None if lib is None else (lib, *affine)
+
+
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:
     """Run one algorithm from x0 and record a full trace.
 
@@ -370,16 +404,39 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     the buffer grows and after the loop: the same numbers, and a diverging
     run stops within one block. The within-sweep iterates of ccd and ccm
     are derived from the iterates after the loop.
+
+    A quadratic (affine_gradient() is not None) with the compiled library
+    takes each iterate's product A w once: np.matmul into row k of a product
+    buffer P that grows with the iterates, before the step from row k, and
+    both that step and measure() take it. The step is then one C call on
+    the rows of W and P: qprox writes gd's image into the next row, and the
+    kernel's qsweep sweeps the next row, a copy of the row before, with a
+    state buffer of the run. Buffer addresses are taken when a buffer is
+    made, not per iteration. Logistic data, ccm with record_tau and a run
+    without the library keep the numpy steps, with the same bits.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
     cfg = cfg if cfg is not None else SolverConfig()
-    K, stop = cfg.max_outer_iters, cfg.stop_residual
+    K, stop, d = cfg.max_outer_iters, cfg.stop_residual, p.dim
     kernel = None if alg == "gd" else CoordinateKernel(p, alg)
     tau_log = [] if cfg.record_tau and alg == "ccm" else None
-    W = np.empty((min(K + 1, _FIRST_ROWS), p.dim))
-    W[0] = as_vector(x0, p.dim)
+    W = np.empty((min(K + 1, _FIRST_ROWS), d))
+    W[0] = as_vector(x0, d)
+    in_place = _in_place_steps(p, kernel, tau_log)
+    P = None  # P[i] = np.matmul(A, W[i]), when the steps run in place
+    if in_place is not None:
+        lib, A, b = in_place
+        P = np.empty_like(W)
+        row = W.strides[0]
+        w_at, p_at = W.ctypes.data, P.ctypes.data
+        if kernel is None:
+            qprox = partial(lib.qprox, d)
+            b_at, L, tau = b.ctypes.data, p.lipschitz, p.lam / p.lipschitz
+        else:
+            state = np.empty(d)
+            state_at = state.ctypes.data
     blocks = []  # (G, F, R) of each measured block of rows, in order
     measured = 0  # rows of W measured so far
 
@@ -393,7 +450,8 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         if n == measured:
             return
         B = W[measured:n]
-        values, G = p.smooth.values_and_grads(B)
+        values, G = (p.smooth.values_and_grads(B) if P is None
+                     else p.smooth.values_and_grads(B, P[measured:n]))
         images = prox_gradient_image(p, B, G)
         F = values + p.lam * np.abs(B).sum(axis=1)
         R = np.abs(B - images).max(axis=1)
@@ -416,6 +474,8 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n = K + 1  # iterates in the trace
         for k in range(1, K + 1):
+            if P is not None:
+                np.matmul(A, W[k - 1], out=P[k - 1])
             if stop > 0.0:
                 image, r = measure(k)
                 if r <= stop:
@@ -425,8 +485,18 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 # Measured before the buffer grows, a diverging run stops
                 # within one block.
                 measure(k)
-                W = np.concatenate((W, np.empty((min(k, K + 1 - k), p.dim))))
-            if kernel is not None:
+                W = np.concatenate((W, np.empty((min(k, K + 1 - k), d))))
+                if P is not None:
+                    P = np.concatenate((P, np.empty_like(W[k:])))
+                    w_at, p_at = W.ctypes.data, P.ctypes.data
+            if P is not None:
+                if kernel is None:
+                    qprox(w_at + (k - 1) * row, p_at + (k - 1) * row, b_at, L, tau, w_at + k * row)
+                else:
+                    np.add(P[k - 1], b, out=state)
+                    W[k] = W[k - 1]
+                    kernel.compiled(w_at + k * row, state_at)
+            elif kernel is not None:
                 W[k] = W[k - 1]
                 try:
                     kernel.sweep(W[k], k - 1, tau_log)
@@ -439,6 +509,8 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 W[k] = image
             else:
                 W[k] = prox_gradient_image(p, W[k - 1], p.smooth.grad(W[k - 1]))
+        if P is not None and n == K + 1:
+            np.matmul(A, W[K], out=P[K])
         measure(n)
 
     inner = None

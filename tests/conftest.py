@@ -14,6 +14,16 @@ def renderer(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request, monkeypatch):
+    """The quadratic steps under test: the C loops, or the numpy loops they replace."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_qsweep, "load", lambda: None)
+    elif _qsweep.load() is None:
+        pytest.skip("the compiled steps cannot be built here")
+    return request.param
+
+
 @pytest.fixture
 def scalar_quad():
     """1-D problem f(x) = x^2 / 2 with lam = 1 and unit step constant."""

@@ -25,7 +25,8 @@ from l1lab import (
     solve_1d_prox,
 )
 from l1lab import _qsweep
-from l1lab.solvers import INNER_1D_TOL, CoordinateKernel
+from l1lab.operators import _soft
+from l1lab.solvers import INNER_1D_TOL, CoordinateKernel, _in_place_steps
 
 SWEEPS = 20
 RTOL = 1e-12
@@ -147,16 +148,6 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.fixture(params=["compiled", "numpy"])
-def kernel(request, monkeypatch):
-    """The quadratic sweep under test: the C loop, or the numpy loop it replaces."""
-    if request.param == "numpy":
-        monkeypatch.setattr(_qsweep, "load", lambda: None)
-    elif _qsweep.load() is None:
-        pytest.skip("the compiled sweep cannot be built here")
-    return request.param
-
-
 @pytest.mark.parametrize("alg", ["ccd", "ccm"])
 def test_kernel_matches_reference_sweep_on_quadratics(alg, kernel):
     rng = np.random.default_rng(7)
@@ -187,13 +178,20 @@ def both_kernels(monkeypatch):
     return call
 
 
-def assert_same_traces(both_kernels, p, x0, K):
-    cfg = SolverConfig(max_outer_iters=K, record_inner=True)
-    for alg in ("ccd", "ccm"):
-        assert CoordinateKernel(p, alg).compiled is not None
-        compiled, numpy_ = both_kernels(lambda: run(alg, p, x0, cfg))
-        for name in ("iterates", "f_values", "residuals", "gradients", "inner"):
-            assert same_bits(getattr(compiled, name), getattr(numpy_, name)), (alg, name)
+def in_place(p, alg):
+    """Whether run() steps alg on p in C, on its own buffers."""
+    return _in_place_steps(p, None if alg == "gd" else CoordinateKernel(p, alg), None) is not None
+
+
+def assert_same_traces(both_kernels, p, x0, K, algs=("ccd", "ccm"), stops=(0.0,)):
+    for alg in algs:
+        assert in_place(p, alg)
+        for stop in stops:
+            cfg = SolverConfig(max_outer_iters=K, stop_residual=stop, record_inner=True)
+            compiled, numpy_ = both_kernels(lambda: run(alg, p, x0, cfg))
+            for name in ("iterates", "f_values", "residuals", "gradients", "inner"):
+                assert same_bits(getattr(compiled, name), getattr(numpy_, name)), \
+                    (alg, stop, name)
 
 
 def assert_same_reference(both_kernels, p):
@@ -241,6 +239,82 @@ def test_compiled_sweep_diverges_as_the_numpy_sweep_does(both_kernels):
     compiled, numpy_ = both_kernels(fault)
     assert compiled == numpy_
     assert compiled[0] == 26
+
+
+# gd's compiled step: bitwise the numpy step, with and without a stop rule.
+GD = {"algs": ("gd",), "stops": (0.0, 1e-9)}
+
+
+def test_compiled_gd_step_is_bitwise_the_numpy_step_on_the_acceptance_family(both_kernels):
+    for seed in range(50):
+        p = gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
+                                  density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
+        for x0 in (find_supersolution(p, seed=seed), find_subsolution(p, seed=seed)):
+            assert_same_traces(both_kernels, p, x0, 200, **GD)
+
+
+@pytest.mark.parametrize("d", [300, 500])
+def test_compiled_gd_step_is_bitwise_the_numpy_step_at_large_d(both_kernels, d):
+    p = gen_zmatrix_quadratic(d, seed=d)
+    assert_same_traces(both_kernels, p, np.random.default_rng(d).uniform(-3.0, 3.0, d), 50,
+                       **GD)
+
+
+def test_compiled_gd_step_is_bitwise_the_numpy_step_at_lam_zero(both_kernels):
+    for seed in range(4):
+        q = gen_zmatrix_quadratic(8 + seed, seed=seed).smooth
+        p = quadratic_problem(q.A, q.b, lam=0.0)
+        assert_same_traces(both_kernels, p, np.full(p.dim, 2.0), 100, **GD)
+
+
+def test_compiled_gd_diverges_as_the_numpy_gd_does(both_kernels):
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
+    for stop in (0.0, 1e-300):
+        def fault():
+            with pytest.raises(NonFiniteIterateError) as exc:
+                run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=400, stop_residual=stop))
+            return exc.value.iteration, str(exc.value)
+
+        compiled, numpy_ = both_kernels(fault)
+        assert compiled == numpy_
+        assert compiled[0] == 45
+
+
+def qprox(x, ax, b, L, tau):
+    """The compiled gd step on float64 arrays: _soft(x - (ax + b) / L, tau)."""
+    out = np.empty_like(x)
+    _qsweep.load().qprox(len(x), x.ctypes.data, ax.ctypes.data, b.ctypes.data, L, tau,
+                         out.ctypes.data)
+    return out
+
+
+def test_compiled_gd_image_is_the_numpy_image_on_edge_values():
+    # +-0, +-inf, NaN of both signs, |v| == tau, both dead zones (the
+    # negative one gives -0.0), the extremes, tau = 0 and tau = inf. A NaN
+    # need only be NaN; every other value must have the numpy bits.
+    if _qsweep.load() is None:
+        pytest.skip("the compiled step cannot be built here")
+    nan = float("nan")
+    edges = [0.0, -0.0, np.inf, -np.inf, nan, -nan, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 3.0,
+             -3.0, 5e-324, -5e-324, 1e308, -1e308]
+    x, ax, b = (np.ascontiguousarray(a.ravel())
+                for a in np.meshgrid(edges, edges, [0.0, -0.0, 0.75, -np.inf], indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for L in (1.0, 2.0, 1e-3):
+            for tau in (0.0, 0.5, 1.0, np.inf):
+                want = _soft(x - (ax + b) / L, tau)
+                got = qprox(x, ax, b, L, tau)
+                nans = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nans), (L, tau)
+                assert got[~nans].tobytes() == want[~nans].tobytes(), (L, tau)
+    # The cases by name: with ax = b = 0 and L = 1, v is x itself (repr
+    # spells every NaN "nan").
+    zero = np.zeros(1)
+    for v, tau, want in ((-0.25, 0.5, "-0.0"), (0.25, 0.5, "0.0"), (-0.5, 0.5, "-0.0"),
+                         (0.5, 0.5, "0.0"), (-0.0, 0.0, "0.0"), (-0.0, 0.5, "0.0"),
+                         (-3.0, 0.5, "-2.5"), (-np.inf, 0.5, "-inf"), (np.inf, np.inf, "nan"),
+                         (-nan, 0.5, "nan")):
+        assert repr(float(qprox(np.array([v]), zero, zero, 1.0, tau)[0])) == want, (v, tau)
 
 
 def test_kernel_matches_reference_sweep_on_logistic_ccd():

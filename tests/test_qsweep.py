@@ -197,3 +197,29 @@ def test_concurrent_builds_leave_one_valid_library(tmp_path):
         assert proc.returncode == 0 and not err, err
         assert out.split() == ["True", "True"]
     assert_one_valid_library(tmp_path / "cache" / "l1lab")
+
+
+@needs_cc
+def test_loading_removes_the_libraries_of_other_sources(fresh_load, tmp_path):
+    # Every change to _qsweep.c or the flags gives a new key; the libraries
+    # of the old keys are removed once the current one loads. Other files,
+    # builds in progress and entries that cannot be removed stay, and
+    # raise nothing.
+    directory = tmp_path / "cache" / "l1lab"
+    directory.mkdir(parents=True, mode=0o700)
+    stale = ["qsweep-0000000000000000-1111111111111111.so", "qsweep-old-a.so"]
+    kept = ["notes.txt", ".qsweep-0000000000000000-1-ab.tmp", "qsweep-0000000000000000.c"]
+    for name in stale + kept:
+        (directory / name).write_bytes(b"\0" * 64)
+    (directory / "qsweep-dir-b.so").mkdir()  # unlink() fails on a directory
+    assert fresh_load() is not None
+    names = libraries(directory)
+    assert not set(stale) & set(names)
+    assert set(kept) | {"qsweep-dir-b.so"} <= set(names)
+    libs = [name for name in names if name.endswith(".so") and name != "qsweep-dir-b.so"]
+    assert len(libs) == 1
+    assert _qsweep._cached(directory, libs[0].split("-")[1]) == directory / libs[0]
+    # The next load finds that library and keeps it.
+    _qsweep.load.cache_clear()
+    assert fresh_load() is not None
+    assert libraries(directory) == names

@@ -174,6 +174,26 @@ def test_values_and_grads_rows_are_bitwise_value_and_grad(kind, d):
             assert g.tobytes() == smooth.grad(w.copy()).tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 33, 128, 500])
+def test_affine_gradient_products_give_the_bits_of_values_and_grads(d):
+    # When the loss has an affine gradient, run() forms each iterate's
+    # product np.matmul(A, w) once and hands the products to
+    # values_and_grads. Logistic data have none.
+    assert small_logistic().smooth.affine_gradient() is None
+    smooth = gen_zmatrix_quadratic(d, seed=d).smooth
+    A, b = smooth.affine_gradient()
+    rng = np.random.default_rng(d)
+    W = rng.standard_normal((21, d)) * rng.uniform(0.01, 100.0, size=(21, 1))
+    P = np.empty_like(W)
+    for w, row in zip(W, P):
+        np.matmul(A, w, out=row)
+        assert (row + b).tobytes() == smooth.grad(w.copy()).tobytes()
+    for block, products in ((W, P), (W[3:4], P[3:4])):
+        values, G = smooth.values_and_grads(block, products)
+        want_values, want_G = smooth.values_and_grads(block)
+        assert values.tobytes() == want_values.tobytes() and G.tobytes() == want_G.tobytes()
+
+
 class DelegatingLoss(SmoothLoss):
     """A loss l1lab does not name anywhere: every hook answers as a wrapped loss."""
 
@@ -187,7 +207,7 @@ class DelegatingLoss(SmoothLoss):
 
 for _hook in ("value", "grad", "values_and_grads", "ray_grads",
               "lipschitz_matrix", "strictly_convex_coordinates", "sweep_state",
-              "coordinate_rows", "exact_steps", "isotonicity_certificate",
+              "coordinate_rows", "exact_steps", "affine_gradient", "isotonicity_certificate",
               "start_fallback", "active_set_solution"):
     setattr(DelegatingLoss, _hook,
             lambda self, *args, _hook=_hook: getattr(self.inner, _hook)(*args))

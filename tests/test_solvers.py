@@ -23,6 +23,7 @@ from l1lab import (
     secant_tau,
     solve_1d_prox,
 )
+from l1lab import _qsweep
 from l1lab.solvers import CoordinateKernel, TauRecord, Trace
 from tests.conftest import grid_refine_minimum
 
@@ -49,36 +50,85 @@ def test_gd_step_unregularized_is_plain_gradient_step():
     assert prox_gradient_map(p, [1.0])[0] == 0.0
 
 
-def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch):
-    # Without a stop rule, each gd step x_{k+1} = T(x_k) takes one grad at
-    # x_k, and one values_and_grads of all the iterates then gives F, the
-    # gradients, the images and the residuals, as the ccd and ccm runs do.
+class CountedMatrix(np.ndarray):
+    """A view of a matrix that appends to ``rows`` the number of points of
+    every product it takes part in as the first operand of np.matmul."""
+
+    rows = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            other = np.asarray(inputs[1])
+            self.rows.append(1 if other.ndim == 1 else math.prod(other.shape[:-2]))
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, CountedMatrix) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def count_products(p):
+    """Count the products of p's quadratic matrix, as a list of points per product."""
+    A = p.smooth.A.view(CountedMatrix)
+    A.rows = []
+    object.__setattr__(p.smooth, "A", A)
+    return A.rows
+
+
+def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel):
+    # On the numpy path each gd step x_{k+1} = T(x_k) takes one grad at x_k,
+    # and one values_and_grads of all the iterates then gives F, the
+    # gradients, the images and the residuals, as the ccd and ccm runs do:
+    # two products A x per iterate but the last. On the compiled path each
+    # iterate's product A x_k is formed once, and both the step and that
+    # one values_and_grads call take it.
     p = gen_zmatrix_quadratic(6, seed=4)
     x0 = np.linspace(-2.0, 2.0, 6)
     calls = []
     cls = type(p.smooth)
+    products = count_products(p)
 
     def counted(name):
         original = getattr(cls, name)
 
-        def wrapper(self, x):
-            calls.append(name)
-            return original(self, x)
+        def wrapper(self, *args):
+            calls.append((name, len(args)))
+            return original(self, *args)
 
-        monkeypatch.setattr(cls, name, wrapper)
+        m.setattr(cls, name, wrapper)
 
-    for name in ("value", "grad", "values_and_grads"):
-        counted(name)
     K = 25
-    trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
-    monkeypatch.undo()
-    assert calls == ["grad"] * K + ["values_and_grads"]
+    with monkeypatch.context() as m:
+        for name in ("value", "grad", "values_and_grads"):
+            counted(name)
+        trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
+    if kernel == "numpy":
+        assert calls == [("grad", 1)] * K + [("values_and_grads", 1)]
+        assert products == [1] * K + [K + 1]
+    else:
+        assert calls == [("values_and_grads", 2)]
+        assert products == [1] * (K + 1)
     x = x0
     for k in range(K + 1):
         assert trace.iterates[k].tobytes() == x.tobytes()
         assert trace.f_values[k] == objective(p, x)
         assert trace.residuals[k] == optimality_residual(p, x)
         x = prox_gradient_map(p, x)
+
+
+@pytest.mark.parametrize("alg", ["ccd", "ccm"])
+def test_a_quadratic_sweep_forms_one_product_per_iterate(alg, kernel):
+    # The numpy path takes the gradient at the start of each sweep and again
+    # for the measurement; the compiled path forms each product once.
+    K = 25
+    p = gen_zmatrix_quadratic(6, seed=4)
+    products = count_products(p)
+    for stop in (0.0, NEVER_STOPS):
+        products.clear()
+        run(alg, p, np.linspace(-2.0, 2.0, 6), SolverConfig(max_outer_iters=K,
+                                                             stop_residual=stop))
+        if kernel == "numpy":
+            assert products == ([1] * K + [K + 1] if stop == 0.0 else [1, 1] * K + [1])
+        else:
+            assert products == [1] * (K + 1)
 
 
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
@@ -337,29 +387,33 @@ def test_a_non_finite_iterate_is_named_before_its_objective_value():
             assert str(exc.value) == "ccd produced a non-finite iterate at iteration 1"
 
 
-def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch):
+def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch, kernel):
     # The low-L case above: F overflows at iteration 45. A budget of 10**6
     # iterations raises the same fault, measured before the row buffer
-    # first grows, so gd takes fewer than 128 steps.
+    # first grows, so gd takes fewer than 128 steps: grad calls on the
+    # numpy path, qprox calls on the compiled one.
     p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
     errors, steps = [], []
-    cls = type(p.smooth)
-    original = cls.grad
+    if kernel == "numpy":
+        owner, name = type(p.smooth), "grad"
+    else:
+        owner, name = _qsweep.load(), "qprox"
+    original = getattr(owner, name)
 
-    def counted(self, x):
+    def counted(*args):
         steps.append(1)
-        return original(self, x)
+        return original(*args)
 
     for K in (400, 10 ** 6):
-        monkeypatch.setattr(cls, "grad", counted)
         steps.clear()
-        with pytest.raises(NonFiniteIterateError) as exc:
-            run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=K))
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, counted)
+            with pytest.raises(NonFiniteIterateError) as exc:
+                run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=K))
         errors.append((exc.value.iteration, str(exc.value)))
+        assert 45 <= len(steps) < 128
     assert errors[0] == errors[1] == (45, "gd produced a non-finite objective value "
                                           "at iteration 45")
-    assert len(steps) < 128
 
 
 # A stop rule that cannot fire: no residual below is exactly zero.
