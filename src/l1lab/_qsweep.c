@@ -3,8 +3,14 @@
  * qsweep: one cyclic ccd or ccm sweep of a quadratic, the loop of
  * CoordinateKernel.sweep with the same float operations in the same order.
  *
+ * qstep: one ccd or ccm iteration of run() from the product A x: the row
+ * copy, the state A x + b and qsweep, in one call.
+ *
  * qprox: one gd step of a quadratic from the product A x, the numpy
  * prox-gradient image with the same float operations.
+ *
+ * qray: the first rung of a ray t * u that classifies as the wanted kind,
+ * the start search's numpy classification with the same float operations.
  *
  * render_floats: a block of doubles as text, each value spelled as
  * Python's repr (float.__repr__) or '%.17g' % v spells it.
@@ -39,6 +45,18 @@ void qsweep(long d, const double *A, const double *steps, double lam,
     }
 }
 
+/* One ccd or ccm iteration from the iterate x and its product ax = A x:
+ * w = x, state = ax + b (the gradient at x, as np.add forms it), then the
+ * sweep of qsweep on w. */
+void qstep(long d, const double *A, const double *steps, double lam, const double *x,
+           const double *ax, const double *b, double *w, double *state)
+{
+    memcpy(w, x, d * sizeof *w);
+    for (long i = 0; i < d; i++)
+        state[i] = ax[i] + b[i];
+    qsweep(d, A, steps, lam, w, state);
+}
+
 /* One gd step of a quadratic: out = _soft(x - g / L, tau) with the gradient
  * g = ax + b, ax the product A x. Each entry takes the float operations of
  * operators._soft, np.sign(v) * np.maximum(np.abs(v) - tau, 0.0): sign keeps
@@ -53,6 +71,38 @@ void qprox(long d, const double *x, const double *ax, const double *b, double L,
         double m = __builtin_fabs(v) - tau;
         out[i] = sign * (m < 0.0 ? 0.0 : m);
     }
+}
+
+/* The first of the rungs ts[0..nt) at which the point x = t u of a
+ * quadratic classifies as a supersolution (sign = 1) or a subsolution
+ * (sign = -1), or -1 when none does; a = A u. The gradient at x is
+ * g = t a + b, as ray_grads forms it for a power of two t, and the slack
+ * of each coordinate is operators._classification_slack with tau = 1
+ * (dividing by 1 is exact, so it is left out): g + lam where x - g > lam,
+ * g - lam where x - g < -lam, else x. As in operators._kinds, a rung is of
+ * the wanted kind when every sign * s >= -tol and some sign * s > tol
+ * (every |s| <= tol is EXACT); a NaN fails the first test, so its rung is
+ * NEITHER. A rung is left at its first coordinate that fails that test. */
+long qray(long d, long nt, const double *ts, const double *u, const double *a,
+          const double *b, double lam, double tol, double sign)
+{
+    for (long r = 0; r < nt; r++) {
+        double t = ts[r];
+        int beyond = 0;  /* some sign * s > tol */
+        long i;
+        for (i = 0; i < d; i++) {
+            double x = t * u[i];
+            double g = t * a[i] + b[i];
+            double v = x - g;
+            double s = sign * (v > lam ? g + lam : v < -lam ? g - lam : x);
+            if (!(s >= -tol))
+                break;
+            beyond |= s > tol;
+        }
+        if (i == d && beyond)
+            return r;
+    }
+    return -1;
 }
 
 /* Float-to-text by exact integer arithmetic (Steele & White 1990; Adams,

@@ -1,12 +1,14 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It holds three functions: ``qsweep``, the quadratic ccd/ccm sweep,
-``qprox``, gd's step of a quadratic from the product A x, and
-``render_floats``, which spells a block of floats as repr or '%.17g' does
-(see _jsonlayout.render). load() returns the library, or None when it
-cannot be had; the callers then keep the numpy loops and Python's own
-number formatting, with the same bits and bytes. Nothing here runs at
-import.
+It holds five functions: ``qsweep``, the quadratic ccd/ccm sweep,
+``qstep``, one ccd/ccm iteration of run() (row copy, state and sweep) from
+the product A x, ``qprox``, gd's step of a quadratic from the product A x,
+``qray``, the start search's classification of the rungs of one ray of a
+quadratic, and ``render_floats``, which spells a block of floats as repr
+or '%.17g' does (see _jsonlayout.render). load() returns the library, or
+None when it cannot be had; the callers then keep the numpy loops and
+Python's own number formatting, with the same bits and bytes. Nothing
+here runs at import.
 
 The library is cached per user in ``$XDG_CACHE_HOME/l1lab`` (by default
 ``~/.cache/l1lab``), a directory created with mode 0700 and used only if
@@ -114,9 +116,17 @@ def _open(path: Path | None):
     lib.qsweep.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
                            ctypes.c_void_p, ctypes.c_void_p)
     lib.qsweep.restype = None
+    lib.qstep.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                          ctypes.c_void_p)
+    lib.qstep.restype = None
     lib.qprox.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                           ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
     lib.qprox.restype = None
+    lib.qray.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
+                         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+                         ctypes.c_double)
+    lib.qray.restype = ctypes.c_long
     lib.render_floats.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p,
                                   ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
     lib.render_floats.restype = ctypes.c_long
@@ -126,7 +136,9 @@ def _open(path: Path | None):
 @functools.cache
 def load():
     """The library, with ``qsweep(d, A, steps, lam, w, state)``,
-    ``qprox(d, x, ax, b, L, tau, out)`` and
+    ``qstep(d, A, steps, lam, x, ax, b, w, state)``,
+    ``qprox(d, x, ax, b, L, tau, out)``,
+    ``qray(d, nt, ts, u, a, b, lam, tol, sign)`` and
     ``render_floats(n, values, repr, sep, nsep, out, holes)``, or None.
 
     Looks up the cache first and compiles on a miss; without a ``cc`` on

@@ -88,8 +88,12 @@ def check_isotonicity_quadratic(A, tol: float = _OFFDIAG_TOL):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
+    big = A > tol
+    np.fill_diagonal(big, False)
+    if not big.any():
+        return True, []
     # np.nonzero walks the upper triangle in row-major order.
-    rows, cols = np.nonzero(np.triu((A > tol) | (A.T > tol), k=1))
+    rows, cols = np.nonzero(np.triu(big | big.T, k=1))
     offenders = list(zip(rows.tolist(), cols.tolist()))
     return (not offenders), offenders
 

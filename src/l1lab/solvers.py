@@ -209,8 +209,9 @@ class CoordinateKernel:
     ``compiled(w, state)`` is that loop on the float64 buffers at those
     addresses, or None when the path is off, for instance when there is no
     compiler. sweep() copies w and the state into buffers of the kernel,
-    whose addresses are taken once; run() calls ``compiled`` on its own
-    iterate rows and state buffer, with nothing copied.
+    made and addressed on its first compiled sweep; run() calls qstep,
+    with the leading arguments of ``compiled``, on its own iterate rows
+    and state buffer, with nothing copied.
     """
 
     def __init__(self, p: ProblemSpec, alg: str):
@@ -221,6 +222,7 @@ class CoordinateKernel:
         self.steps = [p.lipschitz] * p.dim if exact is None else exact
         self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
         self.compiled = None
+        self._buffers = None  # the addresses of sweep()'s copies of w and the state
         rows, d = self.rows, p.dim
         if self.deriv is None and _c_array(rows, (d, d)):
             from . import _qsweep  # imported, and built, only when a sweep needs it
@@ -229,8 +231,6 @@ class CoordinateKernel:
             if lib is not None:
                 # The arrays behind the pointers live as long as the kernel.
                 self._steps = np.array(self.steps, dtype=np.float64)
-                self._w, self._state = np.empty(d), np.empty(d)
-                self._buffers = self._w.ctypes.data, self._state.ctypes.data
                 self.compiled = partial(lib.qsweep, d, rows.ctypes.data, self._steps.ctypes.data,
                                         p.lam)
 
@@ -245,6 +245,9 @@ class CoordinateKernel:
         state = self.p.smooth.sweep_state(w)
         if (self.compiled is not None and taus is None
                 and w.dtype == np.float64 and state.dtype == np.float64):
+            if self._buffers is None:
+                self._w, self._state = np.empty(self.p.dim), np.empty(self.p.dim)
+                self._buffers = self._w.ctypes.data, self._state.ctypes.data
             self._w[...] = w
             self._state[...] = state
             self.compiled(*self._buffers)
@@ -364,23 +367,29 @@ def secant_tau(g_deriv, z_old: float, z_new: float) -> float:
     return (float(g_deriv(z_new)) - float(g_deriv(z_old))) / (z_new - z_old)
 
 
-def _in_place_steps(p: ProblemSpec, kernel, tau_log):
-    """(lib, A, b) when run() steps p in C on its own buffers, else None.
-
-    That needs a smooth part whose affine_gradient() (A, b) C code may take
-    by address, and the compiled library; for ccd and ccm also a compiled
-    kernel and no tau_log.
-    """
-    if tau_log is not None or kernel is not None and kernel.compiled is None:
-        return None
+def compiled_affine(p: ProblemSpec):
+    """(lib, A, b) when p's smooth part has an affine gradient, (A, b) from
+    affine_gradient(), that C code may take by address and the compiled
+    library loads; None otherwise."""
     affine = p.smooth.affine_gradient()
     if affine is None or not (_c_array(affine[0], (p.dim, p.dim))
                               and _c_array(affine[1], (p.dim,))):
         return None
-    from . import _qsweep  # imported, and built, only when a step needs it
+    from . import _qsweep  # imported, and built, only when C code is wanted
 
     lib = _qsweep.load()
     return None if lib is None else (lib, *affine)
+
+
+def _in_place_steps(p: ProblemSpec, kernel, tau_log):
+    """(lib, A, b) when run() steps p in C on its own buffers, else None.
+
+    That needs compiled_affine(p); for ccd and ccm also a compiled kernel
+    and no tau_log.
+    """
+    if tau_log is not None or kernel is not None and kernel.compiled is None:
+        return None
+    return compiled_affine(p)
 
 
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:
@@ -409,11 +418,11 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     takes each iterate's product A w once: np.matmul into row k of a product
     buffer P that grows with the iterates, before the step from row k, and
     both that step and measure() take it. The step is then one C call on
-    the rows of W and P: qprox writes gd's image into the next row, and the
-    kernel's qsweep sweeps the next row, a copy of the row before, with a
-    state buffer of the run. Buffer addresses are taken when a buffer is
-    made, not per iteration. Logistic data, ccm with record_tau and a run
-    without the library keep the numpy steps, with the same bits.
+    the rows of W and P: qprox writes gd's image into the next row, and
+    qstep copies the row before into the next row, forms its gradient in a
+    state buffer of the run and sweeps it. Buffer addresses are taken when
+    a buffer is made, not per iteration. Logistic data, ccm with record_tau
+    and a run without the library keep the numpy steps, with the same bits.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
@@ -430,11 +439,12 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         lib, A, b = in_place
         P = np.empty_like(W)
         row = W.strides[0]
-        w_at, p_at = W.ctypes.data, P.ctypes.data
+        w_at, p_at, b_at = W.ctypes.data, P.ctypes.data, b.ctypes.data
         if kernel is None:
             qprox = partial(lib.qprox, d)
-            b_at, L, tau = b.ctypes.data, p.lipschitz, p.lam / p.lipschitz
+            L, tau = p.lipschitz, p.lam / p.lipschitz
         else:
+            qstep = partial(lib.qstep, *kernel.compiled.args)
             state = np.empty(d)
             state_at = state.ctypes.data
     blocks = []  # (G, F, R) of each measured block of rows, in order
@@ -493,9 +503,8 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 if kernel is None:
                     qprox(w_at + (k - 1) * row, p_at + (k - 1) * row, b_at, L, tau, w_at + k * row)
                 else:
-                    np.add(P[k - 1], b, out=state)
-                    W[k] = W[k - 1]
-                    kernel.compiled(w_at + k * row, state_at)
+                    qstep(w_at + (k - 1) * row, p_at + (k - 1) * row, b_at, w_at + k * row,
+                          state_at)
             elif kernel is not None:
                 W[k] = W[k - 1]
                 try:

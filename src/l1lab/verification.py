@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .operators import (
     prox_gradient_image,
 )
 from .problems import ProblemSpec, as_vector, objective
-from .solvers import CoordinateKernel, SolverConfig, run
+from .solvers import CoordinateKernel, SolverConfig, compiled_affine, run
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
@@ -56,6 +57,8 @@ _LADDER = np.array([2.0 ** i for i in range(41)])
 
 
 def _search_start(p, seed, want, tol):
+    if np.ndim(tol) != 0:
+        raise ValueError(f"tol must be one value, got an array of shape {np.shape(tol)}")
     check_tolerance(tol)
     certificate = p.smooth.isotonicity_certificate()
     if certificate is not None and not certificate[0]:
@@ -65,23 +68,40 @@ def _search_start(p, seed, want, tol):
         )
     d = p.dim
     sign = 1.0 if want is Kind.SUPERSOLUTION else -1.0
+    u = np.empty(d)  # the direction of the ray under test
+    compiled = compiled_affine(p)
+    if compiled is None:
+        def first_hit():
+            # Every rung of the ray t * u at once, from one ray_grads; the first
+            # rung of the wanted kind wins, as in a rung-by-rung search.
+            points = np.multiply.outer(_LADDER, u)
+            kinds = classify_rows(p, points, p.smooth.ray_grads(u, _LADDER), tol)
+            for x, kind in zip(points, kinds):
+                if kind is want:
+                    return x.copy()
+            return None
+    else:
+        # The same rungs in order in C, each left at its first coordinate
+        # of the wrong kind, from the product a = A u.
+        lib, A, b = compiled
+        a = np.empty(d)
+        ray = partial(lib.qray, d, len(_LADDER), _LADDER.ctypes.data, u.ctypes.data,
+                      a.ctypes.data, b.ctypes.data, p.lam, float(tol), sign)
 
-    def first_hit(u):
-        # Every rung of the ray t * u at once, from one ray_grads; the first
-        # rung of the wanted kind wins, as in a rung-by-rung search.
-        points = np.multiply.outer(_LADDER, u)
-        kinds = classify_rows(p, points, p.smooth.ray_grads(u, _LADDER), tol)
-        for x, kind in zip(points, kinds):
-            if kind is want:
-                return x.copy()
-        return None
+        def first_hit():
+            np.matmul(A, u, out=a)
+            r = ray()
+            return None if r < 0 else _LADDER[r] * u
 
-    x = first_hit(sign * np.ones(d))
+    u.fill(sign)
+    x = first_hit()
     if x is not None:
         return x
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        x = first_hit(sign * rng.random(d))
+        rng.random(out=u)
+        u *= sign
+        x = first_hit()
         if x is not None:
             return x
     x = p.smooth.start_fallback(sign)
@@ -99,6 +119,9 @@ def find_supersolution(p: ProblemSpec, seed: int = 0, tol: float = 1e-10) -> np.
     and finally the smooth part's own fallback (for quadratics a
     gradient-target linear solve). An instance with an exact isotonicity
     certificate (quadratics: the off-diagonal test) must pass it first.
+    tol is one nonnegative value; anything else raises ValueError. With the
+    compiled library, a quadratic's rays are classified in C (qray in
+    _qsweep.c), with the same result as the numpy classification.
     """
     return _search_start(p, seed, Kind.SUPERSOLUTION, tol)
 

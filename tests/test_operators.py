@@ -309,6 +309,14 @@ def test_check_isotonicity_quadratic_cases():
     assert not ok and offenders == [(0, 1)]
     ok, offenders = check_isotonicity_quadratic(np.eye(3))
     assert ok and not offenders
+    # A diagonal above tol offends nowhere; an entry above tol on either side
+    # of the diagonal names its upper-triangle pair, once, in row-major order.
+    A = np.diag([3.0, 2.0, 5.0, 1.0])
+    A[2, 0], A[1, 3], A[0, 1], A[1, 0], A[3, 2] = 0.5, 1e-3, 0.2, 0.2, -4.0
+    ok, offenders = check_isotonicity_quadratic(A, tol=1e-4)
+    assert not ok and offenders == [(0, 1), (0, 2), (1, 3)]
+    ok, offenders = check_isotonicity_quadratic(A, tol=0.5)
+    assert ok and not offenders
 
 
 def test_check_isotonicity_quadratic_matches_pairwise_loop():

@@ -80,6 +80,17 @@ def test_start_search_rejects_nan_and_negative_tol():
                 search(p, seed=3, tol=tol)
 
 
+def test_start_search_rejects_an_array_tol():
+    # One tolerance per rung (41 values) or any other array is not a tol.
+    p = gen_zmatrix_quadratic(5, seed=3)
+    for tol in (np.full(41, 1e-3), [1e-3, 1e-3], np.array([1e-3])):
+        for search in (find_supersolution, find_subsolution):
+            with pytest.raises(ValueError, match="tol must be one value"):
+                search(p, seed=3, tol=tol)
+    assert find_supersolution(p, seed=3, tol=np.float64(1e-3)).tobytes() \
+        == find_supersolution(p, seed=3, tol=1e-3).tobytes()
+
+
 def test_find_supersolution_rejects_non_isotone_instance():
     with pytest.raises(PreconditionError):
         find_supersolution(neg_control_problem(), seed=0)
