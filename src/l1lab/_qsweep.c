@@ -1,10 +1,8 @@
 /* The compiled parts of l1lab, built and loaded by _qsweep.py.
  *
- * qsweep: one cyclic ccd or ccm sweep of a quadratic, the loop of
+ * qstep: one ccd or ccm iteration of a quadratic from the product A x: the
+ * row copy, the state A x + b and the cyclic sweep, the loop of
  * CoordinateKernel.sweep with the same float operations in the same order.
- *
- * qstep: one ccd or ccm iteration of run() from the product A x: the row
- * copy, the state A x + b and qsweep, in one call.
  *
  * qprox: one gd step of a quadratic from the product A x, the numpy
  * prox-gradient image with the same float operations.
@@ -16,7 +14,7 @@
  * Python's repr (float.__repr__) or '%.17g' % v spells it.
  *
  * Compile without FMA contraction or fast-math (see _qsweep.py), so every
- * float operation of qsweep and qprox rounds as numpy's does. No part uses
+ * float operation of qstep and qprox rounds as numpy's does. No part uses
  * libm.
  */
 #include <stdint.h>
@@ -24,9 +22,11 @@
 
 /* A is the d x d matrix (row-major), steps the per-coordinate step (L for
  * ccd, A_jj for ccm), w the iterate and state the gradient A w + b at w;
- * both are updated in place. */
-void qsweep(long d, const double *A, const double *steps, double lam,
-            double *w, double *state)
+ * both are updated in place. Kept out of line: inlined into qstep, gcc
+ * 12.2 at -O2 lays out the inner loop so that a step at d = 300 to 500
+ * takes about 1.5 times as long. */
+__attribute__((noinline)) static void qsweep(long d, const double *A, const double *steps,
+                                             double lam, double *w, double *state)
 {
     for (long j = 0; j < d; j++) {
         double s = steps[j];
@@ -47,9 +47,9 @@ void qsweep(long d, const double *A, const double *steps, double lam,
 
 /* One ccd or ccm iteration from the iterate x and its product ax = A x:
  * w = x, state = ax + b (the gradient at x, as np.add forms it), then the
- * sweep of qsweep on w. */
-void qstep(long d, const double *A, const double *steps, double lam, const double *x,
-           const double *ax, const double *b, double *w, double *state)
+ * sweep of qsweep on w. The arguments bound once per solve come first. */
+void qstep(long d, const double *A, const double *steps, double lam, const double *b,
+           double *state, const double *x, const double *ax, double *w)
 {
     memcpy(w, x, d * sizeof *w);
     for (long i = 0; i < d; i++)
@@ -62,7 +62,7 @@ void qstep(long d, const double *A, const double *steps, double lam, const doubl
  * operators._soft, np.sign(v) * np.maximum(np.abs(v) - tau, 0.0): sign keeps
  * a NaN and gives +0 for +-0, maximum keeps a NaN, and the dead zone of a
  * negative v gives -1 * +0 = -0.0. */
-void qprox(long d, const double *x, const double *ax, const double *b, double L, double tau,
+void qprox(long d, const double *b, double L, double tau, const double *x, const double *ax,
            double *out)
 {
     for (long i = 0; i < d; i++) {

@@ -1,11 +1,11 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It holds five functions: ``qsweep``, the quadratic ccd/ccm sweep,
-``qstep``, one ccd/ccm iteration of run() (row copy, state and sweep) from
-the product A x, ``qprox``, gd's step of a quadratic from the product A x,
-``qray``, the start search's classification of the rungs of one ray of a
-quadratic, and ``render_floats``, which spells a block of floats as repr
-or '%.17g' does (see _jsonlayout.render). load() returns the library, or
+It exports four functions: ``qstep``, one ccd/ccm iteration of a
+quadratic (row copy, state and cyclic sweep) from the product A x,
+``qprox``, gd's step of a quadratic from the product A x, ``qray``, the
+start search's classification of the rungs of one ray of a quadratic, and
+``render_floats``, which spells a block of floats as repr or '%.17g' does
+(see _jsonlayout.render). load() returns the library, or
 None when it cannot be had; the callers then keep the numpy loops and
 Python's own number formatting, with the same bits and bytes. Nothing
 here runs at import.
@@ -113,15 +113,12 @@ def _open(path: Path | None):
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    lib.qsweep.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
-                           ctypes.c_void_p, ctypes.c_void_p)
-    lib.qsweep.restype = None
     lib.qstep.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                           ctypes.c_void_p)
     lib.qstep.restype = None
-    lib.qprox.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                          ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
+    lib.qprox.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     lib.qprox.restype = None
     lib.qray.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
@@ -135,9 +132,8 @@ def _open(path: Path | None):
 
 @functools.cache
 def load():
-    """The library, with ``qsweep(d, A, steps, lam, w, state)``,
-    ``qstep(d, A, steps, lam, x, ax, b, w, state)``,
-    ``qprox(d, x, ax, b, L, tau, out)``,
+    """The library, with ``qstep(d, A, steps, lam, b, state, x, ax, w)``,
+    ``qprox(d, b, L, tau, x, ax, out)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)`` and
     ``render_floats(n, values, repr, sep, nsep, out, holes)``, or None.
 

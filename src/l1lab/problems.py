@@ -412,7 +412,7 @@ class ProblemSpec:
             raise TypeError("smooth must be a SmoothLoss")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "lipschitz", float(self.lipschitz))
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:  # NaN fails this test too
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if not self.lipschitz > 0.0:
             raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")

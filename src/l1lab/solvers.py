@@ -201,17 +201,7 @@ class CoordinateKernel:
     margins Y * (X @ w) / 2 of logistic data, and then updates it after
     every coordinate (state += delta * rows[j]). A coordinate thus costs
     O(d) or O(n), and rounding drift in the state lasts at most one sweep.
-
-    When the state is the gradient itself (deriv is None) and the rows are
-    a C-contiguous float64 d x d array, a sweep of a float64 w without
-    ``taus`` runs its loop in C (``_qsweep.c``, built on first use): the
-    same float operations in the same order, so the same bits.
-    ``compiled(w, state)`` is that loop on the float64 buffers at those
-    addresses, or None when the path is off, for instance when there is no
-    compiler. sweep() copies w and the state into buffers of the kernel,
-    made and addressed on its first compiled sweep; run() calls qstep,
-    with the leading arguments of ``compiled``, on its own iterate rows
-    and state buffer, with nothing copied.
+    The kernel is the numpy reference of the compiled step (compiled_step).
     """
 
     def __init__(self, p: ProblemSpec, alg: str):
@@ -221,18 +211,6 @@ class CoordinateKernel:
         self.solve_1d = alg == "ccm" and exact is None
         self.steps = [p.lipschitz] * p.dim if exact is None else exact
         self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
-        self.compiled = None
-        self._buffers = None  # the addresses of sweep()'s copies of w and the state
-        rows, d = self.rows, p.dim
-        if self.deriv is None and _c_array(rows, (d, d)):
-            from . import _qsweep  # imported, and built, only when a sweep needs it
-
-            lib = _qsweep.load()
-            if lib is not None:
-                # The arrays behind the pointers live as long as the kernel.
-                self._steps = np.array(self.steps, dtype=np.float64)
-                self.compiled = partial(lib.qsweep, d, rows.ctypes.data, self._steps.ctypes.data,
-                                        p.lam)
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.
@@ -243,16 +221,6 @@ class CoordinateKernel:
         update.
         """
         state = self.p.smooth.sweep_state(w)
-        if (self.compiled is not None and taus is None
-                and w.dtype == np.float64 and state.dtype == np.float64):
-            if self._buffers is None:
-                self._w, self._state = np.empty(self.p.dim), np.empty(self.p.dim)
-                self._buffers = self._w.ctypes.data, self._state.ctypes.data
-            self._w[...] = w
-            self._state[...] = state
-            self.compiled(*self._buffers)
-            w[...] = self._w
-            return w
         lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
         if self.solve_1d:
             buf = np.empty_like(state)
@@ -381,15 +349,30 @@ def compiled_affine(p: ProblemSpec):
     return None if lib is None else (lib, *affine)
 
 
-def _in_place_steps(p: ProblemSpec, kernel, tau_log):
-    """(lib, A, b) when run() steps p in C on its own buffers, else None.
+def compiled_step(p: ProblemSpec, alg: str):
+    """(A, step) when alg's iteration on p runs in C, None when
+    compiled_affine(p) is None.
 
-    That needs compiled_affine(p); for ccd and ccm also a compiled kernel
-    and no tau_log.
+    step(x, ax, out) takes the addresses of three float64 rows of length
+    d: an iterate x, its product np.matmul(A, x) and the row that receives
+    the next iterate, bitwise the numpy step: gd's prox-gradient image
+    (qprox), or a ccd or ccm sweep from x (qstep, with the steps of
+    CoordinateKernel and a state buffer the step owns). For ccm it calls
+    exact_steps(), which may raise Assumption2Error.
     """
-    if tau_log is not None or kernel is not None and kernel.compiled is None:
+    compiled = compiled_affine(p)
+    if compiled is None:
         return None
-    return compiled_affine(p)
+    lib, A, b = compiled
+    d, L = p.dim, p.lipschitz
+    if alg == "gd":
+        return A, partial(lib.qprox, d, b.ctypes.data, L, p.lam / L)
+    steps = np.array(p.smooth.exact_steps() if alg == "ccm" else [L] * d, dtype=np.float64)
+    state = np.empty(d)
+    step = partial(lib.qstep, d, A.ctypes.data, steps.ctypes.data, p.lam, b.ctypes.data,
+                   state.ctypes.data)
+    step.buffers = steps, state  # they live as long as the step; A and b as long as p
+    return A, step
 
 
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:
@@ -414,39 +397,31 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     run stops within one block. The within-sweep iterates of ccd and ccm
     are derived from the iterates after the loop.
 
-    A quadratic (affine_gradient() is not None) with the compiled library
-    takes each iterate's product A w once: np.matmul into row k of a product
-    buffer P that grows with the iterates, before the step from row k, and
-    both that step and measure() take it. The step is then one C call on
-    the rows of W and P: qprox writes gd's image into the next row, and
-    qstep copies the row before into the next row, forms its gradient in a
-    state buffer of the run and sweeps it. Buffer addresses are taken when
-    a buffer is made, not per iteration. Logistic data, ccm with record_tau
-    and a run without the library keep the numpy steps, with the same bits.
+    When compiled_step(p, alg) is not None, each iterate's product A w is
+    taken once: np.matmul into row k of a product buffer P that grows with
+    the iterates, before the step from row k, and both that step and
+    measure() take it. The step is then one C call on the rows of W and P,
+    which writes the next iterate into the next row of W. Buffer addresses
+    are taken when a buffer is made, not per iteration. Logistic data, ccm
+    with record_tau and a run without the library keep the numpy steps,
+    with the same bits.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
     cfg = cfg if cfg is not None else SolverConfig()
     K, stop, d = cfg.max_outer_iters, cfg.stop_residual, p.dim
-    kernel = None if alg == "gd" else CoordinateKernel(p, alg)
     tau_log = [] if cfg.record_tau and alg == "ccm" else None
+    compiled = None if tau_log is not None else compiled_step(p, alg)
+    kernel = CoordinateKernel(p, alg) if compiled is None and alg != "gd" else None
     W = np.empty((min(K + 1, _FIRST_ROWS), d))
     W[0] = as_vector(x0, d)
-    in_place = _in_place_steps(p, kernel, tau_log)
-    P = None  # P[i] = np.matmul(A, W[i]), when the steps run in place
-    if in_place is not None:
-        lib, A, b = in_place
+    P = None  # P[i] = np.matmul(A, W[i]), when the steps run in C
+    if compiled is not None:
+        A, step = compiled
         P = np.empty_like(W)
         row = W.strides[0]
-        w_at, p_at, b_at = W.ctypes.data, P.ctypes.data, b.ctypes.data
-        if kernel is None:
-            qprox = partial(lib.qprox, d)
-            L, tau = p.lipschitz, p.lam / p.lipschitz
-        else:
-            qstep = partial(lib.qstep, *kernel.compiled.args)
-            state = np.empty(d)
-            state_at = state.ctypes.data
+        w_at, p_at = W.ctypes.data, P.ctypes.data
     blocks = []  # (G, F, R) of each measured block of rows, in order
     measured = 0  # rows of W measured so far
 
@@ -500,11 +475,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                     P = np.concatenate((P, np.empty_like(W[k:])))
                     w_at, p_at = W.ctypes.data, P.ctypes.data
             if P is not None:
-                if kernel is None:
-                    qprox(w_at + (k - 1) * row, p_at + (k - 1) * row, b_at, L, tau, w_at + k * row)
-                else:
-                    qstep(w_at + (k - 1) * row, p_at + (k - 1) * row, b_at, w_at + k * row,
-                          state_at)
+                step(w_at + (k - 1) * row, p_at + (k - 1) * row, w_at + k * row)
             elif kernel is not None:
                 W[k] = W[k - 1]
                 try:
@@ -523,7 +494,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         measure(n)
 
     inner = None
-    if cfg.record_inner and kernel is not None:
+    if cfg.record_inner and alg != "gd":
         # Sweep k changes each coordinate once, in order: after j steps it is
         # at iterate k + 1 on coordinates < j and at iterate k on the rest.
         inner = np.where(np.tri(p.dim + 1, p.dim, -1, dtype=bool),

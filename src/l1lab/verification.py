@@ -36,7 +36,7 @@ from .operators import (
     prox_gradient_image,
 )
 from .problems import ProblemSpec, as_vector, objective
-from .solvers import CoordinateKernel, SolverConfig, compiled_affine, run
+from .solvers import CoordinateKernel, SolverConfig, compiled_affine, compiled_step, run
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
@@ -93,20 +93,22 @@ def _search_start(p, seed, want, tol):
             r = ray()
             return None if r < 0 else _LADDER[r] * u
 
-    u.fill(sign)
-    x = first_hit()
-    if x is not None:
-        return x
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        rng.random(out=u)
-        u *= sign
-        x = first_hit()
-        if x is not None:
+    def candidates():
+        # The first hit of the all-ones ray, of each seeded ray, then the fallback.
+        u.fill(sign)
+        yield first_hit()
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            rng.random(out=u)
+            np.multiply(u, sign, out=u)
+            yield first_hit()
+        yield p.smooth.start_fallback(sign)
+
+    # A ray's rungs take the gradient t (A u) + b, which is grad(t u) only
+    # while nothing overflows, so each candidate is confirmed on its own.
+    for x in candidates():
+        if x is not None and np.isfinite(x).all() and classify_point(p, x, tol).kind is want:
             return x
-    x = p.smooth.start_fallback(sign)
-    if x is not None and classify_point(p, x, tol).kind is want:
-        return x
     raise StartSearchError(
         f"no {want.value} found; consider regenerating the instance"
     )
@@ -117,8 +119,10 @@ def find_supersolution(p: ProblemSpec, seed: int = 0, tol: float = 1e-10) -> np.
 
     Tries scaled all-ones points, then seeded random positive directions,
     and finally the smooth part's own fallback (for quadratics a
-    gradient-target linear solve). An instance with an exact isotonicity
-    certificate (quadratics: the off-diagonal test) must pass it first.
+    gradient-target linear solve), and returns the first finite candidate
+    that classify_point confirms; StartSearchError when none is. An
+    instance with an exact isotonicity certificate (quadratics: the
+    off-diagonal test) must pass it first.
     tol is one nonnegative value; anything else raises ValueError. With the
     compiled library, a quadratic's rays are classified in C (qray in
     _qsweep.c), with the same result as the numpy classification.
@@ -159,16 +163,24 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     2**n sweeps, so the attempts stay few when the pattern keeps changing.
     Past the sweeps the polish is tried once more, and the better of the
     two points is kept. Raises ReferenceSolveError when the final residual
-    exceeds 1e-10.
+    exceeds 1e-10. When compiled_step(p, "ccm") is available, a sweep takes
+    one product A x, for the residual's gradient A x + b and for the step.
     """
     use_ccm = p.smooth.strictly_convex_coordinates()
     method = "ccm" if use_ccm else "gd"
-    kernel = CoordinateKernel(p, "ccm") if use_ccm else None
+    compiled = compiled_step(p, "ccm") if use_ccm else None
+    kernel = CoordinateKernel(p, "ccm") if use_ccm and compiled is None else None
+    if compiled is not None:
+        A, step = compiled
+        b = p.smooth.affine_gradient()[1]
+        ax = np.empty(p.dim)
     x = np.zeros(p.dim)
     pattern, held, tried = None, 0, set()
     for sweeps in range(max_sweeps + 1):
         # One prox-gradient image per point: its residual and the gd step.
-        image = prox_gradient_image(p, x, p.smooth.grad(x))
+        if compiled is not None:
+            np.matmul(A, x, out=ax)  # ax + b is bitwise grad(x)
+        image = prox_gradient_image(p, x, p.smooth.grad(x) if compiled is None else ax + b)
         best_res = _inf_norm(x - image)
         if best_res <= _REFERENCE_STOP or sweeps == max_sweeps:
             break
@@ -181,7 +193,13 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
                 cand_res = optimality_residual(p, cand)
                 if cand_res <= _REFERENCE_STOP:
                     return _solution(p, cand, cand_res, method + "+active-set")
-        nxt = kernel.sweep(x.copy()) if use_ccm else image
+        if compiled is not None:
+            nxt = np.empty_like(x)
+            step(x.ctypes.data, ax.ctypes.data, nxt.ctypes.data)
+        elif kernel is not None:
+            nxt = kernel.sweep(x.copy())
+        else:
+            nxt = image
         if np.array_equal(nxt, x):
             break  # numerical fixed point of the sweep map
         x = nxt

@@ -221,3 +221,15 @@ def test_corrupt_problem_file_exits_1(tmp_path, capsys):
     bad.write_text('{"kind": "sparse", "lambda": 0.1}')
     assert main(["run", "--problem", str(bad), "--alg", "gd"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_problem_file_with_a_nan_lambda_exits_1(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    write_scalar_problem(prob, lam=0.1)
+    data = json.loads(prob.read_text())
+    data["lambda"] = float("nan")
+    prob.write_text(json.dumps(data))  # json writes the token NaN
+    assert "NaN" in prob.read_text()
+    for args in (["run", "--alg", "gd"], ["verify", "--iters", "5"]):
+        assert main([args[0], "--problem", str(prob), *args[1:]]) == 1
+        assert "lam must be nonnegative" in capsys.readouterr().err

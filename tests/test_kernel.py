@@ -26,7 +26,7 @@ from l1lab import (
 )
 from l1lab import _qsweep
 from l1lab.operators import _soft
-from l1lab.solvers import INNER_1D_TOL, CoordinateKernel, _in_place_steps
+from l1lab.solvers import INNER_1D_TOL, CoordinateKernel, compiled_step
 
 SWEEPS = 20
 RTOL = 1e-12
@@ -149,12 +149,31 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("alg", ["ccd", "ccm"])
+def test_kernel_sweep_never_loads_the_compiled_library(alg, monkeypatch):
+    # CoordinateKernel is the numpy reference of the compiled step: it
+    # sweeps a quadratic without asking for the library at all.
+    def refuse():
+        raise AssertionError("the reference kernel asked for the compiled library")
+
+    monkeypatch.setattr(_qsweep, "load", refuse)
+    for seed in range(4):
+        p = gen_zmatrix_quadratic(6 + seed, seed=seed)
+        x0 = np.random.default_rng(seed).uniform(-3.0, 3.0, size=p.dim)
+        kernel = CoordinateKernel(p, alg)
+        w = x0.copy()
+        for k in range(SWEEPS):
+            kernel.sweep(w, k)
+        want = reference_run(alg, p, x0, SWEEPS, INNER_1D_TOL)[0][-1]
+        assert float(np.max(np.abs(w - want))) <= relative(want), (alg, seed)
+
+
+@pytest.mark.parametrize("alg", ["ccd", "ccm"])
 def test_kernel_matches_reference_sweep_on_quadratics(alg, kernel):
     rng = np.random.default_rng(7)
     for seed in range(12):
         d = int(rng.integers(2, 51))
         p = gen_zmatrix_quadratic(d, seed=seed, density=(0.2, 0.5, 0.9)[seed % 3])
-        assert (CoordinateKernel(p, alg).compiled is not None) == (kernel == "compiled")
+        assert (compiled_step(p, alg) is not None) == (kernel == "compiled")
         x0 = rng.uniform(-3.0, 3.0, size=d)
         assert_same_run(p, alg, x0, relative)
 
@@ -178,14 +197,9 @@ def both_kernels(monkeypatch):
     return call
 
 
-def in_place(p, alg):
-    """Whether run() steps alg on p in C, on its own buffers."""
-    return _in_place_steps(p, None if alg == "gd" else CoordinateKernel(p, alg), None) is not None
-
-
 def assert_same_traces(both_kernels, p, x0, K, algs=("ccd", "ccm"), stops=(0.0,)):
     for alg in algs:
-        assert in_place(p, alg)
+        assert compiled_step(p, alg) is not None
         for stop in stops:
             cfg = SolverConfig(max_outer_iters=K, stop_residual=stop, record_inner=True)
             compiled, numpy_ = both_kernels(lambda: run(alg, p, x0, cfg))
@@ -283,7 +297,7 @@ def test_compiled_gd_diverges_as_the_numpy_gd_does(both_kernels):
 def qprox(x, ax, b, L, tau):
     """The compiled gd step on float64 arrays: _soft(x - (ax + b) / L, tau)."""
     out = np.empty_like(x)
-    _qsweep.load().qprox(len(x), x.ctypes.data, ax.ctypes.data, b.ctypes.data, L, tau,
+    _qsweep.load().qprox(len(x), b.ctypes.data, L, tau, x.ctypes.data, ax.ctypes.data,
                          out.ctypes.data)
     return out
 

@@ -8,6 +8,7 @@ from l1lab import (
     DimensionMismatchError,
     LipschitzCertificateError,
     LogisticData,
+    ProblemSpec,
     QuadraticForm,
     check_isotonicity_quadratic,
     estimate_lipschitz,
@@ -338,6 +339,17 @@ def test_problem_spec_validates_parameters():
         quadratic_problem(np.eye(2), np.zeros(2), lam=-0.1, lipschitz=1.0)
     with pytest.raises(ValueError):
         quadratic_problem(np.eye(2), np.zeros(2), lam=0.1, lipschitz=0.0)
+
+
+def test_problem_spec_rejects_a_nan_lambda():
+    # A NaN threshold fails both branch tests of the classification, which
+    # would call every point a supersolution.
+    nan = float("nan")
+    with pytest.raises(ValueError, match="lam must be nonnegative"):
+        quadratic_problem(np.eye(2), [1.0, -1.0], lam=nan)
+    smooth = quadratic_problem(np.eye(2), [1.0, -1.0], lam=0.1).smooth
+    with pytest.raises(ValueError, match="lam must be nonnegative"):
+        ProblemSpec(smooth, nan, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,23 +20,23 @@ import pytest
 
 import l1lab
 from l1lab import SolverConfig, _qsweep, gen_zmatrix_quadratic, run
-from l1lab.solvers import CoordinateKernel
+from l1lab.solvers import compiled_step
 
 HAS_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no cc on PATH")
 SRC = Path(l1lab.__file__).resolve().parent.parent
 TIMEOUT_S = 120
 
-# Run in a subprocess: prints whether the kernel is compiled and whether a
-# ccd run has the bits of the numpy sweep.
+# Run in a subprocess: prints whether ccd steps in C and whether a ccd run
+# has the bits of the numpy sweep.
 CHILD = textwrap.dedent("""
     import numpy as np
     from l1lab import SolverConfig, _qsweep, gen_zmatrix_quadratic, run
-    from l1lab.solvers import CoordinateKernel
+    from l1lab.solvers import compiled_step
 
     p = gen_zmatrix_quadratic(12, seed=5)
     x0 = np.full(12, 3.0)
-    compiled = CoordinateKernel(p, "ccd").compiled is not None
+    compiled = compiled_step(p, "ccd") is not None
     got = run("ccd", p, x0, SolverConfig(max_outer_iters=30)).iterates
     _qsweep.load = lambda: None
     want = run("ccd", p, x0, SolverConfig(max_outer_iters=30)).iterates
@@ -90,7 +90,7 @@ def numpy_bits():
 
 
 def assert_numpy_path(p, want):
-    assert CoordinateKernel(p, "ccd").compiled is None
+    assert compiled_step(p, "ccd") is None
     assert ccd_iterates(p).tobytes() == want
 
 
@@ -107,8 +107,8 @@ def test_compiled_kernel_is_in_use_when_a_compiler_is_found():
     # Without this, a CI run could pass every kernel test on the numpy path.
     assert _qsweep.load() is not None
     p = gen_zmatrix_quadratic(6, seed=1)
-    assert CoordinateKernel(p, "ccd").compiled is not None
-    assert CoordinateKernel(p, "ccm").compiled is not None
+    for alg in ("gd", "ccd", "ccm"):
+        assert compiled_step(p, alg) is not None
 
 
 def test_import_compiles_and_loads_nothing(tmp_path):
@@ -163,7 +163,7 @@ def test_an_unusable_cache_builds_in_a_private_temporary_directory(
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     assert fresh_load() is not None
     p, want = numpy_bits
-    assert CoordinateKernel(p, "ccd").compiled is not None
+    assert compiled_step(p, "ccd") is not None
     assert ccd_iterates(p).tobytes() == want
     assert libraries(scratch) == []
     if cache != "a file":

@@ -162,9 +162,19 @@ def test_start_search_paths_agree_where_the_ray_products_overflow(searched, monk
                 m.setattr(_qsweep, "load", lambda: None)
                 want = outcome(search, p, i, checked=False)
             assert got == want, (i, search.__name__)
-    for i, search in ((0, find_supersolution), (1, find_subsolution)):
-        x = np.frombuffer(outcome(search, problems[i], i))
-        assert np.array_equal(np.abs(x), np.full(2, 2.0 ** 36))
+    # A start is returned only when classify_point confirms its kind. On
+    # instances 0 and 1 the ray hit at 2^36 does not classify (A (t u) sums
+    # infinite products to NaN) and the fallback solve is not finite, so
+    # the search fails there.
+    for i, p in enumerate(problems):
+        for search, want in ((find_supersolution, Kind.SUPERSOLUTION),
+                             (find_subsolution, Kind.SUBSOLUTION)):
+            found = outcome(search, p, i)
+            if found is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert classify_point(p, np.frombuffer(found), 1e-10).kind is want, i
+    assert outcome(find_supersolution, problems[0], 0) is None
+    assert outcome(find_subsolution, problems[1], 1) is None
 
 
 def test_qray_is_the_batched_classification_of_each_rung():
