@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Time the compiled library of a git revision against the working tree's.
+
+    python3 scripts/time_c.py <rev> [--reps N]
+
+Builds src/l1lab/_qsweep.c of <rev> and of the working tree, each with the
+working tree's flags (_qsweep.FLAGS), into two temporary libraries, loads
+both into this one process and times them in turn, the order alternating
+from one repetition to the next:
+
+- ``qstep``, one ccd step of a quadratic, at d=300 and d=500;
+- ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
+  spellings (repr and '%.17g').
+
+Each line gives the median time per call of each library over the
+repetitions and their ratio. A change of code layout in the C file can
+move the sweep by tens of percent and still show as only a few percent of
+an end-to-end run, so C changes are timed here first. The two libraries
+must give bitwise-equal outputs on every call timed.
+
+The exit status is 1 when the outputs differ, 2 when <rev> has no
+_qsweep.c, a library cannot be built, or <rev>'s qstep takes other
+arguments than the working tree's; 0 otherwise. ``render_floats`` is
+called in whichever of its two forms each source declares: the one
+without a row length, or the one with a row length and a row separator
+(given the value separator, so that both forms write the same text).
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import ctypes  # noqa: E402
+import re  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from l1lab import SolverConfig, _qsweep, find_supersolution, gen_zmatrix_quadratic, run  # noqa: E402
+
+C_PATH = "src/l1lab/_qsweep.c"
+VOID, LONG, INT, DOUBLE, CHARS = (ctypes.c_void_p, ctypes.c_long, ctypes.c_int,
+                                  ctypes.c_double, ctypes.c_char_p)
+
+
+def prototype(source: str, name: str) -> str:
+    """The parameter list of the C function ``name`` in ``source``, spaces collapsed."""
+    match = re.search(rf"\b{name}\s*\(([^)]*)\)\s*{{", source)
+    return " ".join(match.group(1).split()) if match else ""
+
+
+class Library:
+    """One build of _qsweep.c, loaded with ctypes."""
+
+    def __init__(self, label: str, source: str, directory: Path):
+        self.label = label
+        c_file = directory / f"{label}.c"
+        c_file.write_text(source, encoding="utf-8")
+        so = directory / f"{label}.so"
+        done = subprocess.run(["cc", *_qsweep.FLAGS, "-o", str(so), str(c_file)],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"cannot build {label}: {done.stderr.strip()}")
+        self.lib = ctypes.CDLL(str(so))
+        self.lib.qstep.argtypes = (LONG, VOID, VOID, DOUBLE, VOID, VOID, VOID, VOID, VOID)
+        self.lib.qstep.restype = None
+        self.rows = "rowlen" in prototype(source, "render_floats")
+        self.lib.render_floats.argtypes = (
+            (LONG, VOID, INT, CHARS, LONG, LONG, CHARS, LONG, VOID, VOID) if self.rows
+            else (LONG, VOID, INT, CHARS, LONG, VOID, VOID))
+        self.lib.render_floats.restype = LONG
+
+    def render(self, block: np.ndarray, repr_: bool, sep: bytes):
+        """(text, holes) of render_floats on ``block``, its rows joined by ``sep`` too."""
+        n = block.size
+        out = ctypes.create_string_buffer(n * (24 + len(sep)) + 64)
+        holes = (ctypes.c_long * (2 * n + 1))()
+        data = block.tobytes()
+        args = (block.shape[-1], sep, len(sep)) if self.rows else ()
+        size = self.lib.render_floats(n, data, repr_, sep, len(sep), *args, out, holes)
+        return ctypes.string_at(out, size), holes[:1 + 2 * holes[0]]
+
+
+def qstep_case(d: int):
+    """The arguments of one ccd qstep at dimension d, and its output buffers."""
+    p = gen_zmatrix_quadratic(d, seed=1)
+    A, b = p.smooth.affine_gradient()
+    x = find_supersolution(p, seed=1)
+    steps = np.full(d, p.lipschitz)
+    ax = A @ x
+    state, w = np.empty(d), np.empty(d)
+    args = (d, A.ctypes.data, steps.ctypes.data, p.lam, b.ctypes.data, state.ctypes.data,
+            x.ctypes.data, ax.ctypes.data, w.ctypes.data)
+    return args, (A, b, x, steps, ax), (state, w)
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("rev")
+    parser.add_argument("--reps", type=int, default=15, help="repetitions (default 15)")
+    args = parser.parse_args(argv)
+    if shutil.which("cc") is None:
+        print("no cc on PATH", file=sys.stderr)
+        return 2
+    shown = subprocess.run(["git", "-C", str(ROOT), "show", f"{args.rev}:{C_PATH}"],
+                           capture_output=True, text=True)
+    if shown.returncode != 0:
+        print(f"cannot read {C_PATH} of {args.rev}: {shown.stderr.strip()}", file=sys.stderr)
+        return 2
+    sources = {args.rev: shown.stdout, "tree": (ROOT / C_PATH).read_text(encoding="utf-8")}
+    if len({prototype(s, "qstep") for s in sources.values()}) != 1:
+        print(f"qstep of {args.rev} takes other arguments than the working tree's",
+              file=sys.stderr)
+        return 2
+
+    with tempfile.TemporaryDirectory(prefix="l1lab-time-c-") as tmp:
+        try:
+            libs = [Library(label, source, Path(tmp))
+                    for label, source in zip(("rev", "tree"), sources.values())]
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+
+        cases = {}  # name -> (calls per timing, call of a library, its comparable output)
+        for d, calls in ((300, 200), (500, 100)):
+            call_args, keep, (state, w) = qstep_case(d)
+
+            # keep holds the arrays whose addresses call_args passes.
+            def qstep(lib, call_args=call_args, keep=keep):
+                lib.lib.qstep(*call_args)
+
+            def qstep_out(lib, call_args=call_args, state=state, w=w):
+                lib.lib.qstep(*call_args)
+                return state.tobytes() + w.tobytes()
+
+            cases[f"qstep d={d}"] = (calls, qstep, qstep_out)
+        p = gen_zmatrix_quadratic(500, seed=1)
+        block = run("ccd", p, find_supersolution(p, seed=1), SolverConfig(max_outer_iters=50)) \
+            .iterates
+        for spelling, repr_ in (("repr", True), ("%.17g", False)):
+            def render(lib, repr_=repr_):
+                return lib.render(block, repr_, b",")
+
+            cases[f"render_floats 51x500 {spelling}"] = (20, render, render)
+
+        differ = [name for name, (_, _, output) in cases.items()
+                  if output(libs[0]) != output(libs[1])]
+        for name in differ:
+            print(f"differs: {name}")
+
+        print(f"{'case':<28} {args.rev + ' us':>12} {'tree us':>12} {'tree/rev':>9}")
+        for name, (calls, call, _) in cases.items():
+            times = {lib.label: [] for lib in libs}
+            for rep in range(args.reps):
+                for lib in libs if rep % 2 == 0 else libs[::-1]:
+                    start = perf_counter()
+                    for _ in range(calls):
+                        call(lib)
+                    times[lib.label].append((perf_counter() - start) / calls * 1e6)
+            old, new = (statistics.median(times[label]) for label in ("rev", "tree"))
+            print(f"{name:<28} {old:>12.1f} {new:>12.1f} {new / old:>9.3f}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

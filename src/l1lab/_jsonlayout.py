@@ -1,34 +1,43 @@
 """Numbers spelled as Python spells them, and JSON text laid out as
 json.dump(..., indent=2) lays it out, written fast.
 
-render() spells a block of floats, joined by a separator, as json.dumps
-spells a float (float.__repr__, with NaN, Infinity and -Infinity) or as
-'%.17g' % v does. It takes ``render_floats`` of the compiled library
-(_qsweep.c, loaded on first use) when there is one: that renders a finite,
-normal float with 1e-15 <= |v| < 1e17, and zero, by exact integer
-arithmetic, and declines every other value (non-finite, subnormal or out
-of range) and an exact tie between two shortest repr candidates; Python
-then spells each declined value in its place. Without the library Python
-spells them all. The bytes are the same either way.
+render() spells a block of floats, joined by a separator, or a 2-D block
+as whole rows, the values of a row joined by one separator and the rows
+by another, as json.dumps spells a float (float.__repr__, with NaN,
+Infinity and -Infinity) or as '%.17g' % v does. It takes ``render_floats``
+of the compiled library (_qsweep.c, loaded on first use) when there is
+one, at most 8192 values per call: that renders a finite, normal float
+with 1e-15 <= |v| < 1e17, and zero, by exact integer arithmetic, and
+declines every other value (non-finite, subnormal or out of range) and an
+exact tie between two shortest repr candidates; Python then spells each
+declined value in its place. Without the library Python spells them all.
+The bytes are the same either way.
 
 Problem, trace and report files use the indent=2 layout. The indenting
-encoder is pure Python; these helpers emit its layout, render each array
-of floats with render() and place the numbers at the indented positions.
-Text is yielded piece by piece, so a large document can be streamed to a
-file.
+encoder is pure Python; these helpers emit its layout, with a 2-D float
+array rendered as whole rows, at most 8192 values per call, its brackets
+and indentation as the separators. Text is yielded piece by piece, so a
+large document can be streamed to a file.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 
 import numpy as np
 
 # The most bytes render_floats writes for one value: a sign, 17 digits,
-# a point and a 4-character exponent, or "-0.000" and 17 digits.
+# a point and a 4-character exponent, or "-0.000" and 17 digits; and the
+# bytes its fixed-width copies may write past the end of the text.
 _WIDTH = 24
+_SLACK = 64
+
+# The most values per render_floats call, and records per json_records piece.
+_CHUNK = 8192
+_RECORD_CHUNK = 512
 
 
 def _json_float(v: float) -> str:
@@ -56,34 +65,60 @@ def _json_join(items: list, sep: str) -> str:
     return json.dumps(items)[1:-1].replace(", ", sep)
 
 
-def render(values, spelling: str, sep: str) -> str:
+def render(values, spelling: str, sep: str, rowsep: str | None = None) -> str:
     """The floats ``values`` joined by ``sep``, each spelled as json.dumps
     spells a float (spelling "json") or as '%.17g' % v does (spelling "%.17g").
 
-    ``sep`` is ASCII. The values are taken as float64, in C order.
+    With ``rowsep``, ``values`` is a 2-D block and the text is
+    ``rowsep.join(render(row, spelling, sep) for row in values)``.
+    The separators are ASCII. The values are taken as float64, in C order.
     """
+    return "".join(render_pieces(values, spelling, sep, rowsep))
+
+
+def render_pieces(values, spelling: str, sep: str, rowsep: str | None = None):
+    """Yield the text of render(values, spelling, sep, rowsep) in pieces of
+    at most 8192 values: whole rows, or parts of one row longer than that."""
     from . import _qsweep  # imported, and built, only when numbers are written
 
-    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    spell = _SPELL[spelling]
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if rowsep is None:
+        v, rowsep = v.reshape(1, -1), sep
+    n, d = v.shape
+    if n == 0 or d == 0:
+        yield rowsep * (n - 1) if n else ""
+        return
     lib = _qsweep.load()
-    if lib is None:
-        if spelling == "json":
-            return _json_join(v.tolist(), sep)
-        return sep.join(map(spell, v.tolist()))
-    n = len(v)
-    raw = sep.encode("ascii")
-    out = ctypes.create_string_buffer(n * (_WIDTH + len(raw)))
-    holes = (ctypes.c_long * (2 * n + 1))()
-    # A bytes copy of the values is cheaper to pass than v.ctypes.data.
-    size = lib.render_floats(n, v.tobytes(), spelling == "json", raw, len(raw), out, holes)
-    text = ctypes.string_at(out, size).decode("ascii")
-    if holes[0] == 0:
-        return text
+    spell = _SPELL[spelling]
+    raw, row_raw = sep.encode("ascii"), rowsep.encode("ascii")
+    if lib is not None:  # buffers for the largest piece, used by every call
+        size = min(n * d, _CHUNK)
+        out = ctypes.create_string_buffer(size * (_WIDTH + max(len(raw), len(row_raw))) + _SLACK)
+        holes = (ctypes.c_long * (2 * size + 1))()
+    rows = max(1, _CHUNK // d)
+    for r in range(0, n, rows):
+        for c in range(0, d, _CHUNK):  # one piece per row block when d <= _CHUNK
+            piece = v[r:r + rows, c:c + _CHUNK]
+            lead = sep if c else rowsep if r else ""
+            if lib is None:
+                yield lead + rowsep.join(_json_join(row, sep) if spelling == "json"
+                                         else sep.join(map(spell, row)) for row in piece.tolist())
+                continue
+            # A bytes copy of the values is cheaper to pass than a pointer to them.
+            flat = piece.tobytes()
+            count = lib.render_floats(piece.size, flat, spelling == "json", raw, len(raw),
+                                      piece.shape[1], row_raw, len(row_raw), out, holes)
+            text = ctypes.string_at(out, count).decode("ascii")
+            if holes[0]:
+                text = _fill_holes(text, holes, np.frombuffer(flat), spell)
+            yield lead + text
+
+
+def _fill_holes(text: str, holes, values: np.ndarray, spell) -> str:
     # Python spells each declined value at the offset where it belongs.
     index, at = np.ctypeslib.as_array(holes)[1:1 + 2 * holes[0]].reshape(-1, 2).T
     parts, start = [], 0
-    for offset, value in zip(at.tolist(), v[index].tolist()):
+    for offset, value in zip(at.tolist(), values[index].tolist()):
         parts += (text[start:offset], spell(value))
         start = offset
     parts.append(text[start:])
@@ -118,11 +153,43 @@ def json_numbers(values: np.ndarray, ind: int) -> str:
     return "[" + pad[1:] + text + "\n" + " " * ind + "]"
 
 
+def json_records(names, n: int, columns, ind: int):
+    """Yield the text of a list of ``n`` dicts with the keys ``names`` at
+    indentation ``ind``, _RECORD_CHUNK records per piece, each piece one
+    record template filled in.
+
+    columns(start, stop) gives the value texts of records start..stop - 1,
+    one sequence of texts per key.
+    """
+    pad = "\n" + " " * (ind + 4)
+    record = ("{" + ",".join(f"{pad}{_json_str(name)}: %s" for name in names)
+              + "\n" + " " * (ind + 2) + "}")
+    join = ",\n" + " " * (ind + 2)
+
+    def chunk(start, _):
+        texts = columns(start, min(start + _RECORD_CHUNK, n))
+        yield join.join([record] * len(texts[0])) % tuple(chain.from_iterable(zip(*texts)))
+
+    return json_list(range(0, n, _RECORD_CHUNK), ind, chunk)
+
+
+def _json_rows(block: np.ndarray, ind: int):
+    """Yield the text of a 2-D float64 array with at least one value at
+    indentation ``ind``, as whole rows, at most 8192 values per piece."""
+    inner, pad = " " * (ind + 4), " " * (ind + 2)
+    yield "[\n" + pad + "[\n" + inner
+    yield from render_pieces(block, "json", ",\n" + inner,
+                             "\n" + pad + "],\n" + pad + "[\n" + inner)
+    yield "\n" + pad + "]\n" + " " * ind + "]"
+
+
 def json_value(value, ind: int = 0):
     """Yield the text of a dict with string keys, a list, an array of
     numbers, or a scalar.
 
-    An array is written as its tolist() would be, a row at a time.
+    An array is written as its tolist() would be; a 2-D float array as
+    whole rows, at most 8192 values per call. A dict's value may also be a
+    function of the indentation that yields the value's text.
     """
     if isinstance(value, dict):
         if not value:
@@ -131,13 +198,16 @@ def json_value(value, ind: int = 0):
         pad = "\n" + " " * (ind + 2)
         sep = "{" + pad
         for key, item in value.items():
-            if isinstance(item, (dict, list, np.ndarray)):
+            if callable(item) or isinstance(item, (dict, list, np.ndarray)):
                 yield sep + _json_str(key) + ": "
-                yield from json_value(item, ind + 2)
+                yield from item(ind + 2) if callable(item) else json_value(item, ind + 2)
             else:
                 yield sep + _json_str(key) + ": " + _json_scalar(item)
             sep = "," + pad
         yield "\n" + " " * ind + "}"
+    elif isinstance(value, np.ndarray) and value.ndim == 2 and value.size \
+            and value.dtype == np.float64:
+        yield from _json_rows(value, ind)
     elif isinstance(value, list) or isinstance(value, np.ndarray) and value.ndim > 1:
         yield from json_list(value, ind, json_value)
     elif isinstance(value, np.ndarray):

@@ -10,8 +10,8 @@
  * qray: the first rung of a ray t * u that classifies as the wanted kind,
  * the start search's numpy classification with the same float operations.
  *
- * render_floats: a block of doubles as text, each value spelled as
- * Python's repr (float.__repr__) or '%.17g' % v spells it.
+ * render_floats: a block of doubles as text, in rows, each value spelled
+ * as Python's repr (float.__repr__) or '%.17g' % v spells it.
  *
  * Compile without FMA contraction or fast-math (see _qsweep.py), so every
  * float operation of qstep and qprox rounds as numpy's does. No part uses
@@ -22,11 +22,14 @@
 
 /* A is the d x d matrix (row-major), steps the per-coordinate step (L for
  * ccd, A_jj for ccm), w the iterate and state the gradient A w + b at w;
- * both are updated in place. Kept out of line: inlined into qstep, gcc
- * 12.2 at -O2 lays out the inner loop so that a step at d = 300 to 500
- * takes about 1.5 times as long. */
-__attribute__((noinline)) static void qsweep(long d, const double *A, const double *steps,
-                                             double lam, double *w, double *state)
+ * both are updated in place. Its speed at d = 300 to 500 depends on where
+ * the row loop lies: a step takes about 1.5 times as long when that loop
+ * crosses a 64-byte line. Inlined into qstep, gcc 12.2 at -O2 lays the
+ * loop out so that it does; kept out of line and aligned to 32 bytes, the
+ * loop starts 8 bytes into a line (scripts/time_c.py times a change). */
+__attribute__((noinline, aligned(32))) static void qsweep(long d, const double *A,
+                                                          const double *steps, double lam,
+                                                          double *w, double *state)
 {
     for (long j = 0; j < d; j++) {
         double s = steps[j];
@@ -133,6 +136,7 @@ static const double POW10_CEIL[33] = {
     0x1.c6bf526340000p+49, 0x1.1c37937e08000p+53, 0x1.6345785d8a000p+56,
 };
 
+#define E8 100000000ULL
 #define E16 10000000000000000ULL
 #define E17 100000000000000000ULL
 
@@ -179,7 +183,7 @@ static uint64_t digits17(double v, int repr, int *E)
         /* Round X half to even. */
         if (!xi_exact) {
             u128 rem = x4 & (((u128)1 << k) - 1), half = (u128)1 << (k - 1);
-            xi += rem > half || (rem == half && (xi & 1));
+            xi += (rem > half) | ((rem == half) & xi);
         }
     } else {
         u128 gap_lo = (m == 1ULL << 52 ? 1 : 2) * p5 << (sh > 0 ? sh : 0);
@@ -188,13 +192,21 @@ static uint64_t digits17(double v, int repr, int *E)
         uint64_t lo = floor_shift(x4 - gap_lo, k, &lo_exact);
         uint64_t hi = floor_shift(x4 + gap_hi, k, &hi_exact);
         /* The integers of the interval are lo..hi; X lies strictly inside. */
-        lo += !lo_exact || !inclusive;
-        hi -= hi_exact && !inclusive;
-        uint64_t p = 1;  /* the largest power of ten with a multiple in lo..hi */
-        while (p < E17 && (lo + 10 * p - 1) / (10 * p) * (10 * p) <= hi)
+        lo += !lo_exact | !inclusive;
+        hi -= hi_exact & !inclusive;
+        /* p = 10^j is the largest power of ten with a multiple in lo..hi.
+         * With lj = ceil(lo / 10^j) and hj = floor(hi / 10^j) it has one
+         * when lj <= hj; lj, hj and q = floor(xi / 10^j) step from j to
+         * j + 1 by a division by the constant 10. */
+        uint64_t p = 1, lj = lo, hj = hi, q = xi;
+        while (p < E17 && (lj + 9) / 10 <= hj / 10) {
+            lj = (lj + 9) / 10;
+            hj /= 10;
+            q /= 10;
             p *= 10;
-        uint64_t below = xi / p * p, above = below + p;
-        int in_below = below >= lo, in_above = above <= hi;
+        }
+        uint64_t below = q * p, above = below + p;
+        int in_below = q >= lj, in_above = q + 1 <= hj;
         if (in_below && in_above) {
             /* The sign of (X - below) - (above - X) = u + 2 rem / 2^k, where
              * rem / 2^k in [0, 1) is the fraction of X. */
@@ -224,85 +236,126 @@ static uint64_t digits17(double v, int repr, int *E)
     return xi;
 }
 
-/* Write the text of v at o and return its end, or NULL when declined. */
+/* PAIRS + 2 i spells i = 0..99 in two digits. */
+static const char PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The 8 digits of x < 10^8 at o. */
+static inline void put8(char *o, uint32_t x)
+{
+    uint32_t a = x / 10000, b = x % 10000;
+    memcpy(o, PAIRS + 2 * (a / 100), 2);
+    memcpy(o + 2, PAIRS + 2 * (a % 100), 2);
+    memcpy(o + 4, PAIRS + 2 * (b / 100), 2);
+    memcpy(o + 6, PAIRS + 2 * (b % 100), 2);
+}
+
+/* Write the text of v at o and return its end, or NULL when declined. The
+ * copies have fixed widths, so up to 40 bytes from o may be written. */
 static char *put_float(char *o, double v, int repr)
 {
     uint64_t bits;
     memcpy(&bits, &v, sizeof bits);
-    if (bits >> 63)
-        *o++ = '-';
+    *o = '-';
+    o += bits >> 63;
     if (v == 0.0) {
-        *o++ = '0';
-        if (repr) {
-            *o++ = '.';
-            *o++ = '0';
-        }
-        return o;
+        memcpy(o, "0.0", 4);
+        return o + (repr ? 3 : 1);
     }
     int E;
     uint64_t c = digits17(v, repr, &E);
     if (c == 0)
         return NULL;
-    char dig[17];
-    for (int i = 16; i >= 0; i--) {
-        dig[i] = (char)('0' + c % 10);
-        c /= 10;
-    }
+    /* The 17 digits at dig[0..17), zeros after them: a 9-digit and an
+     * 8-digit half. */
+    char dig[32];
+    memcpy(dig + 16, "0000000000000000", 16);
+    uint64_t top = c / E8;
+    dig[0] = (char)('0' + top / E8);
+    put8(dig + 1, (uint32_t)(top % E8));
+    put8(dig + 9, (uint32_t)(c - top * E8));
+    /* n digits without the trailing zeros, from a word of dig[9..17) or
+     * dig[1..9) xor '0' in every byte: the zero bytes at its last end are
+     * its high bytes on a little-endian machine, its low ones otherwise. */
+    uint64_t w, zeros = 0x3030303030303030ULL;
+    memcpy(&w, dig + 9, 8);
     int n = 17;
-    while (dig[n - 1] == '0')
-        n--;
-    if (E < -4 || E >= (repr ? 16 : 17)) {
-        *o++ = dig[0];
-        if (n > 1) {
-            *o++ = '.';
-            memcpy(o, dig + 1, n - 1);
-            o += n - 1;
-        }
-        *o++ = 'e';
-        *o++ = E < 0 ? '-' : '+';
-        int x = E < 0 ? -E : E;  /* at most 17: two digits */
-        *o++ = (char)('0' + x / 10);
-        *o++ = (char)('0' + x % 10);
-    } else if (E < 0) {
-        *o++ = '0';
-        *o++ = '.';
-        for (int i = -1; i > E; i--)
-            *o++ = '0';
-        memcpy(o, dig, n);
-        o += n;
-    } else if (n <= E + 1) {
-        memcpy(o, dig, n);
-        o += n;
-        for (int i = n; i <= E; i++)
-            *o++ = '0';
-        if (repr) {
-            *o++ = '.';
-            *o++ = '0';
-        }
-    } else {
-        memcpy(o, dig, E + 1);
-        o += E + 1;
-        *o++ = '.';
-        memcpy(o, dig + E + 1, n - E - 1);
-        o += n - E - 1;
+    if ((w ^= zeros) == 0) {
+        memcpy(&w, dig + 1, 8);
+        n = 9;
+        w ^= zeros;
     }
-    return o;
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    n = w == 0 ? 1 : n - __builtin_clzll(w) / 8;
+#else
+    n = w == 0 ? 1 : n - __builtin_ctzll(w) / 8;
+#endif
+    if (E < -4 || E >= (repr ? 16 : 17)) {
+        /* d.ddde-XX, or de-XX for one digit; |E| <= 16. */
+        o[0] = dig[0];
+        o[1] = '.';
+        memcpy(o + 2, dig + 1, 16);
+        o += n > 1 ? n + 1 : 1;
+        o[0] = 'e';
+        o[1] = E < 0 ? '-' : '+';
+        memcpy(o + 2, PAIRS + 2 * (E < 0 ? -E : E), 2);
+        return o + 4;
+    }
+    if (E < 0) {
+        /* 0.ddd after -E - 1 zeros. */
+        memcpy(o, "0.000000", 8);
+        o += 1 - E;
+        memcpy(o, dig, 24);
+        return o + n;
+    }
+    if (n <= E + 1) {
+        /* An integer: dig[n..E] are zeros. */
+        memcpy(o, dig, 24);
+        o += E + 1;
+        memcpy(o, ".0", 2);
+        return o + (repr ? 2 : 0);
+    }
+    memcpy(o, dig, 16);
+    o[E + 1] = '.';
+    memcpy(o + E + 2, dig + E + 1, 16);
+    return o + n + 1;
 }
 
-/* Write v[0..n) joined by sep (nsep bytes) to out, which holds at least
- * n * (24 + nsep) bytes, and return the number of bytes written. A
- * declined value is written as nothing: holes[0] counts them, and
- * holes[1 + 2h], holes[2 + 2h] hold the index of the h-th and the offset
- * in out at which its text belongs. */
-long render_floats(long n, const double *v, int repr, const char *sep, long nsep,
-                   char *out, long *holes)
+/* Write the separator s of ns bytes at o, whose padded copy is pad, and
+ * return its end. */
+static char *put_sep(char *o, const char *s, const char pad[32], long ns)
 {
+    if (ns <= 32)
+        memcpy(o, pad, 32);
+    else
+        memcpy(o, s, ns);
+    return o + ns;
+}
+
+/* Write v[0..n), rows of rowlen values, to out: the values of a row joined
+ * by sep (nsep bytes), the rows by rowsep (nrowsep bytes). out holds at
+ * least n * (24 + max(nsep, nrowsep)) + 64 bytes; the number of bytes
+ * written is returned. A declined value is written as nothing: holes[0]
+ * counts them, and holes[1 + 2h], holes[2 + 2h] hold the index of the h-th
+ * and the offset in out at which its text belongs. */
+long render_floats(long n, const double *v, int repr, const char *sep, long nsep, long rowlen,
+                   const char *rowsep, long nrowsep, char *out, long *holes)
+{
+    char sep_pad[32] = {0}, rowsep_pad[32] = {0};
+    memcpy(sep_pad, sep, nsep < 32 ? nsep : 32);
+    memcpy(rowsep_pad, rowsep, nrowsep < 32 ? nrowsep : 32);
     char *o = out;
-    long nh = 0;
+    long nh = 0, col = 0;
     for (long i = 0; i < n; i++) {
         if (i > 0) {
-            memcpy(o, sep, nsep);
-            o += nsep;
+            if (++col == rowlen) {
+                col = 0;
+                o = put_sep(o, rowsep, rowsep_pad, nrowsep);
+            } else {
+                o = put_sep(o, sep, sep_pad, nsep);
+            }
         }
         char *end = put_float(o, v[i], repr);
         if (end == NULL) {

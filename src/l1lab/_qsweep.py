@@ -4,8 +4,8 @@ It exports four functions: ``qstep``, one ccd/ccm iteration of a
 quadratic (row copy, state and cyclic sweep) from the product A x,
 ``qprox``, gd's step of a quadratic from the product A x, ``qray``, the
 start search's classification of the rungs of one ray of a quadratic, and
-``render_floats``, which spells a block of floats as repr or '%.17g' does
-(see _jsonlayout.render). load() returns the library, or
+``render_floats``, which spells a block of floats in rows as repr or
+'%.17g' does (see _jsonlayout.render). load() returns the library, or
 None when it cannot be had; the callers then keep the numpy loops and
 Python's own number formatting, with the same bits and bytes. Nothing
 here runs at import.
@@ -17,8 +17,10 @@ hash of the source and the flags, and the digest of its own bytes: a
 build is written under a unique temporary name and then renamed into
 place, and a file whose bytes do not match its name (truncated or
 corrupt) is never loaded, because loading such a file can crash the
-process. Once a library is loaded from the cache, the libraries of other
-sources and flags there are removed. When the cache cannot be used, the
+process. Loading a library from the cache marks it used (its mtime), and
+the cache keeps the four most recently used libraries, so that a few
+versions used in turn do not rebuild each other's; older ones are
+removed. When the cache cannot be used, the
 library is built in a private temporary directory, which is removed once
 the library is loaded.
 """
@@ -43,6 +45,8 @@ SOURCE = Path(__file__).with_name("_qsweep.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _COMPILE_TIMEOUT_S = 60
+
+_KEEP = 4  # libraries kept in the cache, the most recently used
 
 
 def _digest(data: bytes) -> str:
@@ -80,12 +84,23 @@ def _cached(directory: Path, key: str) -> Path | None:
     return None
 
 
-def _remove_stale(directory: Path, key: str) -> None:
-    """Remove the libraries of every other key from ``directory``, ignoring errors."""
-    for path in directory.glob("qsweep-*.so"):
-        if not path.name.startswith(f"qsweep-{key}-"):
-            with contextlib.suppress(OSError):
-                path.unlink()
+def _used(path: Path) -> int:
+    try:
+        return path.stat().st_mtime_ns
+    except OSError:
+        return 0
+
+
+def _remove_stale(directory: Path, loaded: Path) -> None:
+    """Mark ``loaded`` used and remove from ``directory`` all libraries but
+    it and the _KEEP - 1 most recently used others, ignoring errors."""
+    with contextlib.suppress(OSError):
+        os.utime(loaded)
+    others = sorted((path for path in directory.glob("qsweep-*.so") if path != loaded),
+                    key=_used, reverse=True)
+    for path in others[_KEEP - 1:]:
+        with contextlib.suppress(OSError):
+            path.unlink()
 
 
 def _compile(cc: str, directory: Path, key: str) -> Path | None:
@@ -125,7 +140,8 @@ def _open(path: Path | None):
                          ctypes.c_double)
     lib.qray.restype = ctypes.c_long
     lib.render_floats.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p,
-                                  ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
+                                  ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_long,
+                                  ctypes.c_void_p, ctypes.c_void_p)
     lib.render_floats.restype = ctypes.c_long
     return lib
 
@@ -135,7 +151,8 @@ def load():
     """The library, with ``qstep(d, A, steps, lam, b, state, x, ax, w)``,
     ``qprox(d, b, L, tau, x, ax, out)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)`` and
-    ``render_floats(n, values, repr, sep, nsep, out, holes)``, or None.
+    ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``,
+    or None.
 
     Looks up the cache first and compiles on a miss; without a ``cc`` on
     PATH, a failed compile or an unusable cache and temporary directory it
@@ -152,11 +169,13 @@ def load():
     cc = shutil.which("cc")
     directory = _cache_dir()
     if _private_dir(directory):
-        lib = _open(_cached(directory, key))
+        path = _cached(directory, key)
+        lib = _open(path)
         if lib is None and cc is not None:
-            lib = _open(_compile(cc, directory, key))
+            path = _compile(cc, directory, key)
+            lib = _open(path)
         if lib is not None:
-            _remove_stale(directory, key)
+            _remove_stale(directory, path)
             return lib
     if cc is None:
         return None

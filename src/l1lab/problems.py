@@ -576,9 +576,9 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 def save_problem(p: ProblemSpec, path) -> None:
     """Write p as ``json.dump(problem_to_dict(p), fh, indent=2)`` plus a newline would.
 
-    The data are rendered from the arrays a row at a time; the nested lists
-    of problem_to_dict, about three times the size of the arrays, are never
-    built.
+    The data are rendered from the arrays as whole rows, at most 8192 values
+    per call; the nested lists of problem_to_dict, about three times the
+    size of the arrays, are never built.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json_value(_problem_fields(p)))

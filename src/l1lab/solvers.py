@@ -12,7 +12,6 @@ comparable across algorithms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
@@ -20,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._jsonlayout import json_list, json_numbers, json_value, render
+from ._jsonlayout import json_records, json_value, render, render_pieces
 from .errors import (
     ConvergenceError,
     L1LabError,
@@ -115,63 +114,51 @@ class Trace:
     def write_csv(self, path) -> None:
         """Write the trace as CSV, every float as f"{v:.17g}" spells it.
 
-        The file is streamed a row at a time; each iterate is one render().
+        The rows [k, F, residual, x...] are one '%.17g' block (which spells
+        float(k) as f"{k}" does), streamed as whole rows, at most 8192
+        values per call.
         """
         d = len(self.iterates[0])
+        rows = np.column_stack([np.arange(len(self.f_values)), self.f_values, self.residuals,
+                                self.iterates])
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,F,residual," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
-            for k, (x, F, r) in enumerate(zip(self.iterates, self.f_values, self.residuals)):
-                fh.write(f"{k},{F:.17g},{r:.17g}," + render(x, "%.17g", ",") + "\n")
+            fh.writelines(render_pieces(rows, "%.17g", ",", "\n"))
+            fh.write("\n")
 
     def write_json(self, path) -> None:
         """Write the trace as ``json.dump(..., indent=2)`` plus a newline would.
 
-        The file is streamed an iterate row or a chunk of tau_log records at
-        a time (see json_list), so the whole text is never held in memory.
+        The file is streamed: the iterates and each inner sweep as whole
+        rows, at most 8192 values per call, and tau_log _RECORD_CHUNK records
+        at a time (see json_value), so the whole text is never held in memory.
         """
+        data = {"algorithm": self.algorithm, "iterates": self.iterates,
+                "f_values": np.asarray(self.f_values), "residuals": np.asarray(self.residuals),
+                "inner": self.inner,
+                "tau_log": None if self.tau_log is None else partial(_json_tau_log, self.tau_log)}
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{\n  "algorithm": ' + json.dumps(self.algorithm) + ',\n  "iterates": ')
-            fh.writelines(json_list(self.iterates, 2, json_value))
-            fh.write(',\n  "f_values": ' + json_numbers(np.asarray(self.f_values), 2)
-                     + ',\n  "residuals": ' + json_numbers(np.asarray(self.residuals), 2)
-                     + ',\n  "inner": ')
-            fh.writelines(("null",) if self.inner is None
-                          else json_list(self.inner, 2, _json_sweep))
-            fh.write(',\n  "tau_log": ')
-            fh.writelines(("null",) if self.tau_log is None
-                          else _json_tau_log(self.tau_log, 2))
-            fh.write("\n}\n")
+            fh.writelines(json_value(data))
+            fh.write("\n")
 
 
-# TauRecords are rendered _TAU_CHUNK at a time: the float fields of a chunk
-# (all but the int fields k and j) by one render() call.
-_TAU_CHUNK = 512
 _TAU_FIELDS = tuple(f.name for f in fields(TauRecord))
 _TAU_FLOATS = len(_TAU_FIELDS) - 2
 _tau_floats = attrgetter(*_TAU_FIELDS[2:])
 
 
-def _json_sweep(sweep: list, ind: int):
-    return json_list(sweep, ind, json_value)
-
-
 def _json_tau_log(records: list, ind: int):
-    """Yield the text of a tau_log list, _TAU_CHUNK records per piece."""
-    pad = "\n" + " " * (ind + 4)
-    record = "{" + ",".join(f"{pad}{json.dumps(name)}: %s" for name in _TAU_FIELDS) \
-        + "\n" + " " * (ind + 2) + "}"
-
-    def chunk(start, _):
-        part = records[start:start + _TAU_CHUNK]
+    """Yield the text of a tau_log list: the float fields of each piece of
+    records (all but the int fields k and j) from one render() call."""
+    def columns(start, stop):
+        part = records[start:stop]
         values = np.fromiter(chain.from_iterable(map(_tau_floats, part)), np.float64)
         floats = render(values, "json", " ").split(" ")
         # A record's k and j (str() spells an int as json.dumps does), then its floats.
-        rows = zip([t.k for t in part], [t.j for t in part],
-                   *(floats[i::_TAU_FLOATS] for i in range(_TAU_FLOATS)))
-        yield (",\n" + " " * (ind + 2)).join([record] * len(part)) \
-            % tuple(chain.from_iterable(rows))
+        return ([t.k for t in part], [t.j for t in part],
+                *(floats[i::_TAU_FLOATS] for i in range(_TAU_FLOATS)))
 
-    return json_list(range(0, len(records), _TAU_CHUNK), ind, chunk)
+    return json_records(_TAU_FIELDS, len(records), columns, ind)
 
 
 def _c_array(a, shape) -> bool:

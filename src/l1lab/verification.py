@@ -19,12 +19,12 @@ expression within floating-point tolerances, and reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from ._jsonlayout import json_value, render
+from ._jsonlayout import json_records, json_value, render, render_pieces
 from .errors import PreconditionError, ReferenceSolveError, StartSearchError
 from .operators import (
     Kind,
@@ -73,9 +73,12 @@ def _search_start(p, seed, want, tol):
     if compiled is None:
         def first_hit():
             # Every rung of the ray t * u at once, from one ray_grads; the first
-            # rung of the wanted kind wins, as in a rung-by-rung search.
-            points = np.multiply.outer(_LADDER, u)
-            kinds = classify_rows(p, points, p.smooth.ray_grads(u, _LADDER), tol)
+            # rung of the wanted kind wins, as in a rung-by-rung search. On
+            # both paths the ladder warns nothing where its top rungs
+            # overflow: a candidate warns only in classify_point's confirmation.
+            with np.errstate(over="ignore", invalid="ignore"):
+                points = np.multiply.outer(_LADDER, u)
+                kinds = classify_rows(p, points, p.smooth.ray_grads(u, _LADDER), tol)
             for x, kind in zip(points, kinds):
                 if kind is want:
                     return x.copy()
@@ -89,7 +92,8 @@ def _search_start(p, seed, want, tol):
                       a.ctypes.data, b.ctypes.data, p.lam, float(tol), sign)
 
         def first_hit():
-            np.matmul(A, u, out=a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(A, u, out=a)
             r = ray()
             return None if r < 0 else _LADDER[r] * u
 
@@ -308,7 +312,8 @@ class ComparisonReport:
     def verdict(self):
         return all(r.all_ok for r in self.records)
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
+        # to_json_dict() but per_iteration, with x_star as its array.
         return {
             "start_kind": self.start.kind.value,
             "dominance_tol": self.dominance_tol,
@@ -316,49 +321,80 @@ class ComparisonReport:
             "isotonicity_ok": self.isotonicity_ok,
             "verdict": self.verdict,
             "reference": {
-                "x_star": self.reference.x_star.tolist(),
+                "x_star": np.asarray(self.reference.x_star),
                 "f_star": self.reference.f_star,
                 "residual": self.reference.residual,
                 "method": self.reference.method,
             },
-            "per_iteration": [
-                {
-                    "k": r.k,
-                    "f_gd": r.f_gd,
-                    "f_ccd": r.f_ccd,
-                    "f_ccm": r.f_ccm,
-                    "bound": None if math.isinf(r.bound) else r.bound,
-                    "dominance_ok": r.dominance_ok,
-                    "f_order_ok": r.f_order_ok,
-                    "rate_ok": r.rate_ok,
-                    "classes": [c.value for c in r.classes],
-                    "persistence_ok": r.persistence_ok,
-                }
-                for r in self.records
-            ],
         }
+
+    def to_json_dict(self) -> dict:
+        data = self._json_head()
+        data["reference"]["x_star"] = data["reference"]["x_star"].tolist()
+        data["per_iteration"] = [
+            {
+                "k": r.k,
+                "f_gd": r.f_gd,
+                "f_ccd": r.f_ccd,
+                "f_ccm": r.f_ccm,
+                "bound": None if math.isinf(r.bound) else r.bound,
+                "dominance_ok": r.dominance_ok,
+                "f_order_ok": r.f_order_ok,
+                "rate_ok": r.rate_ok,
+                "classes": [c.value for c in r.classes],
+                "persistence_ok": r.persistence_ok,
+            }
+            for r in self.records
+        ]
+        return data
+
+    def _json_per_iteration(self, ind: int):
+        # The text of to_json_dict()["per_iteration"] from one record
+        # template, the floats of each piece of records from one render().
+        def columns(start, stop):
+            part = self.records[start:stop]
+            floats = render(np.array([(r.f_gd, r.f_ccd, r.f_ccm, r.bound) for r in part]),
+                            "json", " ").split(" ")
+            bounds = ["null" if math.isinf(r.bound) else text
+                      for r, text in zip(part, floats[3::4])]
+            flags = {name: ["true" if getattr(r, name) else "false" for r in part]
+                     for name in ("dominance_ok", "f_order_ok", "rate_ok", "persistence_ok")}
+            spelled = {cs: "".join(json_value([c.value for c in cs], ind + 4))
+                       for cs in {r.classes for r in part}}
+            classes = [spelled[r.classes] for r in part]
+            return ([r.k for r in part], floats[0::4], floats[1::4], floats[2::4], bounds,
+                    flags["dominance_ok"], flags["f_order_ok"], flags["rate_ok"], classes,
+                    flags["persistence_ok"])
+
+        return json_records(_RECORD_FIELDS, len(self.records), columns, ind)
 
     def write_json(self, path) -> None:
         """Write ``json.dump(self.to_json_dict(), fh, indent=2)`` plus a newline.
 
         The text is streamed piece by piece (see json_value), with x_star
-        rendered from its array.
+        rendered from its array and per_iteration from one record template.
         """
-        data = self.to_json_dict()
-        data["reference"]["x_star"] = np.asarray(self.reference.x_star)
+        data = {**self._json_head(), "per_iteration": self._json_per_iteration}
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(json_value(data))
             fh.write("\n")
 
     def write_summary_csv(self, path) -> None:
-        """Write one row per iteration, every float as f"{v:.17g}" spells it."""
-        floats = np.array([(r.f_gd, r.f_ccd, r.f_ccm, r.bound) for r in self.records])
-        cells = render(floats, "%.17g", ",").split(",")
+        """Write one row per iteration, every float as f"{v:.17g}" spells it.
+
+        The rows [k, F_gd, F_ccd, F_ccm, bound, dominance_ok] are one
+        '%.17g' block, which spells float(k) as f"{k}" does and 1.0 and 0.0
+        as int(dominance_ok) does.
+        """
+        rows = np.array([(r.k, r.f_gd, r.f_ccd, r.f_ccm, r.bound, r.dominance_ok)
+                         for r in self.records], dtype=np.float64)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,F_gd,F_ccd,F_ccm,bound,dominance_ok\n")
-            for i, r in enumerate(self.records):
-                fh.write(f"{r.k}," + ",".join(cells[4 * i:4 * i + 4])
-                         + f",{int(r.dominance_ok)}\n")
+            fh.writelines(render_pieces(rows, "%.17g", ",", "\n"))
+            fh.write("\n")
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
 
 
 def run_comparison(

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -201,25 +202,46 @@ def test_concurrent_builds_leave_one_valid_library(tmp_path):
 
 @needs_cc
 def test_loading_removes_the_libraries_of_other_sources(fresh_load, tmp_path):
-    # Every change to _qsweep.c or the flags gives a new key; the libraries
-    # of the old keys are removed once the current one loads. Other files,
-    # builds in progress and entries that cannot be removed stay, and
-    # raise nothing.
+    # Every change to _qsweep.c or the flags gives a new key. Loading marks
+    # the library used (its mtime); the cache keeps it and the _KEEP - 1
+    # most recently used libraries of other keys and removes the older
+    # ones. Other files, builds in progress and entries that cannot be
+    # removed stay, and raise nothing.
     directory = tmp_path / "cache" / "l1lab"
     directory.mkdir(parents=True, mode=0o700)
-    stale = ["qsweep-0000000000000000-1111111111111111.so", "qsweep-old-a.so"]
+    others = [f"qsweep-{i:016x}-{i:016x}.so" for i in range(_qsweep._KEEP + 1)]  # oldest first
     kept = ["notes.txt", ".qsweep-0000000000000000-1-ab.tmp", "qsweep-0000000000000000.c"]
-    for name in stale + kept:
+    for name in others + kept:
         (directory / name).write_bytes(b"\0" * 64)
     (directory / "qsweep-dir-b.so").mkdir()  # unlink() fails on a directory
+    start = time.time() - 3600
+    for age, name in enumerate(["qsweep-dir-b.so", *others]):
+        os.utime(directory / name, (start + age, start + age))
     assert fresh_load() is not None
     names = libraries(directory)
-    assert not set(stale) & set(names)
-    assert set(kept) | {"qsweep-dir-b.so"} <= set(names)
-    libs = [name for name in names if name.endswith(".so") and name != "qsweep-dir-b.so"]
+    libs = [name for name in names if name.endswith(".so") and name not in others
+            and name != "qsweep-dir-b.so"]
     assert len(libs) == 1
     assert _qsweep._cached(directory, libs[0].split("-")[1]) == directory / libs[0]
-    # The next load finds that library and keeps it.
+    assert set(names) == {*kept, "qsweep-dir-b.so", *others[-(_qsweep._KEEP - 1):], libs[0]}
+    # The next load finds that library and keeps every file.
     _qsweep.load.cache_clear()
     assert fresh_load() is not None
     assert libraries(directory) == names
+
+
+@needs_cc
+def test_two_sources_used_in_turn_with_one_cache_compile_once_each(
+        fresh_load, monkeypatch, tmp_path):
+    # Two l1lab versions sharing a cache, used in turn, keep each other's library.
+    other = tmp_path / "_qsweep.c"
+    other.write_bytes(_qsweep.SOURCE.read_bytes() + b"\n/* another version */\n")
+    compiles = []
+    compile_ = _qsweep._compile
+    monkeypatch.setattr(_qsweep, "_compile", lambda *args: compiles.append(args) or compile_(*args))
+    for source in [_qsweep.SOURCE, other] * 3:
+        monkeypatch.setattr(_qsweep, "SOURCE", source)
+        _qsweep.load.cache_clear()
+        assert fresh_load() is not None
+    assert len(compiles) == 2
+    assert len(libraries(tmp_path / "cache" / "l1lab")) == 2

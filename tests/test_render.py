@@ -68,9 +68,9 @@ def python_texts(values, spelling):
 def declined(lib, values, spelling):
     """Indices of the values the C code leaves to Python."""
     n = len(values)
-    out = ctypes.create_string_buffer(n * 25)
+    out = ctypes.create_string_buffer(n * 25 + 64)
     holes = (ctypes.c_long * (2 * n + 1))()
-    lib.render_floats(n, values.tobytes(), spelling == "json", b",", 1, out, holes)
+    lib.render_floats(n, values.tobytes(), spelling == "json", b",", 1, n, b",", 1, out, holes)
     return np.array(holes[1:1 + 2 * holes[0]:2], dtype=np.int64)
 
 
@@ -146,3 +146,75 @@ def test_compiled_renderer_is_in_use_when_a_compiler_is_found(monkeypatch):
     values = np.array([0.1, -3.0, 123456.789, 0.0, -0.0])
     assert render(values, "%.17g", ",") == "0.10000000000000001,-3,123456.789,0,-0"
     assert render(values, "json", ",") == "0.1,-3.0,123456.789,0.0,-0.0"
+
+
+# Whole-row blocks: render(block, spelling, sep, rowsep) lays out the rows of
+# a 2-D block in C calls of at most _CHUNK values, whole rows or parts of one
+# row, and must give the text of the rows rendered one by one.
+
+CHUNK = _jsonlayout._CHUNK
+TIE = 2029977987957735.2  # repr's two nearest shortest candidates are equally near
+DECLINED = [math.nan, math.inf, -math.inf, 5e-324, 1e300, TIE]
+
+
+def spelled_rows(block, spelling, sep, rowsep):
+    """The block spelled value by value by Python."""
+    return rowsep.join(sep.join(python_texts(np.asarray(row), spelling)) for row in block)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (9, 1), (1, 9), (3, 7)])
+@pytest.mark.parametrize("spelling", sorted(SPELL))
+def test_a_block_is_its_rows_rendered_one_by_one(renderer, shape, spelling):
+    rng = np.random.default_rng(sum(shape))
+    block = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    block.flat[::3] = np.resize(DECLINED, len(block.flat[::3]))
+    # Separators up to 32 bytes are copied at a fixed width, longer ones not.
+    for sep, rowsep in ((",", "\n"), (", ", "],\n  ["), ("a" * 32, "b" * 33),
+                        (",\n" + " " * 40, "\n" + "x" * 40)):
+        got = render(block, spelling, sep, rowsep)
+        assert got == rowsep.join(render(row, spelling, sep) for row in block)
+        assert got == spelled_rows(block, spelling, sep, rowsep)
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELL))
+def test_declined_values_at_the_ends_of_rows_and_chunks(renderer, spelling):
+    assert is_repr_tie(TIE)
+    # Rows of 1000 values make pieces of 8 rows; rows of CHUNK + 5 values
+    # are split inside the row.
+    for d in (1000, CHUNK + 5):
+        block = np.full((10, d), 0.1)
+        first = d * (CHUNK // d) if d <= CHUNK else CHUNK  # the values of the first call
+        rng = np.random.default_rng(d)
+        block.flat[[first - 1, first]] = rng.choice(DECLINED, 2)
+        block[:, 0], block[:, -1] = rng.choice(DECLINED, (2, 10))
+        assert render(block, spelling, ",", ";\n") == spelled_rows(block, spelling, ",", ";\n")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 3), (1, CHUNK + 1), (2, CHUNK + 900), (30, 700),
+                                   (0, 3), (2, 0)])
+def test_json_value_of_a_2d_array_is_json_dumps_of_its_rows(renderer, shape):
+    rng = np.random.default_rng(shape[1])
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-18, 18, shape)
+    a.flat[::97] = -0.0
+    a.flat[::89] = np.resize(DECLINED, len(a.flat[::89]))
+    assert "".join(_jsonlayout.json_value(a)) == json.dumps(a.tolist(), indent=2)
+    nested = {"name": "x", "X": a, "more": [a[:1], 3]}
+    want = {"name": "x", "X": a.tolist(), "more": [a[:1].tolist(), 3]}
+    assert "".join(_jsonlayout.json_value(nested)) == json.dumps(want, indent=2)
+
+
+def test_render_passes_at_most_chunk_values_per_call(lib, monkeypatch):
+    sizes = []
+
+    class Counting:
+        def render_floats(self, n, *args):
+            sizes.append(n)
+            return lib.render_floats(n, *args)
+
+    monkeypatch.setattr(_qsweep, "load", Counting)
+    for shape, want in (((20, 1000), [8000, 8000, 4000]), ((3, CHUNK + 5), [CHUNK, 5] * 3),
+                        ((1, 10), [10])):
+        sizes.clear()
+        block = np.full(shape, 0.5)
+        assert render(block, "json", ",", ";") == ";".join([",".join(["0.5"] * shape[1])] * shape[0])
+        assert sizes == want

@@ -9,6 +9,8 @@ classify_point per candidate, in order, the first hit wins. Both paths
 must return its bytes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,27 @@ def test_start_search_paths_agree_where_the_ray_products_overflow(searched, monk
                     assert classify_point(p, np.frombuffer(found), 1e-10).kind is want, i
     assert outcome(find_supersolution, problems[0], 0) is None
     assert outcome(find_subsolution, problems[1], 1) is None
+
+
+def test_start_search_paths_warn_alike_where_the_ray_products_overflow(monkeypatch):
+    # The ladder warns nothing on either path; what warns is classify_point's
+    # confirmation of a candidate, the same on both.
+    if _qsweep.load() is None:
+        pytest.skip("the compiled library cannot be built here")
+    c = 1.6e308 / 2.0 ** 35
+    p = quadratic_problem(c * np.array([[2.0, -1.0], [-1.0, 2.0]]), [-1.7e308, -1.7e308],
+                          lam=0.1)
+
+    def warned():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StartSearchError):
+                find_supersolution(p, seed=0)
+        return [(w.category, str(w.message)) for w in caught]
+
+    compiled = warned()
+    monkeypatch.setattr(_qsweep, "load", lambda: None)
+    assert compiled and warned() == compiled
 
 
 def test_qray_is_the_batched_classification_of_each_rung():
