@@ -60,6 +60,9 @@ COMMANDS = (
     ("verify_d12_sub", ["verify", "--dim", "12", "--seed", "3", "--iters", "100",
                         "--start", "sub", "--report", "d12_sub_report.json",
                         "--summary", "d12_sub_summary.csv"]),
+    # K = 600: a report whose per_iteration is written in two pieces.
+    ("verify_d6_k600", ["verify", "--dim", "6", "--seed", "7", "--iters", "600",
+                        "--report", "d6_k600_report.json", "--summary", "d6_k600_summary.csv"]),
     # A mid-size quadratic reference solve, checked byte for byte.
     ("verify_d60", ["verify", "--problem", "zmat60.json", "--iters", "40",
                     "--report", "d60_report.json", "--summary", "d60_summary.csv"]),

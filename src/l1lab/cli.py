@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
     StartSearchError,
 )
-from .operators import check_isotonicity_quadratic, classify_point
+from .operators import classify_point
 from .problems import (
     gen_zmatrix_quadratic,
     lasso_build,
@@ -130,7 +130,7 @@ def cmd_gen(args) -> int:
         X, Y = load_xy_csv(csv_path)
         p = lasso_build(X, Y, lam)
     save_problem(p, out)
-    ok, offenders = check_isotonicity_quadratic(p.smooth.A)
+    ok, offenders = p.smooth.isotonicity_certificate()
     verdict = "PASS" if ok else f"FAIL ({len(offenders)} positive off-diagonal pairs)"
     print(f"wrote {out} (dim={p.dim}, lambda={p.lam:.17g}, L={p.lipschitz:.17g})")
     print(f"isotonicity check: {verdict}")

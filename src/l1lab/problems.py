@@ -193,11 +193,13 @@ class QuadraticForm(SmoothLoss):
         with np.errstate(over="ignore"):
             A += A.T  # numpy buffers the overlapping operand
             A *= 0.5
-            shift = _PSD_RTOL * float(np.abs(A).sum(axis=1).max())
+            M = np.abs(A)
+            shift = _PSD_RTOL * float(M.sum(axis=1).max())
         if not math.isfinite(shift):
             what = "the row sums of |A| overflow" if np.isfinite(A).all() else "A + A^T overflows"
             raise DataOverflowError(f"{what} float64; rescale A")
-        if shift > 0.0 and not _has_shifted_cholesky(A.copy(), shift):
+        np.copyto(M, A)  # |A|'s buffer, reused for the factorization
+        if shift > 0.0 and not _has_shifted_cholesky(M, shift):
             raise ValueError(
                 f"A is not positive semidefinite (A + {shift:.6e} I has no Cholesky factor)"
             )

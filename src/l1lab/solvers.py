@@ -41,7 +41,8 @@ INNER_1D_TOL = 1e-12
 
 _ALGORITHMS = ("gd", "ccd", "ccm")
 
-# Rows run() allocates for iterates at first; the buffer doubles as it fills.
+# Rows run() allocates for iterates at first, and measures as one block
+# without a stop rule; the buffer doubles as it fills.
 _FIRST_ROWS = 64
 
 
@@ -379,10 +380,11 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     (value(W[i]), grad(W[i]))), prox-gradient images and residuals. A stop
     rule needs each residual before the next iterate is made, so each
     iterate is then its own block, and gd steps to its measured image.
-    Without one, gd steps by its own grad, and a block is measured before
-    the buffer grows and after the loop: the same numbers, and a diverging
-    run stops within one block. The within-sweep iterates of ccd and ccm
-    are derived from the iterates after the loop.
+    Without one, gd steps by its own grad, and a block is measured each
+    time _FIRST_ROWS rows are unmeasured and after the loop: the same
+    numbers, and a diverging run stops within _FIRST_ROWS steps of its
+    first fault. The within-sweep iterates of ccd and ccm are derived from
+    the iterates after the loop.
 
     When compiled_step(p, alg) is not None, each iterate's product A w is
     taken once: np.matmul into row k of a product buffer P that grows with
@@ -453,10 +455,10 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 if r <= stop:
                     n = k
                     break
-            if k == len(W):
-                # Measured before the buffer grows, a diverging run stops
-                # within one block.
+            if k - measured == _FIRST_ROWS:
+                # A diverging run stops within _FIRST_ROWS steps of its fault.
                 measure(k)
+            if k == len(W):
                 W = np.concatenate((W, np.empty((min(k, K + 1 - k), d))))
                 if P is not None:
                     P = np.concatenate((P, np.empty_like(W[k:])))

@@ -19,7 +19,7 @@ expression within floating-point tolerances, and reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -298,19 +298,36 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class ComparisonReport:
-    """Outcome of one three-way run from a common classified start."""
+    """Outcome of one three-way run from a common classified start: one
+    column per prediction over k = 0..K, f_values and kinds with rows gd,
+    ccd and ccm. records views the columns as one IterationRecord per k."""
 
     start: object
     dominance_tol: float
     rate_rtol: float
     isotonicity_ok: bool
     reference: ReferenceSolution
-    records: list
+    f_values: np.ndarray
+    bound: np.ndarray
+    dominance_ok: np.ndarray
+    f_order_ok: np.ndarray
+    rate_ok: np.ndarray
+    kinds: np.ndarray
+    persistence_ok: np.ndarray
     traces: dict = field(repr=False, default_factory=dict)
 
     @property
     def verdict(self):
-        return all(r.all_ok for r in self.records)
+        return all(flags.all() for flags in
+                   (self.dominance_ok, self.f_order_ok, self.rate_ok, self.persistence_ok))
+
+    @property
+    def records(self):
+        """The columns as one IterationRecord per k, with Python scalars."""
+        return list(map(IterationRecord, range(len(self.bound)), *self.f_values.tolist(),
+                        self.bound.tolist(), self.dominance_ok.tolist(),
+                        self.f_order_ok.tolist(), self.rate_ok.tolist(),
+                        zip(*self.kinds.tolist()), self.persistence_ok.tolist()))
 
     def _json_head(self) -> dict:
         # to_json_dict() but per_iteration, with x_star as its array.
@@ -331,42 +348,30 @@ class ComparisonReport:
     def to_json_dict(self) -> dict:
         data = self._json_head()
         data["reference"]["x_star"] = data["reference"]["x_star"].tolist()
-        data["per_iteration"] = [
-            {
-                "k": r.k,
-                "f_gd": r.f_gd,
-                "f_ccd": r.f_ccd,
-                "f_ccm": r.f_ccm,
-                "bound": None if math.isinf(r.bound) else r.bound,
-                "dominance_ok": r.dominance_ok,
-                "f_order_ok": r.f_order_ok,
-                "rate_ok": r.rate_ok,
-                "classes": [c.value for c in r.classes],
-                "persistence_ok": r.persistence_ok,
-            }
-            for r in self.records
-        ]
+        data["per_iteration"] = [{**asdict(r), "bound": None if math.isinf(r.bound) else r.bound,
+                                  "classes": [c.value for c in r.classes]} for r in self.records]
         return data
 
     def _json_per_iteration(self, ind: int):
         # The text of to_json_dict()["per_iteration"] from one record
-        # template, the floats of each piece of records from one render().
+        # template, the floats of each piece of the columns from one render().
         def columns(start, stop):
-            part = self.records[start:stop]
-            floats = render(np.array([(r.f_gd, r.f_ccd, r.f_ccm, r.bound) for r in part]),
-                            "json", " ").split(" ")
-            bounds = ["null" if math.isinf(r.bound) else text
-                      for r, text in zip(part, floats[3::4])]
-            flags = {name: ["true" if getattr(r, name) else "false" for r in part]
-                     for name in ("dominance_ok", "f_order_ok", "rate_ok", "persistence_ok")}
+            part = slice(start, stop)
+            rows = render(np.vstack([self.f_values[:, part], self.bound[part]]), "json", " ", "\n")
+            f_gd, f_ccd, f_ccm, bound = map(str.split, rows.split("\n"))
+            bound = ["null" if inf else text
+                     for inf, text in zip(np.isinf(self.bound[part]).tolist(), bound)]
+            dominance, f_order, rate, persistence = (
+                ["true" if v else "false" for v in flags[part].tolist()]
+                for flags in (self.dominance_ok, self.f_order_ok, self.rate_ok,
+                              self.persistence_ok))
+            kinds = list(zip(*self.kinds[:, part].tolist()))
             spelled = {cs: "".join(json_value([c.value for c in cs], ind + 4))
-                       for cs in {r.classes for r in part}}
-            classes = [spelled[r.classes] for r in part]
-            return ([r.k for r in part], floats[0::4], floats[1::4], floats[2::4], bounds,
-                    flags["dominance_ok"], flags["f_order_ok"], flags["rate_ok"], classes,
-                    flags["persistence_ok"])
+                       for cs in set(kinds)}
+            return (range(start, stop), f_gd, f_ccd, f_ccm, bound, dominance, f_order, rate,
+                    [spelled[cs] for cs in kinds], persistence)
 
-        return json_records(_RECORD_FIELDS, len(self.records), columns, ind)
+        return json_records(_RECORD_FIELDS, len(self.bound), columns, ind)
 
     def write_json(self, path) -> None:
         """Write ``json.dump(self.to_json_dict(), fh, indent=2)`` plus a newline.
@@ -386,8 +391,8 @@ class ComparisonReport:
         '%.17g' block, which spells float(k) as f"{k}" does and 1.0 and 0.0
         as int(dominance_ok) does.
         """
-        rows = np.array([(r.k, r.f_gd, r.f_ccd, r.f_ccm, r.bound, r.dominance_ok)
-                         for r in self.records], dtype=np.float64)
+        rows = np.column_stack([np.arange(len(self.bound)), *self.f_values, self.bound,
+                                self.dominance_ok])
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,F_gd,F_ccd,F_ccm,bound,dominance_ok\n")
             fh.writelines(render_pieces(rows, "%.17g", ",", "\n"))
@@ -468,25 +473,19 @@ def run_comparison(
     persistence = ((kinds == start.kind) | (kinds == Kind.EXACT)).all(axis=0)
     rate_flags, headroom = _rate_flags(F, ref, x0, p.lipschitz)
 
-    # k = 0 has no bound: the rate predicate starts at k = 1.
-    records = list(map(
-        IterationRecord,
-        range(K + 1),
-        *F.tolist(),
-        [math.inf] + (ref.f_star + headroom).tolist(),
-        dominance.tolist(),
-        f_order.tolist(),
-        [True] + rate_flags.all(axis=0).tolist(),
-        zip(*kinds.tolist()),
-        persistence.tolist(),
-    ))
-
     return ComparisonReport(
         start=start,
         dominance_tol=tol,
         rate_rtol=_RATE_RTOL,
         isotonicity_ok=iso_ok,
         reference=ref,
-        records=records,
+        f_values=F,
+        # k = 0 has no bound: the rate predicate starts at k = 1.
+        bound=np.concatenate(([math.inf], ref.f_star + headroom)),
+        dominance_ok=dominance,
+        f_order_ok=f_order,
+        rate_ok=np.concatenate(([True], rate_flags.all(axis=0))),
+        kinds=kinds,
+        persistence_ok=persistence,
         traces=traces,
     )

@@ -389,31 +389,33 @@ def test_a_non_finite_iterate_is_named_before_its_objective_value():
 
 def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch, kernel):
     # The low-L case above: F overflows at iteration 45. A budget of 10**6
-    # iterations raises the same fault, measured before the row buffer
-    # first grows, so gd takes fewer than 128 steps: grad calls on the
-    # numpy path, qprox calls on the compiled one.
-    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
-    errors, steps = [], []
-    if kernel == "numpy":
-        owner, name = type(p.smooth), "grad"
-    else:
-        owner, name = _qsweep.load(), "qprox"
-    original = getattr(owner, name)
+    # iterations raises the same fault, measured with the first block of 64
+    # rows, so gd takes fewer than 128 steps: grad calls on the numpy path,
+    # qprox calls on the compiled one. At L = 0.25 F overflows at iteration
+    # 149, after the row buffer has grown twice; a block is measured every
+    # 64 rows, so gd takes at most 64 steps past the fault.
+    for lipschitz, fault, most in ((1e-3, 45, 127), (0.25, 149, 149 + 64)):
+        p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1,
+                              lipschitz=lipschitz)
+        if kernel == "numpy":
+            owner, name = type(p.smooth), "grad"
+        else:
+            owner, name = _qsweep.load(), "qprox"
+        original, steps = getattr(owner, name), []
 
-    def counted(*args):
-        steps.append(1)
-        return original(*args)
+        def counted(*args):
+            steps.append(1)
+            return original(*args)
 
-    for K in (400, 10 ** 6):
-        steps.clear()
-        with monkeypatch.context() as m:
-            m.setattr(owner, name, counted)
-            with pytest.raises(NonFiniteIterateError) as exc:
-                run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=K))
-        errors.append((exc.value.iteration, str(exc.value)))
-        assert 45 <= len(steps) < 128
-    assert errors[0] == errors[1] == (45, "gd produced a non-finite objective value "
-                                          "at iteration 45")
+        for K in (400, 10 ** 6):
+            steps.clear()
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, counted)
+                with pytest.raises(NonFiniteIterateError) as exc:
+                    run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=K))
+            assert (exc.value.iteration, str(exc.value)) == (
+                fault, f"gd produced a non-finite objective value at iteration {fault}")
+            assert fault <= len(steps) <= most
 
 
 # A stop rule that cannot fire: no residual below is exactly zero.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from l1lab import (
+    ComparisonReport,
     IterationRecord,
     Kind,
     PreconditionError,
@@ -25,6 +26,7 @@ from l1lab import (
     run,
     run_comparison,
 )
+from l1lab._jsonlayout import _RECORD_CHUNK
 from l1lab.operators import prox_gradient_image
 from l1lab.solvers import CoordinateKernel
 
@@ -546,19 +548,29 @@ def plain_write_summary_csv(report, path):
                      f"{r.bound:.17g},{int(r.dominance_ok)}\n")
 
 
-def test_report_writers_match_plain_reference_byte_for_byte(tmp_path, renderer):
-    # Reports as `l1lab verify` makes them, from both starts, and the
-    # negative control, whose predicates fail.
+def test_report_writers_match_plain_reference_byte_for_byte(tmp_path, renderer, monkeypatch):
+    # Reports as `l1lab verify` makes them, from both starts; the negative
+    # control, whose predicates fail; and K = 600, whose per_iteration is
+    # written in two pieces of _RECORD_CHUNK records.
     p = gen_zmatrix_quadratic(40, seed=3)
-    reports = [run_comparison(p, find(p, seed=3), K=60)
-               for find in (find_supersolution, find_subsolution)]
-    reports.append(run_comparison(neg_control_problem(), [1.0, 1.0], K=5, report_only=True))
-    assert reports[0].records[0].bound == math.inf and not reports[2].verdict
-    for i, report in enumerate(reports):
-        for write, plain, name in ((report.write_json, plain_write_json, "report.json"),
-                                   (report.write_summary_csv, plain_write_summary_csv,
-                                    "summary.csv")):
+    small = gen_zmatrix_quadratic(5, seed=8)
+    cases = [(p, find(p, seed=3), 60, False) for find in (find_supersolution, find_subsolution)]
+    cases += [(neg_control_problem(), [1.0, 1.0], 5, True),
+              (small, find_supersolution(small, 8), 600, False)]
+    reports = [run_comparison(q, x0, K=K, report_only=only) for q, x0, K, only in cases]
+    assert _RECORD_CHUNK < 601 <= 2 * _RECORD_CHUNK
+    # The writers and the verdict read the columns, not the records.
+    with monkeypatch.context() as m:
+        m.setattr(ComparisonReport, "records", property(lambda _: pytest.fail("records read")))
+        assert [r.verdict for r in reports] == [True, True, False, True]
+        for i, report in enumerate(reports):
+            report.write_json(tmp_path / f"{i}.report.json")
+            report.write_summary_csv(tmp_path / f"{i}.summary.csv")
+    assert reports[0].records[0].bound == math.inf
+    for i, ((q, x0, _, _), report) in enumerate(zip(cases, reports)):
+        assert_records_match_reference(q, report, x0, 1e-8)
+        for plain, name in ((plain_write_json, "report.json"),
+                            (plain_write_summary_csv, "summary.csv")):
             got, want = tmp_path / f"{i}.{name}", tmp_path / f"{i}.plain.{name}"
-            write(got)
             plain(report, want)
             assert got.read_bytes() == want.read_bytes(), (i, name)
