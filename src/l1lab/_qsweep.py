@@ -53,6 +53,14 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _key(source: bytes) -> str:
+    return _digest(b"\0".join([source, *map(str.encode, FLAGS), platform.machine().encode()]))
+
+
+def _name(key: str, library: bytes) -> str:
+    return f"qsweep-{key}-{_digest(library)}.so"
+
+
 def _cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
@@ -79,7 +87,7 @@ def _cached(directory: Path, key: str) -> Path | None:
             data = path.read_bytes()
         except OSError:
             continue
-        if path.name == f"qsweep-{key}-{_digest(data)}.so":
+        if path.name == _name(key, data):
             return path
     return None
 
@@ -111,7 +119,7 @@ def _compile(cc: str, directory: Path, key: str) -> Path | None:
                               capture_output=True, timeout=_COMPILE_TIMEOUT_S)
         if done.returncode != 0:
             return None
-        path = directory / f"qsweep-{key}-{_digest(tmp.read_bytes())}.so"
+        path = directory / _name(key, tmp.read_bytes())
         os.replace(tmp, path)
         return path
     except (OSError, subprocess.SubprocessError):
@@ -165,7 +173,7 @@ def load():
         source = SOURCE.read_bytes()
     except OSError:
         return None
-    key = _digest(b"\0".join([source, *map(str.encode, FLAGS), platform.machine().encode()]))
+    key = _key(source)
     cc = shutil.which("cc")
     directory = _cache_dir()
     if _private_dir(directory):

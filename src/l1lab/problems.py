@@ -108,16 +108,13 @@ class SmoothLoss:
     is bitwise (value(W[i]), grad(W[i])) for a stack W of points (stacked
     np.matmul shapes give each row the BLAS call of the one-point
     product; one matrix product over all rows, such as W @ A, would
-    round differently);
-    lipschitz_matrix(), the dense symmetric matrix whose
-    largest eigenvalue is the gradient's Lipschitz constant;
-    strictly_convex_coordinates(); and for the coordinate kernel
-    sweep_state(w), the running state of a sweep at w, and
-    coordinate_rows(), a (rows, deriv) pair: after
-    coordinate j moves by delta the state grows by delta * rows[j], and
-    deriv(j, state) is the partial derivative j, or deriv is None when that
-    is state[j] itself. The hooks below return None where a loss has no
-    such answer.
+    round differently); lipschitz_matrix(), the dense symmetric matrix
+    whose largest eigenvalue is the gradient's Lipschitz constant; and for
+    the coordinate kernel sweep_state(w), the running state of a sweep at
+    w, and coordinate_rows(), a (rows, deriv) pair: after coordinate j
+    moves by delta the state grows by delta * rows[j], and deriv(j, state)
+    is the partial derivative j, or deriv is None when that is state[j]
+    itself. The hooks below return None where a loss has no such answer.
     """
 
     kind = None
@@ -127,7 +124,8 @@ class SmoothLoss:
         return np.array([self.grad(t * u) for t in ts])
 
     def exact_steps(self):
-        """Closed-form ccm curvature of each coordinate; None: a 1-D solve."""
+        """Closed-form ccm curvature of each coordinate; None: a 1-D solve.
+        Raises Assumption2Error where a coordinate has no ccm step."""
         return None
 
     def affine_gradient(self):
@@ -249,9 +247,6 @@ class QuadraticForm(SmoothLoss):
                 f"entries; A_jj <= 0 at coordinates {bad.tolist()}"
             )
         return diag.tolist()
-
-    def strictly_convex_coordinates(self):
-        return bool(np.all(self.A.diagonal() > 0.0))
 
     def isotonicity_certificate(self):
         return check_isotonicity_quadratic(self.A)
@@ -393,10 +388,6 @@ class LogisticData(SmoothLoss):
         cand[on] = z
         return cand
 
-    def strictly_convex_coordinates(self):
-        # A nonzero column makes the coordinate restriction strictly convex.
-        return bool(np.all(np.linalg.norm(self.X, axis=0) > 0.0))
-
 
 _KINDS = {cls.kind: cls for cls in (QuadraticForm, LogisticData)}
 
@@ -414,10 +405,11 @@ class ProblemSpec:
             raise TypeError("smooth must be a SmoothLoss")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "lipschitz", float(self.lipschitz))
-        if not self.lam >= 0.0:  # NaN fails this test too
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.lipschitz > 0.0:
-            raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
+        # NaN fails these tests too; with L = inf no prox step would move.
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        if not (self.lipschitz > 0.0 and math.isfinite(self.lipschitz)):
+            raise ValueError(f"lipschitz must be positive and finite, got {self.lipschitz}")
 
     @property
     def dim(self) -> int:

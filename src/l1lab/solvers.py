@@ -64,10 +64,10 @@ class SolverConfig:
     record_tau: bool = False
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        if self.stop_residual < 0.0:
-            raise ValueError("stop_residual must be nonnegative")
+        if not isinstance(self.max_outer_iters, (int, np.integer)) or self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be an integer >= 1")
+        if not self.stop_residual >= 0.0:  # NaN fails this test too
+            raise ValueError(f"stop_residual must be nonnegative, got {self.stop_residual}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from ._jsonlayout import json_records, json_value, render, render_pieces
-from .errors import PreconditionError, ReferenceSolveError, StartSearchError
+from .errors import Assumption2Error, PreconditionError, ReferenceSolveError, StartSearchError
 from .operators import (
     Kind,
     check_isotonicity_sampled,
@@ -156,9 +156,11 @@ class ReferenceSolution:
 def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceSolution:
     """Solve p to high precision for use as the F* oracle.
 
-    Runs exact coordinate minimization when every coordinate restriction
-    is verifiably strictly convex, otherwise proximal-gradient steps, from
-    0 until the residual is at most 1e-12 or max_sweeps sweeps are done.
+    Sweeps as run() steps ccm, or ccd when the ccm step raises
+    Assumption2Error (a quadratic diagonal entry <= 0), from 0 until the
+    residual is at most 1e-12 or max_sweeps sweeps are done; with the
+    compiled library a sweep is compiled_step(p, method), which takes one
+    product A x for the residual's gradient A x + b and for the step.
     Once the sign pattern of an iterate equals the previous one, the smooth
     part's support polish (the exact solve on the support for quadratics,
     Newton's method for logistic data) is tried, at most once per pattern;
@@ -167,21 +169,26 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     2**n sweeps, so the attempts stay few when the pattern keeps changing.
     Past the sweeps the polish is tried once more, and the better of the
     two points is kept. Raises ReferenceSolveError when the final residual
-    exceeds 1e-10. When compiled_step(p, "ccm") is available, a sweep takes
-    one product A x, for the residual's gradient A x + b and for the step.
+    exceeds 1e-10.
     """
-    use_ccm = p.smooth.strictly_convex_coordinates()
-    method = "ccm" if use_ccm else "gd"
-    compiled = compiled_step(p, "ccm") if use_ccm else None
-    kernel = CoordinateKernel(p, "ccm") if use_ccm and compiled is None else None
+    try:
+        method, kernel = "ccm", CoordinateKernel(p, "ccm")
+    except Assumption2Error:
+        method, kernel = "ccd", CoordinateKernel(p, "ccd")
+    compiled = compiled_step(p, method)
     if compiled is not None:
         A, step = compiled
         b = p.smooth.affine_gradient()[1]
         ax = np.empty(p.dim)
+
+    def polish(x):
+        # The support polish of x and its residual; an infinite one if none.
+        cand = p.smooth.active_set_solution(x, p.lam)
+        return cand, math.inf if cand is None else optimality_residual(p, cand)
+
     x = np.zeros(p.dim)
     pattern, held, tried = None, 0, set()
     for sweeps in range(max_sweeps + 1):
-        # One prox-gradient image per point: its residual and the gd step.
         if compiled is not None:
             np.matmul(A, x, out=ax)  # ax + b is bitwise grad(x)
         image = prox_gradient_image(p, x, p.smooth.grad(x) if compiled is None else ax + b)
@@ -192,41 +199,33 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
         held = held + 1 if pattern == last else 0
         if held >= 2 ** len(tried) and pattern not in tried:
             tried.add(pattern)
-            cand = p.smooth.active_set_solution(x, p.lam)
-            if cand is not None:
-                cand_res = optimality_residual(p, cand)
-                if cand_res <= _REFERENCE_STOP:
-                    return _solution(p, cand, cand_res, method + "+active-set")
+            cand, cand_res = polish(x)
+            if cand_res <= _REFERENCE_STOP:
+                return _solution(p, cand, cand_res, method + "+active-set")
         if compiled is not None:
             nxt = np.empty_like(x)
             step(x.ctypes.data, ax.ctypes.data, nxt.ctypes.data)
-        elif kernel is not None:
-            nxt = kernel.sweep(x.copy())
         else:
-            nxt = image
+            nxt = kernel.sweep(x.copy())
         if np.array_equal(nxt, x):
             break  # numerical fixed point of the sweep map
         x = nxt
-    cand = p.smooth.active_set_solution(x, p.lam)
-    if cand is not None:
-        cand_res = optimality_residual(p, cand)
-        if cand_res < best_res:
-            x, best_res = cand, cand_res
-            method += "+active-set"
+    label = method
+    cand, cand_res = polish(x)
+    if cand_res < best_res:
+        x, best_res, label = cand, cand_res, method + "+active-set"
     if best_res > _REFERENCE_RESIDUAL:
         raise ReferenceSolveError(
             f"reference solve stalled at residual {best_res:.3e} (> {_REFERENCE_RESIDUAL}) "
-            f"after {sweeps} {'ccm' if use_ccm else 'gd'} iterations"
+            f"after {sweeps} {method} iterations"
         )
-    return _solution(p, x, best_res, method)
+    return _solution(p, x, best_res, label)
 
 
 def _solution(p, x, residual, method):
     x = np.array(x)
     x.setflags(write=False)
-    return ReferenceSolution(
-        x_star=x, f_star=objective(p, x), residual=residual, method=method
-    )
+    return ReferenceSolution(x, objective(p, x), residual, method)
 
 
 # ---------------------------------------------------------------------------

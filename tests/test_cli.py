@@ -8,6 +8,7 @@ from l1lab import (
     SolverConfig,
     check_isotonicity_quadratic,
     find_supersolution,
+    gen_zmatrix_quadratic,
     load_problem,
     quadratic_problem,
     run,
@@ -233,3 +234,27 @@ def test_problem_file_with_a_nan_lambda_exits_1(tmp_path, capsys):
     for args in (["run", "--alg", "gd"], ["verify", "--iters", "5"]):
         assert main([args[0], "--problem", str(prob), *args[1:]]) == 1
         assert "lam must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["lambda", "L"])
+def test_problem_file_with_an_infinite_lambda_or_lipschitz_exits_1(tmp_path, capsys, field):
+    # json.load accepts the token Infinity. With L = inf no step moves, so
+    # verify would certify x = 0 as the reference minimizer.
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(8, seed=3), prob)
+    data = json.loads(prob.read_text())
+    data[field] = float("inf")
+    prob.write_text(json.dumps(data))
+    assert "Infinity" in prob.read_text()
+    want = "lam must be nonnegative" if field == "lambda" else "lipschitz must be positive"
+    for args in (["run", "--alg", "gd", "--out-dir", str(tmp_path)], ["verify", "--iters", "50"]):
+        assert main([args[0], "--problem", str(prob), *args[1:]]) == 1
+        assert f"{want} and finite" in capsys.readouterr().err
+
+
+def test_run_with_a_nan_stop_residual_exits_1(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    write_scalar_problem(prob, lam=0.1)
+    assert main(["run", "--problem", str(prob), "--alg", "ccm", "--stop-residual", "nan",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "stop_residual must be nonnegative" in capsys.readouterr().err

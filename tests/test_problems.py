@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -350,6 +351,19 @@ def test_problem_spec_rejects_a_nan_lambda():
     smooth = quadratic_problem(np.eye(2), [1.0, -1.0], lam=0.1).smooth
     with pytest.raises(ValueError, match="lam must be nonnegative"):
         ProblemSpec(smooth, nan, 1.0)
+
+
+def test_problem_spec_rejects_an_infinite_lambda_or_lipschitz():
+    # Every prox step divides by L: with L = inf no solver and no reference
+    # sweep would move, and a residual at 0 would read 0.
+    smooth = quadratic_problem(np.eye(2), [1.0, -1.0], lam=0.1).smooth
+    for inf in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            ProblemSpec(smooth, inf, 1.0)
+        with pytest.raises(ValueError, match="lipschitz must be positive and finite"):
+            ProblemSpec(smooth, 0.1, inf)
+        with pytest.raises(ValueError, match="lipschitz must be positive and finite"):
+            quadratic_problem(np.eye(2), [1.0, -1.0], lam=0.1, lipschitz=inf)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,22 @@ def test_compiled_renderer_declines_what_its_contract_leaves_to_python(lib, spel
         assert ties and all(map(is_repr_tie, ties))
 
 
+@pytest.mark.parametrize("spelling", sorted(SPELL))
+def test_compiled_renderer_fills_the_buffer_render_sizes_on_the_widest_texts(lib, spelling):
+    # Small blocks of the longest texts the C code writes (23 bytes in both
+    # spellings): after the last value its fixed-width copies reach into
+    # the buffer's slack, which scripts/sanitize_c.py checks under ASan.
+    widest = -0.00012345678901234567
+    text = SPELL[spelling](widest)
+    assert len(text) == 23
+    for n in range(1, 9):
+        values = np.full(n, widest)
+        assert declined(lib, values, spelling).size == 0
+        for sep, rowsep in ((",", ","), (", ", ";\n"), ("\n", "")):
+            assert render(values.reshape(1, n), spelling, sep, rowsep) == sep.join([text] * n)
+            assert render(values.reshape(n, 1), spelling, sep, rowsep) == rowsep.join([text] * n)
+
+
 def is_repr_tie(v):
     """Whether a shortest decimal next to repr(v), one unit of its last
     digit away, also reads back as v and lies exactly as far from it."""

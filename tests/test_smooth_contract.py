@@ -206,7 +206,7 @@ class DelegatingLoss(SmoothLoss):
 
 
 for _hook in ("value", "grad", "values_and_grads", "ray_grads",
-              "lipschitz_matrix", "strictly_convex_coordinates", "sweep_state",
+              "lipschitz_matrix", "sweep_state",
               "coordinate_rows", "exact_steps", "affine_gradient", "isotonicity_certificate",
               "start_fallback", "active_set_solution"):
     setattr(DelegatingLoss, _hook,

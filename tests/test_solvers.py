@@ -532,6 +532,26 @@ def test_run_rejects_unknown_algorithm():
         run("newton", p, [0.0])
 
 
+def test_solver_config_rejects_a_nan_stop_residual():
+    # stop > 0 is False for NaN, so run() would make all K iterations.
+    with pytest.raises(ValueError, match="stop_residual must be nonnegative"):
+        SolverConfig(stop_residual=float("nan"))
+    with pytest.raises(ValueError, match="stop_residual must be nonnegative"):
+        SolverConfig(stop_residual=-1e-9)
+
+
+@pytest.mark.parametrize("iters", [2.5, float("nan"), 3.0, "5", 0, -2])
+def test_solver_config_rejects_a_max_outer_iters_that_is_not_a_positive_integer(iters):
+    with pytest.raises(ValueError, match="max_outer_iters must be an integer >= 1"):
+        SolverConfig(max_outer_iters=iters)
+
+
+def test_solver_config_takes_numpy_integers():
+    p = quadratic_problem([[1.0]], [0.0], lam=0.0, lipschitz=1.0)
+    trace = run("ccd", p, [1.0], SolverConfig(max_outer_iters=np.int64(3)))
+    assert len(trace.f_values) == 4
+
+
 def test_d1_gd_and_ccd_produce_identical_sequences():
     rng = np.random.default_rng(21)
     for _ in range(10):

@@ -10,13 +10,13 @@ must return its bytes.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from l1lab import (
     Kind,
-    ProblemSpec,
     StartSearchError,
     _qsweep,
     classify_point,
@@ -203,13 +203,14 @@ def test_start_search_paths_warn_alike_where_the_ray_products_overflow(monkeypat
 def test_qray_is_the_batched_classification_of_each_rung():
     # qray on its own, against classify_rows of the rungs t * u with the
     # gradients t * a + b: random signs, zeros, infinities and NaNs in u, a
-    # and b (which no finite quadratic makes), at several lam and tol.
+    # and b (which no finite quadratic makes), at several lam and tol. p is a
+    # stand-in with the dim and lam that classify_rows reads, as ProblemSpec
+    # rejects the infinite lam that qray is still checked at.
     lib = _qsweep.load()
     if lib is None:
         pytest.skip("the compiled library cannot be built here")
     rng = np.random.default_rng(0)
     ts = np.array(LADDER)
-    smooth = quadratic_problem(np.eye(4), np.zeros(4), lam=0.0).smooth
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
     hits = set()
     for trial in range(3000):
@@ -219,7 +220,7 @@ def test_qray_is_the_batched_classification_of_each_rung():
             v[mask] = rng.choice(special, mask.sum())
         lam = float(rng.choice([0.0, 0.5, 3.0, np.inf]))
         tol = float(rng.choice([0.0, 1e-3, 0.5, np.inf]))
-        p = ProblemSpec(smooth, lam, 1.0)
+        p = SimpleNamespace(dim=4, lam=lam)
         with np.errstate(all="ignore"):
             points = np.multiply.outer(ts, u)
             grads = np.multiply.outer(ts, a) + b

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from l1lab import (
+    Assumption2Error,
     ComparisonReport,
     IterationRecord,
     Kind,
@@ -136,16 +137,17 @@ def sweeps_then_polish(p, stop_residual=1e-12, max_sweeps=10 ** 6):
     Returns (x, residual, method) as reference_minimizer's x_star, residual
     and method, or raises ReferenceSolveError as it does.
     """
-    use_ccm = p.smooth.strictly_convex_coordinates()
-    method = "ccm" if use_ccm else "gd"
-    kernel = CoordinateKernel(p, "ccm") if use_ccm else None
+    try:
+        method, kernel = "ccm", CoordinateKernel(p, "ccm")
+    except Assumption2Error:
+        method, kernel = "ccd", CoordinateKernel(p, "ccd")
     x = np.zeros(p.dim)
     for _ in range(max_sweeps):
         image = prox_gradient_image(p, x, p.smooth.grad(x))
         best_res = float(np.max(np.abs(x - image)))
         if best_res <= stop_residual:
             break
-        nxt = kernel.sweep(x.copy()) if use_ccm else image
+        nxt = kernel.sweep(x.copy())
         if np.array_equal(nxt, x):
             break
         x = nxt
@@ -212,6 +214,36 @@ def test_reference_minimizer_agrees_with_the_plain_solve_on_logistic_data():
         assert ref.residual <= 1e-12
         assert ref.residual == optimality_residual(p, ref.x_star)
         assert ref.method == "ccm+active-set"
+
+
+def test_reference_minimizer_sweeps_ccd_where_a_diagonal_entry_is_zero(kernel):
+    # A_33 = 0 rules ccm out (Assumption 2), so the reference sweeps ccd
+    # with the step L; |b_3| < lam keeps x*_3 at 0.
+    p = quadratic_problem([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+                          [-1.0, 0.5, 0.05], lam=0.1)
+    with pytest.raises(Assumption2Error):
+        CoordinateKernel(p, "ccm")
+    ref = reference_minimizer(p)
+    assert ref.method == "ccd+active-set"
+    assert ref.residual <= 1e-10
+    np.testing.assert_allclose(ref.x_star, [0.45, 0.0, 0.0], atol=1e-12)
+    x, _, method = sweeps_then_polish(p)
+    assert ref.x_star.tobytes() == x.tobytes() and ref.method == method
+
+
+def test_reference_minimizer_sweeps_ccm_on_a_zero_logistic_column(kernel):
+    # g' is 0 along an all-zero column, so ccm's 1-D solve leaves that
+    # coordinate at 0 and the other coordinates converge as usual.
+    X = [[1.0, 0.0, 0.5], [2.0, 0.0, -1.0], [-0.5, 0.0, 1.0], [0.3, 0.0, 2.0]]
+    p = logistic_problem(X, [1.0, 1.0, -1.0, 1.0], lam=0.05)
+    ref = reference_minimizer(p)
+    assert ref.method == "ccm+active-set"
+    assert ref.residual <= 1e-10
+    assert ref.x_star[1] == 0.0
+    x, _, method = sweeps_then_polish(p)
+    assert method == ref.method
+    f_plain = objective(p, x)
+    assert abs(ref.f_star - f_plain) <= 1e-12 * abs(f_plain)
 
 
 def test_reference_solve_error_names_the_iterations_and_the_residual(monkeypatch):
