@@ -9,8 +9,17 @@ both into this one process and times them in turn, the order alternating
 from one repetition to the next:
 
 - ``qstep``, one ccd step of a quadratic, at d=300 and d=500;
+- ``qblock``, the K iterations of a run with each next product A w formed
+  through numpy's own dgemv, for ccd and gd at d=11, K=200 and for ccd at
+  d=300 and d=500, K=50;
 - ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
   spellings (repr and '%.17g').
+
+A library without ``qblock`` times its ``qstep`` only: it runs the block
+cases as run() did before that entry, one np.matmul and one ``qstep`` (or
+``qprox``) call from Python per iteration, so their outputs still compare
+bitwise. Without numpy's dgemv (_qsweep.dgemv() is None) the block cases
+are left out.
 
 Each line gives the median time per call of each library over the
 repetitions and their ratio. A change of code layout in the C file can
@@ -41,6 +50,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -77,6 +87,13 @@ class Library:
         self.lib = ctypes.CDLL(str(so))
         self.lib.qstep.argtypes = (LONG, VOID, VOID, DOUBLE, VOID, VOID, VOID, VOID, VOID)
         self.lib.qstep.restype = None
+        self.lib.qprox.argtypes = (LONG, VOID, DOUBLE, DOUBLE, VOID, VOID, VOID)
+        self.lib.qprox.restype = None
+        self.block = bool(prototype(source, "qblock"))
+        if self.block:
+            self.lib.qblock.argtypes = (_qsweep.DGEMV, LONG, VOID, VOID, VOID, DOUBLE, DOUBLE,
+                                        VOID, VOID, VOID, LONG, LONG)
+            self.lib.qblock.restype = None
         self.rows = "rowlen" in prototype(source, "render_floats")
         self.lib.render_floats.argtypes = (
             (LONG, VOID, INT, CHARS, LONG, LONG, CHARS, LONG, VOID, VOID) if self.rows
@@ -105,6 +122,41 @@ def qstep_case(d: int):
     args = (d, A.ctypes.data, steps.ctypes.data, p.lam, b.ctypes.data, state.ctypes.data,
             x.ctypes.data, ax.ctypes.data, w.ctypes.data)
     return args, (A, b, x, steps, ax), (state, w)
+
+
+class BlockCase:
+    """K iterations of one algorithm on a quadratic of dimension d, from
+    W[0] = x0 and P[0] = A x0, into row buffers W and P."""
+
+    def __init__(self, alg: str, d: int, K: int, dgemv):
+        p = gen_zmatrix_quadratic(d, seed=1)
+        self.A, self.b = p.smooth.affine_gradient()
+        self.d, self.K, self.lam, self.L, self.dgemv = d, K, p.lam, p.lipschitz, dgemv
+        self.steps = None if alg == "gd" else np.full(d, p.lipschitz)
+        self.state = np.empty(d)
+        self.W, self.P = np.empty((K + 1, d)), np.empty((K + 1, d))
+        self.W[0] = find_supersolution(p, seed=1)
+        self.P[0] = self.A @ self.W[0]
+
+    def __call__(self, lib: Library) -> bytes:
+        A, W, P, d = self.A, self.W, self.P, self.d
+        a_at, b_at, state_at = A.ctypes.data, self.b.ctypes.data, self.state.ctypes.data
+        steps = None if self.steps is None else self.steps.ctypes.data
+        w_at, p_at = W.ctypes.data, P.ctypes.data
+        if lib.block:
+            lib.lib.qblock(self.dgemv, d, a_at, b_at, steps, self.lam, self.L, state_at, w_at,
+                           p_at, 0, self.K)
+        else:
+            # The addresses are taken once, as run() took them.
+            if steps is None:
+                step = partial(lib.lib.qprox, d, b_at, self.L, self.lam / self.L)
+            else:
+                step = partial(lib.lib.qstep, d, a_at, steps, self.lam, b_at, state_at)
+            row = W.strides[0]
+            for k in range(self.K):
+                step(w_at + k * row, p_at + k * row, w_at + (k + 1) * row)
+                np.matmul(A, W[k + 1], out=P[k + 1])
+        return W.tobytes() + P.tobytes()
 
 
 def main(argv) -> int:
@@ -147,6 +199,14 @@ def main(argv) -> int:
                 return state.tobytes() + w.tobytes()
 
             cases[f"qstep d={d}"] = (calls, qstep, qstep_out)
+        dgemv = _qsweep.dgemv()
+        if dgemv is None:
+            print("numpy's dgemv cannot be had: the qblock cases are left out", file=sys.stderr)
+        else:
+            for alg, d, K, calls in (("ccd", 11, 200, 50), ("gd", 11, 200, 50),
+                                     ("ccd", 300, 50, 4), ("ccd", 500, 50, 2)):
+                block_case = BlockCase(alg, d, K, dgemv)
+                cases[f"qblock {alg} d={d} K={K}"] = (calls, block_case, block_case)
         p = gen_zmatrix_quadratic(500, seed=1)
         block = run("ccd", p, find_supersolution(p, seed=1), SolverConfig(max_outer_iters=50)) \
             .iterates

@@ -7,6 +7,10 @@
  * qprox: one gd step of a quadratic from the product A x, the numpy
  * prox-gradient image with the same float operations.
  *
+ * qblock: a run of ccd, ccm or gd iterations on rows of iterates and their
+ * products, each iteration qstep or qprox and then the next product A w by
+ * the dgemv that numpy's matmul calls.
+ *
  * qray: the first rung of a ray t * u that classifies as the wanted kind,
  * the start search's numpy classification with the same float operations.
  *
@@ -15,21 +19,29 @@
  *
  * Compile without FMA contraction or fast-math (see _qsweep.py), so every
  * float operation of qstep and qprox rounds as numpy's does. No part uses
- * libm.
+ * libm; qblock's products are numpy's own BLAS call.
  */
 #include <stdint.h>
 #include <string.h>
 
+/* state += delta * row over d entries. A step at d = 300 to 500 takes
+ * about 1.5 times as long when this loop crosses a 64-byte line, and
+ * where it lies inside a larger function moves with the code around it.
+ * Kept out of line and aligned to 64 bytes, the loop lies near the start
+ * of its own line wherever the linker puts the function
+ * (scripts/time_c.py times a change). */
+__attribute__((noinline, aligned(64))) static void axpy_row(long d, double delta,
+                                                            const double *row, double *state)
+{
+    for (long i = 0; i < d; i++)
+        state[i] += delta * row[i];
+}
+
 /* A is the d x d matrix (row-major), steps the per-coordinate step (L for
  * ccd, A_jj for ccm), w the iterate and state the gradient A w + b at w;
- * both are updated in place. Its speed at d = 300 to 500 depends on where
- * the row loop lies: a step takes about 1.5 times as long when that loop
- * crosses a 64-byte line. Inlined into qstep, gcc 12.2 at -O2 lays the
- * loop out so that it does; kept out of line and aligned to 32 bytes, the
- * loop starts 8 bytes into a line (scripts/time_c.py times a change). */
-__attribute__((noinline, aligned(32))) static void qsweep(long d, const double *A,
-                                                          const double *steps, double lam,
-                                                          double *w, double *state)
+ * both are updated in place. */
+static void qsweep(long d, const double *A, const double *steps, double lam, double *w,
+                   double *state)
 {
     for (long j = 0; j < d; j++) {
         double s = steps[j];
@@ -39,11 +51,8 @@ __attribute__((noinline, aligned(32))) static void qsweep(long d, const double *
         /* _shrink: a NaN fails both tests and falls through to v + t. */
         double z_new = v > t ? v - t : v >= -t ? 0.0 : v + t;
         double delta = z_new - z_old;
-        if (delta != 0.0) {
-            const double *row = A + j * d;
-            for (long i = 0; i < d; i++)
-                state[i] += delta * row[i];
-        }
+        if (delta != 0.0)
+            axpy_row(d, delta, A + j * d, state);
         w[j] = z_new;
     }
 }
@@ -73,6 +82,33 @@ void qprox(long d, const double *b, double L, double tau, const double *x, const
         double sign = v > 0.0 ? 1.0 : v < 0.0 ? -1.0 : v == 0.0 ? 0.0 : v;
         double m = __builtin_fabs(v) - tau;
         out[i] = sign * (m < 0.0 ? 0.0 : m);
+    }
+}
+
+/* cblas_dgemv with 64-bit integers, as OpenBLAS built for a 64-bit
+ * interface exports it; _qsweep.py resolves it from numpy's own module. */
+typedef void (*dgemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha,
+                         const double *a, int64_t lda, const double *x, int64_t incx,
+                         double beta, double *y, int64_t incy);
+
+/* Iterations k0 <= k < k1 of a quadratic on the rows of W and P, d doubles
+ * each, where P[k0] holds the product A W[k0]: W[k + 1] from W[k] and P[k]
+ * by qstep with steps (ccd, ccm), or by qprox with L and tau = lam / L when
+ * steps is NULL (gd); then P[k + 1] = A W[k + 1] by dgemv, called as
+ * numpy's matmul calls it for a C-contiguous A and a vector (column-major
+ * 102, transposed 112, lda d, unit strides), so P[k + 1] is bitwise
+ * np.matmul(A, W[k + 1]). */
+void qblock(dgemv_fn dgemv, long d, const double *A, const double *b, const double *steps,
+            double lam, double L, double *state, double *W, double *P, long k0, long k1)
+{
+    for (long k = k0; k < k1; k++) {
+        const double *x = W + k * d, *ax = P + k * d;
+        double *w = W + (k + 1) * d;
+        if (steps != NULL)
+            qstep(d, A, steps, lam, b, state, x, ax, w);
+        else
+            qprox(d, b, L, lam / L, x, ax, w);
+        dgemv(102, 112, d, d, 1.0, A, d, w, 1, 0.0, P + (k + 1) * d, 1);
     }
 }
 

@@ -1,14 +1,17 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It exports four functions: ``qstep``, one ccd/ccm iteration of a
+It exports five functions: ``qstep``, one ccd/ccm iteration of a
 quadratic (row copy, state and cyclic sweep) from the product A x,
-``qprox``, gd's step of a quadratic from the product A x, ``qray``, the
-start search's classification of the rungs of one ray of a quadratic, and
-``render_floats``, which spells a block of floats in rows as repr or
-'%.17g' does (see _jsonlayout.render). load() returns the library, or
-None when it cannot be had; the callers then keep the numpy loops and
-Python's own number formatting, with the same bits and bytes. Nothing
-here runs at import.
+``qprox``, gd's step of a quadratic from the product A x, ``qblock``, a
+run of either step on rows of iterates that also forms each next product
+A w, ``qray``, the start search's classification of the rungs of one ray
+of a quadratic, and ``render_floats``, which spells a block of floats in
+rows as repr or '%.17g' does (see _jsonlayout.render). load() returns the
+library, or None when it cannot be had; the callers then keep the numpy
+loops and Python's own number formatting, with the same bits and bytes.
+dgemv() returns the BLAS function numpy's matmul calls for a matrix times
+a vector, which qblock takes to form its products, or None when it cannot
+be found or does not give np.matmul's bits. Nothing here runs at import.
 
 The library is cached per user in ``$XDG_CACHE_HOME/l1lab`` (by default
 ``~/.cache/l1lab``), a directory created with mode 0700 and used only if
@@ -31,6 +34,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import importlib
 import os
 import platform
 import shutil
@@ -38,6 +42,8 @@ import stat
 import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_qsweep.c")
 
@@ -47,6 +53,19 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 60
 
 _KEEP = 4  # libraries kept in the cache, the most recently used
+
+# cblas_dgemv with 64-bit integers (OpenBLAS's INTERFACE64 build, which
+# numpy's wheels link): order, trans, m, n, alpha, a, lda, x, incx, beta,
+# y, incy.
+DGEMV = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+                         ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                         ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64)
+
+# Its names in numpy >= 2 wheels (scipy-openblas) and in numpy 1.x wheels.
+_DGEMV_NAMES = ("scipy_cblas_dgemv64_", "cblas_dgemv64_")
+
+# The numpy extension that holds matmul, by its name in numpy >= 2 and 1.x.
+_UMATH_MODULES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
 
 
 def _digest(data: bytes) -> str:
@@ -143,6 +162,10 @@ def _open(path: Path | None):
     lib.qprox.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     lib.qprox.restype = None
+    lib.qblock.argtypes = (DGEMV, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
+                           ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
+    lib.qblock.restype = None
     lib.qray.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
                          ctypes.c_double)
@@ -158,6 +181,7 @@ def _open(path: Path | None):
 def load():
     """The library, with ``qstep(d, A, steps, lam, b, state, x, ax, w)``,
     ``qprox(d, b, L, tau, x, ax, out)``,
+    ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)`` and
     ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``,
     or None.
@@ -196,3 +220,46 @@ def load():
         return _open(_compile(cc, private, key))
     finally:
         shutil.rmtree(private, ignore_errors=True)
+
+
+def _matmul_bits(f) -> bool:
+    """Whether the DGEMV ``f``, called as numpy's matmul calls it, gives
+    np.matmul's bits on one product whose sums depend on their order."""
+    d = 37
+    A = np.sin(np.arange(d * d, dtype=np.float64)).reshape(d, d)
+    x = np.cos(np.arange(d, dtype=np.float64))
+    y = np.full(d, np.nan)
+    f(102, 112, d, d, 1.0, A.ctypes.data, d, x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
+    return y.tobytes() == np.matmul(A, x).tobytes()
+
+
+@functools.cache
+def dgemv():
+    """numpy's own dgemv as a DGEMV, or None.
+
+    matmul of a C-contiguous d x d matrix A and a vector x calls
+    ``dgemv(102, 112, d, d, 1.0, A, d, x, 1, 0.0, y, 1)`` (column-major,
+    transposed). The function is looked up through a ctypes handle on
+    numpy's _multiarray_umath extension, where dlsym also searches the
+    BLAS that numpy links, under each of _DGEMV_NAMES in turn; it is
+    taken only if one probe product is bitwise np.matmul's. It raises
+    nothing and warns nothing.
+    """
+    if os.name != "posix":
+        return None
+    for module in _UMATH_MODULES:
+        try:
+            handle = ctypes.CDLL(importlib.import_module(module).__file__)
+            break
+        except (ImportError, OSError):
+            continue
+    else:
+        return None
+    for name in _DGEMV_NAMES:
+        try:
+            f = DGEMV(ctypes.cast(getattr(handle, name), ctypes.c_void_p).value)
+        except AttributeError:
+            continue
+        if _matmul_bits(f):
+            return f
+    return None

@@ -105,6 +105,15 @@ def _opt(args, config, name, default=None):
     return default if val is None else val
 
 
+def _int_opt(args, config, name, default=None):
+    """_opt for an integer field, whose config value must be a JSON integer
+    (not a bool, 2.7 or 3.0); ValueError names the field otherwise."""
+    val = _opt(args, config, name, default)
+    if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
+        raise ValueError(f"--config field {name!r} must be an integer, got {json.dumps(val)}")
+    return val
+
+
 def _parse_point(text, dim=None):
     vals = [float(tok) for tok in str(text).split(",") if tok.strip()]
     v = np.asarray(vals, dtype=float)
@@ -118,8 +127,8 @@ def cmd_gen(args) -> int:
     kind = _opt(args, config, "kind", "zmatrix")
     out = _opt(args, config, "out", "problem.json")
     if kind == "zmatrix":
-        dim = int(_opt(args, config, "dim", 5))
-        seed = int(_opt(args, config, "seed", 0))
+        dim = _int_opt(args, config, "dim", 5)
+        seed = _int_opt(args, config, "seed", 0)
         density = float(_opt(args, config, "density", 0.5))
         p = gen_zmatrix_quadratic(dim, seed=seed, density=density)
     else:
@@ -142,7 +151,7 @@ def _resolve_start(p, args, config):
     if x0_text is not None:
         return _parse_point(x0_text, p.dim)
     mode = _opt(args, config, "start", "zero")
-    seed = int(_opt(args, config, "seed", 0))
+    seed = _int_opt(args, config, "seed", 0)
     if mode == "zero":
         return np.zeros(p.dim)
     if mode == "super":
@@ -157,14 +166,13 @@ def cmd_run(args) -> int:
         raise PreconditionError("run needs --problem")
     p = load_problem(problem_path)
     alg = _opt(args, config, "alg", "all")
-    iters = int(_opt(args, config, "iters", 100))
+    iters = _int_opt(args, config, "iters", 100)
     stop = float(_opt(args, config, "stop_residual", 0.0))
     record_inner = bool(_opt(args, config, "record_inner", False))
     out_dir = Path(_opt(args, config, "out_dir", "."))
     prefix = _opt(args, config, "prefix", "trace_")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     x0 = _resolve_start(p, args, config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = SolverConfig(max_outer_iters=iters, stop_residual=stop, record_inner=record_inner,
                        record_tau=True)
     algs = ("gd", "ccd", "ccm") if alg == "all" else (alg,)
@@ -187,17 +195,17 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     config = _load_config(args)
     problem_path = _opt(args, config, "problem")
-    seed = int(_opt(args, config, "seed", 0))
+    seed = _int_opt(args, config, "seed", 0)
     if problem_path is not None:
         p = load_problem(problem_path)
     else:
-        dim = _opt(args, config, "dim")
+        dim = _int_opt(args, config, "dim")
         if dim is None:
             raise PreconditionError("verify needs --problem or --dim")
         density = float(_opt(args, config, "density", 0.5))
-        p = gen_zmatrix_quadratic(int(dim), seed=seed, density=density)
+        p = gen_zmatrix_quadratic(dim, seed=seed, density=density)
     mode = _opt(args, config, "start", "super")
-    iters = int(_opt(args, config, "iters", 100))
+    iters = _int_opt(args, config, "iters", 100)
     tol = float(_opt(args, config, "tol", 1e-8))
     x0 = find_supersolution(p, seed=seed) if mode == "super" else find_subsolution(p, seed=seed)
     report = run_comparison(p, x0, K=iters, tol=tol)

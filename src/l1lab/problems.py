@@ -133,7 +133,8 @@ class SmoothLoss:
         when the loss's values_and_grads(W, AW) also takes the products
         AW[i] = np.matmul(A, W[i]) and then computes none; None otherwise.
         run() then forms each iterate's product once, for its step and its
-        measurement."""
+        measurement: in C, by the dgemv numpy's matmul calls, in the same
+        call as the step that makes the iterate (compiled_step)."""
         return None
 
     def isotonicity_certificate(self):

@@ -338,29 +338,37 @@ def compiled_affine(p: ProblemSpec):
 
 
 def compiled_step(p: ProblemSpec, alg: str):
-    """(A, step) when alg's iteration on p runs in C, None when
-    compiled_affine(p) is None.
+    """step(W, P, k0, k1) when alg's iterations on p run in C; None when
+    compiled_affine(p) is None or numpy's dgemv cannot be had
+    (_qsweep.dgemv()).
 
-    step(x, ax, out) takes the addresses of three float64 rows of length
-    d: an iterate x, its product np.matmul(A, x) and the row that receives
-    the next iterate, bitwise the numpy step: gd's prox-gradient image
-    (qprox), or a ccd or ccm sweep from x (qstep, with the steps of
-    CoordinateKernel and a state buffer the step owns). For ccm it calls
-    exact_steps(), which may raise Assumption2Error.
+    W and P are the addresses of two C-contiguous float64 buffers of rows
+    of length d, the iterates and their products, with P[k0] holding
+    np.matmul(A, W[k0]) for (A, b) = p.smooth.affine_gradient(). One call
+    (qblock) makes, for k0 <= k < k1, the next iterate W[k + 1], bitwise
+    the numpy step from W[k]: gd's prox-gradient image (qprox), or a ccd
+    or ccm sweep (qstep, with the steps of CoordinateKernel and a state
+    buffer the step owns). It then forms P[k + 1], bitwise
+    np.matmul(A, W[k + 1]), by the BLAS function numpy's matmul calls.
+    For ccm it calls exact_steps(), which may raise Assumption2Error.
     """
     compiled = compiled_affine(p)
     if compiled is None:
         return None
+    from . import _qsweep
+
+    dgemv = _qsweep.dgemv()
+    if dgemv is None:
+        return None
     lib, A, b = compiled
     d, L = p.dim, p.lipschitz
-    if alg == "gd":
-        return A, partial(lib.qprox, d, b.ctypes.data, L, p.lam / L)
-    steps = np.array(p.smooth.exact_steps() if alg == "ccm" else [L] * d, dtype=np.float64)
+    steps = (None if alg == "gd" else
+             np.array(p.smooth.exact_steps() if alg == "ccm" else [L] * d, dtype=np.float64))
     state = np.empty(d)
-    step = partial(lib.qstep, d, A.ctypes.data, steps.ctypes.data, p.lam, b.ctypes.data,
-                   state.ctypes.data)
+    step = partial(lib.qblock, dgemv, d, A.ctypes.data, b.ctypes.data,
+                   None if steps is None else steps.ctypes.data, p.lam, L, state.ctypes.data)
     step.buffers = steps, state  # they live as long as the step; A and b as long as p
-    return A, step
+    return step
 
 
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:
@@ -386,14 +394,16 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     first fault. The within-sweep iterates of ccd and ccm are derived from
     the iterates after the loop.
 
-    When compiled_step(p, alg) is not None, each iterate's product A w is
-    taken once: np.matmul into row k of a product buffer P that grows with
-    the iterates, before the step from row k, and both that step and
-    measure() take it. The step is then one C call on the rows of W and P,
-    which writes the next iterate into the next row of W. Buffer addresses
-    are taken when a buffer is made, not per iteration. Logistic data, ccm
-    with record_tau and a run without the library keep the numpy steps,
-    with the same bits.
+    When compiled_step(p, alg) is not None, the iterations run in C, and
+    each iterate's product A w is formed once, into row k of a product
+    buffer P that grows with the iterates: np.matmul for the start, and for
+    every later iterate the BLAS call that np.matmul makes, inside the step
+    call. Both the steps and measure() take these products. Without a stop
+    rule one step call makes every row up to the next measured block; with
+    one, it makes one row. Buffer addresses are taken when a buffer is
+    made, not per call. Logistic data, ccm with record_tau and a run
+    without the library or numpy's dgemv keep the numpy steps, with the
+    same bits.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
@@ -401,15 +411,13 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     cfg = cfg if cfg is not None else SolverConfig()
     K, stop, d = cfg.max_outer_iters, cfg.stop_residual, p.dim
     tau_log = [] if cfg.record_tau and alg == "ccm" else None
-    compiled = None if tau_log is not None else compiled_step(p, alg)
-    kernel = CoordinateKernel(p, alg) if compiled is None and alg != "gd" else None
+    step = None if tau_log is not None else compiled_step(p, alg)
+    kernel = CoordinateKernel(p, alg) if step is None and alg != "gd" else None
     W = np.empty((min(K + 1, _FIRST_ROWS), d))
     W[0] = as_vector(x0, d)
     P = None  # P[i] = np.matmul(A, W[i]), when the steps run in C
-    if compiled is not None:
-        A, step = compiled
+    if step is not None:
         P = np.empty_like(W)
-        row = W.strides[0]
         w_at, p_at = W.ctypes.data, P.ctypes.data
     blocks = []  # (G, F, R) of each measured block of rows, in order
     measured = 0  # rows of W measured so far
@@ -446,10 +454,11 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
 
     # Overflow shows up as a non-finite value checked here, not as a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if P is not None:
+            np.matmul(p.smooth.affine_gradient()[0], W[0], out=P[0])
         n = K + 1  # iterates in the trace
-        for k in range(1, K + 1):
-            if P is not None:
-                np.matmul(A, W[k - 1], out=P[k - 1])
+        k = 1  # the next row to make
+        while k <= K:
             if stop > 0.0:
                 image, r = measure(k)
                 if r <= stop:
@@ -463,8 +472,12 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 if P is not None:
                     P = np.concatenate((P, np.empty_like(W[k:])))
                     w_at, p_at = W.ctypes.data, P.ctypes.data
+            last = k  # the last row made in this pass
             if P is not None:
-                step(w_at + (k - 1) * row, p_at + (k - 1) * row, w_at + k * row)
+                if stop == 0.0:
+                    # Every row up to the next measured block, in one call.
+                    last = min(K, measured + _FIRST_ROWS - 1, len(W) - 1)
+                step(w_at, p_at, k - 1, last)
             elif kernel is not None:
                 W[k] = W[k - 1]
                 try:
@@ -478,8 +491,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 W[k] = image
             else:
                 W[k] = prox_gradient_image(p, W[k - 1], p.smooth.grad(W[k - 1]))
-        if P is not None and n == K + 1:
-            np.matmul(A, W[K], out=P[K])
+            k = last + 1
         measure(n)
 
     inner = None

@@ -159,8 +159,9 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     Sweeps as run() steps ccm, or ccd when the ccm step raises
     Assumption2Error (a quadratic diagonal entry <= 0), from 0 until the
     residual is at most 1e-12 or max_sweeps sweeps are done; with the
-    compiled library a sweep is compiled_step(p, method), which takes one
-    product A x for the residual's gradient A x + b and for the step.
+    compiled library a sweep is one row of compiled_step(p, method), which
+    also forms the product A x that the next residual's gradient A x + b
+    and the next sweep take.
     Once the sign pattern of an iterate equals the previous one, the smooth
     part's support polish (the exact solve on the support for quadratics,
     Newton's method for logistic data) is tried, at most once per pattern;
@@ -175,23 +176,25 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
         method, kernel = "ccm", CoordinateKernel(p, "ccm")
     except Assumption2Error:
         method, kernel = "ccd", CoordinateKernel(p, "ccd")
-    compiled = compiled_step(p, method)
-    if compiled is not None:
-        A, step = compiled
-        b = p.smooth.affine_gradient()[1]
-        ax = np.empty(p.dim)
+    step = compiled_step(p, method)
+    # Row 0 holds x and, when the sweeps run in C, its product A x; a sweep
+    # writes row 1.
+    W, P = np.zeros((2, p.dim)), np.zeros((2, p.dim))
+    x = W[0]
+    if step is not None:
+        A, b = p.smooth.affine_gradient()
+        np.matmul(A, x, out=P[0])
+        w_at, p_at = W.ctypes.data, P.ctypes.data
 
     def polish(x):
         # The support polish of x and its residual; an infinite one if none.
         cand = p.smooth.active_set_solution(x, p.lam)
         return cand, math.inf if cand is None else optimality_residual(p, cand)
 
-    x = np.zeros(p.dim)
     pattern, held, tried = None, 0, set()
     for sweeps in range(max_sweeps + 1):
-        if compiled is not None:
-            np.matmul(A, x, out=ax)  # ax + b is bitwise grad(x)
-        image = prox_gradient_image(p, x, p.smooth.grad(x) if compiled is None else ax + b)
+        # P[0] + b is bitwise grad(x).
+        image = prox_gradient_image(p, x, p.smooth.grad(x) if step is None else P[0] + b)
         best_res = _inf_norm(x - image)
         if best_res <= _REFERENCE_STOP or sweeps == max_sweeps:
             break
@@ -202,14 +205,14 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
             cand, cand_res = polish(x)
             if cand_res <= _REFERENCE_STOP:
                 return _solution(p, cand, cand_res, method + "+active-set")
-        if compiled is not None:
-            nxt = np.empty_like(x)
-            step(x.ctypes.data, ax.ctypes.data, nxt.ctypes.data)
+        if step is None:
+            W[1] = x
+            kernel.sweep(W[1])
         else:
-            nxt = kernel.sweep(x.copy())
-        if np.array_equal(nxt, x):
+            step(w_at, p_at, 0, 1)
+        if np.array_equal(W[1], x):
             break  # numerical fixed point of the sweep map
-        x = nxt
+        W[0], P[0] = W[1], P[1]
     label = method
     cand, cand_res = polish(x)
     if cand_res < best_res:

@@ -258,3 +258,47 @@ def test_run_with_a_nan_stop_residual_exits_1(tmp_path, capsys):
     assert main(["run", "--problem", str(prob), "--alg", "ccm", "--stop-residual", "nan",
                  "--out-dir", str(tmp_path)]) == 1
     assert "stop_residual must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
+def test_integer_config_fields_must_be_json_integers(tmp_path, capsys, value):
+    # iters, seed and dim from --config are taken as given, never truncated:
+    # anything but a JSON integer exits 1 with a message naming the field,
+    # and writes nothing. null counts as absent and takes the default.
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(4, seed=2), prob)
+    out = tmp_path / "out"
+    cases = [
+        ("run", "iters", ["--problem", str(prob), "--alg", "gd", "--out-dir", str(out)]),
+        ("run", "seed", ["--problem", str(prob), "--alg", "gd", "--start", "super",
+                         "--iters", "3", "--out-dir", str(out)]),
+        ("verify", "iters", ["--problem", str(prob)]),
+        ("verify", "seed", ["--problem", str(prob), "--iters", "3"]),
+        ("verify", "dim", ["--iters", "3"]),
+        ("gen", "dim", ["--out", str(tmp_path / "gen.json")]),
+        ("gen", "seed", ["--out", str(tmp_path / "gen.json")]),
+    ]
+    for command, field, args in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        code = main([command, "--config", str(cfg), *args])
+        err = capsys.readouterr().err
+        if value is None:
+            assert code == (2 if (command, field) == ("verify", "dim") else 0), (command, field)
+            continue
+        assert code == 1, (command, field)
+        assert f"--config field '{field}' must be an integer, got {json.dumps(value)}" in err
+        assert not out.exists() and not (tmp_path / "gen.json").exists(), (command, field)
+
+
+def test_integer_config_fields_take_json_integers(tmp_path):
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(4, seed=2), prob)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iters": 3, "seed": 1}))
+    assert main(["run", "--config", str(cfg), "--problem", str(prob), "--alg", "gd",
+                 "--start", "super", "--out-dir", str(tmp_path)]) == 0
+    assert len(read_csv_column(tmp_path / "trace_gd.csv", "k")) == 4
+    cfg.write_text(json.dumps({"dim": 3, "seed": 4}))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g.json")]) == 0
+    assert load_problem(tmp_path / "g.json").dim == 3

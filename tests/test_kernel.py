@@ -294,6 +294,67 @@ def test_compiled_gd_diverges_as_the_numpy_gd_does(both_kernels):
         assert compiled[0] == 45
 
 
+# ---------------------------------------------------------------------------
+# The block entry: each next product through numpy's own dgemv
+# ---------------------------------------------------------------------------
+
+MATMUL_DIMS = [*range(1, 71), 100, 128, 255, 300, 500, 777, 1000]
+
+
+def test_resolved_dgemv_is_bitwise_np_matmul():
+    # Random products, products with zeros of both signs among the entries,
+    # an all -0.0 vector and one with infinities: the resolved function,
+    # called as numpy's matmul calls it, gives matmul's bits.
+    # The resolver needs no compiled library.
+    dgemv = _qsweep.dgemv()
+    if dgemv is None:
+        pytest.skip("numpy's dgemv cannot be had here")
+    rng = np.random.default_rng(20)
+    for d in MATMUL_DIMS:
+        A = rng.standard_normal((d, d))
+        A[rng.random((d, d)) < 0.3] = 0.0
+        xs = [rng.standard_normal(d), np.where(rng.random(d) < 0.5, -0.0, rng.uniform(-4, 4, d)),
+              np.full(d, -0.0), np.where(np.arange(d) % 3 == 0, np.inf, rng.standard_normal(d))]
+        for i, x in enumerate(xs):
+            y = np.full(d, np.nan)
+            dgemv(102, 112, d, d, 1.0, A.ctypes.data, d, x.ctypes.data, 1, 0.0,
+                  y.ctypes.data, 1)
+            with np.errstate(invalid="ignore"):
+                assert same_bits(y, np.matmul(A, x)), (d, i)
+
+
+def test_without_numpy_dgemv_runs_take_the_numpy_steps(monkeypatch):
+    # With the library but no usable dgemv nothing steps in C, and every
+    # run has the bits of the numpy kernel.
+    p = gen_zmatrix_quadratic(9, seed=3)
+    x0 = np.linspace(-2.0, 2.0, 9)
+    cfg = SolverConfig(max_outer_iters=70, record_inner=True)
+    algs = ("gd", "ccd", "ccm")
+    with monkeypatch.context() as m:
+        m.setattr(_qsweep, "load", lambda: None)
+        want = {alg: run(alg, p, x0, cfg) for alg in algs}
+        want_ref = reference_minimizer(p)
+    monkeypatch.setattr(_qsweep, "dgemv", lambda: None)
+    for alg in algs:
+        assert compiled_step(p, alg) is None
+        got = run(alg, p, x0, cfg)
+        for name in ("iterates", "f_values", "residuals", "gradients", "inner"):
+            assert same_bits(getattr(got, name), getattr(want[alg], name)), (alg, name)
+    assert same_bits(reference_minimizer(p).x_star, want_ref.x_star)
+
+
+@pytest.mark.parametrize("K", [63, 64, 65, 128, 129])
+def test_block_boundaries_are_bitwise_the_numpy_steps(both_kernels, K):
+    # A block ends at each measurement (every 64 rows without a stop rule)
+    # and at each growth of the row buffer (64, 128, 256 rows); a stop rule
+    # makes one row per call, and 1e-9 stops some runs early.
+    for seed, d in ((1, 7), (2, 16)):
+        p = gen_zmatrix_quadratic(d, seed=seed)
+        x0 = np.random.default_rng(seed).uniform(-3.0, 3.0, d)
+        assert_same_traces(both_kernels, p, x0, K, algs=("gd", "ccd", "ccm"),
+                           stops=(0.0, 1e-300, 1e-9))
+
+
 def qprox(x, ax, b, L, tau):
     """The compiled gd step on float64 arrays: _soft(x - (ax + b) / L, tau)."""
     out = np.empty_like(x)

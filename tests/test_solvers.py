@@ -73,13 +73,33 @@ def count_products(p):
     return A.rows
 
 
+def count_blocks(m):
+    """Record (k0, k1) of every qblock call: it makes rows k0 + 1..k1 and
+    the product of each of them."""
+    lib = _qsweep.load()
+    original, blocks = lib.qblock, []
+
+    def counted(*args):
+        blocks.append(args[-2:])
+        return original(*args)
+
+    m.setattr(lib, "qblock", counted)
+    return blocks
+
+
+def rows_made(blocks):
+    """The rows the qblock calls made, in call order."""
+    return [k for k0, k1 in blocks for k in range(k0 + 1, k1 + 1)]
+
+
 def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel):
     # On the numpy path each gd step x_{k+1} = T(x_k) takes one grad at x_k,
     # and one values_and_grads of all the iterates then gives F, the
     # gradients, the images and the residuals, as the ccd and ccm runs do:
     # two products A x per iterate but the last. On the compiled path each
     # iterate's product A x_k is formed once, and both the step and that
-    # one values_and_grads call take it.
+    # one values_and_grads call take it: np.matmul forms x_0's, and one
+    # qblock call makes x_1..x_K with their products.
     p = gen_zmatrix_quadratic(6, seed=4)
     x0 = np.linspace(-2.0, 2.0, 6)
     calls = []
@@ -99,13 +119,15 @@ def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel
     with monkeypatch.context() as m:
         for name in ("value", "grad", "values_and_grads"):
             counted(name)
+        blocks = count_blocks(m) if kernel == "compiled" else []
         trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
     if kernel == "numpy":
         assert calls == [("grad", 1)] * K + [("values_and_grads", 1)]
         assert products == [1] * K + [K + 1]
     else:
         assert calls == [("values_and_grads", 2)]
-        assert products == [1] * (K + 1)
+        assert products == [1]
+        assert blocks == [(0, K)]
     x = x0
     for k in range(K + 1):
         assert trace.iterates[k].tobytes() == x.tobytes()
@@ -115,20 +137,27 @@ def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel
 
 
 @pytest.mark.parametrize("alg", ["ccd", "ccm"])
-def test_a_quadratic_sweep_forms_one_product_per_iterate(alg, kernel):
+def test_a_quadratic_sweep_forms_one_product_per_iterate(alg, kernel, monkeypatch):
     # The numpy path takes the gradient at the start of each sweep and again
-    # for the measurement; the compiled path forms each product once.
+    # for the measurement; the compiled path forms each product once: the
+    # start's by np.matmul and every later one in the qblock call that makes
+    # its row, all rows in one call without a stop rule and one per call
+    # with one.
     K = 25
     p = gen_zmatrix_quadratic(6, seed=4)
     products = count_products(p)
     for stop in (0.0, NEVER_STOPS):
         products.clear()
-        run(alg, p, np.linspace(-2.0, 2.0, 6), SolverConfig(max_outer_iters=K,
-                                                             stop_residual=stop))
+        with monkeypatch.context() as m:
+            blocks = count_blocks(m) if kernel == "compiled" else []
+            run(alg, p, np.linspace(-2.0, 2.0, 6), SolverConfig(max_outer_iters=K,
+                                                                 stop_residual=stop))
         if kernel == "numpy":
             assert products == ([1] * K + [K + 1] if stop == 0.0 else [1, 1] * K + [1])
         else:
-            assert products == [1] * (K + 1)
+            assert products == [1]
+            assert rows_made(blocks) == list(range(1, K + 1))
+            assert len(blocks) == (1 if stop == 0.0 else K)
 
 
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
@@ -391,31 +420,30 @@ def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch, k
     # The low-L case above: F overflows at iteration 45. A budget of 10**6
     # iterations raises the same fault, measured with the first block of 64
     # rows, so gd takes fewer than 128 steps: grad calls on the numpy path,
-    # qprox calls on the compiled one. At L = 0.25 F overflows at iteration
-    # 149, after the row buffer has grown twice; a block is measured every
-    # 64 rows, so gd takes at most 64 steps past the fault.
+    # rows made by qblock calls on the compiled one. At L = 0.25 F overflows
+    # at iteration 149, after the row buffer has grown twice; a block is
+    # measured every 64 rows, so gd takes at most 64 steps past the fault.
     for lipschitz, fault, most in ((1e-3, 45, 127), (0.25, 149, 149 + 64)):
         p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1,
                               lipschitz=lipschitz)
-        if kernel == "numpy":
-            owner, name = type(p.smooth), "grad"
-        else:
-            owner, name = _qsweep.load(), "qprox"
-        original, steps = getattr(owner, name), []
-
-        def counted(*args):
-            steps.append(1)
-            return original(*args)
-
         for K in (400, 10 ** 6):
-            steps.clear()
             with monkeypatch.context() as m:
-                m.setattr(owner, name, counted)
+                if kernel == "numpy":
+                    original, grads = type(p.smooth).grad, []
+
+                    def counted(*args):
+                        grads.append(1)
+                        return original(*args)
+
+                    m.setattr(type(p.smooth), "grad", counted)
+                else:
+                    blocks = count_blocks(m)
                 with pytest.raises(NonFiniteIterateError) as exc:
                     run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=K))
+            steps = len(grads) if kernel == "numpy" else len(rows_made(blocks))
             assert (exc.value.iteration, str(exc.value)) == (
                 fault, f"gd produced a non-finite objective value at iteration {fault}")
-            assert fault <= len(steps) <= most
+            assert fault <= steps <= most
 
 
 # A stop rule that cannot fire: no residual below is exactly zero.
