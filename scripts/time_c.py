@@ -10,8 +10,8 @@ from one repetition to the next:
 
 - ``qstep``, one ccd step of a quadratic, at d=300 and d=500;
 - ``qblock``, the K iterations of a run with each next product A w formed
-  through numpy's own dgemv, for ccd and gd at d=11, K=200 and for ccd at
-  d=300 and d=500, K=50;
+  through numpy's own dgemv, for ccd and gd at d=11, K=200 and for ccd and
+  ccm at d=300 and d=500, K=50;
 - ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
   spellings (repr and '%.17g').
 
@@ -21,10 +21,13 @@ cases as run() did before that entry, one np.matmul and one ``qstep`` (or
 bitwise. Without numpy's dgemv (_qsweep.dgemv() is None) the block cases
 are left out.
 
-Each line gives the median time per call of each library over the
-repetitions and their ratio. A change of code layout in the C file can
-move the sweep by tens of percent and still show as only a few percent of
-an end-to-end run, so C changes are timed here first. The two libraries
+First it prints which build of the sweep's row update each library runs
+on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin; a source
+without ``qaxpy`` has one scalar build). Each line then gives the median
+time per call of each library over the repetitions and their ratio. A
+change of code layout in the C file can move the sweep by tens of percent
+and still show as only a few percent of an end-to-end run, so C changes
+are timed here first. The two libraries
 must give bitwise-equal outputs on every call timed.
 
 The exit status is 1 when the outputs differ, 2 when <rev> has no
@@ -95,6 +98,13 @@ class Library:
                                         VOID, VOID, VOID, LONG, LONG)
             self.lib.qblock.restype = None
         self.rows = "rowlen" in prototype(source, "render_floats")
+        self.row_update = "scalar"
+        if prototype(source, "qaxpy"):
+            self.lib.qaxpy.argtypes = (LONG, LONG, DOUBLE, VOID, VOID)
+            self.lib.qaxpy.restype = LONG
+            probe = np.zeros(1)
+            self.row_update = ("baseline", "avx2")[self.lib.qaxpy(-1, 0, 0.0, probe.ctypes.data,
+                                                                  probe.ctypes.data)]
         self.lib.render_floats.argtypes = (
             (LONG, VOID, INT, CHARS, LONG, LONG, CHARS, LONG, VOID, VOID) if self.rows
             else (LONG, VOID, INT, CHARS, LONG, VOID, VOID))
@@ -132,7 +142,8 @@ class BlockCase:
         p = gen_zmatrix_quadratic(d, seed=1)
         self.A, self.b = p.smooth.affine_gradient()
         self.d, self.K, self.lam, self.L, self.dgemv = d, K, p.lam, p.lipschitz, dgemv
-        self.steps = None if alg == "gd" else np.full(d, p.lipschitz)
+        self.steps = {"gd": None, "ccd": np.full(d, p.lipschitz),
+                      "ccm": np.ascontiguousarray(self.A.diagonal())}[alg]
         self.state = np.empty(d)
         self.W, self.P = np.empty((K + 1, d)), np.empty((K + 1, d))
         self.W[0] = find_supersolution(p, seed=1)
@@ -204,7 +215,8 @@ def main(argv) -> int:
             print("numpy's dgemv cannot be had: the qblock cases are left out", file=sys.stderr)
         else:
             for alg, d, K, calls in (("ccd", 11, 200, 50), ("gd", 11, 200, 50),
-                                     ("ccd", 300, 50, 4), ("ccd", 500, 50, 2)):
+                                     ("ccd", 300, 50, 4), ("ccd", 500, 50, 2),
+                                     ("ccm", 300, 50, 4), ("ccm", 500, 50, 2)):
                 block_case = BlockCase(alg, d, K, dgemv)
                 cases[f"qblock {alg} d={d} K={K}"] = (calls, block_case, block_case)
         p = gen_zmatrix_quadratic(500, seed=1)
@@ -221,6 +233,8 @@ def main(argv) -> int:
         for name in differ:
             print(f"differs: {name}")
 
+        for label, lib in zip((args.rev, "tree"), libs):
+            print(f"row update of {label}: {lib.row_update}")
         print(f"{'case':<28} {args.rev + ' us':>12} {'tree us':>12} {'tree/rev':>9}")
         for name, (calls, call, _) in cases.items():
             times = {lib.label: [] for lib in libs}

@@ -55,7 +55,6 @@ from .solvers import (
     TauRecord,
     Trace,
     run,
-    secant_tau,
     solve_1d_prox,
 )
 from .verification import (
@@ -114,7 +113,6 @@ __all__ = [
     "run_comparison",
     "save_problem",
     "scalar_shrink",
-    "secant_tau",
     "shrink_tau_curve",
     "solve_1d_prox",
     "vector_shrink",

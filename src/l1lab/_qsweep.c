@@ -17,6 +17,18 @@
  * render_floats: a block of doubles as text, in rows, each value spelled
  * as Python's repr (float.__repr__) or '%.17g' % v spells it.
  *
+ * qaxpy: the sweep's row update in a variant the caller names, for the
+ * tests.
+ *
+ * The sweep's row update, state += delta * A[j], is SIMD: four entries at
+ * a time through GCC/clang vector extensions, each entry still one IEEE
+ * multiply and then one add, so its results are bitwise the scalar loop's.
+ * It is compiled twice, a baseline (SSE2 on x86-64, NEON on arm64) and on
+ * x86 an AVX2 twin (target("avx2"), without FMA), and qstep and qblock
+ * choose the twin once per call when __builtin_cpu_supports("avx2"). The
+ * build takes no -march flag: one cached library runs on every host of its
+ * machine type.
+ *
  * Compile without FMA contraction or fast-math (see _qsweep.py), so every
  * float operation of qstep and qprox rounds as numpy's does. No part uses
  * libm; qblock's products are numpy's own BLAS call.
@@ -24,25 +36,105 @@
 #include <stdint.h>
 #include <string.h>
 
-/* state += delta * row over d entries. A step at d = 300 to 500 takes
- * about 1.5 times as long when this loop crosses a 64-byte line, and
- * where it lies inside a larger function moves with the code around it.
- * Kept out of line and aligned to 64 bytes, the loop lies near the start
- * of its own line wherever the linker puts the function
- * (scripts/time_c.py times a change). */
-__attribute__((noinline, aligned(64))) static void axpy_row(long d, double delta,
+/* Four doubles. The operators of GCC and clang act on them entry by
+ * entry; the baseline build lowers each to two SSE2 (or NEON) operations,
+ * the AVX2 twin to one. */
+typedef double v4d __attribute__((vector_size(32)));
+
+/* state += delta * row over d entries, four at a time and then a scalar
+ * tail. Each entry is one multiply and then one add, as in the scalar loop
+ * and numpy: no FMA, no reassociation. The rows are loaded unaligned
+ * through memcpy (a row of A starts at 8 * j * d bytes). The four lanes
+ * are stored one by one: GCC 12 writes a 32-byte memcpy store of the
+ * baseline build through the stack, but these as two 16-byte stores. */
+static inline __attribute__((always_inline)) void axpy_body(long d, double delta,
                                                             const double *row, double *state)
 {
-    for (long i = 0; i < d; i++)
+    const v4d dv = {delta, delta, delta, delta};
+    long i = 0;
+    for (; i + 4 <= d; i += 4) {
+        v4d r, s;
+        memcpy(&r, row + i, sizeof r);
+        memcpy(&s, state + i, sizeof s);
+        s += dv * r;
+        state[i] = s[0];
+        state[i + 1] = s[1];
+        state[i + 2] = s[2];
+        state[i + 3] = s[3];
+    }
+    for (; i < d; i++)
         state[i] += delta * row[i];
 }
 
-/* A is the d x d matrix (row-major), steps the per-coordinate step (L for
- * ccd, A_jj for ccm), w the iterate and state the gradient A w + b at w;
- * both are updated in place. */
-static void qsweep(long d, const double *A, const double *steps, double lam, double *w,
-                   double *state)
+typedef void (*axpy_fn)(long d, double delta, const double *row, double *state);
+
+/* The two builds of axpy_body. A step at d = 300 takes about 1.2 times as
+ * long (d = 500: 1.1) when the AVX2 loop crosses a 64-byte line, and
+ * where a loop lies inside a larger function moves with the code around
+ * it. Kept out of line and aligned to 64 bytes, each loop lies inside one
+ * line wherever the linker puts the function (scripts/time_c.py times a
+ * change). */
+__attribute__((noinline, aligned(64))) static void axpy_row(long d, double delta,
+                                                            const double *row, double *state)
 {
+    axpy_body(d, delta, row, state);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((noinline, aligned(64), target("avx2"))) static void axpy_row_avx2(
+    long d, double delta, const double *row, double *state)
+{
+    axpy_body(d, delta, row, state);
+}
+#endif
+
+/* The row updates by variant: [0] the baseline, [1] the AVX2 twin (NULL
+ * off x86, where has_avx2 is 0). */
+static const axpy_fn AXPY[2] = {
+    axpy_row,
+#if defined(__x86_64__) || defined(__i386__)
+    axpy_row_avx2,
+#else
+    NULL,
+#endif
+};
+
+/* Whether this CPU runs the AVX2 twin: x86 with AVX2 that the OS enables
+ * (libgcc's constructor has read the CPU's features when the library was
+ * loaded). */
+static int has_avx2(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return 0;
+#endif
+}
+
+/* For the tests: the row update of variant v (0 the baseline, 1 the AVX2
+ * twin, -1 the one qstep and qblock choose) on state. Returns the variant
+ * run, or -1 with nothing run when this CPU cannot run v. */
+long qaxpy(long v, long d, double delta, const double *row, double *state)
+{
+    if (v < 0)
+        v = has_avx2();
+    if (v > 1 || (v == 1 && !has_avx2()))
+        return -1;
+    AXPY[v](d, delta, row, state);
+    return v;
+}
+
+/* qstep with the row update axpy. A is the d x d matrix (row-major),
+ * steps the per-coordinate step (L for ccd, A_jj for ccm); w = x and
+ * state = ax + b, the gradient at w, are then updated in place, coordinate
+ * by coordinate, each row of A added to state by axpy. */
+static void qsweep(axpy_fn axpy, long d, const double *A, const double *steps, double lam,
+                   const double *b, double *state, const double *x, const double *ax,
+                   double *w)
+{
+    memcpy(w, x, d * sizeof *w);
+    for (long i = 0; i < d; i++)
+        state[i] = ax[i] + b[i];
     for (long j = 0; j < d; j++) {
         double s = steps[j];
         double z_old = w[j];
@@ -52,21 +144,18 @@ static void qsweep(long d, const double *A, const double *steps, double lam, dou
         double z_new = v > t ? v - t : v >= -t ? 0.0 : v + t;
         double delta = z_new - z_old;
         if (delta != 0.0)
-            axpy_row(d, delta, A + j * d, state);
+            axpy(d, delta, A + j * d, state);
         w[j] = z_new;
     }
 }
 
 /* One ccd or ccm iteration from the iterate x and its product ax = A x:
  * w = x, state = ax + b (the gradient at x, as np.add forms it), then the
- * sweep of qsweep on w. The arguments bound once per solve come first. */
+ * cyclic sweep of w. The arguments bound once per solve come first. */
 void qstep(long d, const double *A, const double *steps, double lam, const double *b,
            double *state, const double *x, const double *ax, double *w)
 {
-    memcpy(w, x, d * sizeof *w);
-    for (long i = 0; i < d; i++)
-        state[i] = ax[i] + b[i];
-    qsweep(d, A, steps, lam, w, state);
+    qsweep(AXPY[has_avx2()], d, A, steps, lam, b, state, x, ax, w);
 }
 
 /* One gd step of a quadratic: out = _soft(x - g / L, tau) with the gradient
@@ -93,19 +182,20 @@ typedef void (*dgemv_fn)(int order, int trans, int64_t m, int64_t n, double alph
 
 /* Iterations k0 <= k < k1 of a quadratic on the rows of W and P, d doubles
  * each, where P[k0] holds the product A W[k0]: W[k + 1] from W[k] and P[k]
- * by qstep with steps (ccd, ccm), or by qprox with L and tau = lam / L when
- * steps is NULL (gd); then P[k + 1] = A W[k + 1] by dgemv, called as
- * numpy's matmul calls it for a C-contiguous A and a vector (column-major
- * 102, transposed 112, lda d, unit strides), so P[k + 1] is bitwise
- * np.matmul(A, W[k + 1]). */
+ * by qstep with steps (ccd, ccm), its row update chosen once for the call,
+ * or by qprox with L and tau = lam / L when steps is NULL (gd); then
+ * P[k + 1] = A W[k + 1] by dgemv, called as numpy's matmul calls it for a
+ * C-contiguous A and a vector (column-major 102, transposed 112, lda d,
+ * unit strides), so P[k + 1] is bitwise np.matmul(A, W[k + 1]). */
 void qblock(dgemv_fn dgemv, long d, const double *A, const double *b, const double *steps,
             double lam, double L, double *state, double *W, double *P, long k0, long k1)
 {
+    axpy_fn axpy = AXPY[has_avx2()];
     for (long k = k0; k < k1; k++) {
         const double *x = W + k * d, *ax = P + k * d;
         double *w = W + (k + 1) * d;
         if (steps != NULL)
-            qstep(d, A, steps, lam, b, state, x, ax, w);
+            qsweep(axpy, d, A, steps, lam, b, state, x, ax, w);
         else
             qprox(d, b, L, lam / L, x, ax, w);
         dgemv(102, 112, d, d, 1.0, A, d, w, 1, 0.0, P + (k + 1) * d, 1);

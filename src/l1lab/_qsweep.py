@@ -1,14 +1,18 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It exports five functions: ``qstep``, one ccd/ccm iteration of a
+It exports six functions: ``qstep``, one ccd/ccm iteration of a
 quadratic (row copy, state and cyclic sweep) from the product A x,
 ``qprox``, gd's step of a quadratic from the product A x, ``qblock``, a
 run of either step on rows of iterates that also forms each next product
 A w, ``qray``, the start search's classification of the rungs of one ray
-of a quadratic, and ``render_floats``, which spells a block of floats in
-rows as repr or '%.17g' does (see _jsonlayout.render). load() returns the
-library, or None when it cannot be had; the callers then keep the numpy
-loops and Python's own number formatting, with the same bits and bytes.
+of a quadratic, ``render_floats``, which spells a block of floats in
+rows as repr or '%.17g' does (see _jsonlayout.render), and ``qaxpy``, for
+the tests: the sweep's row update state += delta * row in the variant
+named (0 the baseline build, 1 the AVX2 twin, -1 the one qstep and qblock
+choose on this CPU), which returns the variant run or -1 when this CPU
+cannot run it. load() returns the library, or None when it cannot be
+had; the callers then keep the numpy loops and Python's own number
+formatting, with the same bits and bytes.
 dgemv() returns the BLAS function numpy's matmul calls for a matrix times
 a vector, which qblock takes to form its products, or None when it cannot
 be found or does not give np.matmul's bits. Nothing here runs at import.
@@ -48,6 +52,9 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_qsweep.c")
 
 # No FMA contraction and no fast-math: every operation rounds as numpy's.
+# No -march: _key hashes only the source, these flags and the machine type,
+# so one cached library must run on every host of that type; the C code
+# picks its AVX2 row update at run time.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _COMPILE_TIMEOUT_S = 60
@@ -174,6 +181,9 @@ def _open(path: Path | None):
                                   ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_long,
                                   ctypes.c_void_p, ctypes.c_void_p)
     lib.render_floats.restype = ctypes.c_long
+    lib.qaxpy.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
+                          ctypes.c_void_p)
+    lib.qaxpy.restype = ctypes.c_long
     return lib
 
 
@@ -183,8 +193,8 @@ def load():
     ``qprox(d, b, L, tau, x, ax, out)``,
     ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)`` and
-    ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``,
-    or None.
+    ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``
+    and ``qaxpy(variant, d, delta, row, state)``, or None.
 
     Looks up the cache first and compiles on a miss; without a ``cc`` on
     PATH, a failed compile or an unusable cache and temporary directory it

@@ -24,7 +24,6 @@ from .errors import (
     ConvergenceError,
     L1LabError,
     NonFiniteIterateError,
-    PreconditionError,
     UnboundedBelowError,
 )
 from .operators import prox_gradient_image
@@ -199,6 +198,11 @@ class CoordinateKernel:
         self.solve_1d = alg == "ccm" and exact is None
         self.steps = [p.lipschitz] * p.dim if exact is None else exact
         self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
+        # Scratch of a state's length for delta * rows[j] and the 1-D
+        # solve's points, and the state without coordinate j (1-D solve).
+        n = np.shape(self.rows)[1]
+        self._buf = np.empty(n)
+        self._h0 = np.empty(n) if self.solve_1d else None
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.
@@ -210,13 +214,13 @@ class CoordinateKernel:
         """
         state = self.p.smooth.sweep_state(w)
         lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
-        if self.solve_1d:
-            buf = np.empty_like(state)
+        buf, h0 = self._buf, self._h0
         for j, s in enumerate(self.steps):
             z_old = float(w[j])
             c = rows[j]
             if self.solve_1d:
-                h0 = state - z_old * c
+                np.multiply(z_old, c, out=h0)
+                np.subtract(state, h0, out=h0)
 
                 def g_deriv(a):
                     np.multiply(c, a, out=buf)
@@ -229,7 +233,8 @@ class CoordinateKernel:
                 z_new = _shrink(z_old - gj / s, lam / s)
             delta = z_new - z_old
             if delta != 0.0:
-                state += delta * c
+                np.multiply(delta, c, out=buf)
+                state += buf
                 # Size 0 when not logging; floor > 0 only for a 1-D solve.
                 size = abs(delta) if taus is not None else 0.0
                 if size > floor and size > _TRIVIAL_RTOL * (1.0 + abs(z_old)):
@@ -308,19 +313,6 @@ def solve_1d_prox(g_deriv, lam, tol: float = INNER_1D_TOL, max_iters: int = 200)
     return -_positive_branch_root(
         lambda a: -float(g_deriv(-a)) + lam, lam - d0, tol, max_iters
     )
-
-
-def secant_tau(g_deriv, z_old: float, z_new: float) -> float:
-    """Secant slope of g' across a coordinate update.
-
-    For an exact-minimization update this slope is the implicit shrinkage
-    threshold: z_new = S_{lam/tau}(z_old - g'(z_old)/tau). It lies in
-    (0, L] for strictly convex g with L-Lipschitz derivative, and equals
-    the curvature exactly when g is quadratic.
-    """
-    if z_new == z_old:
-        raise PreconditionError("secant slope is undefined for a trivial update")
-    return (float(g_deriv(z_new)) - float(g_deriv(z_old))) / (z_new - z_old)
 
 
 def compiled_affine(p: ProblemSpec):

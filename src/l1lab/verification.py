@@ -170,8 +170,10 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     2**n sweeps, so the attempts stay few when the pattern keeps changing.
     Past the sweeps the polish is tried once more, and the better of the
     two points is kept. Raises ReferenceSolveError when the final residual
-    exceeds 1e-10.
+    exceeds 1e-10, and ValueError when max_sweeps is not an integer >= 0.
     """
+    if not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
     try:
         method, kernel = "ccm", CoordinateKernel(p, "ccm")
     except Assumption2Error:

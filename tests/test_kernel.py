@@ -1,12 +1,15 @@
 """The incremental coordinate kernel against a plain reference sweep, the
-compiled quadratic sweep against the numpy one, and the bracketed-secant
-1-D solver.
+compiled quadratic sweep and each build of its row update against numpy,
+and the bracketed-secant 1-D solver.
 
 The reference sweeps below recompute every coordinate gradient from
 scratch (a row product for quadratics, the full X @ w for logistic data)
 and minimize logistic coordinate restrictions by plain bisection, as the
 package did before it kept running state.
 """
+
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -390,6 +393,84 @@ def test_compiled_gd_image_is_the_numpy_image_on_edge_values():
                          (-3.0, 0.5, "-2.5"), (-np.inf, 0.5, "-inf"), (np.inf, np.inf, "nan"),
                          (-nan, 0.5, "nan")):
         assert repr(float(qprox(np.array([v]), zero, zero, 1.0, tau)[0])) == want, (v, tau)
+
+
+# ---------------------------------------------------------------------------
+# The sweep's row update: every variant bitwise state + delta * row
+# ---------------------------------------------------------------------------
+
+ROW_UPDATES = {0: "baseline", 1: "avx2"}
+ROW_EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1e-310, 1e308, -1e308, 1.0, -1.0]
+
+
+def row_update_values(rng, n):
+    """n doubles of many magnitudes, about a third of them from ROW_EDGES."""
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    edge = rng.random(n) < 0.35
+    values[edge] = rng.choice(ROW_EDGES, int(edge.sum()))
+    return values
+
+
+@pytest.mark.parametrize("variant", sorted(ROW_UPDATES))
+def test_every_row_update_variant_is_bitwise_state_plus_delta_times_row(variant):
+    # Lengths 0-70 (every tail of the four-wide loop), a row and a state
+    # at offsets of 0-3 doubles into their buffers, so at every 8-byte
+    # residue modulo 32 bytes (a row of A with odd d starts at an
+    # 8-byte-only offset), values with NaN, +-inf,
+    # -0.0, subnormals and products that overflow or underflow. Every
+    # entry must have numpy's bits (a NaN need only be NaN: which operand's
+    # payload a NaN keeps is not part of the contract), and no entry past
+    # the d-th may change.
+    lib = _qsweep.load()
+    if lib is None:
+        pytest.skip("the compiled sweep cannot be built here")
+    probe = np.zeros(1)
+    if lib.qaxpy(variant, 0, 1.0, probe.ctypes.data, probe.ctypes.data) != variant:
+        pytest.skip(f"this CPU cannot run the {ROW_UPDATES[variant]} row update")
+    rng = np.random.default_rng(21)
+    deltas = [0.75, -3.0, 1e300, -1e-300, 5e-324, np.inf, -np.inf, np.nan, -0.0]
+    row_buf, state_buf = np.empty(80), np.empty(80)
+    for d in range(71):
+        for offset in range(4):
+            row = row_buf[offset:offset + d]
+            row[:] = row_update_values(rng, d)
+            for delta in deltas:
+                state_buf[:] = row_update_values(rng, state_buf.size)
+                before = state_buf.copy()
+                state = state_buf[3 - offset:3 - offset + d]
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    want = state + delta * row
+                assert lib.qaxpy(variant, d, delta, row.ctypes.data, state.ctypes.data) \
+                    == variant
+                nans = np.isnan(want)
+                case = (d, offset, delta)
+                assert np.array_equal(np.isnan(state), nans), case
+                assert state[~nans].tobytes() == want[~nans].tobytes(), case
+                end = 3 - offset + d
+                assert state_buf[end:].tobytes() == before[end:].tobytes(), case
+                assert state_buf[:3 - offset].tobytes() == before[:3 - offset].tobytes(), case
+
+
+def test_the_chosen_row_update_is_avx2_where_the_cpu_has_it():
+    # qstep and qblock choose the AVX2 twin on an x86-64 CPU with AVX2
+    # (which /proc/cpuinfo lists only where the kernel enables its state);
+    # a variant the library does not have runs nothing.
+    if not (sys.platform.startswith("linux") and platform.machine() == "x86_64"):
+        pytest.skip("the check reads the CPU flags of Linux on x86-64")
+    with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
+        flags = next((line.split(":", 1)[1].split() for line in cpuinfo
+                      if line.startswith("flags")), [])
+    if "avx2" not in flags:
+        pytest.skip("this CPU has no AVX2")
+    lib = _qsweep.load()
+    if lib is None:
+        pytest.skip("the compiled sweep cannot be built here")
+    row, state = np.ones(3), np.ones(3)
+    assert lib.qaxpy(-1, 3, 2.0, row.ctypes.data, state.ctypes.data) == 1
+    assert state.tolist() == [3.0, 3.0, 3.0]
+    assert lib.qaxpy(2, 3, 2.0, row.ctypes.data, state.ctypes.data) == -1
+    assert state.tolist() == [3.0, 3.0, 3.0]
 
 
 def test_kernel_matches_reference_sweep_on_logistic_ccd():

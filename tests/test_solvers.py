@@ -9,7 +9,6 @@ import pytest
 from l1lab import (
     Assumption2Error,
     NonFiniteIterateError,
-    PreconditionError,
     SolverConfig,
     UnboundedBelowError,
     f_grad,
@@ -20,7 +19,6 @@ from l1lab import (
     prox_gradient_map,
     quadratic_problem,
     run,
-    secant_tau,
     solve_1d_prox,
 )
 from l1lab import _qsweep
@@ -307,19 +305,8 @@ def test_solve_1d_prox_unbounded_below():
 
 
 # ---------------------------------------------------------------------------
-# secant threshold diagnostic
+# ccm's implicit shrinkage threshold (TauRecord)
 # ---------------------------------------------------------------------------
-
-def test_secant_tau_equals_curvature_for_quadratic():
-    g_deriv = lambda a: 2.5 * a + 1.7
-    assert secant_tau(g_deriv, 0.3, -0.9) == pytest.approx(2.5, abs=1e-12)
-    assert secant_tau(lambda a: a, 3.0, 1.0) == 1.0
-
-
-def test_secant_tau_rejects_trivial_update():
-    with pytest.raises(PreconditionError):
-        secant_tau(lambda a: a, 1.0, 1.0)
-
 
 def test_ccm_tau_records_satisfy_shrink_representation():
     p = logistic_problem([[1.0], [2.0], [-1.0]], [1.0, 1.0, -1.0], lam=0.05)

@@ -246,6 +246,24 @@ def test_reference_minimizer_sweeps_ccm_on_a_zero_logistic_column(kernel):
     assert abs(ref.f_star - f_plain) <= 1e-12 * abs(f_plain)
 
 
+@pytest.mark.parametrize("max_sweeps", [-1, 2.5, 3.0, "5", float("nan")])
+def test_reference_minimizer_rejects_a_max_sweeps_that_is_not_an_integer_at_least_0(max_sweeps):
+    # Before this check -1 raised UnboundLocalError and 2.5 a bare TypeError.
+    p = gen_zmatrix_quadratic(5, seed=1)
+    with pytest.raises(ValueError, match="max_sweeps must be an integer >= 0"):
+        reference_minimizer(p, max_sweeps=max_sweeps)
+
+
+def test_reference_minimizer_takes_zero_and_numpy_integer_max_sweeps():
+    # 0 is a budget like any other: no sweep, so this start is no solution.
+    p = gen_zmatrix_quadratic(5, seed=1)
+    with pytest.raises(ReferenceSolveError, match="after 0 ccm iterations"):
+        reference_minimizer(p, max_sweeps=0)
+    want = reference_minimizer(p)
+    assert reference_minimizer(p, max_sweeps=np.int64(200)).x_star.tobytes() \
+        == want.x_star.tobytes()
+
+
 def test_reference_solve_error_names_the_iterations_and_the_residual(monkeypatch):
     # Outside isotonicity and badly conditioned (A = 0.01 I + 0.99 11^T), 300
     # ccm sweeps stay far from the 1e-10 the oracle needs, and the sign
