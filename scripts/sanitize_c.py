@@ -39,7 +39,8 @@ from l1lab import _qsweep  # noqa: E402
 # No FMA contraction, as in _qsweep.FLAGS, so the bitwise tests still hold.
 SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer", "-ffp-contract=off", "-shared", "-fPIC")
-TESTS = ("tests/test_render.py", "tests/test_kernel.py", "tests/test_start_search.py")
+TESTS = ("tests/test_render.py", "tests/test_kernel.py", "tests/test_start_search.py",
+         "tests/test_solvers.py")
 
 
 def runtime(cc: str, name: str) -> str:

@@ -18,8 +18,11 @@ from one repetition to the next:
 A library without ``qblock`` times its ``qstep`` only: it runs the block
 cases as run() did before that entry, one np.matmul and one ``qstep`` (or
 ``qprox``) call from Python per iteration, so their outputs still compare
-bitwise. Without numpy's dgemv (_qsweep.dgemv() is None) the block cases
-are left out.
+bitwise. A ``qblock`` that takes a ``guard`` argument and returns the rows
+it made is called guarded, as run() calls it, and a call that makes fewer
+than K rows counts as differing; one without that argument (an older
+revision) returns nothing and is called as before. Without numpy's dgemv
+(_qsweep.dgemv() is None) the block cases are left out.
 
 First it prints which build of the sweep's row update each library runs
 on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin; a source
@@ -93,10 +96,13 @@ class Library:
         self.lib.qprox.argtypes = (LONG, VOID, DOUBLE, DOUBLE, VOID, VOID, VOID)
         self.lib.qprox.restype = None
         self.block = bool(prototype(source, "qblock"))
+        # A qblock with a guard argument returns the rows it made; one
+        # without returns nothing.
+        self.guard = "guard" in prototype(source, "qblock")
         if self.block:
             self.lib.qblock.argtypes = (_qsweep.DGEMV, LONG, VOID, VOID, VOID, DOUBLE, DOUBLE,
-                                        VOID, VOID, VOID, LONG, LONG)
-            self.lib.qblock.restype = None
+                                        VOID, VOID, VOID, LONG, LONG) + (LONG,) * self.guard
+            self.lib.qblock.restype = LONG if self.guard else None
         self.rows = "rowlen" in prototype(source, "render_floats")
         self.row_update = "scalar"
         if prototype(source, "qaxpy"):
@@ -155,8 +161,11 @@ class BlockCase:
         steps = None if self.steps is None else self.steps.ctypes.data
         w_at, p_at = W.ctypes.data, P.ctypes.data
         if lib.block:
-            lib.lib.qblock(self.dgemv, d, a_at, b_at, steps, self.lam, self.L, state_at, w_at,
-                           p_at, 0, self.K)
+            # Guarded, as run() calls it without a stop rule.
+            made = lib.lib.qblock(self.dgemv, d, a_at, b_at, steps, self.lam, self.L, state_at,
+                                  w_at, p_at, 0, self.K, *(1,) * lib.guard)
+            if lib.guard and made != self.K:
+                return b"stopped by the guard at row %d" % made
         else:
             # The addresses are taken once, as run() took them.
             if steps is None:

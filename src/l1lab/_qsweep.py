@@ -4,7 +4,9 @@ It exports six functions: ``qstep``, one ccd/ccm iteration of a
 quadratic (row copy, state and cyclic sweep) from the product A x,
 ``qprox``, gd's step of a quadratic from the product A x, ``qblock``, a
 run of either step on rows of iterates that also forms each next product
-A w, ``qray``, the start search's classification of the rungs of one ray
+A w and returns the number of rows it made (with ``guard`` nonzero it
+stops at the first row whose measured values a bound cannot show finite),
+``qray``, the start search's classification of the rungs of one ray
 of a quadratic, ``render_floats``, which spells a block of floats in
 rows as repr or '%.17g' does (see _jsonlayout.render), and ``qaxpy``, for
 the tests: the sweep's row update state += delta * row in the variant
@@ -171,8 +173,9 @@ def _open(path: Path | None):
     lib.qprox.restype = None
     lib.qblock.argtypes = (DGEMV, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
-    lib.qblock.restype = None
+                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+                           ctypes.c_long)
+    lib.qblock.restype = ctypes.c_long
     lib.qray.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
                          ctypes.c_double)
@@ -191,7 +194,7 @@ def _open(path: Path | None):
 def load():
     """The library, with ``qstep(d, A, steps, lam, b, state, x, ax, w)``,
     ``qprox(d, b, L, tau, x, ax, out)``,
-    ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1)``,
+    ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1, guard)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)`` and
     ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``
     and ``qaxpy(variant, d, delta, row, state)``, or None.

@@ -88,12 +88,8 @@ def _classification_slack(x, g, lam, tau):
     """
     u = x - g / tau
     thr = lam / tau
-    slack = x.copy()
-    upper = u > thr
-    lower = u < -thr
-    slack[upper] = (g[upper] + lam) / tau
-    slack[lower] = (g[lower] - lam) / tau
-    return slack
+    # A NaN u fails both tests and keeps x.
+    return np.where(u > thr, (g + lam) / tau, np.where(u < -thr, (g - lam) / tau, x))
 
 
 def check_tolerance(tol):
@@ -102,26 +98,30 @@ def check_tolerance(tol):
         raise ValueError(f"tol must be nonnegative, got {tol}")
 
 
-# Indexed by 2 * (every s >= -tol) + (every s <= tol).
-_KIND_BY_CODE = (Kind.NEITHER, Kind.SUBSOLUTION, Kind.SUPERSOLUTION, Kind.EXACT)
+# The kind of each code: KIND_BY_CODE[2 * (every s >= -tol) + (every s <= tol)].
+KIND_BY_CODE = (Kind.NEITHER, Kind.SUBSOLUTION, Kind.SUPERSOLUTION, Kind.EXACT)
 
 
-def _kinds(slack, tol):
-    """Kind of each row of a slack stack, from the row's extremes.
+def _kind_codes(slack, tol):
+    """int8 code (see KIND_BY_CODE) of each row of a slack stack, from the
+    row's extremes.
 
     EXACT when every |s| <= tol, else SUPERSOLUTION when every s >= -tol,
     else SUBSOLUTION when every s <= tol, else NEITHER. tol is one value or
     one per row. A NaN makes both extremes NaN, so its row is NEITHER.
     """
-    codes = 2 * (slack.min(axis=1) >= -tol) + (slack.max(axis=1) <= tol)
-    return [_KIND_BY_CODE[c] for c in codes.tolist()]
+    codes = 2 * (slack.min(axis=1) >= -tol).astype(np.int8)
+    codes += slack.max(axis=1) <= tol
+    return codes
 
 
-def classify_rows(p: ProblemSpec, points, grads, tol) -> list:
-    """Kind of each row of ``points``, from its gradient in the same row of ``grads``.
+def kind_codes(p: ProblemSpec, points, grads, tol) -> np.ndarray:
+    """The int8 code (see KIND_BY_CODE) of each row of ``points``, from its
+    gradient in the same row of ``grads``, in one pass over the stack.
 
-    ``tol`` is one tolerance or one per row. Row i gets the kind that
-    classify_point(p, points[i], tol[i]) gives, without a gradient call.
+    ``tol`` is one tolerance or one per row. Row i gets the code of the
+    kind that classify_point(p, points[i], tol[i]) gives, without a
+    gradient call.
     """
     tol = np.asarray(tol, dtype=float)
     check_tolerance(tol)
@@ -131,7 +131,13 @@ def classify_rows(p: ProblemSpec, points, grads, tol) -> list:
         raise DimensionMismatchError(
             f"points {points.shape} and grads {grads.shape} must both be m x {p.dim}"
         )
-    return _kinds(_classification_slack(points, grads, p.lam, 1.0), tol)
+    return _kind_codes(_classification_slack(points, grads, p.lam, 1.0), tol)
+
+
+def classify_rows(p: ProblemSpec, points, grads, tol) -> list:
+    """Kind of each row of ``points``, from its gradient in the same row of
+    ``grads``: kind_codes as Kind members."""
+    return [KIND_BY_CODE[c] for c in kind_codes(p, points, grads, tol).tolist()]
 
 
 def classify_point(p: ProblemSpec, x, tol: float = _DEFAULT_CLASS_TOL) -> Classification:
@@ -139,7 +145,7 @@ def classify_point(p: ProblemSpec, x, tol: float = _DEFAULT_CLASS_TOL) -> Classi
     check_tolerance(tol)
     x = as_vector(x, p.dim)
     slack = _classification_slack(x, p.smooth.grad(x), p.lam, 1.0)
-    return Classification(_kinds(slack[None], tol)[0], slack, tol)
+    return Classification(KIND_BY_CODE[_kind_codes(slack[None], tol)[0]], slack, tol)
 
 
 def classify_scale_sweep(p: ProblemSpec, x, taus, tol: float = _DEFAULT_CLASS_TOL):
@@ -155,7 +161,8 @@ def classify_scale_sweep(p: ProblemSpec, x, taus, tol: float = _DEFAULT_CLASS_TO
         raise ValueError("every tau must be positive")
     g = p.smooth.grad(x)
     slacks = [_classification_slack(x, g, p.lam, t) for t in taus]
-    kinds = _kinds(np.array(slacks).reshape(len(taus), p.dim), tol)
+    codes = _kind_codes(np.array(slacks).reshape(len(taus), p.dim), tol)
+    kinds = [KIND_BY_CODE[c] for c in codes.tolist()]
     return [Classification(k, s, tol) for k, s in zip(kinds, slacks)]
 
 

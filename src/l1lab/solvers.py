@@ -41,7 +41,8 @@ INNER_1D_TOL = 1e-12
 _ALGORITHMS = ("gd", "ccd", "ccm")
 
 # Rows run() allocates for iterates at first, and measures as one block
-# without a stop rule; the buffer doubles as it fills.
+# without a stop rule, unless one guarded C call makes them all; the buffer
+# doubles as it fills.
 _FIRST_ROWS = 64
 
 
@@ -63,7 +64,9 @@ class SolverConfig:
     record_tau: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.max_outer_iters, (int, np.integer)) or self.max_outer_iters < 1:
+        iters = self.max_outer_iters
+        # bool is an int, but True is no iteration count.
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError("max_outer_iters must be an integer >= 1")
         if not self.stop_residual >= 0.0:  # NaN fails this test too
             raise ValueError(f"stop_residual must be nonnegative, got {self.stop_residual}")
@@ -330,8 +333,8 @@ def compiled_affine(p: ProblemSpec):
 
 
 def compiled_step(p: ProblemSpec, alg: str):
-    """step(W, P, k0, k1) when alg's iterations on p run in C; None when
-    compiled_affine(p) is None or numpy's dgemv cannot be had
+    """step(W, P, k0, k1, guard) when alg's iterations on p run in C; None
+    when compiled_affine(p) is None or numpy's dgemv cannot be had
     (_qsweep.dgemv()).
 
     W and P are the addresses of two C-contiguous float64 buffers of rows
@@ -342,7 +345,13 @@ def compiled_step(p: ProblemSpec, alg: str):
     or ccm sweep (qstep, with the steps of CoordinateKernel and a state
     buffer the step owns). It then forms P[k + 1], bitwise
     np.matmul(A, W[k + 1]), by the BLAS function numpy's matmul calls.
-    For ccm it calls exact_steps(), which may raise Assumption2Error.
+    It returns the number of rows made. With guard true it first tests
+    each row W[k] against a bound from the sup norms of W[k], P[k] and b,
+    lam and L, and stops at the first row for which the bound cannot rule
+    out a non-finite value of run()'s measurement (iterate, gradient, F or
+    residual), before stepping from it; it then returns fewer than
+    k1 - k0. For ccm it calls exact_steps(), which may raise
+    Assumption2Error.
     """
     compiled = compiled_affine(p)
     if compiled is None:
@@ -390,12 +399,17 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     each iterate's product A w is formed once, into row k of a product
     buffer P that grows with the iterates: np.matmul for the start, and for
     every later iterate the BLAS call that np.matmul makes, inside the step
-    call. Both the steps and measure() take these products. Without a stop
-    rule one step call makes every row up to the next measured block; with
-    one, it makes one row. Buffer addresses are taken when a buffer is
-    made, not per call. Logistic data, ccm with record_tau and a run
-    without the library or numpy's dgemv keep the numpy steps, with the
-    same bits.
+    call. Both the steps and measure() take these products. With a stop
+    rule one step call makes one row. Without one, the buffers hold all
+    K + 1 rows from the start, and one guarded step call makes them all, so
+    all are measured in one block after the loop. The guard stops the call
+    at the first row whose measurement a bound cannot show finite; that
+    row and those before it are then measured at once, so a fault is named
+    as on the numpy path, and when the row proves finite the run goes on
+    unguarded, measuring every _FIRST_ROWS rows. Buffer addresses are
+    taken when a buffer is made, not per call. Logistic data, ccm with
+    record_tau and a run without the library or numpy's dgemv keep the
+    numpy steps and their schedule, with the same bits.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
@@ -405,7 +419,9 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     tau_log = [] if cfg.record_tau and alg == "ccm" else None
     step = None if tau_log is not None else compiled_step(p, alg)
     kernel = CoordinateKernel(p, alg) if step is None and alg != "gd" else None
-    W = np.empty((min(K + 1, _FIRST_ROWS), d))
+    # Whether the next step call is guarded and makes every row left.
+    guarded = step is not None and stop == 0.0
+    W = np.empty((K + 1 if guarded else min(K + 1, _FIRST_ROWS), d))
     W[0] = as_vector(x0, d)
     P = None  # P[i] = np.matmul(A, W[i]), when the steps run in C
     if step is not None:
@@ -466,10 +482,19 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                     w_at, p_at = W.ctypes.data, P.ctypes.data
             last = k  # the last row made in this pass
             if P is not None:
-                if stop == 0.0:
+                if guarded:
+                    last = K
+                elif stop == 0.0:
                     # Every row up to the next measured block, in one call.
                     last = min(K, measured + _FIRST_ROWS - 1, len(W) - 1)
-                step(w_at, p_at, k - 1, last)
+                made = step(w_at, p_at, k - 1, last, guarded)
+                if made < last - k + 1:
+                    # The guard stopped at row k - 1 + made: measure up to
+                    # it, which raises a fault there if there is one, then
+                    # go on unguarded.
+                    last = k - 1 + made
+                    measure(last + 1)
+                    guarded = False
             elif kernel is not None:
                 W[k] = W[k - 1]
                 try:

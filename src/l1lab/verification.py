@@ -27,11 +27,13 @@ import numpy as np
 from ._jsonlayout import json_records, json_value, render, render_pieces
 from .errors import Assumption2Error, PreconditionError, ReferenceSolveError, StartSearchError
 from .operators import (
+    KIND_BY_CODE,
     Kind,
     check_isotonicity_sampled,
     check_tolerance,
     classify_point,
     classify_rows,
+    kind_codes,
     optimality_residual,
     prox_gradient_image,
 )
@@ -170,9 +172,11 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     2**n sweeps, so the attempts stay few when the pattern keeps changing.
     Past the sweeps the polish is tried once more, and the better of the
     two points is kept. Raises ReferenceSolveError when the final residual
-    exceeds 1e-10, and ValueError when max_sweeps is not an integer >= 0.
+    exceeds 1e-10, and ValueError when max_sweeps is not an integer >= 0
+    (a bool is not).
     """
-    if not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 0:
+    if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer))
+            or max_sweeps < 0):
         raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
     try:
         method, kernel = "ccm", CoordinateKernel(p, "ccm")
@@ -211,7 +215,7 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
             W[1] = x
             kernel.sweep(W[1])
         else:
-            step(w_at, p_at, 0, 1)
+            step(w_at, p_at, 0, 1, False)
         if np.array_equal(W[1], x):
             break  # numerical fixed point of the sweep map
         W[0], P[0] = W[1], P[1]
@@ -304,7 +308,9 @@ class IterationRecord:
 class ComparisonReport:
     """Outcome of one three-way run from a common classified start: one
     column per prediction over k = 0..K, f_values and kinds with rows gd,
-    ccd and ccm. records views the columns as one IterationRecord per k."""
+    ccd and ccm. kinds holds int8 codes, KIND_BY_CODE[c] the Kind of code
+    c. records views the columns as one IterationRecord per k, the only
+    place besides the JSON writer where the codes become Kind members."""
 
     start: object
     dominance_tol: float
@@ -328,10 +334,11 @@ class ComparisonReport:
     @property
     def records(self):
         """The columns as one IterationRecord per k, with Python scalars."""
+        kinds = [[KIND_BY_CODE[c] for c in row] for row in self.kinds.tolist()]
         return list(map(IterationRecord, range(len(self.bound)), *self.f_values.tolist(),
                         self.bound.tolist(), self.dominance_ok.tolist(),
                         self.f_order_ok.tolist(), self.rate_ok.tolist(),
-                        zip(*self.kinds.tolist()), self.persistence_ok.tolist()))
+                        zip(*kinds), self.persistence_ok.tolist()))
 
     def _json_head(self) -> dict:
         # to_json_dict() but per_iteration, with x_star as its array.
@@ -370,7 +377,7 @@ class ComparisonReport:
                 for flags in (self.dominance_ok, self.f_order_ok, self.rate_ok,
                               self.persistence_ok))
             kinds = list(zip(*self.kinds[:, part].tolist()))
-            spelled = {cs: "".join(json_value([c.value for c in cs], ind + 4))
+            spelled = {cs: "".join(json_value([KIND_BY_CODE[c].value for c in cs], ind + 4))
                        for cs in set(kinds)}
             return (range(start, stop), f_gd, f_ccd, f_ccm, bound, dominance, f_order, rate,
                     [spelled[cs] for cs in kinds], persistence)
@@ -467,14 +474,12 @@ def run_comparison(
     f_order = (F[1:] <= F[:-1] + tol * (1.0 + np.abs(F[0]))).all(axis=0)
     # Each iterate against tol scaled by 1 + its own sup norm, from the
     # gradient run() kept.
-    kinds = np.array(
-        classify_rows(p, W.reshape(-1, p.dim), G.reshape(-1, p.dim),
-                      tol * (1.0 + row_norms.ravel())),
-        dtype=object,
-    ).reshape(3, K + 1)
+    kinds = kind_codes(p, W.reshape(-1, p.dim), G.reshape(-1, p.dim),
+                       tol * (1.0 + row_norms.ravel())).reshape(3, K + 1)
     # Exact points satisfy both defining inequalities, so convergence
     # does not break persistence of the starting kind.
-    persistence = ((kinds == start.kind) | (kinds == Kind.EXACT)).all(axis=0)
+    persistence = ((kinds == KIND_BY_CODE.index(start.kind))
+                   | (kinds == KIND_BY_CODE.index(Kind.EXACT))).all(axis=0)
     rate_flags, headroom = _rate_flags(F, ref, x0, p.lipschitz)
 
     return ComparisonReport(

@@ -254,6 +254,14 @@ def test_reference_minimizer_rejects_a_max_sweeps_that_is_not_an_integer_at_leas
         reference_minimizer(p, max_sweeps=max_sweeps)
 
 
+@pytest.mark.parametrize("max_sweeps", [True, False, np.bool_(True)])
+def test_reference_minimizer_rejects_a_bool_max_sweeps(max_sweeps):
+    # bool is an int, so True used to pass as one sweep and False as none.
+    p = gen_zmatrix_quadratic(5, seed=1)
+    with pytest.raises(ValueError, match="max_sweeps must be an integer >= 0"):
+        reference_minimizer(p, max_sweeps=max_sweeps)
+
+
 def test_reference_minimizer_takes_zero_and_numpy_integer_max_sweeps():
     # 0 is a budget like any other: no sweep, so this start is no solution.
     p = gen_zmatrix_quadratic(5, seed=1)
