@@ -8,37 +8,30 @@ working tree's flags (_qsweep.FLAGS), into two temporary libraries, loads
 both into this one process and times them in turn, the order alternating
 from one repetition to the next:
 
-- ``qstep``, one ccd step of a quadratic, at d=300 and d=500;
 - ``qblock``, the K iterations of a run with each next product A w formed
-  through numpy's own dgemv, for ccd and gd at d=11, K=200 and for ccd and
-  ccm at d=300 and d=500, K=50;
+  through numpy's own dgemv, called guarded as run() calls it, for ccd
+  and gd at d=11, K=200 and for ccd and ccm at d=300 and d=500, K=50;
 - ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
   spellings (repr and '%.17g').
 
-A library without ``qblock`` times its ``qstep`` only: it runs the block
-cases as run() did before that entry, one np.matmul and one ``qstep`` (or
-``qprox``) call from Python per iteration, so their outputs still compare
-bitwise. A ``qblock`` that takes a ``guard`` argument and returns the rows
-it made is called guarded, as run() calls it, and a call that makes fewer
-than K rows counts as differing; one without that argument (an older
-revision) returns nothing and is called as before. Without numpy's dgemv
-(_qsweep.dgemv() is None) the block cases are left out.
+Both sources must have the working tree's ABI: ``qblock``, ``render_floats``
+and ``qaxpy`` with the same parameter lists, that is, ``qblock`` with a
+``guard`` argument, returning the rows it made, and ``render_floats`` with
+a row length and a row separator. A ``qblock`` call that makes fewer than
+K rows counts as differing. Without numpy's dgemv (_qsweep.dgemv() is
+None) the ``qblock`` cases are left out.
 
 First it prints which build of the sweep's row update each library runs
-on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin; a source
-without ``qaxpy`` has one scalar build). Each line then gives the median
-time per call of each library over the repetitions and their ratio. A
-change of code layout in the C file can move the sweep by tens of percent
-and still show as only a few percent of an end-to-end run, so C changes
-are timed here first. The two libraries
-must give bitwise-equal outputs on every call timed.
+on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin). Each line
+then gives the median time per call of each library over the repetitions
+and their ratio. A change of code layout in the C file can move the sweep
+by tens of percent and still show as only a few percent of an end-to-end
+run, so C changes are timed here first. The two libraries must give
+bitwise-equal outputs on every call timed.
 
 The exit status is 1 when the outputs differ, 2 when <rev> has no
-_qsweep.c, a library cannot be built, or <rev>'s qstep takes other
-arguments than the working tree's; 0 otherwise. ``render_floats`` is
-called in whichever of its two forms each source declares: the one
-without a row length, or the one with a row length and a row separator
-(given the value separator, so that both forms write the same text).
+_qsweep.c, a library cannot be built, or one of those three functions of
+<rev> takes other arguments than the working tree's; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -56,7 +49,6 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -70,6 +62,7 @@ from l1lab import SolverConfig, _qsweep, find_supersolution, gen_zmatrix_quadrat
 C_PATH = "src/l1lab/_qsweep.c"
 VOID, LONG, INT, DOUBLE, CHARS = (ctypes.c_void_p, ctypes.c_long, ctypes.c_int,
                                   ctypes.c_double, ctypes.c_char_p)
+ABI = ("qblock", "render_floats", "qaxpy")  # the functions whose prototypes must agree
 
 
 def prototype(source: str, name: str) -> str:
@@ -91,29 +84,16 @@ class Library:
         if done.returncode != 0:
             raise RuntimeError(f"cannot build {label}: {done.stderr.strip()}")
         self.lib = ctypes.CDLL(str(so))
-        self.lib.qstep.argtypes = (LONG, VOID, VOID, DOUBLE, VOID, VOID, VOID, VOID, VOID)
-        self.lib.qstep.restype = None
-        self.lib.qprox.argtypes = (LONG, VOID, DOUBLE, DOUBLE, VOID, VOID, VOID)
-        self.lib.qprox.restype = None
-        self.block = bool(prototype(source, "qblock"))
-        # A qblock with a guard argument returns the rows it made; one
-        # without returns nothing.
-        self.guard = "guard" in prototype(source, "qblock")
-        if self.block:
-            self.lib.qblock.argtypes = (_qsweep.DGEMV, LONG, VOID, VOID, VOID, DOUBLE, DOUBLE,
-                                        VOID, VOID, VOID, LONG, LONG) + (LONG,) * self.guard
-            self.lib.qblock.restype = LONG if self.guard else None
-        self.rows = "rowlen" in prototype(source, "render_floats")
-        self.row_update = "scalar"
-        if prototype(source, "qaxpy"):
-            self.lib.qaxpy.argtypes = (LONG, LONG, DOUBLE, VOID, VOID)
-            self.lib.qaxpy.restype = LONG
-            probe = np.zeros(1)
-            self.row_update = ("baseline", "avx2")[self.lib.qaxpy(-1, 0, 0.0, probe.ctypes.data,
-                                                                  probe.ctypes.data)]
-        self.lib.render_floats.argtypes = (
-            (LONG, VOID, INT, CHARS, LONG, LONG, CHARS, LONG, VOID, VOID) if self.rows
-            else (LONG, VOID, INT, CHARS, LONG, VOID, VOID))
+        self.lib.qblock.argtypes = (_qsweep.DGEMV, LONG, VOID, VOID, VOID, DOUBLE, DOUBLE,
+                                    VOID, VOID, VOID, LONG, LONG, LONG)
+        self.lib.qblock.restype = LONG
+        self.lib.qaxpy.argtypes = (LONG, LONG, DOUBLE, VOID, VOID)
+        self.lib.qaxpy.restype = LONG
+        probe = np.zeros(1)
+        self.row_update = ("baseline", "avx2")[self.lib.qaxpy(-1, 0, 0.0, probe.ctypes.data,
+                                                              probe.ctypes.data)]
+        self.lib.render_floats.argtypes = (LONG, VOID, INT, CHARS, LONG, LONG, CHARS, LONG,
+                                           VOID, VOID)
         self.lib.render_floats.restype = LONG
 
     def render(self, block: np.ndarray, repr_: bool, sep: bytes):
@@ -122,22 +102,9 @@ class Library:
         out = ctypes.create_string_buffer(n * (24 + len(sep)) + 64)
         holes = (ctypes.c_long * (2 * n + 1))()
         data = block.tobytes()
-        args = (block.shape[-1], sep, len(sep)) if self.rows else ()
-        size = self.lib.render_floats(n, data, repr_, sep, len(sep), *args, out, holes)
+        size = self.lib.render_floats(n, data, repr_, sep, len(sep), block.shape[-1], sep,
+                                      len(sep), out, holes)
         return ctypes.string_at(out, size), holes[:1 + 2 * holes[0]]
-
-
-def qstep_case(d: int):
-    """The arguments of one ccd qstep at dimension d, and its output buffers."""
-    p = gen_zmatrix_quadratic(d, seed=1)
-    A, b = p.smooth.affine_gradient()
-    x = find_supersolution(p, seed=1)
-    steps = np.full(d, p.lipschitz)
-    ax = A @ x
-    state, w = np.empty(d), np.empty(d)
-    args = (d, A.ctypes.data, steps.ctypes.data, p.lam, b.ctypes.data, state.ctypes.data,
-            x.ctypes.data, ax.ctypes.data, w.ctypes.data)
-    return args, (A, b, x, steps, ax), (state, w)
 
 
 class BlockCase:
@@ -159,23 +126,11 @@ class BlockCase:
         A, W, P, d = self.A, self.W, self.P, self.d
         a_at, b_at, state_at = A.ctypes.data, self.b.ctypes.data, self.state.ctypes.data
         steps = None if self.steps is None else self.steps.ctypes.data
-        w_at, p_at = W.ctypes.data, P.ctypes.data
-        if lib.block:
-            # Guarded, as run() calls it without a stop rule.
-            made = lib.lib.qblock(self.dgemv, d, a_at, b_at, steps, self.lam, self.L, state_at,
-                                  w_at, p_at, 0, self.K, *(1,) * lib.guard)
-            if lib.guard and made != self.K:
-                return b"stopped by the guard at row %d" % made
-        else:
-            # The addresses are taken once, as run() took them.
-            if steps is None:
-                step = partial(lib.lib.qprox, d, b_at, self.L, self.lam / self.L)
-            else:
-                step = partial(lib.lib.qstep, d, a_at, steps, self.lam, b_at, state_at)
-            row = W.strides[0]
-            for k in range(self.K):
-                step(w_at + k * row, p_at + k * row, w_at + (k + 1) * row)
-                np.matmul(A, W[k + 1], out=P[k + 1])
+        # Guarded, as run() calls it without a stop rule.
+        made = lib.lib.qblock(self.dgemv, d, a_at, b_at, steps, self.lam, self.L, state_at,
+                              W.ctypes.data, P.ctypes.data, 0, self.K, 1)
+        if made != self.K:
+            return b"stopped by the guard at row %d" % made
         return W.tobytes() + P.tobytes()
 
 
@@ -193,10 +148,11 @@ def main(argv) -> int:
         print(f"cannot read {C_PATH} of {args.rev}: {shown.stderr.strip()}", file=sys.stderr)
         return 2
     sources = {args.rev: shown.stdout, "tree": (ROOT / C_PATH).read_text(encoding="utf-8")}
-    if len({prototype(s, "qstep") for s in sources.values()}) != 1:
-        print(f"qstep of {args.rev} takes other arguments than the working tree's",
-              file=sys.stderr)
-        return 2
+    for name in ABI:
+        if len({prototype(s, name) for s in sources.values()}) != 1:
+            print(f"{name} of {args.rev} takes other arguments than the working tree's",
+                  file=sys.stderr)
+            return 2
 
     with tempfile.TemporaryDirectory(prefix="l1lab-time-c-") as tmp:
         try:
@@ -207,18 +163,6 @@ def main(argv) -> int:
             return 2
 
         cases = {}  # name -> (calls per timing, call of a library, its comparable output)
-        for d, calls in ((300, 200), (500, 100)):
-            call_args, keep, (state, w) = qstep_case(d)
-
-            # keep holds the arrays whose addresses call_args passes.
-            def qstep(lib, call_args=call_args, keep=keep):
-                lib.lib.qstep(*call_args)
-
-            def qstep_out(lib, call_args=call_args, state=state, w=w):
-                lib.lib.qstep(*call_args)
-                return state.tobytes() + w.tobytes()
-
-            cases[f"qstep d={d}"] = (calls, qstep, qstep_out)
         dgemv = _qsweep.dgemv()
         if dgemv is None:
             print("numpy's dgemv cannot be had: the qblock cases are left out", file=sys.stderr)

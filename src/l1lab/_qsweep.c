@@ -1,16 +1,12 @@
 /* The compiled parts of l1lab, built and loaded by _qsweep.py.
  *
- * qstep: one ccd or ccm iteration of a quadratic from the product A x: the
- * row copy, the state A x + b and the cyclic sweep, the loop of
- * CoordinateKernel.sweep with the same float operations in the same order.
- *
- * qprox: one gd step of a quadratic from the product A x, the numpy
- * prox-gradient image with the same float operations.
- *
- * qblock: a run of ccd, ccm or gd iterations on rows of iterates and their
- * products, each iteration qstep or qprox and then the next product A w by
- * the dgemv that numpy's matmul calls; on request it stops at the first row
- * whose measurement a bound cannot show finite.
+ * qblock: a run of ccd, ccm or gd iterations of a quadratic on rows of
+ * iterates and their products: each iteration the cyclic sweep of
+ * CoordinateKernel.sweep (ccd, ccm) or the numpy prox-gradient image (gd)
+ * from the product A x, with the same float operations in the same order,
+ * and then the next product A w by the dgemv that numpy's matmul calls; on
+ * request it stops at the first row whose measurement a bound cannot show
+ * finite.
  *
  * qray: the first rung of a ray t * u that classifies as the wanted kind,
  * the start search's numpy classification with the same float operations.
@@ -21,18 +17,20 @@
  * qaxpy: the sweep's row update in a variant the caller names, for the
  * tests.
  *
+ * Every other function is static.
+ *
  * The sweep's row update, state += delta * A[j], is SIMD: four entries at
  * a time through GCC/clang vector extensions, each entry still one IEEE
  * multiply and then one add, so its results are bitwise the scalar loop's.
  * It is compiled twice, a baseline (SSE2 on x86-64, NEON on arm64) and on
- * x86 an AVX2 twin (target("avx2"), without FMA), and qstep and qblock
- * choose the twin once per call when __builtin_cpu_supports("avx2"). The
- * build takes no -march flag: one cached library runs on every host of its
- * machine type.
+ * x86 an AVX2 twin (target("avx2"), without FMA), and qblock chooses the
+ * twin once per call when __builtin_cpu_supports("avx2"). The build takes
+ * no -march flag: one cached library runs on every host of its machine
+ * type.
  *
  * Compile without FMA contraction or fast-math (see _qsweep.py), so every
- * float operation of qstep and qprox rounds as numpy's does. No part uses
- * libm; qblock's products are numpy's own BLAS call.
+ * float operation of the sweep and the gd step rounds as numpy's does. No
+ * part uses libm; qblock's products are numpy's own BLAS call.
  */
 #include <float.h>
 #include <stdint.h>
@@ -114,7 +112,7 @@ static int has_avx2(void)
 }
 
 /* For the tests: the row update of variant v (0 the baseline, 1 the AVX2
- * twin, -1 the one qstep and qblock choose) on state. Returns the variant
+ * twin, -1 the one qblock chooses) on state. Returns the variant
  * run, or -1 with nothing run when this CPU cannot run v. */
 long qaxpy(long v, long d, double delta, const double *row, double *state)
 {
@@ -126,10 +124,12 @@ long qaxpy(long v, long d, double delta, const double *row, double *state)
     return v;
 }
 
-/* qstep with the row update axpy. A is the d x d matrix (row-major),
- * steps the per-coordinate step (L for ccd, A_jj for ccm); w = x and
- * state = ax + b, the gradient at w, are then updated in place, coordinate
- * by coordinate, each row of A added to state by axpy. */
+/* One ccd or ccm iteration from the iterate x and its product ax = A x,
+ * with the row update axpy: w = x, state = ax + b (the gradient at x, as
+ * np.add forms it), then the cyclic sweep of w. A is the d x d matrix
+ * (row-major), steps the per-coordinate step (L for ccd, A_jj for ccm);
+ * w and state are updated in place, coordinate by coordinate, each row of
+ * A added to state by axpy. */
 static void qsweep(axpy_fn axpy, long d, const double *A, const double *steps, double lam,
                    const double *b, double *state, const double *x, const double *ax,
                    double *w)
@@ -151,22 +151,13 @@ static void qsweep(axpy_fn axpy, long d, const double *A, const double *steps, d
     }
 }
 
-/* One ccd or ccm iteration from the iterate x and its product ax = A x:
- * w = x, state = ax + b (the gradient at x, as np.add forms it), then the
- * cyclic sweep of w. The arguments bound once per solve come first. */
-void qstep(long d, const double *A, const double *steps, double lam, const double *b,
-           double *state, const double *x, const double *ax, double *w)
-{
-    qsweep(AXPY[has_avx2()], d, A, steps, lam, b, state, x, ax, w);
-}
-
 /* One gd step of a quadratic: out = _soft(x - g / L, tau) with the gradient
  * g = ax + b, ax the product A x. Each entry takes the float operations of
  * operators._soft, np.sign(v) * np.maximum(np.abs(v) - tau, 0.0): sign keeps
  * a NaN and gives +0 for +-0, maximum keeps a NaN, and the dead zone of a
  * negative v gives -1 * +0 = -0.0. */
-void qprox(long d, const double *b, double L, double tau, const double *x, const double *ax,
-           double *out)
+static void qprox(long d, const double *b, double L, double tau, const double *x,
+                  const double *ax, double *out)
 {
     for (long i = 0; i < d; i++) {
         double v = x[i] - (ax[i] + b[i]) / L;
@@ -221,7 +212,7 @@ static int row_bounded(long d, const double *w, const double *ax, double bn, dou
 
 /* Iterations k0 <= k < k1 of a quadratic on the rows of W and P, d doubles
  * each, where P[k0] holds the product A W[k0]: W[k + 1] from W[k] and P[k]
- * by qstep with steps (ccd, ccm), its row update chosen once for the call,
+ * by qsweep with steps (ccd, ccm), its row update chosen once for the call,
  * or by qprox with L and tau = lam / L when steps is NULL (gd); then
  * P[k + 1] = A W[k + 1] by dgemv, called as numpy's matmul calls it for a
  * C-contiguous A and a vector (column-major 102, transposed 112, lda d,

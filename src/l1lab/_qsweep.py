@@ -1,20 +1,19 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It exports six functions: ``qstep``, one ccd/ccm iteration of a
-quadratic (row copy, state and cyclic sweep) from the product A x,
-``qprox``, gd's step of a quadratic from the product A x, ``qblock``, a
-run of either step on rows of iterates that also forms each next product
-A w and returns the number of rows it made (with ``guard`` nonzero it
-stops at the first row whose measured values a bound cannot show finite),
-``qray``, the start search's classification of the rungs of one ray
-of a quadratic, ``render_floats``, which spells a block of floats in
-rows as repr or '%.17g' does (see _jsonlayout.render), and ``qaxpy``, for
-the tests: the sweep's row update state += delta * row in the variant
-named (0 the baseline build, 1 the AVX2 twin, -1 the one qstep and qblock
-choose on this CPU), which returns the variant run or -1 when this CPU
-cannot run it. load() returns the library, or None when it cannot be
-had; the callers then keep the numpy loops and Python's own number
-formatting, with the same bits and bytes.
+It exports four functions: ``qblock``, a run of ccd, ccm or gd iterations
+of a quadratic on rows of iterates (each a cyclic sweep or gd's step from
+the product A x, as the numpy loops do it) that also forms each next
+product A w and returns the number of rows it made (with ``guard``
+nonzero it stops at the first row whose measured values a bound cannot
+show finite), ``qray``, the start search's classification of the rungs
+of one ray of a quadratic, ``render_floats``, which spells a block of
+floats in rows as repr or '%.17g' does (see _jsonlayout.render), and
+``qaxpy``, for the tests: the sweep's row update state += delta * row in
+the variant named (0 the baseline build, 1 the AVX2 twin, -1 the one
+qblock chooses on this CPU), which returns the variant run or -1 when
+this CPU cannot run it. load() returns the library, or None when it
+cannot be had; the callers then keep the numpy loops and Python's own
+number formatting, with the same bits and bytes.
 dgemv() returns the BLAS function numpy's matmul calls for a matrix times
 a vector, which qblock takes to form its products, or None when it cannot
 be found or does not give np.matmul's bits. Nothing here runs at import.
@@ -164,13 +163,6 @@ def _open(path: Path | None):
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    lib.qstep.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                          ctypes.c_void_p)
-    lib.qstep.restype = None
-    lib.qprox.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-    lib.qprox.restype = None
     lib.qblock.argtypes = (DGEMV, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
                            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
@@ -192,10 +184,9 @@ def _open(path: Path | None):
 
 @functools.cache
 def load():
-    """The library, with ``qstep(d, A, steps, lam, b, state, x, ax, w)``,
-    ``qprox(d, b, L, tau, x, ax, out)``,
+    """The library, with
     ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1, guard)``,
-    ``qray(d, nt, ts, u, a, b, lam, tol, sign)`` and
+    ``qray(d, nt, ts, u, a, b, lam, tol, sign)``,
     ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``
     and ``qaxpy(variant, d, delta, row, state)``, or None.
 

@@ -98,6 +98,15 @@ def check_tolerance(tol):
         raise ValueError(f"tol must be nonnegative, got {tol}")
 
 
+def check_scalar_tolerance(tol):
+    """Raise ValueError unless tol is one nonnegative value (not an array or
+    a list); NaN fails."""
+    if np.ndim(tol) != 0:
+        raise ValueError(f"tol must be one value, got an array of shape {np.shape(tol)}")
+    if not tol >= 0.0:  # one comparison: np.all costs more than the rest of the check
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+
+
 # The kind of each code: KIND_BY_CODE[2 * (every s >= -tol) + (every s <= tol)].
 KIND_BY_CODE = (Kind.NEITHER, Kind.SUBSOLUTION, Kind.SUPERSOLUTION, Kind.EXACT)
 
@@ -142,7 +151,7 @@ def classify_rows(p: ProblemSpec, points, grads, tol) -> list:
 
 def classify_point(p: ProblemSpec, x, tol: float = _DEFAULT_CLASS_TOL) -> Classification:
     """Classify x as super/subsolution, exact minimizer, or neither."""
-    check_tolerance(tol)
+    check_scalar_tolerance(tol)
     x = as_vector(x, p.dim)
     slack = _classification_slack(x, p.smooth.grad(x), p.lam, 1.0)
     return Classification(KIND_BY_CODE[_kind_codes(slack[None], tol)[0]], slack, tol)
@@ -154,7 +163,7 @@ def classify_scale_sweep(p: ProblemSpec, x, taus, tol: float = _DEFAULT_CLASS_TO
     A point that is a super- or subsolution keeps its kind at every tau;
     the sweep exists to check that scale invariance empirically.
     """
-    check_tolerance(tol)
+    check_scalar_tolerance(tol)
     x = as_vector(x, p.dim)
     taus = [float(t) for t in taus]
     if any(t <= 0.0 for t in taus):
@@ -173,6 +182,7 @@ def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLAS
     constant curve); for supersolutions the curve is nondecreasing in tau,
     for subsolutions nonincreasing.
     """
+    check_scalar_tolerance(tol)
     x = as_vector(x, p.dim)
     if not 0 <= j < p.dim:
         raise IndexError(f"coordinate index {j} out of range for dimension {p.dim}")

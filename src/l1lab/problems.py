@@ -149,7 +149,7 @@ class SmoothLoss:
     def active_set_solution(self, x, lam):
         """Minimizer of f + lam * <sign(x), .> on the support of x (all
         coordinates when lam is 0), to polish x; None when it flips a sign
-        of x or cannot be computed."""
+        of x or cannot be computed (a non-finite result included)."""
         return None
 
     def to_dict(self):
@@ -275,6 +275,8 @@ class QuadraticForm(SmoothLoss):
         try:
             sol = np.linalg.solve(A[np.ix_(on, on)], rhs)
         except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(sol).all():
             return None
         if lam > 0.0 and np.any(np.sign(sol) * np.sign(x[on]) < 0.0):
             return None

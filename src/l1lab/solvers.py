@@ -341,9 +341,9 @@ def compiled_step(p: ProblemSpec, alg: str):
     of length d, the iterates and their products, with P[k0] holding
     np.matmul(A, W[k0]) for (A, b) = p.smooth.affine_gradient(). One call
     (qblock) makes, for k0 <= k < k1, the next iterate W[k + 1], bitwise
-    the numpy step from W[k]: gd's prox-gradient image (qprox), or a ccd
-    or ccm sweep (qstep, with the steps of CoordinateKernel and a state
-    buffer the step owns). It then forms P[k + 1], bitwise
+    the numpy step from W[k]: gd's prox-gradient image, or a ccd or ccm
+    sweep (with the steps of CoordinateKernel and a state buffer the step
+    owns). It then forms P[k + 1], bitwise
     np.matmul(A, W[k + 1]), by the BLAS function numpy's matmul calls.
     It returns the number of rows made. With guard true it first tests
     each row W[k] against a bound from the sup norms of W[k], P[k] and b,

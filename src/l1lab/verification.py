@@ -30,7 +30,7 @@ from .operators import (
     KIND_BY_CODE,
     Kind,
     check_isotonicity_sampled,
-    check_tolerance,
+    check_scalar_tolerance,
     classify_point,
     classify_rows,
     kind_codes,
@@ -59,9 +59,7 @@ _LADDER = np.array([2.0 ** i for i in range(41)])
 
 
 def _search_start(p, seed, want, tol):
-    if np.ndim(tol) != 0:
-        raise ValueError(f"tol must be one value, got an array of shape {np.shape(tol)}")
-    check_tolerance(tol)
+    check_scalar_tolerance(tol)
     certificate = p.smooth.isotonicity_certificate()
     if certificate is not None and not certificate[0]:
         raise PreconditionError(
@@ -172,8 +170,9 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     2**n sweeps, so the attempts stay few when the pattern keeps changing.
     Past the sweeps the polish is tried once more, and the better of the
     two points is kept. Raises ReferenceSolveError when the final residual
-    exceeds 1e-10, and ValueError when max_sweeps is not an integer >= 0
-    (a bool is not).
+    exceeds 1e-10 or at the first residual that is not finite (the sweeps
+    overflowed), and ValueError when max_sweeps is not an integer >= 0 (a
+    bool is not).
     """
     if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer))
             or max_sweeps < 0):
@@ -198,29 +197,36 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
         return cand, math.inf if cand is None else optimality_residual(p, cand)
 
     pattern, held, tried = None, 0, set()
-    for sweeps in range(max_sweeps + 1):
-        # P[0] + b is bitwise grad(x).
-        image = prox_gradient_image(p, x, p.smooth.grad(x) if step is None else P[0] + b)
-        best_res = _inf_norm(x - image)
-        if best_res <= _REFERENCE_STOP or sweeps == max_sweeps:
-            break
-        last, pattern = pattern, np.sign(x).astype(np.int8).tobytes()
-        held = held + 1 if pattern == last else 0
-        if held >= 2 ** len(tried) and pattern not in tried:
-            tried.add(pattern)
-            cand, cand_res = polish(x)
-            if cand_res <= _REFERENCE_STOP:
-                return _solution(p, cand, cand_res, method + "+active-set")
-        if step is None:
-            W[1] = x
-            kernel.sweep(W[1])
-        else:
-            step(w_at, p_at, 0, 1, False)
-        if np.array_equal(W[1], x):
-            break  # numerical fixed point of the sweep map
-        W[0], P[0] = W[1], P[1]
-    label = method
-    cand, cand_res = polish(x)
+    # Overflow shows up as a non-finite residual checked here, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweeps in range(max_sweeps + 1):
+            # P[0] + b is bitwise grad(x).
+            image = prox_gradient_image(p, x, p.smooth.grad(x) if step is None else P[0] + b)
+            best_res = _inf_norm(x - image)
+            if not math.isfinite(best_res):
+                raise ReferenceSolveError(
+                    f"reference solve reached a non-finite residual after {sweeps} {method} "
+                    "iterations"
+                )
+            if best_res <= _REFERENCE_STOP or sweeps == max_sweeps:
+                break
+            last, pattern = pattern, np.sign(x).astype(np.int8).tobytes()
+            held = held + 1 if pattern == last else 0
+            if held >= 2 ** len(tried) and pattern not in tried:
+                tried.add(pattern)
+                cand, cand_res = polish(x)
+                if cand_res <= _REFERENCE_STOP:
+                    return _solution(p, cand, cand_res, method + "+active-set")
+            if step is None:
+                W[1] = x
+                kernel.sweep(W[1])
+            else:
+                step(w_at, p_at, 0, 1, False)
+            if np.array_equal(W[1], x):
+                break  # numerical fixed point of the sweep map
+            W[0], P[0] = W[1], P[1]
+        label = method
+        cand, cand_res = polish(x)
     if cand_res < best_res:
         x, best_res, label = cand, cand_res, method + "+active-set"
     if best_res > _REFERENCE_RESIDUAL:
@@ -264,6 +270,7 @@ def check_objective_ordering(p: ProblemSpec, y, x, tol: float = 1e-10) -> bool:
     This is the standalone objective-ordering property behind the F-chain,
     tested independently of any solver run.
     """
+    check_scalar_tolerance(tol)
     y = as_vector(y, p.dim)
     x = as_vector(x, p.dim)
     cls = classify_point(p, y, tol)
@@ -436,7 +443,7 @@ def run_comparison(
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    check_tolerance(tol)
+    check_scalar_tolerance(tol)
     x0 = as_vector(x0, p.dim)
     certificate = p.smooth.isotonicity_certificate()
     if certificate is not None:

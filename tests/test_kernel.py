@@ -360,19 +360,25 @@ def test_block_boundaries_are_bitwise_the_numpy_steps(both_kernels, K):
                            stops=(0.0, 1e-300, 1e-9))
 
 
-def qprox(x, ax, b, L, tau):
-    """The compiled gd step on float64 arrays: _soft(x - (ax + b) / L, tau)."""
-    out = np.empty_like(x)
-    _qsweep.load().qprox(len(x), b.ctypes.data, L, tau, x.ctypes.data, ax.ctypes.data,
-                         out.ctypes.data)
-    return out
+def gd_row(x, ax, b, L, lam):
+    """The compiled gd step on float64 arrays, one unguarded qblock row from
+    W[0] = x and P[0] = ax: W[1] = _soft(x - (ax + b) / L, lam / L)."""
+    d = len(x)
+    W, P = np.empty((2, d)), np.empty((2, d))
+    W[0], P[0] = x, ax
+    A, state = np.zeros((d, d)), np.empty(d)  # A only forms P[1]
+    assert _qsweep.load().qblock(_qsweep.dgemv(), d, A.ctypes.data, b.ctypes.data, None, lam,
+                                 L, state.ctypes.data, W.ctypes.data, P.ctypes.data, 0, 1,
+                                 0) == 1
+    return W[1]
 
 
 def test_compiled_gd_image_is_the_numpy_image_on_edge_values():
     # +-0, +-inf, NaN of both signs, |v| == tau, both dead zones (the
-    # negative one gives -0.0), the extremes, tau = 0 and tau = inf. A NaN
-    # need only be NaN; every other value must have the numpy bits.
-    if _qsweep.load() is None:
+    # negative one gives -0.0), the extremes, tau = 0 and tau = inf, with
+    # lam = tau * L, so that qblock's threshold lam / L is tau * L / L. A
+    # NaN need only be NaN; every other value must have the numpy bits.
+    if _qsweep.load() is None or _qsweep.dgemv() is None:
         pytest.skip("the compiled step cannot be built here")
     nan = float("nan")
     edges = [0.0, -0.0, np.inf, -np.inf, nan, -nan, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 3.0,
@@ -382,8 +388,8 @@ def test_compiled_gd_image_is_the_numpy_image_on_edge_values():
     with np.errstate(over="ignore", invalid="ignore"):
         for L in (1.0, 2.0, 1e-3):
             for tau in (0.0, 0.5, 1.0, np.inf):
-                want = _soft(x - (ax + b) / L, tau)
-                got = qprox(x, ax, b, L, tau)
+                want = _soft(x - (ax + b) / L, tau * L / L)
+                got = gd_row(x, ax, b, L, tau * L)
                 nans = np.isnan(want)
                 assert np.array_equal(np.isnan(got), nans), (L, tau)
                 assert got[~nans].tobytes() == want[~nans].tobytes(), (L, tau)
@@ -394,7 +400,7 @@ def test_compiled_gd_image_is_the_numpy_image_on_edge_values():
                          (0.5, 0.5, "0.0"), (-0.0, 0.0, "0.0"), (-0.0, 0.5, "0.0"),
                          (-3.0, 0.5, "-2.5"), (-np.inf, 0.5, "-inf"), (np.inf, np.inf, "nan"),
                          (-nan, 0.5, "nan")):
-        assert repr(float(qprox(np.array([v]), zero, zero, 1.0, tau)[0])) == want, (v, tau)
+        assert repr(float(gd_row(np.array([v]), zero, zero, 1.0, tau)[0])) == want, (v, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +461,7 @@ def test_every_row_update_variant_is_bitwise_state_plus_delta_times_row(variant)
 
 
 def test_the_chosen_row_update_is_avx2_where_the_cpu_has_it():
-    # qstep and qblock choose the AVX2 twin on an x86-64 CPU with AVX2
+    # qblock chooses the AVX2 twin on an x86-64 CPU with AVX2
     # (which /proc/cpuinfo lists only where the kernel enables its state);
     # a variant the library does not have runs nothing.
     if not (sys.platform.startswith("linux") and platform.machine() == "x86_64"):

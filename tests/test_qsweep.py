@@ -7,13 +7,16 @@ compiler. Cases that load a library from a damaged cache, or that must
 start from a fresh interpreter, run in subprocesses.
 """
 
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import textwrap
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,48 @@ def child(env_updates, timeout=TIMEOUT_S):
                           text=True, timeout=timeout)
     assert done.returncode == 0 and not done.stderr, done.stderr
     return done.stdout.split()
+
+
+# The library's exports: the functions l1lab calls, and the tests' qaxpy.
+EXPORTS = {"qblock", "qray", "render_floats", "qaxpy"}
+
+
+def c_definitions(source):
+    """(name, whether static, number of parameters) of each function that
+    the C source defines at file scope (a line that starts the definition
+    in its first column)."""
+    found = re.finditer(r"^(?![\s#/}]|typedef)([^;{}]*?)\b(\w+)\s*\(([^()]*)\)\s*\{",
+                        source, re.M)
+    return [(m[2], "static" in m[1].split(),
+             0 if m[3].strip() in ("", "void") else len(m[3].split(","))) for m in found]
+
+
+class RecordingCDLL:
+    """Stands in for ctypes.CDLL: each attribute read is a function whose
+    set attributes are recorded."""
+
+    def __init__(self, path):
+        self.functions = {}
+
+    def __getattr__(self, name):
+        return self.functions.setdefault(name, types.SimpleNamespace())
+
+
+def test_the_library_exports_only_what_l1lab_calls(monkeypatch):
+    # Every other function is static, and _open declares the argument and
+    # result types of each export: without them ctypes would pass each
+    # address as a C int and read a long result as an int, with no error.
+    definitions = c_definitions(_qsweep.SOURCE.read_text(encoding="utf-8"))
+    assert {"qsweep", "qprox", "row_bounded", "put_float"} <= {name for name, *_ in definitions}
+    params = {name: n for name, static, n in definitions if not static}
+    assert set(params) == EXPORTS
+    monkeypatch.setattr(_qsweep.ctypes, "CDLL", RecordingCDLL)
+    lib = _qsweep._open(Path("qsweep.so"))
+    assert set(lib.functions) == EXPORTS
+    for name, function in lib.functions.items():
+        assert set(vars(function)) == {"argtypes", "restype"}, name
+        assert len(function.argtypes) == params[name], name
+        assert function.restype is ctypes.c_long, name
 
 
 @needs_cc

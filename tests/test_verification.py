@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from l1lab import (
     SolverConfig,
     check_objective_ordering,
     classify_point,
+    classify_scale_sweep,
     find_subsolution,
     find_supersolution,
     gen_zmatrix_quadratic,
@@ -26,6 +29,7 @@ from l1lab import (
     reference_minimizer,
     run,
     run_comparison,
+    shrink_tau_curve,
 )
 from l1lab._jsonlayout import _RECORD_CHUNK
 from l1lab.operators import prox_gradient_image
@@ -92,6 +96,32 @@ def test_start_search_rejects_an_array_tol():
                 search(p, seed=3, tol=tol)
     assert find_supersolution(p, seed=3, tol=np.float64(1e-3)).tobytes() \
         == find_supersolution(p, seed=3, tol=1e-3).tobytes()
+
+
+# Each function that documents one tol, called with the tol under test.
+ONE_TOL = {
+    "classify_point": lambda p, x, tol: classify_point(p, x, tol),
+    "classify_scale_sweep": lambda p, x, tol: classify_scale_sweep(p, x, [0.5, 1.0], tol),
+    "shrink_tau_curve": lambda p, x, tol: shrink_tau_curve(p, x, 0, [0.5, 1.0], tol),
+    "check_objective_ordering": lambda p, x, tol: check_objective_ordering(p, x, x, tol),
+    "run_comparison": lambda p, x, tol: run_comparison(p, x, 3, tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TOL))
+def test_the_one_tol_functions_reject_an_array_tol(name):
+    # Each documents one tol: an array or a list is rejected with the start
+    # search's message, before any work, and so are NaN and a negative tol.
+    # A numpy scalar is one value.
+    p = gen_zmatrix_quadratic(4, seed=3)
+    x = find_supersolution(p, seed=3)
+    for tol in (np.array([10.0, 0.0, 0.0, 0.0]), [1e-8] * 4, np.array([1e-8])):
+        with pytest.raises(ValueError, match="tol must be one value, got an array of shape"):
+            ONE_TOL[name](p, x, tol)
+    for tol in (float("nan"), -1e-12, np.float64(-1e-12)):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            ONE_TOL[name](p, x, tol)
+    ONE_TOL[name](p, x, np.float64(1e-8))
 
 
 def test_find_supersolution_rejects_non_isotone_instance():
@@ -260,6 +290,22 @@ def test_reference_minimizer_rejects_a_bool_max_sweeps(max_sweeps):
     p = gen_zmatrix_quadratic(5, seed=1)
     with pytest.raises(ValueError, match="max_sweeps must be an integer >= 0"):
         reference_minimizer(p, max_sweeps=max_sweeps)
+
+
+def test_reference_solve_stops_at_the_first_non_finite_residual(kernel):
+    # The ccm sweeps toward x* = (1e308, 1e308) overflow within a few
+    # sweeps, and the exact solve on the support overflows too, so the
+    # polish gives None. The solve ends at the first non-finite residual,
+    # names its sweep and warns nothing.
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [-1e308, -1e308], 0.0)
+    assert p.smooth.active_set_solution(np.zeros(2), 0.0) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReferenceSolveError) as exc:
+            reference_minimizer(p)
+    found = re.fullmatch(r"reference solve reached a non-finite residual after (\d+) ccm "
+                         r"iterations", str(exc.value))
+    assert found and int(found[1]) <= 5, str(exc.value)
 
 
 def test_reference_minimizer_takes_zero_and_numpy_integer_max_sweeps():
