@@ -91,7 +91,20 @@ COMMANDS = (
                            "--prefix", "diverging_ccd_"]),
     ("run_diverging_ccd_stop", ["run", "--problem", "diverging.json", "--alg", "ccd",
                                 "--stop-residual", "1e-300", "--prefix", "diverging_ccd_stop_"]),
+    ("classify_d10", ["classify", "--problem", "zmat10.json", "--tol", "1e-9",
+                      "--point", "1,0.5,0,0,2,0,0,0,0.25,1"]),
+    ("gen_lasso", ["gen", "--kind", "lasso", "--csv", "lasso.csv", "--lambda", "0.05",
+                   "--out", "lasso.json"]),
+    # Settings from a config file (VERIFY_CONFIG), one of them overridden
+    # by a flag on the command line.
+    ("verify_config", ["verify", "--config", "verify_config.json", "--iters", "60"]),
 )
+
+# Every kind of --config key: typed values, a null, a key with no flag,
+# and one (iters) that the command line overrides.
+VERIFY_CONFIG = {"dim": 8, "seed": 5, "density": 0.3, "start": "sub", "iters": 500,
+                 "tol": 1e-9, "problem": None, "unused": 1,
+                 "report": "config_report.json", "summary": "config_summary.csv"}
 
 # A 2x2 quadratic whose step constant L is far below its true Lipschitz
 # constant 3, so gd and ccd diverge.
@@ -110,6 +123,16 @@ def logistic_problem_json(n=200, d=20, lam=0.02, seed=0):
     return json.dumps({"kind": "logistic", "X": X.tolist(), "Y": Y.tolist(), "lambda": lam})
 
 
+def lasso_csv(n=40, d=6, seed=2):
+    """Rows x_1..x_d,y under a header, every number written with repr."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    Y = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    header = ",".join([f"x_{j + 1}" for j in range(d)] + ["y"])
+    rows = [",".join(map(repr, [*map(float, x), float(y)])) for x, y in zip(X, Y)]
+    return "\n".join([header, *rows]) + "\n"
+
+
 def extract(rev, dest):
     """Write the tree of ``rev`` into ``dest``; the repository is only read."""
     data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -126,6 +149,8 @@ def run_all(src, out):
     (out / "logistic1d.json").write_text(logistic_problem_json(n=50, d=1, lam=0.05, seed=1),
                                          encoding="utf-8")
     (out / "diverging.json").write_text(json.dumps(DIVERGING), encoding="utf-8")
+    (out / "lasso.csv").write_text(lasso_csv(), encoding="utf-8")
+    (out / "verify_config.json").write_text(json.dumps(VERIFY_CONFIG), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

@@ -34,84 +34,101 @@ _DESCENT_TOL = 1e-12
 
 
 def _build_parser():
+    """The parser and its subcommand parsers by name. Each flag's default,
+    type and choices are stated here once; --config values are checked
+    against them in main."""
     parser = argparse.ArgumentParser(
         prog="l1lab",
         description="l1-regularized optimization lab: gd, ccd, and ccm with a comparison harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "JSON object whose keys are flag names, supplying defaults for them"
 
     gen = sub.add_parser("gen", help="generate a problem file")
     gen.add_argument("--kind", choices=("zmatrix", "lasso"), default="zmatrix")
-    gen.add_argument("--dim", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--density", type=float, default=None)
-    gen.add_argument("--csv", default=None, help="CSV of rows x_1..x_d,y for --kind lasso")
-    gen.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    gen.add_argument("--out", default=None)
-    gen.add_argument("--config", default=None, help="JSON file with defaults for any flag")
+    gen.add_argument("--dim", type=int, default=5)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--density", type=float, default=0.5)
+    gen.add_argument("--csv", help="CSV of rows x_1..x_d,y for --kind lasso")
+    gen.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.1)
+    gen.add_argument("--out", default="problem.json")
+    gen.add_argument("--config", help=config_help)
     gen.set_defaults(func=cmd_gen)
 
     runp = sub.add_parser("run", help="run one or all algorithms and write traces")
-    runp.add_argument("--problem", default=None)
-    runp.add_argument("--alg", choices=("gd", "ccd", "ccm", "all"), default=None)
-    runp.add_argument("--iters", type=int, default=None)
-    runp.add_argument("--start", choices=("zero", "super", "sub"), default=None)
-    runp.add_argument("--x0", default=None, help="comma-separated start vector")
-    runp.add_argument("--seed", type=int, default=None, help="seed for the start search")
-    runp.add_argument("--stop-residual", type=float, default=None)
+    runp.add_argument("--problem")
+    runp.add_argument("--alg", choices=("gd", "ccd", "ccm", "all"), default="all")
+    runp.add_argument("--iters", type=int, default=100)
+    runp.add_argument("--start", choices=("zero", "super", "sub"), default="zero")
+    runp.add_argument("--x0", help="comma-separated start vector")
+    runp.add_argument("--seed", type=int, default=0, help="seed for the start search")
+    runp.add_argument("--stop-residual", type=float, default=0.0)
     runp.add_argument("--record-inner", action="store_true")
-    runp.add_argument("--out-dir", default=None)
-    runp.add_argument("--prefix", default=None)
-    runp.add_argument("--config", default=None)
+    runp.add_argument("--out-dir", default=".")
+    runp.add_argument("--prefix", default="trace_")
+    runp.add_argument("--config", help=config_help)
     runp.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="three-way comparison harness")
-    ver.add_argument("--problem", default=None)
-    ver.add_argument("--dim", type=int, default=None, help="generate an instance instead")
-    ver.add_argument("--density", type=float, default=None)
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--start", choices=("super", "sub"), default=None)
-    ver.add_argument("--iters", type=int, default=None)
-    ver.add_argument("--tol", type=float, default=None)
-    ver.add_argument("--report", default=None, help="path for the report JSON")
-    ver.add_argument("--summary", default=None, help="path for the summary CSV")
-    ver.add_argument("--config", default=None)
+    ver.add_argument("--problem")
+    ver.add_argument("--dim", type=int, help="generate an instance instead")
+    ver.add_argument("--density", type=float, default=0.5)
+    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--start", choices=("super", "sub"), default="super")
+    ver.add_argument("--iters", type=int, default=100)
+    ver.add_argument("--tol", type=float, default=1e-8)
+    ver.add_argument("--report", help="path for the report JSON")
+    ver.add_argument("--summary", help="path for the summary CSV")
+    ver.add_argument("--config", help=config_help)
     ver.set_defaults(func=cmd_verify)
 
     cls = sub.add_parser("classify", help="classify a point on a problem")
-    cls.add_argument("--problem", default=None)
-    cls.add_argument("--point", default=None, help="comma-separated coordinates")
-    cls.add_argument("--tol", type=float, default=None)
-    cls.add_argument("--config", default=None)
+    cls.add_argument("--problem")
+    cls.add_argument("--point", help="comma-separated coordinates")
+    cls.add_argument("--tol", type=float, default=1e-10)
+    cls.add_argument("--config", help=config_help)
     cls.set_defaults(func=cmd_classify)
 
-    return parser
+    return parser, sub.choices
 
 
-def _load_config(args):
-    if getattr(args, "config", None) is None:
-        return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
+# What a --config value must be for a flag of each type (None: a string).
+_CONFIG_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    None: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _config_defaults(command, path):
+    """The values of the JSON object in ``path`` for the flags of the
+    ``command`` parser, each checked as that flag checks its argument.
+
+    Keys with no flag and null values are left out. ValueError names the
+    first field whose value the flag would not take.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("--config must contain a JSON object")
-    return data
-
-
-def _opt(args, config, name, default=None):
-    val = getattr(args, name, None)
-    if val is None or val is False:
-        val = config.get(name, val)
-    return default if val is None else val
-
-
-def _int_opt(args, config, name, default=None):
-    """_opt for an integer field, whose config value must be a JSON integer
-    (not a bool, 2.7 or 3.0); ValueError names the field otherwise."""
-    val = _opt(args, config, name, default)
-    if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
-        raise ValueError(f"--config field {name!r} must be an integer, got {json.dumps(val)}")
-    return val
+    flags = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for name, value in data.items():
+        flag = flags.get(name)
+        if flag is None or value is None:
+            continue
+        if flag.nargs == 0:  # a switch
+            what, ok = "true or false", isinstance(value, bool)
+        else:
+            what, test = _CONFIG_TYPES[flag.type]
+            ok = test(value)
+        if ok and flag.choices is not None and value not in flag.choices:
+            what, ok = "one of " + ", ".join(map(json.dumps, flag.choices)), False
+        if not ok:
+            raise ValueError(f"--config field {name!r} must be {what}, got {json.dumps(value)}")
+        # The flag's type reads the number's text, as it reads an argument.
+        defaults[name] = value if flag.type is None else flag.type(str(value))
+    return defaults
 
 
 def _parse_point(text, dim=None):
@@ -122,66 +139,47 @@ def _parse_point(text, dim=None):
     return v
 
 
+def _start(p, mode, seed):
+    """The zero vector, or a super- or subsolution found from ``seed``."""
+    if mode == "zero":
+        return np.zeros(p.dim)
+    find = find_supersolution if mode == "super" else find_subsolution
+    return find(p, seed=seed)
+
+
 def cmd_gen(args) -> int:
-    config = _load_config(args)
-    kind = _opt(args, config, "kind", "zmatrix")
-    out = _opt(args, config, "out", "problem.json")
-    if kind == "zmatrix":
-        dim = _int_opt(args, config, "dim", 5)
-        seed = _int_opt(args, config, "seed", 0)
-        density = float(_opt(args, config, "density", 0.5))
-        p = gen_zmatrix_quadratic(dim, seed=seed, density=density)
+    if args.kind == "zmatrix":
+        p = gen_zmatrix_quadratic(args.dim, seed=args.seed, density=args.density)
     else:
-        csv_path = _opt(args, config, "csv")
-        if csv_path is None:
+        if args.csv is None:
             raise PreconditionError("--kind lasso needs --csv")
-        lam = float(_opt(args, config, "lam", 0.1))
-        X, Y = load_xy_csv(csv_path)
-        p = lasso_build(X, Y, lam)
-    save_problem(p, out)
+        X, Y = load_xy_csv(args.csv)
+        p = lasso_build(X, Y, args.lam)
+    save_problem(p, args.out)
     ok, offenders = p.smooth.isotonicity_certificate()
     verdict = "PASS" if ok else f"FAIL ({len(offenders)} positive off-diagonal pairs)"
-    print(f"wrote {out} (dim={p.dim}, lambda={p.lam:.17g}, L={p.lipschitz:.17g})")
+    print(f"wrote {args.out} (dim={p.dim}, lambda={p.lam:.17g}, L={p.lipschitz:.17g})")
     print(f"isotonicity check: {verdict}")
     return 0
 
 
-def _resolve_start(p, args, config):
-    x0_text = _opt(args, config, "x0")
-    if x0_text is not None:
-        return _parse_point(x0_text, p.dim)
-    mode = _opt(args, config, "start", "zero")
-    seed = _int_opt(args, config, "seed", 0)
-    if mode == "zero":
-        return np.zeros(p.dim)
-    if mode == "super":
-        return find_supersolution(p, seed=seed)
-    return find_subsolution(p, seed=seed)
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args)
-    problem_path = _opt(args, config, "problem")
-    if problem_path is None:
+    if args.problem is None:
         raise PreconditionError("run needs --problem")
-    p = load_problem(problem_path)
-    alg = _opt(args, config, "alg", "all")
-    iters = _int_opt(args, config, "iters", 100)
-    stop = float(_opt(args, config, "stop_residual", 0.0))
-    record_inner = bool(_opt(args, config, "record_inner", False))
-    out_dir = Path(_opt(args, config, "out_dir", "."))
-    prefix = _opt(args, config, "prefix", "trace_")
-    x0 = _resolve_start(p, args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = SolverConfig(max_outer_iters=iters, stop_residual=stop, record_inner=record_inner,
-                       record_tau=True)
-    algs = ("gd", "ccd", "ccm") if alg == "all" else (alg,)
+    p = load_problem(args.problem)
+    x0 = (_parse_point(args.x0, p.dim) if args.x0 is not None
+          else _start(p, args.start, args.seed))
+    cfg = SolverConfig(max_outer_iters=args.iters, stop_residual=args.stop_residual,
+                       record_inner=args.record_inner, record_tau=True)
+    out_dir = Path(args.out_dir)
+    algs = ("gd", "ccd", "ccm") if args.alg == "all" else (args.alg,)
     all_descent = True
     for name in algs:
         trace = run(name, p, x0, cfg)
-        csv_path = out_dir / f"{prefix}{name}.csv"
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a trace to write
+        csv_path = out_dir / f"{args.prefix}{name}.csv"
         trace.write_csv(csv_path)
-        trace.write_json(out_dir / f"{prefix}{name}.json")
+        trace.write_json(out_dir / f"{args.prefix}{name}.json")
         held = trace.descent_ok(_DESCENT_TOL)
         all_descent = all_descent and held
         print(
@@ -193,30 +191,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args)
-    problem_path = _opt(args, config, "problem")
-    seed = _int_opt(args, config, "seed", 0)
-    if problem_path is not None:
-        p = load_problem(problem_path)
+    if args.problem is not None:
+        p = load_problem(args.problem)
+    elif args.dim is not None:
+        p = gen_zmatrix_quadratic(args.dim, seed=args.seed, density=args.density)
     else:
-        dim = _int_opt(args, config, "dim")
-        if dim is None:
-            raise PreconditionError("verify needs --problem or --dim")
-        density = float(_opt(args, config, "density", 0.5))
-        p = gen_zmatrix_quadratic(dim, seed=seed, density=density)
-    mode = _opt(args, config, "start", "super")
-    iters = _int_opt(args, config, "iters", 100)
-    tol = float(_opt(args, config, "tol", 1e-8))
-    x0 = find_supersolution(p, seed=seed) if mode == "super" else find_subsolution(p, seed=seed)
-    report = run_comparison(p, x0, K=iters, tol=tol)
-    report_path = _opt(args, config, "report")
-    if report_path is not None:
-        report.write_json(report_path)
-    summary_path = _opt(args, config, "summary")
-    if summary_path is not None:
-        report.write_summary_csv(summary_path)
+        raise PreconditionError("verify needs --problem or --dim")
+    x0 = _start(p, args.start, args.seed)
+    report = run_comparison(p, x0, K=args.iters, tol=args.tol)
+    if args.report is not None:
+        report.write_json(args.report)
+    if args.summary is not None:
+        report.write_summary_csv(args.summary)
     print(
-        f"start={report.start.kind.value}, K={iters}, "
+        f"start={report.start.kind.value}, K={args.iters}, "
         f"F*={report.reference.f_star:.17g} ({report.reference.method})"
     )
     print(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
@@ -224,14 +212,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    config = _load_config(args)
-    problem_path = _opt(args, config, "problem")
-    point = _opt(args, config, "point")
-    if problem_path is None or point is None:
+    if args.problem is None or args.point is None:
         raise PreconditionError("classify needs --problem and --point")
-    p = load_problem(problem_path)
-    tol = float(_opt(args, config, "tol", 1e-10))
-    cls = classify_point(p, _parse_point(point, p.dim), tol)
+    p = load_problem(args.problem)
+    cls = classify_point(p, _parse_point(args.point, p.dim), args.tol)
     print(
         json.dumps(
             {"kind": cls.kind.value, "slack": cls.slack.tolist(), "tol": cls.tol},
@@ -242,9 +226,13 @@ def cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)  # flags on the command line still win
         return args.func(args)
     except (PreconditionError, Assumption2Error, StartSearchError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)

@@ -94,7 +94,7 @@ def _classification_slack(x, g, lam, tau):
 
 def check_tolerance(tol):
     """Raise ValueError unless tol (one value or an array) is nonnegative; NaN fails."""
-    if not np.all(np.asarray(tol) >= 0.0):
+    if not (np.asarray(tol) >= 0.0).all():
         raise ValueError(f"tol must be nonnegative, got {tol}")
 
 

@@ -554,16 +554,28 @@ def problem_to_dict(p: ProblemSpec) -> dict:
             for k, v in _problem_fields(p).items()}
 
 
+def _check_field(data, field, types, what):
+    # A scalar field must hold a JSON value of its type; a bool is not a number.
+    value = data[field]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"problem field {field!r} must be {what}, got {value!r}")
+
+
 def problem_from_dict(data: dict) -> ProblemSpec:
     kind = data.get("kind")
     lam = data.get("lambda")
     if lam is None:
         raise ValueError("problem file is missing 'lambda'")
+    _check_field(data, "lambda", (int, float), "a number")
+    if data.get("L") is not None:
+        _check_field(data, "L", (int, float), "a number or null")
+    if "dim" in data:
+        _check_field(data, "dim", int, "an integer")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown problem kind {kind!r}")
     p = _problem(cls.from_dict(data), lam, data.get("L"))
-    if "dim" in data and int(data["dim"]) != p.dim:
+    if "dim" in data and data["dim"] != p.dim:
         raise DimensionMismatchError(
             f"declared dim {data['dim']} does not match data dimension {p.dim}"
         )

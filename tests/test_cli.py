@@ -260,6 +260,18 @@ def test_run_with_a_nan_stop_residual_exits_1(tmp_path, capsys):
     assert "stop_residual must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--iters", "0"], ["--stop-residual", "-1"],
+                                  ["--x0", "inf"]])
+def test_a_run_that_fails_before_its_first_trace_makes_no_out_dir(tmp_path, capsys, args):
+    prob = tmp_path / "p.json"
+    write_scalar_problem(prob, lam=0.1)
+    out = tmp_path / "out"
+    assert main(["run", "--problem", str(prob), "--alg", "gd", "--out-dir", str(out),
+                 *args]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
 def test_integer_config_fields_must_be_json_integers(tmp_path, capsys, value):
     # iters, seed and dim from --config are taken as given, never truncated:
@@ -302,3 +314,132 @@ def test_integer_config_fields_take_json_integers(tmp_path):
     cfg.write_text(json.dumps({"dim": 3, "seed": 4}))
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g.json")]) == 0
     assert load_problem(tmp_path / "g.json").dim == 3
+
+
+# Every --config field of every subcommand, by the kind of value its flag takes.
+CONFIG_FIELDS = {
+    "int": [("gen", "dim"), ("gen", "seed"), ("run", "iters"), ("run", "seed"),
+            ("verify", "dim"), ("verify", "seed"), ("verify", "iters")],
+    "float": [("gen", "density"), ("gen", "lam"), ("run", "stop_residual"),
+              ("verify", "density"), ("verify", "tol"), ("classify", "tol")],
+    "string": [("gen", "csv"), ("gen", "out"), ("run", "problem"), ("run", "x0"),
+               ("run", "out_dir"), ("run", "prefix"), ("verify", "problem"),
+               ("verify", "report"), ("verify", "summary"), ("classify", "problem"),
+               ("classify", "point")],
+    "choice": [("gen", "kind"), ("run", "alg"), ("run", "start"), ("verify", "start")],
+    "switch": [("run", "record_inner")],
+}
+
+
+def valid_configs(prob):
+    """A config per subcommand that runs and writes its outputs into the
+    working directory."""
+    return {
+        "gen": {"out": "gen.json"},
+        "run": {"problem": str(prob), "iters": 3, "out_dir": "out"},
+        "verify": {"problem": str(prob), "iters": 3, "report": "report.json",
+                   "summary": "summary.csv"},
+        "classify": {"problem": str(prob), "point": "0,0,0,0"},
+    }
+
+
+def test_the_config_field_table_covers_every_flag():
+    from l1lab.cli import _build_parser
+
+    _, commands = _build_parser()
+    have = {(name, a.dest) for name, command in commands.items() for a in command._actions
+            if a.dest not in ("help", "config")}
+    assert have == {f for fields in CONFIG_FIELDS.values() for f in fields}
+
+
+@pytest.mark.parametrize("kind, value", [("float", True), ("float", "1e-8"), ("string", 1),
+                                         ("choice", "bogus"), ("switch", "no")])
+def test_a_config_value_the_flag_would_not_take_exits_1_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, kind, value):
+    # Each case would otherwise run as something else: {"start": "bogus"} as
+    # the subsolution mirror, {"tol": true} as tol = 1.0, {"report": 1} as
+    # file descriptor 1.
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(4, seed=2), prob)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "cfg.json"
+    for command, field in CONFIG_FIELDS[kind]:
+        cfg.write_text(json.dumps({**valid_configs(prob)[command], field: value}))
+        assert main([command, "--config", str(cfg)]) == 1, (command, field)
+        out, err = capsys.readouterr()
+        assert f"--config field '{field}' must be " in err and not out, (command, field)
+        assert f"got {json.dumps(value)}" in err, (command, field)
+        assert list(work.iterdir()) == [], (command, field)
+
+
+def test_config_nulls_take_the_defaults(tmp_path, monkeypatch, capsys):
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(4, seed=2), prob)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    for command, config in valid_configs(prob).items():
+        nulls = {f: None for fields in CONFIG_FIELDS.values() for c, f in fields
+                 if c == command and f not in config}
+        cfg.write_text(json.dumps({**config, **nulls}))
+        assert main([command, "--config", str(cfg)]) == 0, command
+        out = capsys.readouterr().out
+    assert json.loads(out)["tol"] == 1e-10  # classify's default
+    assert (tmp_path / "gen.json").exists() and (tmp_path / "report.json").exists()
+
+
+def test_flags_on_the_command_line_beat_config_values(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(4, seed=2), prob)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": str(prob), "point": "1,1,1,1", "tol": 0.001,
+                               "start": "sub", "iters": 3}))
+    assert main(["classify", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.001
+    assert main(["classify", "--config", str(cfg), "--tol", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-6
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert "start=subsolution, K=3," in capsys.readouterr().out
+    assert main(["verify", "--config", str(cfg), "--start", "super", "--iters", "4"]) == 0
+    assert "start=supersolution, K=4," in capsys.readouterr().out
+
+
+def test_gen_takes_kind_csv_and_lam_from_a_config(tmp_path):
+    csv = tmp_path / "data.csv"
+    csv.write_text("x_1,x_2,y\n1.0,0.0,2.0\n0.0,1.0,2.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "lasso", "csv": str(csv), "lam": 0.25}))
+    out = tmp_path / "prob.json"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    p = load_problem(out)
+    np.testing.assert_allclose(p.smooth.A, np.eye(2) / 2.0)
+    np.testing.assert_allclose(p.smooth.b, [-1.0, -1.0])
+    assert p.lam == 0.25
+
+
+@pytest.mark.parametrize("field, value", [("dim", 2.7), ("dim", 1.0), ("dim", "1"),
+                                          ("dim", None), ("lambda", True), ("lambda", "0.1"),
+                                          ("L", "5"), ("L", True)])
+def test_a_problem_file_field_of_the_wrong_type_exits_1(tmp_path, capsys, field, value):
+    # "dim" must be a JSON integer, "lambda" and "L" JSON numbers; a bool is
+    # neither, so "lambda": true is not read as 1.0.
+    prob = tmp_path / "p.json"
+    write_scalar_problem(prob, lam=0.1)
+    data = json.loads(prob.read_text())
+    data[field] = value
+    prob.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--problem", str(prob), "--alg", "gd", "--out-dir", str(out)]) == 1
+    assert f"problem field {field!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_problem_file_with_a_null_L_estimates_it(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    write_scalar_problem(prob, a=2.0, lam=0.1)
+    data = json.loads(prob.read_text())
+    data["L"] = None
+    prob.write_text(json.dumps(data))
+    assert main(["classify", "--problem", str(prob), "--point", "0"]) == 0
+    assert load_problem(prob).lipschitz >= 2.0
