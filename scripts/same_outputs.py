@@ -91,6 +91,14 @@ COMMANDS = (
                            "--prefix", "diverging_ccd_"]),
     ("run_diverging_ccd_stop", ["run", "--problem", "diverging.json", "--alg", "ccd",
                                 "--stop-residual", "1e-300", "--prefix", "diverging_ccd_stop_"]),
+    # Iterates near 1e153, where F passes 1e307: without a stop rule the
+    # compiled guard stops gd and ccd with no fault, and the numpy steps
+    # make the rest of each run. Both commands exit 1 (descent=VIOLATED).
+    ("run_overflow", ["run", "--problem", "overflow.json", "--alg", "all", "--iters", "150",
+                      "--prefix", "overflow_"]),
+    ("run_overflow_stop", ["run", "--problem", "overflow.json", "--alg", "all",
+                           "--iters", "150", "--stop-residual", "1e-300",
+                           "--prefix", "overflow_stop_"]),
     ("classify_d10", ["classify", "--problem", "zmat10.json", "--tol", "1e-9",
                       "--point", "1,0.5,0,0,2,0,0,0,0.25,1"]),
     ("gen_lasso", ["gen", "--kind", "lasso", "--csv", "lasso.csv", "--lambda", "0.05",
@@ -110,6 +118,11 @@ VERIFY_CONFIG = {"dim": 8, "seed": 5, "density": 0.3, "start": "sub", "iters": 5
 # constant 3, so gd and ccd diverge.
 DIVERGING = {"kind": "quadratic", "A": [[2.0, -1.0], [-1.0, 2.0]], "b": [0.5, -0.3],
              "lambda": 0.1, "L": 0.001}
+
+# A 2x2 quadratic with minimizer x* = 4e153 (1, 1), where F = -1.6e307;
+# L is estimated on load.
+NEAR_OVERFLOW = {"kind": "quadratic", "A": [[2.0, -1.0], [-1.0, 2.0]],
+                 "b": [-4e153, -4e153], "lambda": 0.0}
 
 
 def logistic_problem_json(n=200, d=20, lam=0.02, seed=0):
@@ -149,6 +162,7 @@ def run_all(src, out):
     (out / "logistic1d.json").write_text(logistic_problem_json(n=50, d=1, lam=0.05, seed=1),
                                          encoding="utf-8")
     (out / "diverging.json").write_text(json.dumps(DIVERGING), encoding="utf-8")
+    (out / "overflow.json").write_text(json.dumps(NEAR_OVERFLOW), encoding="utf-8")
     (out / "lasso.csv").write_text(lasso_csv(), encoding="utf-8")
     (out / "verify_config.json").write_text(json.dumps(VERIFY_CONFIG), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))

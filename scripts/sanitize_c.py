@@ -10,7 +10,9 @@ they would that build; the package gains no option. Then runs TESTS in a
 child process with that cache, the sanitizer runtimes of ``cc`` in
 LD_PRELOAD, Python's small-object allocator off and leak detection off
 (the Python interpreter itself is not built with the sanitizers). A
-fault the sanitizers find aborts the child.
+malloc too large to be had returns NULL, as libc's does, so numpy raises
+MemoryError for it rather than ASan aborting; the library allocates
+nothing itself. A fault the sanitizers find aborts the child.
 
 The checks cover what nothing else checks, such as the sizing contract of
 render_floats' output buffer, which it writes fixed-width copies into up
@@ -76,7 +78,8 @@ def main() -> int:
         # ones that Python's own allocator would otherwise carve from its
         # arenas, such as render()'s output buffer for a few values.
         env = {**os.environ, "XDG_CACHE_HOME": home, "LD_PRELOAD": " ".join(preload),
-               "ASAN_OPTIONS": "detect_leaks=0", "UBSAN_OPTIONS": "print_stacktrace=1",
+               "ASAN_OPTIONS": "detect_leaks=0:allocator_may_return_null=1",
+               "UBSAN_OPTIONS": "print_stacktrace=1",
                "PYTHONUNBUFFERED": "1", "PYTHONMALLOC": "malloc",
                "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                            os.environ.get("PYTHONPATH")]))}

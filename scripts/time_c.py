@@ -14,12 +14,13 @@ from one repetition to the next:
 - ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
   spellings (repr and '%.17g').
 
-Both sources must have the working tree's ABI: ``qblock``, ``render_floats``
-and ``qaxpy`` with the same parameter lists, that is, ``qblock`` with a
-``guard`` argument, returning the rows it made, and ``render_floats`` with
-a row length and a row separator. A ``qblock`` call that makes fewer than
-K rows counts as differing. Without numpy's dgemv (_qsweep.dgemv() is
-None) the ``qblock`` cases are left out.
+Both sources must have the working tree's ABI: ``qblock``, ``qray``,
+``render_floats`` and ``qaxpy`` with the same parameter lists, that is,
+``qblock`` with a ``guard`` argument, returning the rows it made, and
+``render_floats`` with a row length and a row separator. Each library is
+loaded by ``_qsweep._open``, with the prototypes the package declares. A
+``qblock`` call that makes fewer than K rows counts as differing. Without
+numpy's dgemv (_qsweep.dgemv() is None) the ``qblock`` cases are left out.
 
 First it prints which build of the sweep's row update each library runs
 on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin). Each line
@@ -30,8 +31,9 @@ run, so C changes are timed here first. The two libraries must give
 bitwise-equal outputs on every call timed.
 
 The exit status is 1 when the outputs differ, 2 when <rev> has no
-_qsweep.c, a library cannot be built, or one of those three functions of
-<rev> takes other arguments than the working tree's; 0 otherwise.
+_qsweep.c, a library cannot be built or loaded, or one of those four
+functions of <rev> takes other arguments than the working tree's; 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from l1lab import SolverConfig, _qsweep, find_supersolution, gen_zmatrix_quadratic, run  # noqa: E402
 
 C_PATH = "src/l1lab/_qsweep.c"
-VOID, LONG, INT, DOUBLE, CHARS = (ctypes.c_void_p, ctypes.c_long, ctypes.c_int,
-                                  ctypes.c_double, ctypes.c_char_p)
-ABI = ("qblock", "render_floats", "qaxpy")  # the functions whose prototypes must agree
+# The functions whose prototypes must agree: those _qsweep._open declares.
+ABI = ("qblock", "qray", "render_floats", "qaxpy")
 
 
 def prototype(source: str, name: str) -> str:
@@ -72,7 +73,7 @@ def prototype(source: str, name: str) -> str:
 
 
 class Library:
-    """One build of _qsweep.c, loaded with ctypes."""
+    """One build of _qsweep.c, loaded as the package loads its own."""
 
     def __init__(self, label: str, source: str, directory: Path):
         self.label = label
@@ -83,18 +84,12 @@ class Library:
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"cannot build {label}: {done.stderr.strip()}")
-        self.lib = ctypes.CDLL(str(so))
-        self.lib.qblock.argtypes = (_qsweep.DGEMV, LONG, VOID, VOID, VOID, DOUBLE, DOUBLE,
-                                    VOID, VOID, VOID, LONG, LONG, LONG)
-        self.lib.qblock.restype = LONG
-        self.lib.qaxpy.argtypes = (LONG, LONG, DOUBLE, VOID, VOID)
-        self.lib.qaxpy.restype = LONG
+        self.lib = _qsweep._open(so)  # with the prototypes the package declares
+        if self.lib is None:
+            raise RuntimeError(f"cannot load {label}")
         probe = np.zeros(1)
         self.row_update = ("baseline", "avx2")[self.lib.qaxpy(-1, 0, 0.0, probe.ctypes.data,
                                                               probe.ctypes.data)]
-        self.lib.render_floats.argtypes = (LONG, VOID, INT, CHARS, LONG, LONG, CHARS, LONG,
-                                           VOID, VOID)
-        self.lib.render_floats.restype = LONG
 
     def render(self, block: np.ndarray, repr_: bool, sep: bytes):
         """(text, holes) of render_floats on ``block``, its rows joined by ``sep`` too."""

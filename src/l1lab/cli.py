@@ -192,6 +192,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.problem is not None:
+        if args.dim is not None:
+            raise PreconditionError("verify takes --problem or --dim, not both")
         p = load_problem(args.problem)
     elif args.dim is not None:
         p = gen_zmatrix_quadratic(args.dim, seed=args.seed, density=args.density)

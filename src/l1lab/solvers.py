@@ -40,9 +40,11 @@ INNER_1D_TOL = 1e-12
 
 _ALGORITHMS = ("gd", "ccd", "ccm")
 
-# Rows run() allocates for iterates at first, and measures as one block
-# without a stop rule, unless one guarded C call makes them all; the buffer
-# doubles as it fills.
+# With a stop rule, the rows run() allocates for iterates at first; the
+# buffer doubles as it fills. Without one, the buffer holds all K + 1 rows
+# from the start: the compiled steps make them in one guarded call, the
+# numpy steps make every row after a guard stop, and the numpy steps
+# measure a block each time this many rows are unmeasured.
 _FIRST_ROWS = 64
 
 
@@ -383,31 +385,30 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     also comes before any error of a sweep that starts from that iterate
     or a later one.
 
-    One loop only makes the iterates, rows of a buffer that doubles as it
-    fills. measure() takes the rows not yet measured as one block: their
-    finiteness, F, gradients (one values_and_grads call, row i bitwise
-    (value(W[i]), grad(W[i]))), prox-gradient images and residuals. A stop
-    rule needs each residual before the next iterate is made, so each
-    iterate is then its own block, and gd steps to its measured image.
-    Without one, gd steps by its own grad, and a block is measured each
-    time _FIRST_ROWS rows are unmeasured and after the loop: the same
-    numbers, and a diverging run stops within _FIRST_ROWS steps of its
-    first fault. The within-sweep iterates of ccd and ccm are derived from
-    the iterates after the loop.
+    One loop only makes the iterates, rows of a buffer. measure() takes the
+    rows not yet measured as one block: their finiteness, F, gradients (one
+    values_and_grads call, row i bitwise (value(W[i]), grad(W[i]))),
+    prox-gradient images and residuals. A stop rule needs each residual
+    before the next iterate is made, so each iterate is then its own block,
+    gd steps to its measured image, and the buffer doubles as it fills.
+    Without one, the buffer holds all K + 1 rows from the start, gd steps by
+    its own grad, and a block is measured each time _FIRST_ROWS rows are
+    unmeasured and after the loop: the same numbers, and a diverging run
+    stops within _FIRST_ROWS steps of its first fault. The within-sweep
+    iterates of ccd and ccm are derived from the iterates after the loop.
 
     When compiled_step(p, alg) is not None, the iterations run in C, and
     each iterate's product A w is formed once, into row k of a product
-    buffer P that grows with the iterates: np.matmul for the start, and for
-    every later iterate the BLAS call that np.matmul makes, inside the step
-    call. Both the steps and measure() take these products. With a stop
-    rule one step call makes one row. Without one, the buffers hold all
-    K + 1 rows from the start, and one guarded step call makes them all, so
-    all are measured in one block after the loop. The guard stops the call
-    at the first row whose measurement a bound cannot show finite; that
-    row and those before it are then measured at once, so a fault is named
-    as on the numpy path, and when the row proves finite the run goes on
-    unguarded, measuring every _FIRST_ROWS rows. Buffer addresses are
-    taken when a buffer is made, not per call. Logistic data, ccm with
+    buffer P the size of W: np.matmul for the start, and for every later
+    iterate the BLAS call that np.matmul makes, inside the step call. Both
+    the steps and measure() take these products. With a stop rule one step
+    call makes one row. Without one, one guarded step call makes all K
+    rows, so all are measured in one block after the loop. The guard stops
+    the call at the first row whose measurement a bound cannot show
+    finite; that row and those before it are then measured at once, so a
+    fault is named as on the numpy path, and when the row proves finite the
+    numpy steps make every later row, on their schedule. Buffer addresses
+    are taken when a buffer is made, not per call. Logistic data, ccm with
     record_tau and a run without the library or numpy's dgemv keep the
     numpy steps and their schedule, with the same bits.
     """
@@ -419,9 +420,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     tau_log = [] if cfg.record_tau and alg == "ccm" else None
     step = None if tau_log is not None else compiled_step(p, alg)
     kernel = CoordinateKernel(p, alg) if step is None and alg != "gd" else None
-    # Whether the next step call is guarded and makes every row left.
-    guarded = step is not None and stop == 0.0
-    W = np.empty((K + 1 if guarded else min(K + 1, _FIRST_ROWS), d))
+    W = np.empty((K + 1 if stop == 0.0 else min(K + 1, _FIRST_ROWS), d))
     W[0] = as_vector(x0, d)
     P = None  # P[i] = np.matmul(A, W[i]), when the steps run in C
     if step is not None:
@@ -475,26 +474,24 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
             if k - measured == _FIRST_ROWS:
                 # A diverging run stops within _FIRST_ROWS steps of its fault.
                 measure(k)
-            if k == len(W):
+            if k == len(W):  # only a stop-rule run fills its buffer
                 W = np.concatenate((W, np.empty((min(k, K + 1 - k), d))))
                 if P is not None:
                     P = np.concatenate((P, np.empty_like(W[k:])))
                     w_at, p_at = W.ctypes.data, P.ctypes.data
             last = k  # the last row made in this pass
             if P is not None:
-                if guarded:
-                    last = K
-                elif stop == 0.0:
-                    # Every row up to the next measured block, in one call.
-                    last = min(K, measured + _FIRST_ROWS - 1, len(W) - 1)
-                made = step(w_at, p_at, k - 1, last, guarded)
+                if stop == 0.0:
+                    last = K  # one guarded call makes every row
+                made = step(w_at, p_at, k - 1, last, stop == 0.0)
                 if made < last - k + 1:
                     # The guard stopped at row k - 1 + made: measure up to
                     # it, which raises a fault there if there is one, then
-                    # go on unguarded.
+                    # hand the rest of the run to the numpy steps.
                     last = k - 1 + made
                     measure(last + 1)
-                    guarded = False
+                    P = None
+                    kernel = CoordinateKernel(p, alg) if alg != "gd" else None
             elif kernel is not None:
                 W[k] = W[k - 1]
                 try:

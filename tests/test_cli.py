@@ -182,6 +182,29 @@ def test_verify_subsolution_start():
     assert main(["verify", "--dim", "4", "--seed", "6", "--iters", "40", "--start", "sub"]) == 0
 
 
+@pytest.mark.parametrize("form", ["flags", "config", "config_and_flag"])
+def test_verify_given_both_a_problem_and_a_dim_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, form):
+    # Either one names the instance; given both, verify would certify one
+    # of them and drop the other.
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(2, seed=1), prob)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": str(prob), "dim": 7} if form == "config"
+                              else {"problem": str(prob)}))
+    args = {"flags": ["--problem", str(prob), "--dim", "7"],
+            "config": ["--config", str(cfg)],
+            "config_and_flag": ["--config", str(cfg), "--dim", "7"]}[form]
+    outputs = ["--iters", "3", "--report", "report.json", "--summary", "summary.csv"]
+    assert main(["verify", *args, *outputs]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "--problem or --dim, not both" in err
+    assert list(work.iterdir()) == []
+
+
 def test_verify_summary_deterministic(tmp_path):
     outs = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
     for out in outs:

@@ -93,6 +93,20 @@ def rows_made(blocks):
     return [k for k0, k1 in blocks for k in range(k0 + 1, k1 + 1)]
 
 
+def count_numpy_steps(m, p, alg):
+    """Record a 1 for every numpy step of alg on p: a grad call of gd's
+    step, a CoordinateKernel sweep of ccd or ccm."""
+    cls, name = (type(p.smooth), "grad") if alg == "gd" else (CoordinateKernel, "sweep")
+    original, steps = getattr(cls, name), []
+
+    def counted(*args):
+        steps.append(1)
+        return original(*args)
+
+    m.setattr(cls, name, counted)
+    return steps
+
+
 def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel):
     # On the numpy path each gd step x_{k+1} = T(x_k) takes one grad at x_k,
     # and one values_and_grads of all the iterates then gives F, the
@@ -467,20 +481,23 @@ def test_a_guard_that_fires_without_a_fault_keeps_the_numpy_bits(alg, monkeypatc
     # from 0, finite; but the guard's bound on F, 2 |x| (|A x| / 2 + |b|),
     # is 3 c^2 = 4.8e307 at x*, past DBL_MAX / 4, so the guard fires some
     # rows before. The run measures up to that row, finds it finite and
-    # goes on measuring every 64 rows, with the bits of the numpy path.
+    # hands the rest of the run to the numpy steps: one numpy step (a grad
+    # call of gd, a kernel sweep of ccd or ccm) per later row, with the bits
+    # of the numpy path.
     c, K = 4e153, 150
     p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [-c, -c], lam=0.0)
     if compiled_step(p, alg) is None:
         pytest.skip("the compiled steps cannot be had here")
     cfg = SolverConfig(max_outer_iters=K)
     with monkeypatch.context() as m:
-        blocks = count_blocks(m)
+        blocks, steps = count_blocks(m), count_numpy_steps(m, p, alg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compiled = run(alg, p, [0.0, 0.0], cfg)
     fired = blocks[0][1]
     assert 0 < fired < K
-    assert blocks[1:] == [(k, min(k + 64, K)) for k in range(fired, K, 64)]
+    assert blocks == [(0, fired)]
+    assert len(steps) == K - fired
     assert np.isfinite(compiled.f_values).all()
     with monkeypatch.context() as m:
         m.setattr(_qsweep, "load", lambda: None)
@@ -618,9 +635,26 @@ def test_stop_rule_run_allocates_the_rows_it_uses_not_max_outer_iters(alg):
     assert buffer.nbytes <= 2 ** 16
 
 
+@pytest.mark.parametrize("alg", ["gd", "ccd"])
+def test_a_run_without_a_stop_rule_allocates_its_rows_before_its_first_step(alg, kernel,
+                                                                            monkeypatch):
+    # Without a stop rule the buffers hold all K + 1 rows from the start, on
+    # both paths: 10**15 rows of d = 2 cannot be allocated, so the run fails
+    # before any step, not at the fault (iteration 45 for gd) of this
+    # diverging instance.
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
+    with monkeypatch.context() as m:
+        steps = count_blocks(m) if kernel == "compiled" else count_numpy_steps(m, p, alg)
+        with pytest.raises(MemoryError):
+            run(alg, p, [0.0, 0.0], SolverConfig(max_outer_iters=10 ** 15))
+    assert steps == []
+
+
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
 def test_both_schedules_agree_after_the_iterate_buffer_grows(alg):
-    # 200 iterations take the buffer past its first rows twice.
+    # Without a stop rule the buffer holds all K + 1 rows from the start;
+    # with one it doubles as it fills, and 200 iterations take it past its
+    # first rows twice.
     K, p = 200, gen_zmatrix_quadratic(5, seed=6)
     x0 = np.linspace(2.0, -1.0, p.dim)
     fixed = run(alg, p, x0, SolverConfig(max_outer_iters=K))
