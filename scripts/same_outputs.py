@@ -91,9 +91,10 @@ COMMANDS = (
                            "--prefix", "diverging_ccd_"]),
     ("run_diverging_ccd_stop", ["run", "--problem", "diverging.json", "--alg", "ccd",
                                 "--stop-residual", "1e-300", "--prefix", "diverging_ccd_stop_"]),
-    # Iterates near 1e153, where F passes 1e307: without a stop rule the
-    # compiled guard stops gd and ccd with no fault, and the numpy steps
-    # make the rest of each run. Both commands exit 1 (descent=VIOLATED).
+    # Iterates near 1e153, where |F| passes 1e307 and its rounding is larger
+    # than any absolute descent tolerance: without a stop rule one compiled
+    # call makes each gd and ccd run (ccm keeps the numpy steps, as run
+    # records tau). Both commands exit 0 (descent=ok).
     ("run_overflow", ["run", "--problem", "overflow.json", "--alg", "all", "--iters", "150",
                       "--prefix", "overflow_"]),
     ("run_overflow_stop", ["run", "--problem", "overflow.json", "--alg", "all",

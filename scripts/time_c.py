@@ -9,18 +9,18 @@ both into this one process and times them in turn, the order alternating
 from one repetition to the next:
 
 - ``qblock``, the K iterations of a run with each next product A w formed
-  through numpy's own dgemv, called guarded as run() calls it, for ccd
-  and gd at d=11, K=200 and for ccd and ccm at d=300 and d=500, K=50;
+  through numpy's own dgemv, in one call as run() makes them without a
+  stop rule, for ccd and gd at d=11, K=200 and for ccd and ccm at d=300
+  and d=500, K=50;
 - ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
   spellings (repr and '%.17g').
 
 Both sources must have the working tree's ABI: ``qblock``, ``qray``,
 ``render_floats`` and ``qaxpy`` with the same parameter lists, that is,
-``qblock`` with a ``guard`` argument, returning the rows it made, and
-``render_floats`` with a row length and a row separator. Each library is
-loaded by ``_qsweep._open``, with the prototypes the package declares. A
-``qblock`` call that makes fewer than K rows counts as differing. Without
-numpy's dgemv (_qsweep.dgemv() is None) the ``qblock`` cases are left out.
+``qblock`` without a ``guard`` argument and ``render_floats`` with a row
+length and a row separator. Each library is loaded by ``_qsweep._open``,
+with the prototypes the package declares. Without numpy's dgemv
+(_qsweep.dgemv() is None) the ``qblock`` cases are left out.
 
 First it prints which build of the sweep's row update each library runs
 on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin). Each line
@@ -121,11 +121,8 @@ class BlockCase:
         A, W, P, d = self.A, self.W, self.P, self.d
         a_at, b_at, state_at = A.ctypes.data, self.b.ctypes.data, self.state.ctypes.data
         steps = None if self.steps is None else self.steps.ctypes.data
-        # Guarded, as run() calls it without a stop rule.
-        made = lib.lib.qblock(self.dgemv, d, a_at, b_at, steps, self.lam, self.L, state_at,
-                              W.ctypes.data, P.ctypes.data, 0, self.K, 1)
-        if made != self.K:
-            return b"stopped by the guard at row %d" % made
+        lib.lib.qblock(self.dgemv, d, a_at, b_at, steps, self.lam, self.L, state_at,
+                       W.ctypes.data, P.ctypes.data, 0, self.K)
         return W.tobytes() + P.tobytes()
 
 

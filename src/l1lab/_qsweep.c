@@ -4,9 +4,7 @@
  * iterates and their products: each iteration the cyclic sweep of
  * CoordinateKernel.sweep (ccd, ccm) or the numpy prox-gradient image (gd)
  * from the product A x, with the same float operations in the same order,
- * and then the next product A w by the dgemv that numpy's matmul calls; on
- * request it stops at the first row whose measurement a bound cannot show
- * finite.
+ * and then the next product A w by the dgemv that numpy's matmul calls.
  *
  * qray: the first rung of a ray t * u that classifies as the wanted kind,
  * the start search's numpy classification with the same float operations.
@@ -32,7 +30,6 @@
  * float operation of the sweep and the gd step rounds as numpy's does. No
  * part uses libm; qblock's products are numpy's own BLAS call.
  */
-#include <float.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -173,72 +170,26 @@ typedef void (*dgemv_fn)(int order, int trans, int64_t m, int64_t n, double alph
                          const double *a, int64_t lda, const double *x, int64_t incx,
                          double beta, double *y, int64_t incy);
 
-/* The sup norm of v over d entries, or +inf when an entry is not finite
- * (a NaN fails the test as an infinity does). */
-static double sup_norm(long d, const double *v)
-{
-    double m = 0.0;
-    int finite = 1;
-    for (long i = 0; i < d; i++) {
-        double a = __builtin_fabs(v[i]);
-        finite &= a <= DBL_MAX;
-        m = a > m ? a : m;
-    }
-    return finite ? m : __builtin_inf();
-}
-
-/* Whether every value that solvers.run's measurement takes from the row w
- * of a quadratic, with its product ax = A w, must be finite: the iterate,
- * the gradient ax + b, F = w . (ax / 2) + w . b + lam ||w||_1 and the
- * residual max |w - image|, image = _soft(w - (ax + b) / L, lam / L);
- * bn = |b|_inf. With wn = |w|_inf and an = |ax|_inf, every term of F's
- * sums is at most wn (an / 2 + bn + lam) in size, so F at most d times
- * that, and the residual at most |w| + |w - g / L| <= 2 wn + (an + bn) / L.
- * A sum of d terms in any order, and these bounds themselves, round by a
- * factor of at most (1 + 2^-53)^(d + 8), far below 4 for any d that fits
- * in memory, so a bound up to a quarter of DBL_MAX leaves no room for an
- * overflow. A bound that overflows, or is NaN (a non-finite entry times
- * zero), fails. */
-static int row_bounded(long d, const double *w, const double *ax, double bn, double lam,
-                       double L)
-{
-    const double limit = DBL_MAX / 4.0;
-    double wn = sup_norm(d, w), an = sup_norm(d, ax);
-    double g = an + bn;
-    double f = (double)d * wn * (0.5 * an + bn + lam);
-    double r = 2.0 * wn + g / L;
-    return g <= limit && f <= limit && r <= limit;
-}
-
 /* Iterations k0 <= k < k1 of a quadratic on the rows of W and P, d doubles
  * each, where P[k0] holds the product A W[k0]: W[k + 1] from W[k] and P[k]
  * by qsweep with steps (ccd, ccm), its row update chosen once for the call,
  * or by qprox with L and tau = lam / L when steps is NULL (gd); then
  * P[k + 1] = A W[k + 1] by dgemv, called as numpy's matmul calls it for a
  * C-contiguous A and a vector (column-major 102, transposed 112, lda d,
- * unit strides), so P[k + 1] is bitwise np.matmul(A, W[k + 1]).
- * With guard nonzero, each row W[k] is first tested by row_bounded, and
- * the first row that fails it ends the call before a step is taken from
- * it. Returns the number of rows made: k1 - k0, or fewer when the guard
- * stopped the call at row k0 + the number returned. */
-long qblock(dgemv_fn dgemv, long d, const double *A, const double *b, const double *steps,
-            double lam, double L, double *state, double *W, double *P, long k0, long k1,
-            long guard)
+ * unit strides), so P[k + 1] is bitwise np.matmul(A, W[k + 1]). */
+void qblock(dgemv_fn dgemv, long d, const double *A, const double *b, const double *steps,
+            double lam, double L, double *state, double *W, double *P, long k0, long k1)
 {
     axpy_fn axpy = AXPY[has_avx2()];
-    double bn = guard ? sup_norm(d, b) : 0.0;
     for (long k = k0; k < k1; k++) {
         const double *x = W + k * d, *ax = P + k * d;
         double *w = W + (k + 1) * d;
-        if (guard && !row_bounded(d, x, ax, bn, lam, L))
-            return k - k0;
         if (steps != NULL)
             qsweep(axpy, d, A, steps, lam, b, state, x, ax, w);
         else
             qprox(d, b, L, lam / L, x, ax, w);
         dgemv(102, 112, d, d, 1.0, A, d, w, 1, 0.0, P + (k + 1) * d, 1);
     }
-    return k1 - k0;
 }
 
 /* The first of the rungs ts[0..nt) at which the point x = t u of a

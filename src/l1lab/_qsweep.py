@@ -3,9 +3,7 @@
 It exports four functions: ``qblock``, a run of ccd, ccm or gd iterations
 of a quadratic on rows of iterates (each a cyclic sweep or gd's step from
 the product A x, as the numpy loops do it) that also forms each next
-product A w and returns the number of rows it made (with ``guard``
-nonzero it stops at the first row whose measured values a bound cannot
-show finite), ``qray``, the start search's classification of the rungs
+product A w, ``qray``, the start search's classification of the rungs
 of one ray of a quadratic, ``render_floats``, which spells a block of
 floats in rows as repr or '%.17g' does (see _jsonlayout.render), and
 ``qaxpy``, for the tests: the sweep's row update state += delta * row in
@@ -165,9 +163,8 @@ def _open(path: Path | None):
         return None
     lib.qblock.argtypes = (DGEMV, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-                           ctypes.c_long)
-    lib.qblock.restype = ctypes.c_long
+                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
+    lib.qblock.restype = None
     lib.qray.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
                          ctypes.c_double)
@@ -185,7 +182,7 @@ def _open(path: Path | None):
 @functools.cache
 def load():
     """The library, with
-    ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1, guard)``,
+    ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)``,
     ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``
     and ``qaxpy(variant, d, delta, row, state)``, or None.

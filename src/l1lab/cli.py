@@ -72,7 +72,7 @@ def _build_parser():
     ver = sub.add_parser("verify", help="three-way comparison harness")
     ver.add_argument("--problem")
     ver.add_argument("--dim", type=int, help="generate an instance instead")
-    ver.add_argument("--density", type=float, default=0.5)
+    ver.add_argument("--density", type=float, help="of the generated instance (--dim)")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--start", choices=("super", "sub"), default="super")
     ver.add_argument("--iters", type=int, default=100)
@@ -194,9 +194,12 @@ def cmd_verify(args) -> int:
     if args.problem is not None:
         if args.dim is not None:
             raise PreconditionError("verify takes --problem or --dim, not both")
+        if args.density is not None:
+            raise PreconditionError("verify takes --density with --dim, not with --problem")
         p = load_problem(args.problem)
     elif args.dim is not None:
-        p = gen_zmatrix_quadratic(args.dim, seed=args.seed, density=args.density)
+        density = {} if args.density is None else {"density": args.density}
+        p = gen_zmatrix_quadratic(args.dim, seed=args.seed, **density)
     else:
         raise PreconditionError("verify needs --problem or --dim")
     x0 = _start(p, args.start, args.seed)

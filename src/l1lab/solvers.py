@@ -42,9 +42,9 @@ _ALGORITHMS = ("gd", "ccd", "ccm")
 
 # With a stop rule, the rows run() allocates for iterates at first; the
 # buffer doubles as it fills. Without one, the buffer holds all K + 1 rows
-# from the start: the compiled steps make them in one guarded call, the
-# numpy steps make every row after a guard stop, and the numpy steps
-# measure a block each time this many rows are unmeasured.
+# from the start: the compiled steps make them in one call, and the numpy
+# steps measure a block each time this many rows are unmeasured, which
+# also bounds the (rows x n) temporaries of a logistic measurement.
 _FIRST_ROWS = 64
 
 
@@ -113,8 +113,11 @@ class Trace:
     gradients: np.ndarray | list | None = None
 
     def descent_ok(self, tol: float = 1e-12) -> bool:
-        vals = self.f_values
-        return all(vals[k + 1] <= vals[k] + tol for k in range(len(vals) - 1))
+        """Whether F[k + 1] <= F[k] + tol * max(1, |F[k]|) at every k: tol
+        is absolute where |F| <= 1 and relative above, so that the rounding
+        of F at large |F| is not read as an ascent."""
+        F = np.asarray(self.f_values)
+        return bool(np.all(F[1:] <= F[:-1] + tol * np.maximum(1.0, np.abs(F[:-1]))))
 
     def write_csv(self, path) -> None:
         """Write the trace as CSV, every float as f"{v:.17g}" spells it.
@@ -335,7 +338,7 @@ def compiled_affine(p: ProblemSpec):
 
 
 def compiled_step(p: ProblemSpec, alg: str):
-    """step(W, P, k0, k1, guard) when alg's iterations on p run in C; None
+    """step(W, P, k0, k1) when alg's iterations on p run in C; None
     when compiled_affine(p) is None or numpy's dgemv cannot be had
     (_qsweep.dgemv()).
 
@@ -347,13 +350,7 @@ def compiled_step(p: ProblemSpec, alg: str):
     sweep (with the steps of CoordinateKernel and a state buffer the step
     owns). It then forms P[k + 1], bitwise
     np.matmul(A, W[k + 1]), by the BLAS function numpy's matmul calls.
-    It returns the number of rows made. With guard true it first tests
-    each row W[k] against a bound from the sup norms of W[k], P[k] and b,
-    lam and L, and stops at the first row for which the bound cannot rule
-    out a non-finite value of run()'s measurement (iterate, gradient, F or
-    residual), before stepping from it; it then returns fewer than
-    k1 - k0. For ccm it calls exact_steps(), which may raise
-    Assumption2Error.
+    For ccm it calls exact_steps(), which may raise Assumption2Error.
     """
     compiled = compiled_affine(p)
     if compiled is None:
@@ -402,15 +399,13 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     buffer P the size of W: np.matmul for the start, and for every later
     iterate the BLAS call that np.matmul makes, inside the step call. Both
     the steps and measure() take these products. With a stop rule one step
-    call makes one row. Without one, one guarded step call makes all K
-    rows, so all are measured in one block after the loop. The guard stops
-    the call at the first row whose measurement a bound cannot show
-    finite; that row and those before it are then measured at once, so a
-    fault is named as on the numpy path, and when the row proves finite the
-    numpy steps make every later row, on their schedule. Buffer addresses
-    are taken when a buffer is made, not per call. Logistic data, ccm with
-    record_tau and a run without the library or numpy's dgemv keep the
-    numpy steps and their schedule, with the same bits.
+    call makes one row. Without one, one step call makes all K rows, so
+    all are measured in one block after the loop and a fault is named as
+    on the numpy path; a diverging run then makes all K rows before it
+    raises. Buffer addresses are taken when a buffer is made, not per
+    call. Logistic data, ccm with record_tau and a run without the library
+    or numpy's dgemv keep the numpy steps and their schedule, with the
+    same bits. One kernel makes every row of a run.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
@@ -479,19 +474,11 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                 if P is not None:
                     P = np.concatenate((P, np.empty_like(W[k:])))
                     w_at, p_at = W.ctypes.data, P.ctypes.data
-            last = k  # the last row made in this pass
+            # The last row made in this pass: one call makes every row of a
+            # compiled run without a stop rule.
+            last = K if P is not None and stop == 0.0 else k
             if P is not None:
-                if stop == 0.0:
-                    last = K  # one guarded call makes every row
-                made = step(w_at, p_at, k - 1, last, stop == 0.0)
-                if made < last - k + 1:
-                    # The guard stopped at row k - 1 + made: measure up to
-                    # it, which raises a fault there if there is one, then
-                    # hand the rest of the run to the numpy steps.
-                    last = k - 1 + made
-                    measure(last + 1)
-                    P = None
-                    kernel = CoordinateKernel(p, alg) if alg != "gd" else None
+                step(w_at, p_at, k - 1, last)
             elif kernel is not None:
                 W[k] = W[k - 1]
                 try:

@@ -221,7 +221,7 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
                 W[1] = x
                 kernel.sweep(W[1])
             else:
-                step(w_at, p_at, 0, 1, False)
+                step(w_at, p_at, 0, 1)
             if np.array_equal(W[1], x):
                 break  # numerical fixed point of the sweep map
             W[0], P[0] = W[1], P[1]

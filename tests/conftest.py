@@ -45,3 +45,14 @@ def grid_refine_minimum(F, lo, hi, levels=3, points=2001):
         span = (hi - lo) / (points - 1)
         lo, hi = xs[i] - span, xs[i] + span
     return 0.5 * (lo + hi)
+
+
+def monotone_and_bracket(W, x_star, sign, tol=1e-8):
+    """Flags of two predicates on the iterates W (row k is w_k) of a run
+    from a supersolution (sign = 1): row k of the first is
+    w_{k+1} <= w_k + gap_k, row k of the second x* <= w_k + gap_k, with
+    gap_k = tol (1 + |w_k|_inf). From a subsolution (sign = -1) both are
+    mirrored: w_{k+1} >= w_k - gap_k and x* >= w_k - gap_k."""
+    V = sign * np.asarray(W)
+    gap = tol * (1.0 + np.abs(V).max(axis=1, keepdims=True))
+    return V[1:] <= V[:-1] + gap[:-1], sign * np.asarray(x_star) <= V + gap

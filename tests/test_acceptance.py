@@ -28,6 +28,7 @@ from l1lab import (
     SolverConfig,
 )
 from l1lab.cli import main as cli_main
+from tests.conftest import monotone_and_bracket
 
 K_SUITE = 200
 DOM_TOL = 1e-8
@@ -320,3 +321,21 @@ def test_acceptance_8_negative_control(tmp_path):
     code = cli_main(["verify", "--problem", str(prob), "--iters", "10"])
     flag = flag and code == 2
     _report("8 (negative control rejected with exit code 2)", flag)
+
+
+def test_acceptance_9_monotone_iterates_and_a_bracket_of_x_star(suite):
+    # From a supersolution the iterates of gd, ccd and ccm fall toward x*
+    # and stay above it; from a subsolution they rise and stay below. So
+    # the two runs trap x* without a reference solve.
+    entries, failures = 0, []
+    for seed, (_, rep_super, rep_sub) in enumerate(suite):
+        for sign, rep in ((1.0, rep_super), (-1.0, rep_sub)):
+            for alg, trace in rep.traces.items():
+                flags = monotone_and_bracket(trace.iterates, rep.reference.x_star, sign, DOM_TOL)
+                entries += sum(f.size for f in flags)
+                failed = [int((~f).sum()) for f in flags]
+                if any(failed):
+                    failures.append((seed, rep.start.kind.value, alg, *failed))
+    for seed, kind, alg, rises, crossings in failures:
+        print(f"  seed {seed}, {kind} start, {alg}: {rises} rising and {crossings} crossing entries")
+    _report(f"9 (monotone iterates and a bracket of x*, {entries} entries)", not failures)

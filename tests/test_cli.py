@@ -186,23 +186,27 @@ def test_verify_subsolution_start():
 def test_verify_given_both_a_problem_and_a_dim_exits_2_and_writes_nothing(
         tmp_path, monkeypatch, capsys, form):
     # Either one names the instance; given both, verify would certify one
-    # of them and drop the other.
+    # of them and drop the other. --density shapes only a generated
+    # instance, so with a problem file it would go unused.
     prob = tmp_path / "p.json"
     save_problem(gen_zmatrix_quadratic(2, seed=1), prob)
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": str(prob), "dim": 7} if form == "config"
-                              else {"problem": str(prob)}))
-    args = {"flags": ["--problem", str(prob), "--dim", "7"],
-            "config": ["--config", str(cfg)],
-            "config_and_flag": ["--config", str(cfg), "--dim", "7"]}[form]
-    outputs = ["--iters", "3", "--report", "report.json", "--summary", "summary.csv"]
-    assert main(["verify", *args, *outputs]) == 2
-    out, err = capsys.readouterr()
-    assert not out and "--problem or --dim, not both" in err
-    assert list(work.iterdir()) == []
+    for name, value, message in (("dim", 7, "--problem or --dim, not both"),
+                                 ("density", 0.3, "--density with --dim, not with --problem")):
+        flag = ["--" + name, str(value)]
+        cfg.write_text(json.dumps({"problem": str(prob), name: value} if form == "config"
+                                  else {"problem": str(prob)}))
+        args = {"flags": ["--problem", str(prob), *flag],
+                "config": ["--config", str(cfg)],
+                "config_and_flag": ["--config", str(cfg), *flag]}[form]
+        outputs = ["--iters", "3", "--report", "report.json", "--summary", "summary.csv"]
+        assert main(["verify", *args, *outputs]) == 2, name
+        out, err = capsys.readouterr()
+        assert not out and message in err, name
+        assert list(work.iterdir()) == [], name
 
 
 def test_verify_summary_deterministic(tmp_path):

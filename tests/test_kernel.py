@@ -361,15 +361,14 @@ def test_block_boundaries_are_bitwise_the_numpy_steps(both_kernels, K):
 
 
 def gd_row(x, ax, b, L, lam):
-    """The compiled gd step on float64 arrays, one unguarded qblock row from
-    W[0] = x and P[0] = ax: W[1] = _soft(x - (ax + b) / L, lam / L)."""
+    """The compiled gd step on float64 arrays, one qblock row from W[0] = x
+    and P[0] = ax: W[1] = _soft(x - (ax + b) / L, lam / L)."""
     d = len(x)
     W, P = np.empty((2, d)), np.empty((2, d))
     W[0], P[0] = x, ax
     A, state = np.zeros((d, d)), np.empty(d)  # A only forms P[1]
-    assert _qsweep.load().qblock(_qsweep.dgemv(), d, A.ctypes.data, b.ctypes.data, None, lam,
-                                 L, state.ctypes.data, W.ctypes.data, P.ctypes.data, 0, 1,
-                                 0) == 1
+    _qsweep.load().qblock(_qsweep.dgemv(), d, A.ctypes.data, b.ctypes.data, None, lam, L,
+                          state.ctypes.data, W.ctypes.data, P.ctypes.data, 0, 1)
     return W[1]
 
 

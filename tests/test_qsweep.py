@@ -111,13 +111,14 @@ EXPORTS = {"qblock", "qray", "render_floats", "qaxpy"}
 
 
 def c_definitions(source):
-    """(name, whether static, number of parameters) of each function that
-    the C source defines at file scope (a line that starts the definition
-    in its first column)."""
+    """(name, whether static, number of parameters, whether void) of each
+    function that the C source defines at file scope (a line that starts
+    the definition in its first column)."""
     found = re.finditer(r"^(?![\s#/}]|typedef)([^;{}]*?)\b(\w+)\s*\(([^()]*)\)\s*\{",
                         source, re.M)
     return [(m[2], "static" in m[1].split(),
-             0 if m[3].strip() in ("", "void") else len(m[3].split(","))) for m in found]
+             0 if m[3].strip() in ("", "void") else len(m[3].split(",")), "void" in m[1].split())
+            for m in found]
 
 
 class RecordingCDLL:
@@ -136,16 +137,17 @@ def test_the_library_exports_only_what_l1lab_calls(monkeypatch):
     # result types of each export: without them ctypes would pass each
     # address as a C int and read a long result as an int, with no error.
     definitions = c_definitions(_qsweep.SOURCE.read_text(encoding="utf-8"))
-    assert {"qsweep", "qprox", "row_bounded", "put_float"} <= {name for name, *_ in definitions}
-    params = {name: n for name, static, n in definitions if not static}
+    assert {"qsweep", "qprox", "put_float"} <= {name for name, *_ in definitions}
+    params = {name: (n, void) for name, static, n, void in definitions if not static}
     assert set(params) == EXPORTS
     monkeypatch.setattr(_qsweep.ctypes, "CDLL", RecordingCDLL)
     lib = _qsweep._open(Path("qsweep.so"))
     assert set(lib.functions) == EXPORTS
     for name, function in lib.functions.items():
         assert set(vars(function)) == {"argtypes", "restype"}, name
-        assert len(function.argtypes) == params[name], name
-        assert function.restype is ctypes.c_long, name
+        n, void = params[name]
+        assert len(function.argtypes) == n, name
+        assert function.restype is (None if void else ctypes.c_long), name
 
 
 @needs_cc

@@ -22,7 +22,6 @@ from l1lab import (
     solve_1d_prox,
 )
 from l1lab import _qsweep
-from l1lab.operators import prox_gradient_image
 from l1lab.solvers import CoordinateKernel, TauRecord, Trace, compiled_step
 from tests.conftest import grid_refine_minimum
 
@@ -73,16 +72,14 @@ def count_products(p):
 
 
 def count_blocks(m):
-    """Record (k0, k0 + made) of every qblock call, made the number of rows
-    it returns: it made rows k0 + 1..k0 + made and the product of each."""
+    """Record (k0, k1) of every qblock call, its last two arguments: it
+    makes rows k0 + 1..k1 and the product of each."""
     lib = _qsweep.load()
     original, blocks = lib.qblock, []
 
     def counted(*args):
-        made = original(*args)
-        k0 = args[-3]
-        blocks.append((k0, k0 + made))
-        return made
+        blocks.append(args[-2:])
+        return original(*args)
 
     m.setattr(lib, "qblock", counted)
     return blocks
@@ -177,9 +174,9 @@ def test_a_quadratic_sweep_forms_one_product_per_iterate(alg, kernel, monkeypatc
 
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
 def test_a_run_without_a_stop_rule_measures_once_on_the_compiled_path(alg, kernel, monkeypatch):
-    # A healthy compiled run makes its K rows in one guarded qblock call and
-    # measures all K + 1 in one values_and_grads call; the numpy path
-    # measures a block each time 64 rows are unmeasured and after the loop.
+    # A compiled run makes its K rows in one qblock call and measures all
+    # K + 1 in one values_and_grads call; the numpy path measures a block
+    # each time 64 rows are unmeasured and after the loop.
     K, p = 200, gen_zmatrix_quadratic(8, seed=3)
     sizes = []
     original = type(p.smooth).values_and_grads
@@ -445,17 +442,18 @@ def test_a_non_finite_iterate_is_named_before_its_objective_value():
 
 
 def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch, kernel):
-    # The low-L case above: F overflows at iteration 45. A budget of 10**6
-    # iterations raises the same fault, measured with the first block of 64
-    # rows, so gd takes fewer than 128 steps: grad calls on the numpy path,
-    # rows made by qblock calls on the compiled one, whose guard stops the
-    # one call at the fault. At L = 0.25 F overflows at iteration 149, after
-    # the row buffer has grown twice; a block is measured every 64 rows, so
-    # gd takes at most 64 steps past the fault.
+    # The low-L case above: F overflows at iteration 45. On the numpy path
+    # a budget of 10**6 iterations raises the same fault, measured with the
+    # first block of 64 rows, so gd takes fewer than 128 steps (grad calls).
+    # At L = 0.25 F overflows at iteration 149, after the row buffer has
+    # grown twice; a block is measured every 64 rows, so gd takes at most
+    # 64 steps past the fault. On the compiled path one qblock call makes
+    # all K rows, stepping on through the inf and NaN rows past the fault,
+    # and the one measurement after it names the same fault.
     for lipschitz, fault, most in ((1e-3, 45, 127), (0.25, 149, 149 + 64)):
         p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1,
                               lipschitz=lipschitz)
-        for K in (400, 10 ** 6):
+        for K in (400, 10 ** 6) if kernel == "numpy" else (400,):
             with monkeypatch.context() as m:
                 if kernel == "numpy":
                     original, grads = type(p.smooth).grad, []
@@ -469,21 +467,20 @@ def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch, k
                     blocks = count_blocks(m)
                 with pytest.raises(NonFiniteIterateError) as exc:
                     run("gd", p, [0.0, 0.0], SolverConfig(max_outer_iters=K))
-            steps = len(grads) if kernel == "numpy" else len(rows_made(blocks))
             assert (exc.value.iteration, str(exc.value)) == (
                 fault, f"gd produced a non-finite objective value at iteration {fault}")
-            assert fault <= steps <= most
+            if kernel == "numpy":
+                assert fault <= len(grads) <= most
+            else:
+                assert blocks == [(0, K)]
 
 
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
-def test_a_guard_that_fires_without_a_fault_keeps_the_numpy_bits(alg, monkeypatch):
-    # x* = c (1, 1), and F stays at least -c^2 = -1.6e307 along the run
-    # from 0, finite; but the guard's bound on F, 2 |x| (|A x| / 2 + |b|),
-    # is 3 c^2 = 4.8e307 at x*, past DBL_MAX / 4, so the guard fires some
-    # rows before. The run measures up to that row, finds it finite and
-    # hands the rest of the run to the numpy steps: one numpy step (a grad
-    # call of gd, a kernel sweep of ccd or ccm) per later row, with the bits
-    # of the numpy path.
+def test_a_run_near_overflow_is_one_compiled_call_with_the_numpy_bits(alg, monkeypatch):
+    # x* = c (1, 1), and F stays at least -c^2 = -1.6e307 along the run from
+    # 0, finite, while its term b . x comes within a factor of ten of
+    # DBL_MAX. One qblock call makes the whole run, with the bits of the
+    # numpy path.
     c, K = 4e153, 150
     p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [-c, -c], lam=0.0)
     if compiled_step(p, alg) is None:
@@ -494,10 +491,8 @@ def test_a_guard_that_fires_without_a_fault_keeps_the_numpy_bits(alg, monkeypatc
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compiled = run(alg, p, [0.0, 0.0], cfg)
-    fired = blocks[0][1]
-    assert 0 < fired < K
-    assert blocks == [(0, fired)]
-    assert len(steps) == K - fired
+    assert blocks == [(0, K)]
+    assert steps == []
     assert np.isfinite(compiled.f_values).all()
     with monkeypatch.context() as m:
         m.setattr(_qsweep, "load", lambda: None)
@@ -505,44 +500,6 @@ def test_a_guard_that_fires_without_a_fault_keeps_the_numpy_bits(alg, monkeypatc
     for name in ("iterates", "gradients", "f_values", "residuals"):
         got, want = getattr(compiled, name), getattr(plain, name)
         assert np.array(got).tobytes() == np.array(want).tobytes(), name
-
-
-def test_the_guard_passes_no_row_whose_measurement_is_not_finite():
-    # qblock's guard on one row at a time, at magnitudes around the
-    # overflow threshold of F, the gradient and the residual: every row it
-    # passes has a finite iterate, gradient, F and residual as run()
-    # measures them (values_and_grads from the row's product, the
-    # prox-gradient image, the l1 term). Rows fall on both sides.
-    if _qsweep.load() is None or _qsweep.dgemv() is None:
-        pytest.skip("the compiled steps cannot be had here")
-    rng = np.random.default_rng(7)
-    outcomes = set()
-    for _ in range(2000):
-        d = int(rng.integers(1, 7))
-        B = rng.uniform(-1.0, 1.0, (d, d)) if rng.random() < 0.5 else np.ones((d, d))
-        A = B @ B.T + d * np.eye(d)
-        # |w| and |b| near 1e154 bring the terms of F near DBL_MAX, as lam
-        # near 1e154 does the l1 term, and L near 1e-154 the residual.
-        b = rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.uniform(0.0, 156.0)
-        lam = (0.0, 0.1, 10.0 ** rng.uniform(140.0, 156.0))[int(rng.integers(3))]
-        p = quadratic_problem(A, b, lam, lipschitz=10.0 ** rng.uniform(-160.0, 3.0))
-        W, P = np.empty((2, d)), np.empty((2, d))
-        u = rng.standard_normal(d)  # of one sign half the time, so no sum cancels
-        W[0] = (np.abs(u) if rng.random() < 0.5 else u) * 10.0 ** rng.uniform(150.0, 156.0)
-        if rng.random() < 0.1:
-            W[0, int(rng.integers(d))] = (np.inf, -np.inf, np.nan)[int(rng.integers(3))]
-        with np.errstate(all="ignore"):
-            np.matmul(A, W[0], out=P[0])
-            made = compiled_step(p, "gd")(W.ctypes.data, P.ctypes.data, 0, 1, True)
-            values, G = p.smooth.values_and_grads(W[:1], P[:1])
-            F = values + p.lam * np.abs(W[:1]).sum(axis=1)
-            R = np.abs(W[:1] - prox_gradient_image(p, W[:1], G)).max(axis=1)
-        finite = bool(np.isfinite(W[0]).all() and np.isfinite(G).all()
-                      and np.isfinite(F).all() and np.isfinite(R).all())
-        assert made in (0, 1)
-        assert finite or made == 0
-        outcomes.add((made, finite))
-    assert outcomes == {(1, True), (0, True), (0, False)}
 
 
 # A stop rule that cannot fire: no residual below is exactly zero.
@@ -668,6 +625,23 @@ def test_both_schedules_agree_after_the_iterate_buffer_grows(alg):
         x = fixed.iterates[k]
         assert fixed.f_values[k] == objective(p, x)
         assert fixed.residuals[k] == optimality_residual(p, x)
+
+
+def test_descent_ok_takes_its_tolerance_relative_to_a_large_objective_value():
+    # Near overflow (x* = 4e153 (1, 1), F* = -1.6e307) rounding alone makes
+    # F rise by up to about 5e291, that is 3.1e-16 |F|: far past an
+    # absolute 1e-12, well inside 1e-12 max(1, |F|).
+    c = 4e153
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [-c, -c], lam=0.0)
+    for alg in ("gd", "ccd", "ccm"):
+        trace = run(alg, p, [0.0, 0.0], SolverConfig(max_outer_iters=150))
+        assert np.diff(trace.f_values).max() > 1e-12, alg
+        assert trace.descent_ok(1e-12), alg
+    # The tolerance is absolute where |F| <= 1 and relative above.
+    for F, held in (([0.5, 0.5 + 0.9e-12], True), ([0.5, 0.5 + 1.1e-12], False),
+                    ([-1e300, -1e300 * (1.0 - 0.9e-12)], True),
+                    ([-1e300, -1e300 * (1.0 - 1.1e-12)], False)):
+        assert Trace("gd", [[0.0]] * 2, F, [0.0] * 2).descent_ok(1e-12) is held, F
 
 
 def test_run_rejects_unknown_algorithm():

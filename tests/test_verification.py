@@ -34,6 +34,7 @@ from l1lab import (
 from l1lab._jsonlayout import _RECORD_CHUNK
 from l1lab.operators import prox_gradient_image
 from l1lab.solvers import CoordinateKernel
+from tests.conftest import monotone_and_bracket
 
 NEG_CONTROL = dict(A=[[2.0, 1.0], [1.0, 2.0]], b=[-1.0, -1.0], lam=0.1)
 
@@ -520,6 +521,20 @@ def test_run_comparison_negative_control_report_only():
             assert not r.persistence_ok, r.k
             assert r.rate_ok, r.k
         assert report.verdict is False
+
+
+def test_monotone_iterates_and_the_bracket_of_x_star_fail_on_the_negative_control():
+    # Outside isotonicity ccd and ccm overshoot x* from either start: by
+    # iterate 3 each has stepped against the predicted direction and
+    # crossed x*.
+    p = neg_control_problem()
+    for x0, sign in (([1.0, 1.0], 1.0), ([-1.0, -1.0], -1.0)):
+        report = run_comparison(p, x0, K=5, report_only=True)
+        for alg in ("ccd", "ccm"):
+            monotone, bracket = monotone_and_bracket(report.traces[alg].iterates,
+                                                     report.reference.x_star, sign)
+            assert not monotone[:3].all(), (x0, alg)
+            assert not bracket[:4].all(), (x0, alg)
 
 
 def reference_records(p, report, x0, tol):
