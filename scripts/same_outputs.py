@@ -102,6 +102,13 @@ COMMANDS = (
                            "--prefix", "overflow_stop_"]),
     ("classify_d10", ["classify", "--problem", "zmat10.json", "--tol", "1e-9",
                       "--point", "1,0.5,0,0,2,0,0,0,0.25,1"]),
+    # A hand-written problem file (HANDWRITTEN): the number reader's edge
+    # cases, in the file and in the outputs.
+    ("classify_handwritten", ["classify", "--problem", "handwritten.json",
+                              "--point", "0.5,-1E-1,0"]),
+    ("verify_handwritten", ["verify", "--problem", "handwritten.json", "--iters", "40",
+                            "--report", "handwritten_report.json",
+                            "--summary", "handwritten_summary.csv"]),
     ("gen_lasso", ["gen", "--kind", "lasso", "--csv", "lasso.csv", "--lambda", "0.05",
                    "--out", "lasso.json"]),
     # Settings from a config file (VERIFY_CONFIG), one of them overridden
@@ -124,6 +131,18 @@ DIVERGING = {"kind": "quadratic", "A": [[2.0, -1.0], [-1.0, 2.0]], "b": [0.5, -0
 # L is estimated on load.
 NEAR_OVERFLOW = {"kind": "quadratic", "A": [[2.0, -1.0], [-1.0, 2.0]],
                  "b": [-4e153, -4e153], "lambda": 0.0}
+
+
+# A 3x3 quadratic with an order-preserving A, as a person might write it:
+# integer tokens (-0 among them, which reads as +0.0), e and E exponents,
+# a token of more than 19 digits and one out of the exact reader's range,
+# tabs and CRLF line ends; L is estimated on load.
+HANDWRITTEN = (b'{\r\n\t"kind": "quadratic",\r\n\t"A": [\r\n'
+               b'\t\t[2, -0.5, -0],\r\n'
+               b'\t\t[-5e-1,\t3E0, -1e-1],\r\n'
+               b'\t\t[0, -0.1, 4.000000000000000000000001]\r\n\t],\r\n'
+               b'\t"b": [1, -2.5E+0, 7.5e-31],\r\n'
+               b'\t"lambda": 1e-1\r\n}\r\n')
 
 
 def logistic_problem_json(n=200, d=20, lam=0.02, seed=0):
@@ -166,6 +185,7 @@ def run_all(src, out):
     (out / "overflow.json").write_text(json.dumps(NEAR_OVERFLOW), encoding="utf-8")
     (out / "lasso.csv").write_text(lasso_csv(), encoding="utf-8")
     (out / "verify_config.json").write_text(json.dumps(VERIFY_CONFIG), encoding="utf-8")
+    (out / "handwritten.json").write_bytes(HANDWRITTEN)
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

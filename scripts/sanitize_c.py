@@ -16,7 +16,8 @@ nothing itself. A fault the sanitizers find aborts the child.
 
 The checks cover what nothing else checks, such as the sizing contract of
 render_floats' output buffer, which it writes fixed-width copies into up
-to 40 bytes past each value's text.
+to 40 bytes past each value's text, and parse_floats' promise to read no
+byte past the end of its text, which reads eight digits at a time.
 
 The exit status is 0 when the tests pass on the sanitized library: the
 cache then holds that library only, and load() has marked it used. It is
@@ -41,8 +42,8 @@ from l1lab import _qsweep  # noqa: E402
 # No FMA contraction, as in _qsweep.FLAGS, so the bitwise tests still hold.
 SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer", "-ffp-contract=off", "-shared", "-fPIC")
-TESTS = ("tests/test_render.py", "tests/test_kernel.py", "tests/test_start_search.py",
-         "tests/test_solvers.py")
+TESTS = ("tests/test_render.py", "tests/test_parse.py", "tests/test_kernel.py",
+         "tests/test_start_search.py", "tests/test_solvers.py")
 
 
 def runtime(cc: str, name: str) -> str:

@@ -13,12 +13,16 @@ from one repetition to the next:
   stop rule, for ccd and gd at d=11, K=200 and for ccd and ccm at d=300
   and d=500, K=50;
 - ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
-  spellings (repr and '%.17g').
+  spellings (repr and '%.17g');
+- ``parse_floats`` on the X block of a dense logistic problem file,
+  n=2000, d=50, as save_problem writes it.
 
 Both sources must have the working tree's ABI: ``qblock``, ``qray``,
-``render_floats`` and ``qaxpy`` with the same parameter lists, that is,
-``qblock`` without a ``guard`` argument and ``render_floats`` with a row
-length and a row separator. Each library is loaded by ``_qsweep._open``,
+``render_floats``, ``parse_floats`` and ``qaxpy`` with the same parameter
+lists, that is, ``qblock`` without a ``guard`` argument,
+``render_floats`` with a row length and a row separator and
+``parse_floats`` with a buffer for the declined tokens' texts. Each
+library is loaded by ``_qsweep._open``,
 with the prototypes the package declares. Without numpy's dgemv
 (_qsweep.dgemv() is None) the ``qblock`` cases are left out.
 
@@ -31,9 +35,9 @@ run, so C changes are timed here first. The two libraries must give
 bitwise-equal outputs on every call timed.
 
 The exit status is 1 when the outputs differ, 2 when <rev> has no
-_qsweep.c, a library cannot be built or loaded, or one of those four
-functions of <rev> takes other arguments than the working tree's; 0
-otherwise.
+_qsweep.c, a library cannot be built or loaded, or one of those five
+functions is missing from <rev> or takes other arguments than the
+working tree's; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -59,11 +63,12 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from l1lab import SolverConfig, _qsweep, find_supersolution, gen_zmatrix_quadratic, run  # noqa: E402
+from l1lab import (SolverConfig, _qsweep, find_supersolution, gen_zmatrix_quadratic,  # noqa: E402
+                   logistic_problem, run, save_problem)
 
 C_PATH = "src/l1lab/_qsweep.c"
 # The functions whose prototypes must agree: those _qsweep._open declares.
-ABI = ("qblock", "qray", "render_floats", "qaxpy")
+ABI = ("qblock", "qray", "render_floats", "parse_floats", "qaxpy")
 
 
 def prototype(source: str, name: str) -> str:
@@ -100,6 +105,14 @@ class Library:
         size = self.lib.render_floats(n, data, repr_, sep, len(sep), block.shape[-1], sep,
                                       len(sep), out, holes)
         return ctypes.string_at(out, size), holes[:1 + 2 * holes[0]]
+
+    def parse(self, text: bytes, start: int):
+        """(end, info, values, declined texts) of parse_floats on the array at ``start``."""
+        cap = (len(text) - start) // 2 + 1
+        out, rest = np.empty(cap), ctypes.create_string_buffer(len(text) - start)
+        info = (ctypes.c_long * 4)()
+        end = self.lib.parse_floats(text, len(text), start, cap, out.ctypes.data, info, rest)
+        return end, info[:], out[:info[1] * max(info[2], 1)].tobytes(), rest.raw[:info[3]]
 
 
 class BlockCase:
@@ -172,6 +185,18 @@ def main(argv) -> int:
                 return lib.render(block, repr_, b",")
 
             cases[f"render_floats 51x500 {spelling}"] = (20, render, render)
+
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((2000, 50))
+        q = logistic_problem(X, np.where(X[:, 0] >= 0.0, 1.0, -1.0), 0.01, 1.0)
+        save_problem(q, Path(tmp, "logistic.json"))
+        problem_text = Path(tmp, "logistic.json").read_bytes()
+        x_start = problem_text.index(b"[")  # X, the first array of the file
+
+        def parse(lib):
+            return lib.parse(problem_text, x_start)
+
+        cases["parse_floats 2000x50 X"] = (5, parse, parse)
 
         differ = [name for name, (_, _, output) in cases.items()
                   if output(libs[0]) != output(libs[1])]

@@ -18,12 +18,19 @@ encoder is pure Python; these helpers emit its layout, with a 2-D float
 array rendered as whole rows, at most 8192 values per call, its brackets
 and indentation as the separators. Text is yielded piece by piece, so a
 large document can be streamed to a file.
+
+loads() reads a JSON document as json.loads reads it, except that the
+number arrays under given keys of its top-level object are read by
+``parse_floats`` of the compiled library into float64 arrays, as
+np.array(value, dtype=float) would make them from json.loads' lists.
 """
 
 from __future__ import annotations
 
 import ctypes
+import io
 import json
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 
@@ -38,6 +45,10 @@ _SLACK = 64
 # The most values per render_floats call, and records per json_records piece.
 _CHUNK = 8192
 _RECORD_CHUNK = 512
+
+# json's own scanner of one value, and its whitespace.
+_scan = json.JSONDecoder().scan_once
+_ws = json.decoder.WHITESPACE.match
 
 
 def _json_float(v: float) -> str:
@@ -214,3 +225,98 @@ def json_value(value, ind: int = 0):
         yield json_numbers(value, ind)
     else:
         yield _json_scalar(value)
+
+
+def loads(data: bytes, arrays):
+    """``json.loads`` of the text that ``open(path, encoding="utf-8")``
+    reads from a file of the bytes ``data``, except that in a top-level
+    object each value under a key in ``arrays`` that is an array of
+    numbers, or of rows of numbers of one length, is read as the float64
+    array np.array(value, dtype=float) would make of json.loads' list.
+
+    The document takes the fast path when it is ASCII and the compiled
+    library can be had: json's scanner reads the object's keys and other
+    values, and ``parse_floats`` those arrays, rounding each token by
+    exact integer arithmetic; the tokens it declines are read by
+    json.loads and np.array from a list of their texts. An array that
+    parse_floats declines as a whole, or that holds an integer too large
+    for a float, is left to json's scanner, so that np.array raises where
+    it does on json.loads' list. Any other document, and any that the fast
+    path cannot read, is read by json.loads itself, so that the same
+    exception is raised with the same message.
+    """
+    from . import _qsweep  # imported, and built, only when numbers are read
+
+    lib = _qsweep.load() if data.isascii() else None
+    if lib is not None:
+        try:
+            value = _object(data, arrays, lib)
+        except (ValueError, StopIteration, RecursionError):
+            value = None
+        if value is not None:
+            return value
+    # Read as json.load reads an open text file: universal newlines.
+    return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+
+
+def _object(data: bytes, arrays, lib) -> dict | None:
+    """The top-level object of the ASCII document ``data``, with the
+    arrays under ``arrays`` read by parse_floats; None when the document
+    is not one object. Outside strings, a carriage return is whitespace
+    to JSON, so a valid document reads the same without the newline
+    translation that json.loads' text gets; an invalid one raises here."""
+    text = data.decode("ascii")
+    i = _ws(text, 0).end()
+    if text[i:i + 1] != "{":
+        return None
+    obj, sep = {}, ","
+    while sep == ",":  # i is at the "{" or "," before a member
+        i = _ws(text, i + 1).end()
+        if text[i:i + 1] != '"':
+            return None  # also an empty object, which json.loads reads
+        key, i = _scan(text, i)
+        i = _ws(text, i).end()
+        if text[i:i + 1] != ":":
+            return None
+        i = _ws(text, i + 1).end()
+        read = (_numbers(lib, text, data, i) if key in arrays and text[i:i + 1] == "["
+                else None)
+        obj[key], i = read if read is not None else _scan(text, i)
+        i = _ws(text, i).end()
+        sep = text[i:i + 1]
+    if sep != "}" or _ws(text, i + 1).end() != len(text):
+        return None
+    return obj
+
+
+def _scratch(size: int):
+    import mmap  # loaded only when a file is read, like the library
+
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+
+
+def _numbers(lib, text: str, data: bytes, start: int):
+    """(array, end) of the number array at ``start``, or None."""
+    # A value takes at least one byte and one separator: at most this many.
+    # The buffers are anonymous maps, of which only the pages written are
+    # ever resident; and unlike a malloc of their size, freeing them does
+    # not raise malloc's threshold for serving blocks from the heap.
+    cap = (len(data) - start) // 2 + 1
+    out = np.frombuffer(_scratch(8 * cap), dtype=np.float64)
+    rest = np.frombuffer(_scratch(len(data) - start), dtype=np.uint8)
+    info = (ctypes.c_long * 4)()
+    end = lib.parse_floats(data, len(data), start, cap, out.ctypes.data, info, rest.ctypes.data)
+    if end < 0:
+        return None
+    shape = tuple(info[1:1 + info[0]])
+    block = out[:math.prod(shape)]
+    if info[3]:
+        # The declined tokens, read as json.loads and np.array read them.
+        # An array with an int too large for a float (or past int's digit
+        # limit) is left to json's scanner, for np.array to raise on later.
+        declined = b"[" + rest[:info[3] - 1].tobytes() + b"]"
+        try:
+            block[np.isnan(block)] = np.array(json.loads(declined), dtype=float)
+        except (OverflowError, ValueError):
+            return None
+    return block.reshape(shape), end

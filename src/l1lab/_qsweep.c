@@ -12,6 +12,10 @@
  * render_floats: a block of doubles as text, in rows, each value spelled
  * as Python's repr (float.__repr__) or '%.17g' % v spells it.
  *
+ * parse_floats: a JSON array of numbers, or of rows of numbers, as a
+ * block of doubles, each token read as json.loads and then
+ * np.array(..., dtype=float) read it.
+ *
  * qaxpy: the sweep's row update in a variant the caller names, for the
  * tests.
  *
@@ -252,6 +256,17 @@ static const double POW10_CEIL[33] = {
     0x1.c6bf526340000p+49, 0x1.1c37937e08000p+53, 0x1.6345785d8a000p+56,
 };
 
+/* POW5[i] = 5^i, i = 0..27: 5^27 < 2^63. */
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL,
+    6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
+    3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
+    476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
+    7450580596923828125ULL,
+};
+
 #define E8 100000000ULL
 #define E16 10000000000000000ULL
 #define E17 100000000000000000ULL
@@ -280,15 +295,6 @@ static uint64_t digits17(double v, int repr, int *E)
     int est = (int)((((int64_t)(e + 52) * 78913) + ((int64_t)1 << 40)) >> 18) - (1 << 22);
     *E = est + (a >= POW10_CEIL[est + 16]);
     int s = 16 - *E;
-    static const uint64_t POW5[28] = {
-        1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
-        1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL,
-        6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
-        3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
-        476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
-        59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
-        7450580596923828125ULL,
-    };
     u128 p5 = (u128)POW5[s > 27 ? 27 : s] * POW5[s > 27 ? s - 27 : 0];
     int sh = s + e - 2;  /* X = 4m 5^s 2^sh */
     int k = sh < 0 ? -sh : 0;
@@ -484,4 +490,246 @@ long render_floats(long n, const double *v, int repr, const char *sep, long nsep
     }
     holes[0] = nh;
     return o - out;
+}
+
+/* Text-to-float by exact integer arithmetic (Clinger 1990; Lemire,
+ * "Number Parsing at a Gigabyte per Second", 2021). A JSON number token
+ * with at most 19 significant digits is c 10^q for an integer
+ * c < 10^19 < 2^64. With |q| <= 27, 5^|q| < 2^63, and the value is
+ * c 5^q 2^q (q >= 0), exact in unsigned __int128, or (q < 0)
+ * (c 2^sh / 5^-q) 2^(q - sh), sh chosen so that the quotient lies in
+ * (2^62, 2^64), taken with a sticky bit for a nonzero remainder, 9 or more
+ * bits below the rounding bit. Either is rounded once to the nearest
+ * double, ties to even. Zero needs no arithmetic. Every other token is
+ * declined. */
+
+/* The leading zero bits of m > 0. */
+static int clz128(u128 m)
+{
+    uint64_t hi = (uint64_t)(m >> 64);
+    return hi != 0 ? __builtin_clzll(hi) : 64 + __builtin_clzll((uint64_t)m);
+}
+
+/* The double nearest m 2^e, ties to even, its sign bit neg; m > 0 and the
+ * value in the normal range. */
+static double round_double(u128 m, int e, int neg)
+{
+    int len = 128 - clz128(m);
+    uint64_t mant;
+    if (len <= 53) {
+        mant = (uint64_t)m << (53 - len);
+        e -= 53 - len;
+    } else {
+        int sh = len - 53;
+        u128 rem = m & (((u128)1 << sh) - 1), half = (u128)1 << (sh - 1);
+        mant = (uint64_t)(m >> sh);
+        mant += rem > half || (rem == half && (mant & 1));
+        e += sh;
+        if (mant >> 53) {  /* rounded up to 2^53 */
+            mant >>= 1;
+            e++;
+        }
+    }
+    /* mant in [2^52, 2^53): the biased exponent of mant 2^e is e + 1075. */
+    uint64_t bits = (uint64_t)neg << 63 | (uint64_t)(e + 1075) << 52
+                    | (mant & ((1ULL << 52) - 1));
+    double v;
+    memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+static inline int is_digit(char c)
+{
+    return (unsigned char)(c - '0') < 10;
+}
+
+/* The 8 bytes at s as a word whose low byte is s[0]. */
+static inline uint64_t load8(const char *s)
+{
+    uint64_t w;
+    memcpy(&w, s, sizeof w);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
+/* Whether every byte of w is an ASCII digit: its high nibble is 3, and
+ * still 3 after adding 6 (no byte carries, its high nibble being 3). */
+static inline int eight_digits(uint64_t w)
+{
+    const uint64_t high = 0xF0F0F0F0F0F0F0F0ULL, threes = 0x3030303030303030ULL;
+    return (w & high) == threes && ((w + 0x0606060606060606ULL) & high) == threes;
+}
+
+/* The value of the 8 digits of w, s[0] the most significant: pairs, then
+ * quads, then the halves, each lane small enough that nothing carries
+ * into the next lane. */
+static inline uint64_t eight_value(uint64_t w)
+{
+    w -= 0x3030303030303030ULL;
+    w = (w * 10 + (w >> 8)) & 0x00FF00FF00FF00FFULL;
+    w = (w * 100 + (w >> 16)) & 0x0000FFFF0000FFFFULL;
+    return (w * 10000 + (w >> 32)) & 0xFFFFFFFFULL;
+}
+
+/* Append the digits at s[i..len) to *c (modulo 2^64), eight at a time
+ * while eight are left, and return their end. */
+static inline long read_digits(const char *s, long len, long i, uint64_t *c)
+{
+    while (len - i >= 8 && eight_digits(load8(s + i))) {
+        *c = *c * 100000000 + eight_value(load8(s + i));
+        i += 8;
+    }
+    for (; i < len && is_digit(s[i]); i++)
+        *c = 10 * *c + (uint64_t)(s[i] - '0');
+    return i;
+}
+
+static inline long skip_ws(const char *s, long len, long i)
+{
+    while (i < len && (s[i] == ' ' || s[i] == '\n' || s[i] == '\r' || s[i] == '\t'))
+        i++;
+    return i;
+}
+
+/* Read the JSON number token at s[i..len) into *v and return its end, or
+ * -1 where none starts at i. An integer token (no fraction, no exponent)
+ * is read as Python's float(int(token)), so -0 gives +0.0, any other as
+ * float(token). *left is set, and *v left alone, for a token with more
+ * than 19 significant digits or an exponent q outside [-27, 27]. */
+static inline long read_number(const char *s, long len, long i, double *v, int *left)
+{
+    int neg = i < len && s[i] == '-';
+    i += neg;
+    if (i >= len || !is_digit(s[i]))
+        return -1;
+    uint64_t c = 0;
+    long digits = 0, q = 0;  /* c holds the significant digits, modulo 2^64 */
+    int integer = 1;
+    if (s[i] == '0') {
+        i++;
+    } else {
+        long first = i;
+        i = read_digits(s, len, i, &c);
+        digits = i - first;
+    }
+    if (i < len && s[i] == '.') {
+        long point = ++i;
+        integer = 0;
+        if (c == 0)  /* leading zeros only move the exponent */
+            while (i < len && s[i] == '0')
+                i++;
+        long first = i;
+        i = read_digits(s, len, i, &c);
+        if (i == point)
+            return -1;
+        digits += i - first;
+        q = point - i;
+    }
+    if (i < len && (s[i] == 'e' || s[i] == 'E')) {
+        integer = 0;
+        i++;
+        int eneg = i < len && s[i] == '-';
+        i += i < len && (s[i] == '-' || s[i] == '+');
+        long first = i, x = 0;
+        for (; i < len && is_digit(s[i]); i++)
+            if (x < 100000)
+                x = 10 * x + (s[i] - '0');
+        if (i == first)
+            return -1;
+        q += eneg ? -x : x;
+    }
+    *left = 0;
+    if (digits == 0) {
+        *v = neg && !integer ? -0.0 : 0.0;
+    } else if (digits > 19 || q < -27 || q > 27) {
+        *left = 1;
+    } else if (q >= 0) {
+        *v = round_double((u128)c * POW5[q], (int)q, neg);
+    } else {
+        /* c 2^sh / 5^-q lies in (2^62, 2^64): one 128-by-64-bit division,
+         * with a sticky bit for a nonzero remainder. */
+        uint64_t p5 = POW5[-q];
+        int sh = 63 + __builtin_clzll(c) - __builtin_clzll(p5);
+        u128 num = (u128)c << sh;
+        uint64_t quot = (uint64_t)(num / p5);
+        *v = round_double((u128)quot | (num != (u128)quot * p5), (int)q - sh, neg);
+    }
+    return i;
+}
+
+/* Read the list of numbers "[" ws (number ws ("," ws number ws)*)? "]" at
+ * s[i..len) into out[*n..cap), advancing *n, and return its end, or -1;
+ * a declined token is written as a NaN and its text, with a comma, at
+ * rest + *nrest, advancing *nrest. */
+static inline long read_row(const char *s, long len, long i, long cap, double *out, long *n,
+                            char *rest, long *nrest)
+{
+    if (i >= len || s[i] != '[')
+        return -1;
+    i = skip_ws(s, len, i + 1);
+    if (i < len && s[i] == ']')
+        return i + 1;
+    for (long k = *n;; k++) {
+        long token = i;
+        int left;
+        if (k == cap || (i = read_number(s, len, i, out + k, &left)) < 0)
+            return -1;
+        if (left) {
+            out[k] = __builtin_nan("");
+            memcpy(rest + *nrest, s + token, i - token);
+            *nrest += i - token;
+            rest[(*nrest)++] = ',';
+        }
+        i = skip_ws(s, len, i);
+        if (i < len && s[i] == ',') {
+            i = skip_ws(s, len, i + 1);
+        } else if (i < len && s[i] == ']') {
+            *n = k + 1;
+            return i + 1;
+        } else {
+            return -1;
+        }
+    }
+}
+
+/* Read the JSON array at s[start..len) that holds numbers, or lists of
+ * numbers of one length, into out (at most cap values, in C order) and
+ * return the offset just past it, or -1 for an array outside this grammar
+ * (any other value, nesting deeper than 2, rows of unequal lengths, a
+ * syntax error) or of more than cap values. info gets (1, n, 0, r) or
+ * (2, rows, cols, r). Each declined token is written as a NaN (no token
+ * read gives one) and its text, each followed by a comma, at rest, r bytes
+ * in all: at most len - start, as each token is followed by a byte in s.
+ * No byte at or past s[len] is read. */
+long parse_floats(const char *s, long len, long start, long cap, double *out, long *info,
+                  char *rest)
+{
+    long n = 0, i = skip_ws(s, len, start + 1);
+    info[3] = 0;
+    if (start >= len || s[start] != '[')
+        return -1;
+    if (i >= len || s[i] != '[') {  /* numbers, or none */
+        i = read_row(s, len, start, cap, out, &n, rest, info + 3);
+        info[0] = 1;
+        info[1] = n;
+        info[2] = 0;
+        return i;
+    }
+    for (long rows = 1, cols = 0;; rows++) {  /* rows of numbers */
+        long n0 = n;
+        i = read_row(s, len, i, cap, out, &n, rest, info + 3);
+        if (i < 0 || (rows > 1 && n - n0 != cols))
+            return -1;
+        cols = n - n0;
+        info[0] = 2;
+        info[1] = rows;
+        info[2] = cols;
+        i = skip_ws(s, len, i);
+        if (i < len && s[i] == ',')
+            i = skip_ws(s, len, i + 1);
+        else
+            return i < len && s[i] == ']' ? i + 1 : -1;
+    }
 }

@@ -1,17 +1,20 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It exports four functions: ``qblock``, a run of ccd, ccm or gd iterations
+It exports five functions: ``qblock``, a run of ccd, ccm or gd iterations
 of a quadratic on rows of iterates (each a cyclic sweep or gd's step from
 the product A x, as the numpy loops do it) that also forms each next
 product A w, ``qray``, the start search's classification of the rungs
 of one ray of a quadratic, ``render_floats``, which spells a block of
-floats in rows as repr or '%.17g' does (see _jsonlayout.render), and
-``qaxpy``, for the tests: the sweep's row update state += delta * row in
-the variant named (0 the baseline build, 1 the AVX2 twin, -1 the one
-qblock chooses on this CPU), which returns the variant run or -1 when
-this CPU cannot run it. load() returns the library, or None when it
-cannot be had; the callers then keep the numpy loops and Python's own
-number formatting, with the same bits and bytes.
+floats in rows as repr or '%.17g' does (see _jsonlayout.render),
+``parse_floats``, which reads a JSON array of numbers, 1-D or
+rectangular 2-D, into doubles as float() reads each token (see
+_jsonlayout.loads), and ``qaxpy``, for the tests: the sweep's row update
+state += delta * row in the variant named (0 the baseline build, 1 the
+AVX2 twin, -1 the one qblock chooses on this CPU), which returns the
+variant run or -1 when this CPU cannot run it. load() returns the
+library, or None when it cannot be had; the callers then keep the numpy
+loops and Python's own number formatting and parsing, with the same bits
+and bytes.
 dgemv() returns the BLAS function numpy's matmul calls for a matrix times
 a vector, which qblock takes to form its products, or None when it cannot
 be found or does not give np.matmul's bits. Nothing here runs at import.
@@ -173,6 +176,9 @@ def _open(path: Path | None):
                                   ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_long,
                                   ctypes.c_void_p, ctypes.c_void_p)
     lib.render_floats.restype = ctypes.c_long
+    lib.parse_floats.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    lib.parse_floats.restype = ctypes.c_long
     lib.qaxpy.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
                           ctypes.c_void_p)
     lib.qaxpy.restype = ctypes.c_long
@@ -184,7 +190,8 @@ def load():
     """The library, with
     ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)``,
-    ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``
+    ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``,
+    ``parse_floats(text, len, start, cap, out, info, rest)``
     and ``qaxpy(variant, d, delta, row, state)``, or None.
 
     Looks up the cache first and compiles on a miss; without a ``cc`` on

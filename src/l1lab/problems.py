@@ -19,13 +19,12 @@ its inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._jsonlayout import json_value
+from ._jsonlayout import json_value, loads
 from .errors import (
     Assumption2Error,
     DataOverflowError,
@@ -158,6 +157,9 @@ class SmoothLoss:
 
     @classmethod
     def from_dict(cls, data):
+        for f in fields(cls):
+            if f.name not in data:
+                raise ValueError(f"problem file is missing {f.name!r}")
         return cls(*(data[f.name] for f in fields(cls)))
 
 
@@ -393,6 +395,8 @@ class LogisticData(SmoothLoss):
 
 
 _KINDS = {cls.kind: cls for cls in (QuadraticForm, LogisticData)}
+# The fields of a problem file that hold the data arrays of some kind.
+_DATA_FIELDS = frozenset(f.name for cls in _KINDS.values() for f in fields(cls))
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,6 +566,8 @@ def _check_field(data, field, types, what):
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
+    if not isinstance(data, dict):
+        raise ValueError("problem file must contain a JSON object")
     kind = data.get("kind")
     lam = data.get("lambda")
     if lam is None:
@@ -595,8 +601,14 @@ def save_problem(p: ProblemSpec, path) -> None:
 
 
 def load_problem(path) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))
+    """The problem of ``problem_from_dict(json.load(fh))`` for the file
+    opened as ``open(path, encoding="utf-8")``, with the same exceptions.
+
+    The data arrays are read from the file's bytes by _jsonlayout.loads,
+    in C where it can, to the bits np.array gives of json.load's lists.
+    """
+    with open(path, "rb") as fh:
+        return problem_from_dict(loads(fh.read(), _DATA_FIELDS))
 
 
 def load_xy_csv(path):
