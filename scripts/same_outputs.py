@@ -133,15 +133,16 @@ NEAR_OVERFLOW = {"kind": "quadratic", "A": [[2.0, -1.0], [-1.0, 2.0]],
                  "b": [-4e153, -4e153], "lambda": 0.0}
 
 
-# A 3x3 quadratic with an order-preserving A, as a person might write it:
-# integer tokens (-0 among them, which reads as +0.0), e and E exponents,
-# a token of more than 19 digits and one out of the exact reader's range,
-# tabs and CRLF line ends; L is estimated on load.
+# A 3x3 quadratic with an order-preserving A, as a person might write it,
+# with tabs and CRLF line ends. A, which the C reader reads, has integer
+# tokens (-0 among them, which reads as +0.0) and e and E exponents; b has
+# a token of more than 19 digits and one out of the C reader's exact
+# range, so json's scanner reads it. L is estimated on load.
 HANDWRITTEN = (b'{\r\n\t"kind": "quadratic",\r\n\t"A": [\r\n'
                b'\t\t[2, -0.5, -0],\r\n'
                b'\t\t[-5e-1,\t3E0, -1e-1],\r\n'
-               b'\t\t[0, -0.1, 4.000000000000000000000001]\r\n\t],\r\n'
-               b'\t"b": [1, -2.5E+0, 7.5e-31],\r\n'
+               b'\t\t[0, -0.1, 4.0E+0]\r\n\t],\r\n'
+               b'\t"b": [1.000000000000000000000001, -2.5E+0, 7.5e-31],\r\n'
                b'\t"lambda": 1e-1\r\n}\r\n')
 
 

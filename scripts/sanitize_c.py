@@ -17,7 +17,7 @@ nothing itself. A fault the sanitizers find aborts the child.
 The checks cover what nothing else checks, such as the sizing contract of
 render_floats' output buffer, which it writes fixed-width copies into up
 to 40 bytes past each value's text, and parse_floats' promise to read no
-byte past the end of its text, which reads eight digits at a time.
+byte past the end of its text.
 
 The exit status is 0 when the tests pass on the sanitized library: the
 cache then holds that library only, and load() has marked it used. It is

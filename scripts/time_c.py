@@ -19,12 +19,11 @@ from one repetition to the next:
 
 Both sources must have the working tree's ABI: ``qblock``, ``qray``,
 ``render_floats``, ``parse_floats`` and ``qaxpy`` with the same parameter
-lists, that is, ``qblock`` without a ``guard`` argument,
-``render_floats`` with a row length and a row separator and
-``parse_floats`` with a buffer for the declined tokens' texts. Each
-library is loaded by ``_qsweep._open``,
-with the prototypes the package declares. Without numpy's dgemv
-(_qsweep.dgemv() is None) the ``qblock`` cases are left out.
+lists, that is, ``qblock`` without a ``guard`` argument and
+``render_floats`` with a row length and a row separator. Each library is
+loaded by ``_qsweep._open``, with the prototypes the package declares.
+Without numpy's dgemv (_qsweep.dgemv() is None) the ``qblock`` cases are
+left out.
 
 First it prints which build of the sweep's row update each library runs
 on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin). Each line
@@ -107,12 +106,11 @@ class Library:
         return ctypes.string_at(out, size), holes[:1 + 2 * holes[0]]
 
     def parse(self, text: bytes, start: int):
-        """(end, info, values, declined texts) of parse_floats on the array at ``start``."""
+        """(end, info, values) of parse_floats on the array at ``start``."""
         cap = (len(text) - start) // 2 + 1
-        out, rest = np.empty(cap), ctypes.create_string_buffer(len(text) - start)
-        info = (ctypes.c_long * 4)()
-        end = self.lib.parse_floats(text, len(text), start, cap, out.ctypes.data, info, rest)
-        return end, info[:], out[:info[1] * max(info[2], 1)].tobytes(), rest.raw[:info[3]]
+        out, info = np.empty(cap), (ctypes.c_long * 3)()
+        end = self.lib.parse_floats(text, len(text), start, cap, out.ctypes.data, info)
+        return end, info[:], out[:info[1] * max(info[2], 1)].tobytes()
 
 
 class BlockCase:

@@ -20,9 +20,9 @@ and indentation as the separators. Text is yielded piece by piece, so a
 large document can be streamed to a file.
 
 loads() reads a JSON document as json.loads reads it, except that the
-number arrays under given keys of its top-level object are read by
-``parse_floats`` of the compiled library into float64 arrays, as
-np.array(value, dtype=float) would make them from json.loads' lists.
+number arrays under given keys of its top-level object that
+``parse_floats`` of the compiled library reads whole are float64 arrays,
+as np.array(value, dtype=float) would make them from json.loads' lists.
 """
 
 from __future__ import annotations
@@ -237,13 +237,13 @@ def loads(data: bytes, arrays):
     The document takes the fast path when it is ASCII and the compiled
     library can be had: json's scanner reads the object's keys and other
     values, and ``parse_floats`` those arrays, rounding each token by
-    exact integer arithmetic; the tokens it declines are read by
-    json.loads and np.array from a list of their texts. An array that
-    parse_floats declines as a whole, or that holds an integer too large
-    for a float, is left to json's scanner, so that np.array raises where
-    it does on json.loads' list. Any other document, and any that the fast
-    path cannot read, is read by json.loads itself, so that the same
-    exception is raised with the same message.
+    exact integer arithmetic. An array that parse_floats declines (one
+    with a token outside its exact range, such as an integer too large
+    for a float, or outside its grammar) is left to json's scanner as a
+    list, so that np.array reads it, or raises, as it does on json.loads'
+    list. Any other document, and any that the fast path cannot read, is
+    read by json.loads itself, so that the same exception is raised with
+    the same message.
     """
     from . import _qsweep  # imported, and built, only when numbers are read
 
@@ -279,7 +279,7 @@ def _object(data: bytes, arrays, lib) -> dict | None:
         if text[i:i + 1] != ":":
             return None
         i = _ws(text, i + 1).end()
-        read = (_numbers(lib, text, data, i) if key in arrays and text[i:i + 1] == "["
+        read = (_numbers(lib, data, i) if key in arrays and text[i:i + 1] == "["
                 else None)
         obj[key], i = read if read is not None else _scan(text, i)
         i = _ws(text, i).end()
@@ -295,28 +295,17 @@ def _scratch(size: int):
     return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
-def _numbers(lib, text: str, data: bytes, start: int):
+def _numbers(lib, data: bytes, start: int):
     """(array, end) of the number array at ``start``, or None."""
     # A value takes at least one byte and one separator: at most this many.
-    # The buffers are anonymous maps, of which only the pages written are
-    # ever resident; and unlike a malloc of their size, freeing them does
-    # not raise malloc's threshold for serving blocks from the heap.
+    # The buffer is an anonymous map, of which only the pages written are
+    # ever resident; and unlike a malloc of its size, freeing it does not
+    # raise malloc's threshold for serving blocks from the heap.
     cap = (len(data) - start) // 2 + 1
     out = np.frombuffer(_scratch(8 * cap), dtype=np.float64)
-    rest = np.frombuffer(_scratch(len(data) - start), dtype=np.uint8)
-    info = (ctypes.c_long * 4)()
-    end = lib.parse_floats(data, len(data), start, cap, out.ctypes.data, info, rest.ctypes.data)
+    info = (ctypes.c_long * 3)()
+    end = lib.parse_floats(data, len(data), start, cap, out.ctypes.data, info)
     if end < 0:
         return None
     shape = tuple(info[1:1 + info[0]])
-    block = out[:math.prod(shape)]
-    if info[3]:
-        # The declined tokens, read as json.loads and np.array read them.
-        # An array with an int too large for a float (or past int's digit
-        # limit) is left to json's scanner, for np.array to raise on later.
-        declined = b"[" + rest[:info[3] - 1].tobytes() + b"]"
-        try:
-            block[np.isnan(block)] = np.array(json.loads(declined), dtype=float)
-        except (OverflowError, ValueError):
-            return None
-    return block.reshape(shape), end
+    return out[:math.prod(shape)].reshape(shape), end

@@ -501,7 +501,7 @@ long render_floats(long n, const double *v, int repr, const char *sep, long nsep
  * (2^62, 2^64), taken with a sticky bit for a nonzero remainder, 9 or more
  * bits below the rounding bit. Either is rounded once to the nearest
  * double, ties to even. Zero needs no arithmetic. Every other token is
- * declined. */
+ * declined, and with it the whole array. */
 
 /* The leading zero bits of m > 0. */
 static int clz128(u128 m)
@@ -543,44 +543,10 @@ static inline int is_digit(char c)
     return (unsigned char)(c - '0') < 10;
 }
 
-/* The 8 bytes at s as a word whose low byte is s[0]. */
-static inline uint64_t load8(const char *s)
-{
-    uint64_t w;
-    memcpy(&w, s, sizeof w);
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    w = __builtin_bswap64(w);
-#endif
-    return w;
-}
-
-/* Whether every byte of w is an ASCII digit: its high nibble is 3, and
- * still 3 after adding 6 (no byte carries, its high nibble being 3). */
-static inline int eight_digits(uint64_t w)
-{
-    const uint64_t high = 0xF0F0F0F0F0F0F0F0ULL, threes = 0x3030303030303030ULL;
-    return (w & high) == threes && ((w + 0x0606060606060606ULL) & high) == threes;
-}
-
-/* The value of the 8 digits of w, s[0] the most significant: pairs, then
- * quads, then the halves, each lane small enough that nothing carries
- * into the next lane. */
-static inline uint64_t eight_value(uint64_t w)
-{
-    w -= 0x3030303030303030ULL;
-    w = (w * 10 + (w >> 8)) & 0x00FF00FF00FF00FFULL;
-    w = (w * 100 + (w >> 16)) & 0x0000FFFF0000FFFFULL;
-    return (w * 10000 + (w >> 32)) & 0xFFFFFFFFULL;
-}
-
-/* Append the digits at s[i..len) to *c (modulo 2^64), eight at a time
- * while eight are left, and return their end. */
+/* Append the digits at s[i..len) to *c (modulo 2^64) and return their
+ * end. */
 static inline long read_digits(const char *s, long len, long i, uint64_t *c)
 {
-    while (len - i >= 8 && eight_digits(load8(s + i))) {
-        *c = *c * 100000000 + eight_value(load8(s + i));
-        i += 8;
-    }
     for (; i < len && is_digit(s[i]); i++)
         *c = 10 * *c + (uint64_t)(s[i] - '0');
     return i;
@@ -594,11 +560,11 @@ static inline long skip_ws(const char *s, long len, long i)
 }
 
 /* Read the JSON number token at s[i..len) into *v and return its end, or
- * -1 where none starts at i. An integer token (no fraction, no exponent)
- * is read as Python's float(int(token)), so -0 gives +0.0, any other as
- * float(token). *left is set, and *v left alone, for a token with more
- * than 19 significant digits or an exponent q outside [-27, 27]. */
-static inline long read_number(const char *s, long len, long i, double *v, int *left)
+ * -1 where none starts at i or it has more than 19 significant digits or
+ * an exponent q outside [-27, 27]. An integer token (no fraction, no
+ * exponent) is read as Python's float(int(token)), so -0 gives +0.0, any
+ * other as float(token). */
+static inline long read_number(const char *s, long len, long i, double *v)
 {
     int neg = i < len && s[i] == '-';
     i += neg;
@@ -640,11 +606,10 @@ static inline long read_number(const char *s, long len, long i, double *v, int *
             return -1;
         q += eneg ? -x : x;
     }
-    *left = 0;
     if (digits == 0) {
         *v = neg && !integer ? -0.0 : 0.0;
     } else if (digits > 19 || q < -27 || q > 27) {
-        *left = 1;
+        return -1;
     } else if (q >= 0) {
         *v = round_double((u128)c * POW5[q], (int)q, neg);
     } else {
@@ -660,11 +625,8 @@ static inline long read_number(const char *s, long len, long i, double *v, int *
 }
 
 /* Read the list of numbers "[" ws (number ws ("," ws number ws)*)? "]" at
- * s[i..len) into out[*n..cap), advancing *n, and return its end, or -1;
- * a declined token is written as a NaN and its text, with a comma, at
- * rest + *nrest, advancing *nrest. */
-static inline long read_row(const char *s, long len, long i, long cap, double *out, long *n,
-                            char *rest, long *nrest)
+ * s[i..len) into out[*n..cap), advancing *n, and return its end, or -1. */
+static inline long read_row(const char *s, long len, long i, long cap, double *out, long *n)
 {
     if (i >= len || s[i] != '[')
         return -1;
@@ -672,16 +634,8 @@ static inline long read_row(const char *s, long len, long i, long cap, double *o
     if (i < len && s[i] == ']')
         return i + 1;
     for (long k = *n;; k++) {
-        long token = i;
-        int left;
-        if (k == cap || (i = read_number(s, len, i, out + k, &left)) < 0)
+        if (k == cap || (i = read_number(s, len, i, out + k)) < 0)
             return -1;
-        if (left) {
-            out[k] = __builtin_nan("");
-            memcpy(rest + *nrest, s + token, i - token);
-            *nrest += i - token;
-            rest[(*nrest)++] = ',';
-        }
         i = skip_ws(s, len, i);
         if (i < len && s[i] == ',') {
             i = skip_ws(s, len, i + 1);
@@ -698,20 +652,16 @@ static inline long read_row(const char *s, long len, long i, long cap, double *o
  * numbers of one length, into out (at most cap values, in C order) and
  * return the offset just past it, or -1 for an array outside this grammar
  * (any other value, nesting deeper than 2, rows of unequal lengths, a
- * syntax error) or of more than cap values. info gets (1, n, 0, r) or
- * (2, rows, cols, r). Each declined token is written as a NaN (no token
- * read gives one) and its text, each followed by a comma, at rest, r bytes
- * in all: at most len - start, as each token is followed by a byte in s.
- * No byte at or past s[len] is read. */
-long parse_floats(const char *s, long len, long start, long cap, double *out, long *info,
-                  char *rest)
+ * syntax error), of more than cap values, or with a token read_number
+ * declines. info gets (1, n, 0) or (2, rows, cols). No byte at or past
+ * s[len] is read. */
+long parse_floats(const char *s, long len, long start, long cap, double *out, long *info)
 {
     long n = 0, i = skip_ws(s, len, start + 1);
-    info[3] = 0;
     if (start >= len || s[start] != '[')
         return -1;
     if (i >= len || s[i] != '[') {  /* numbers, or none */
-        i = read_row(s, len, start, cap, out, &n, rest, info + 3);
+        i = read_row(s, len, start, cap, out, &n);
         info[0] = 1;
         info[1] = n;
         info[2] = 0;
@@ -719,7 +669,7 @@ long parse_floats(const char *s, long len, long start, long cap, double *out, lo
     }
     for (long rows = 1, cols = 0;; rows++) {  /* rows of numbers */
         long n0 = n;
-        i = read_row(s, len, i, cap, out, &n, rest, info + 3);
+        i = read_row(s, len, i, cap, out, &n);
         if (i < 0 || (rows > 1 && n - n0 != cols))
             return -1;
         cols = n - n0;

@@ -177,7 +177,7 @@ def _open(path: Path | None):
                                   ctypes.c_void_p, ctypes.c_void_p)
     lib.render_floats.restype = ctypes.c_long
     lib.parse_floats.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+                                 ctypes.c_void_p, ctypes.c_void_p)
     lib.parse_floats.restype = ctypes.c_long
     lib.qaxpy.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
                           ctypes.c_void_p)
@@ -191,7 +191,7 @@ def load():
     ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1)``,
     ``qray(d, nt, ts, u, a, b, lam, tol, sign)``,
     ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``,
-    ``parse_floats(text, len, start, cap, out, info, rest)``
+    ``parse_floats(text, len, start, cap, out, info)``
     and ``qaxpy(variant, d, delta, row, state)``, or None.
 
     Looks up the cache first and compiles on a miss; without a ``cc`` on

@@ -2,7 +2,8 @@
 
 load_problem reads a problem file's data arrays with _jsonlayout.loads:
 parse_floats of the compiled library rounds each number token by exact
-integer arithmetic, and Python reads the tokens it declines. Every array
+integer arithmetic, and json's scanner reads each array that it declines,
+for a token outside its exact range or its grammar. Every array
 must load to the bits np.array(value, dtype=float) gives of json.loads'
 list, and every document that json.loads or problem_from_dict rejects must
 raise the same exception with the same message, with the library and
@@ -66,15 +67,24 @@ def same_bits(got, expected):
 
 
 def c_parse(lib, data, start=0, length=None, buffer=None):
-    """(end, info, values, declined texts) of parse_floats on data[:length],
-    read from ``buffer`` (by default the bytes object itself)."""
+    """(end, info, values) of parse_floats on data[:length], read from
+    ``buffer`` (by default the bytes object itself)."""
     length = len(data) if length is None else length
     cap = (length - start) // 2 + 1
-    out, rest = np.empty(cap), ctypes.create_string_buffer(length - start)
-    info = (ctypes.c_long * 4)()
+    out, info = np.empty(cap), (ctypes.c_long * 3)()
     end = lib.parse_floats(data if buffer is None else buffer, length, start, cap,
-                           out.ctypes.data, info, rest)
-    return end, list(info), out, rest.raw[:info[3]]
+                           out.ctypes.data, info)
+    return end, list(info), out
+
+
+def in_exact_range(token):
+    """Whether parse_floats rounds ``token`` itself: zero, or c 10^q with
+    at most 19 significant digits in c and q in [-27, 27]."""
+    mantissa, _, exponent = token.lower().partition("e")
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits = (whole + fraction).lstrip("0")
+    q = int(exponent or 0) - len(fraction)
+    return not digits or (len(digits) <= 19 and -27 <= q <= 27)
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +93,31 @@ def c_parse(lib, data, start=0, length=None, buffer=None):
 
 @functools.cache
 def rendered(family):
-    """The finite values of a family of test_render.py and their text."""
+    """The finite values of a family of test_render.py, their text, and
+    those of them whose tokens parse_floats rounds itself."""
     values = FAMILIES[family]
     values = values[np.isfinite(values)]
     if family != "random bits":  # whose signs are random already
         values = np.concatenate([values, -values])
-    return values, document("[" + render(values, "json", ", ") + "]")
+    tokens = render(values, "json", ",").split(",")
+    exact = values[[in_exact_range(t) for t in tokens]]
+    return values, document("[" + render(values, "json", ", ") + "]"), exact
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_reading_rendered_values_gives_them_back_bit_for_bit(reader, family):
-    values, text = rendered(family)
-    got = read(text)
+    values, text, exact = rendered(family)
+    assert same_bits(read(text), values)
+    # Those in the exact range, which parse_floats reads as one array.
+    assert exact.size > 0
+    got = read(document("[" + render(exact, "json", ", ") + "]"))
     assert isinstance(got, np.ndarray) == (reader == "compiled")
-    assert same_bits(got, values)
-    # Values as rows, in the layout that save_problem writes.
-    rows = np.resize(values[:7000], (1000, 7))
-    text = "".join(_jsonlayout.json_value({"v": rows}))
-    assert same_bits(read(text), rows)
+    assert same_bits(got, exact)
+    # As rows, in the layout that save_problem writes.
+    rows = np.resize(exact[:7000], (1000, 7))
+    got = read("".join(_jsonlayout.json_value({"v": rows})))
+    assert isinstance(got, np.ndarray) == (reader == "compiled")
+    assert same_bits(got, rows)
 
 
 def midpoints(seed=7):
@@ -146,8 +163,8 @@ def test_midpoints_of_at_most_19_digits_are_rounded_in_c(lib):
                                                   .replace(".", "").lstrip("0")) <= 19]
     assert len(short) > 1000
     data = ("[" + ",".join(short) + "]").encode()
-    end, info, _, _ = c_parse(lib, data)
-    assert end == len(data) and info == [1, len(short), 0, 0]
+    end, info, _ = c_parse(lib, data)
+    assert end == len(data) and info == [1, len(short), 0]
 
 
 @pytest.mark.parametrize("token, expected", [
@@ -258,27 +275,39 @@ def test_a_buffer_that_ends_right_after_a_digit_is_not_read_past(lib):
     # Each prefix of the array ends inside it: nothing is read at or past
     # its end, where the bytes that would complete it lie; the buffers of
     # more than 16 bytes are allocated at their length, which ASan checks.
-    full = b"[-0.12345678901234567e-5, 123456789012, 7, 1e-99]"
+    full = b"[-0.12345678901234567e-5, 123456789012, 7, 1e-9]"
     for length in range(1, len(full)):
         buffer = ctypes.create_string_buffer(full[:length], length)
         assert c_parse(lib, full[:length], buffer=buffer)[0] == -1, full[:length]
         assert c_parse(lib, full, length=length)[0] == -1, full[:length]
     buffer = ctypes.create_string_buffer(full, len(full))
-    end, info, values, rest = c_parse(lib, full, buffer=buffer)
-    assert end == len(full) and info == [1, 4, 0, 6] and rest == b"1e-99,"
-    assert values[:3].tolist() == [-0.12345678901234567e-5, 123456789012.0, 7.0]
+    end, info, values = c_parse(lib, full, buffer=buffer)
+    assert end == len(full) and info == [1, 4, 0]
+    assert values[:4].tolist() == [-0.12345678901234567e-5, 123456789012.0, 7.0, 1e-9]
     # A value in the middle of the text, from its offset.
-    end, info, values, _ = c_parse(lib, b'{"v": [1.5,  2]}', start=6)
-    assert end == 15 and info == [1, 2, 0, 0] and values[:2].tolist() == [1.5, 2.0]
+    end, info, values = c_parse(lib, b'{"v": [1.5,  2]}', start=6)
+    assert end == 15 and info == [1, 2, 0] and values[:2].tolist() == [1.5, 2.0]
 
 
-def test_declined_tokens_are_nans_and_their_texts_follow_in_order(lib):
-    data = b"[[1e-30, 0.5], [2, 12345678901234567890]]"
-    end, info, values, rest = c_parse(lib, data)
-    assert end == len(data) and info == [2, 2, 2, len(rest)]
-    assert np.isnan(values[[0, 3]]).all() and values[[1, 2]].tolist() == [0.5, 2.0]
-    assert rest == b"1e-30,12345678901234567890,"
-    assert same_bits(read(document(data.decode())), want(document(data.decode())))
+@pytest.mark.parametrize("token, inside", [
+    ("1e27", True), ("1e-27", True), ("1234567890123456789e-27", True),
+    ("-9999999999999999999E+27", True), ("0.000000000000000000000000001", True),
+    ("0e-400", True), ("1e28", False), ("1e-28", False), ("0.0000000000000000000000000001", False),
+    ("12345678901234567890", False), ("1.0000000000000000000", False), ("1e400", False),
+])
+def test_an_array_with_a_token_outside_the_exact_range_is_left_whole_to_json(
+        lib, token, inside):
+    assert in_exact_range(token) == inside
+    data = f"[[{token}, 0.5], [2, 3]]".encode()
+    end, info, values = c_parse(lib, data)
+    text = document(data.decode())
+    got = read(text)
+    assert same_bits(got, want(text))
+    if inside:
+        assert end == len(data) and info == [2, 2, 2] and isinstance(got, np.ndarray)
+        assert same_bits(values[:4].reshape(2, 2), want(text))
+    else:
+        assert end == -1 and isinstance(got, list)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +400,8 @@ def test_compiled_reader_is_in_use_when_a_compiler_is_found(tmp_path, monkeypatc
         raise AssertionError("json.loads read the document")
 
     monkeypatch.setattr(_jsonlayout.json, "loads", fail)
+    data = loads((tmp_path / "p.json").read_bytes(), _DATA_FIELDS)
+    assert isinstance(data["X"], np.ndarray) and isinstance(data["Y"], np.ndarray)
     back = load_problem(tmp_path / "p.json")
     assert back.smooth.X.tobytes() == p.smooth.X.tobytes()
     assert back.smooth.Y.tobytes() == p.smooth.Y.tobytes()
