@@ -46,6 +46,15 @@ COMMANDS = (
                   "--iters", "20", "--start", "sub", "--seed", "6", "--prefix", "d300_"]),
     ("run_logistic", ["run", "--problem", "logistic.json", "--alg", "all", "--iters", "50",
                       "--prefix", "logistic_"]),
+    # The start search's numpy ladder on a loss without an affine gradient,
+    # one grad per rung: no ray or fallback gives the supersolution, so
+    # super exits 2; sub finds a start and writes three traces.
+    ("run_logistic_super", ["run", "--problem", "logistic.json", "--alg", "all",
+                            "--iters", "20", "--start", "super", "--seed", "3",
+                            "--prefix", "logistic_super_"]),
+    ("run_logistic_sub", ["run", "--problem", "logistic.json", "--alg", "all",
+                          "--iters", "20", "--start", "sub", "--seed", "3",
+                          "--prefix", "logistic_sub_"]),
     # A stop rule makes run() measure each iterate as it is made, not all
     # of them after the loop.
     ("run_d10_stop", ["run", "--problem", "zmat10.json", "--alg", "all", "--record-inner",

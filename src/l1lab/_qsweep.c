@@ -199,13 +199,15 @@ void qblock(dgemv_fn dgemv, long d, const double *A, const double *b, const doub
 /* The first of the rungs ts[0..nt) at which the point x = t u of a
  * quadratic classifies as a supersolution (sign = 1) or a subsolution
  * (sign = -1), or -1 when none does; a = A u. The gradient at x is
- * g = t a + b, as ray_grads forms it for a power of two t, and the slack
- * of each coordinate is operators._classification_slack with tau = 1
- * (dividing by 1 is exact, so it is left out): g + lam where x - g > lam,
- * g - lam where x - g < -lam, else x. As in operators._kind_codes, a rung
- * is of the wanted kind when every sign * s >= -tol and some sign * s > tol
- * (every |s| <= tol is EXACT); a NaN fails the first test, so its rung is
- * NEITHER. A rung is left at its first coordinate that fails that test. */
+ * g = t a + b, bitwise A x + b when t is a power of two: scaling by one is
+ * exact (short of overflow and subnormals) in every product and partial
+ * sum. The slack of each coordinate is operators._classification_slack
+ * with tau = 1 (dividing by 1 is exact, so it is left out): g + lam where
+ * x - g > lam, g - lam where x - g < -lam, else x. As in
+ * operators._kind_codes, a rung is of the wanted kind when every
+ * sign * s >= -tol and some sign * s > tol (every |s| <= tol is EXACT); a
+ * NaN fails the first test, so its rung is NEITHER. A rung is left at its
+ * first coordinate that fails that test. */
 long qray(long d, long nt, const double *ts, const double *u, const double *a,
           const double *b, double lam, double tol, double sign)
 {

@@ -59,8 +59,9 @@ def _build_parser():
     runp.add_argument("--problem")
     runp.add_argument("--alg", choices=("gd", "ccd", "ccm", "all"), default="all")
     runp.add_argument("--iters", type=int, default=100)
-    runp.add_argument("--start", choices=("zero", "super", "sub"), default="zero")
-    runp.add_argument("--x0", help="comma-separated start vector")
+    runp.add_argument("--start", choices=("zero", "super", "sub"),
+                      help="zero (the default), or a super- or subsolution found from --seed")
+    runp.add_argument("--x0", help="comma-separated start vector, instead of --start")
     runp.add_argument("--seed", type=int, default=0, help="seed for the start search")
     runp.add_argument("--stop-residual", type=float, default=0.0)
     runp.add_argument("--record-inner", action="store_true")
@@ -166,9 +167,11 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     if args.problem is None:
         raise PreconditionError("run needs --problem")
+    if args.x0 is not None and args.start is not None:
+        raise PreconditionError("run takes --x0 or --start, not both")
     p = load_problem(args.problem)
     x0 = (_parse_point(args.x0, p.dim) if args.x0 is not None
-          else _start(p, args.start, args.seed))
+          else _start(p, args.start or "zero", args.seed))
     cfg = SolverConfig(max_outer_iters=args.iters, stop_residual=args.stop_residual,
                        record_inner=args.record_inner, record_tau=True)
     out_dir = Path(args.out_dir)

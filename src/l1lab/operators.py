@@ -143,12 +143,6 @@ def kind_codes(p: ProblemSpec, points, grads, tol) -> np.ndarray:
     return _kind_codes(_classification_slack(points, grads, p.lam, 1.0), tol)
 
 
-def classify_rows(p: ProblemSpec, points, grads, tol) -> list:
-    """Kind of each row of ``points``, from its gradient in the same row of
-    ``grads``: kind_codes as Kind members."""
-    return [KIND_BY_CODE[c] for c in kind_codes(p, points, grads, tol).tolist()]
-
-
 def classify_point(p: ProblemSpec, x, tol: float = _DEFAULT_CLASS_TOL) -> Classification:
     """Classify x as super/subsolution, exact minimizer, or neither."""
     check_scalar_tolerance(tol)
@@ -190,7 +184,7 @@ def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLAS
     if np.any(taus <= 0.0):
         raise ValueError("every tau must be positive")
     g = p.smooth.grad(x)
-    if classify_rows(p, x[None], g[None], tol)[0] is Kind.NEITHER:
+    if kind_codes(p, x[None], g[None], tol)[0] == KIND_BY_CODE.index(Kind.NEITHER):
         raise PreconditionError(
             "shrink_tau_curve requires a super- or subsolution; point classifies as neither"
         )

@@ -118,10 +118,6 @@ class SmoothLoss:
 
     kind = None
 
-    def ray_grads(self, u, ts):
-        """Gradients along a ray: row i is bitwise grad(ts[i] * u)."""
-        return np.array([self.grad(t * u) for t in ts])
-
     def exact_steps(self):
         """Closed-form ccm curvature of each coordinate; None: a 1-D solve.
         Raises Assumption2Error where a coordinate has no ccm step."""
@@ -226,12 +222,6 @@ class QuadraticForm(SmoothLoss):
 
     def affine_gradient(self):
         return self.A, self.b
-
-    def ray_grads(self, u, ts):
-        # A @ (t * u) == t * (A @ u) bitwise when every t is a power of two:
-        # scaling by one is exact (short of overflow and subnormals), so every
-        # product and partial sum of A @ (t * u) is t times that of A @ u.
-        return np.multiply.outer(ts, self.A @ u) + self.b
 
     def lipschitz_matrix(self):
         return self.A

@@ -32,7 +32,6 @@ from .operators import (
     check_isotonicity_sampled,
     check_scalar_tolerance,
     classify_point,
-    classify_rows,
     kind_codes,
     optimality_residual,
     prox_gradient_image,
@@ -54,7 +53,10 @@ def _inf_norm(v):
 # Classified starting points
 # ---------------------------------------------------------------------------
 
-# Powers of two, so that a quadratic's ray_grads is bitwise grad(t * u).
+# Powers of two, so that for an affine gradient A x + b each rung's
+# t (A u) + b is bitwise grad(t u): scaling by a power of two is exact (short
+# of overflow and subnormals), so every product and partial sum of A (t u)
+# is t times that of A u.
 _LADDER = np.array([2.0 ** i for i in range(41)])
 
 
@@ -68,34 +70,34 @@ def _search_start(p, seed, want, tol):
         )
     d = p.dim
     sign = 1.0 if want is Kind.SUPERSOLUTION else -1.0
+    code = KIND_BY_CODE.index(want)
     u = np.empty(d)  # the direction of the ray under test
+    a = np.empty(d)  # its product A u, when the gradient is affine
+    affine = p.smooth.affine_gradient()
     compiled = compiled_affine(p)
-    if compiled is None:
-        def first_hit():
-            # Every rung of the ray t * u at once, from one ray_grads; the first
-            # rung of the wanted kind wins, as in a rung-by-rung search. On
-            # both paths the ladder warns nothing where its top rungs
-            # overflow: a candidate warns only in classify_point's confirmation.
-            with np.errstate(over="ignore", invalid="ignore"):
-                points = np.multiply.outer(_LADDER, u)
-                kinds = classify_rows(p, points, p.smooth.ray_grads(u, _LADDER), tol)
-            for x, kind in zip(points, kinds):
-                if kind is want:
-                    return x.copy()
-            return None
-    else:
-        # The same rungs in order in C, each left at its first coordinate
-        # of the wrong kind, from the product a = A u.
-        lib, A, b = compiled
-        a = np.empty(d)
+    if compiled is not None:
+        lib, _, b = compiled
         ray = partial(lib.qray, d, len(_LADDER), _LADDER.ctypes.data, u.ctypes.data,
                       a.ctypes.data, b.ctypes.data, p.lam, float(tol), sign)
 
-        def first_hit():
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(A, u, out=a)
-            r = ray()
-            return None if r < 0 else _LADDER[r] * u
+    def first_hit():
+        # The first rung of the ray t * u of the wanted kind: in C, the rungs
+        # in order, each left at its first coordinate of the wrong kind;
+        # otherwise every rung at once, the first of the wanted code winning.
+        # The ladder warns nothing where its top rungs overflow: a candidate
+        # warns only in classify_point's confirmation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if affine is not None:
+                np.matmul(affine[0], u, out=a)
+            if compiled is not None:
+                r = ray()
+            else:
+                grads = (np.multiply.outer(_LADDER, a) + affine[1] if affine is not None
+                         else [p.smooth.grad(t * u) for t in _LADDER])
+                hits = np.flatnonzero(
+                    kind_codes(p, np.multiply.outer(_LADDER, u), grads, tol) == code)
+                r = hits[0] if hits.size else -1
+        return None if r < 0 else _LADDER[r] * u
 
     def candidates():
         # The first hit of the all-ones ray, of each seeded ray, then the fallback.

@@ -209,6 +209,43 @@ def test_verify_given_both_a_problem_and_a_dim_exits_2_and_writes_nothing(
         assert list(work.iterdir()) == [], name
 
 
+@pytest.mark.parametrize("form", ["flags", "config", "config_and_flag"])
+def test_run_given_both_an_x0_and_a_start_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, form):
+    # Either one names the start; given both, run would start from --x0 and
+    # drop --start with its start search.
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(3, seed=4), prob)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "cfg.json"
+    both = {"x0": "1,1,1", "start": "super"}
+    cases = {"flags": [({}, both)], "config": [(both, {})],
+             "config_and_flag": [({"x0": "1,1,1"}, {"start": "super"}),
+                                 ({"start": "super"}, {"x0": "1,1,1"})]}[form]
+    for in_config, as_flags in cases:
+        cfg.write_text(json.dumps({"problem": str(prob), **in_config}))
+        flags = [text for name, value in as_flags.items() for text in ("--" + name, value)]
+        assert main(["run", "--config", str(cfg), "--alg", "gd", "--iters", "3",
+                     "--seed", "4", *flags]) == 2, in_config
+        out, err = capsys.readouterr()
+        assert not out and "--x0 or --start, not both" in err, in_config
+        assert list(work.iterdir()) == [], in_config
+
+
+def test_run_start_defaults_to_zero(tmp_path):
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(3, seed=4), prob)
+    for name, start in (("default", []), ("zero", ["--start", "zero"])):
+        out = tmp_path / name
+        assert main(["run", "--problem", str(prob), "--alg", "gd", "--iters", "3",
+                     "--out-dir", str(out), *start]) == 0
+    assert (tmp_path / "default" / "trace_gd.csv").read_bytes() == \
+        (tmp_path / "zero" / "trace_gd.csv").read_bytes()
+    assert read_csv_column(tmp_path / "zero" / "trace_gd.csv", "x_1")[0] == 0.0
+
+
 def test_verify_summary_deterministic(tmp_path):
     outs = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
     for out in outs:

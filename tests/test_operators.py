@@ -20,7 +20,7 @@ from l1lab import (
     shrink_tau_curve,
     vector_shrink,
 )
-from l1lab.operators import classify_rows, prox_gradient_image
+from l1lab.operators import KIND_BY_CODE, kind_codes, prox_gradient_image
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -148,7 +148,12 @@ def reference_kind(slack, tol):
     return Kind.NEITHER
 
 
-def test_classify_rows_matches_classify_point_row_by_row():
+def kinds_of(p, points, grads, tol):
+    """kind_codes of each row as Kind members."""
+    return [KIND_BY_CODE[c] for c in kind_codes(p, points, grads, tol).tolist()]
+
+
+def test_kind_codes_match_classify_point_row_by_row():
     rng = np.random.default_rng(7)
     seen = set()
     for seed in range(12):
@@ -160,15 +165,15 @@ def test_classify_rows_matches_classify_point_row_by_row():
                        + [rng.standard_normal(d) for _ in range(6)])
         grads = np.array([f_grad(p, x) for x in pts])
         tols = rng.choice([0.0, 1e-10, 1e-3, 0.1, 1.0, 10.0], size=len(pts))
-        kinds = classify_rows(p, pts, grads, tols)
+        kinds = kinds_of(p, pts, grads, tols)
         assert kinds == [classify_point(p, x, t).kind for x, t in zip(pts, tols)]
-        assert classify_rows(p, pts, grads, 1e-3) == [
+        assert kinds_of(p, pts, grads, 1e-3) == [
             classify_point(p, x, 1e-3).kind for x in pts]
         seen.update(kinds)
     assert seen == set(Kind)
 
 
-def test_classify_rows_on_the_tolerance_boundary():
+def test_kind_codes_on_the_tolerance_boundary():
     # With lam = 10 and grad f(x) = x, every |x_j| <= 1 lies in the flat
     # part of the shrinkage, so the slack is x itself, bit for bit.
     p = quadratic_problem(np.eye(3), np.zeros(3), lam=10.0, lipschitz=1.0)
@@ -185,12 +190,12 @@ def test_classify_rows_on_the_tolerance_boundary():
     pts = np.array(rows)
     tols = np.array(tols)
     assert [classify_point(p, x, t).kind for x, t in zip(pts, tols)] == want
-    assert classify_rows(p, pts, pts, tols) == want
+    assert kinds_of(p, pts, pts, tols) == want
     # Each row's own tolerance decides: shifting them by one row changes kinds.
-    assert classify_rows(p, pts, pts, np.roll(tols, 4)) != want
+    assert kinds_of(p, pts, pts, np.roll(tols, 4)) != want
 
 
-def test_classify_rows_nan_slack_is_neither():
+def test_kind_codes_nan_slack_is_neither():
     p = quadratic_problem(np.eye(3), np.zeros(3), lam=10.0, lipschitz=1.0)
     nan = float("nan")
     # A NaN coordinate of x lands in the slack as NaN; a NaN gradient entry
@@ -200,17 +205,17 @@ def test_classify_rows_nan_slack_is_neither():
     grads = pts.copy()
     grads[3:, 1] = nan
     tols = np.array([1.0, 1.0, 1e-3, 1e-3, 1.0, 1e-3])
-    kinds = classify_rows(p, pts, grads, tols)
+    kinds = kinds_of(p, pts, grads, tols)
     assert kinds == [reference_kind(slack, t) for slack, t in zip(pts, tols)]
     assert kinds == [Kind.NEITHER] * 3 + [Kind.SUPERSOLUTION, Kind.EXACT, Kind.SUBSOLUTION]
 
 
-def test_classify_rows_rejects_mismatched_stacks():
+def test_kind_codes_rejects_mismatched_stacks():
     p = gen_zmatrix_quadratic(3, seed=1)
     with pytest.raises(DimensionMismatchError):
-        classify_rows(p, np.zeros((2, 3)), np.zeros((3, 3)), 1e-10)
+        kind_codes(p, np.zeros((2, 3)), np.zeros((3, 3)), 1e-10)
     with pytest.raises(DimensionMismatchError):
-        classify_rows(p, np.zeros((2, 4)), np.zeros((2, 4)), 1e-10)
+        kind_codes(p, np.zeros((2, 4)), np.zeros((2, 4)), 1e-10)
 
 
 def test_classify_point_rejects_nan_and_negative_tol(scalar_quad):
@@ -218,7 +223,7 @@ def test_classify_point_rejects_nan_and_negative_tol(scalar_quad):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             classify_point(scalar_quad, [1.0], tol)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
-            classify_rows(scalar_quad, [[1.0]], [[1.0]], [tol])
+            kind_codes(scalar_quad, [[1.0]], [[1.0]], [tol])
 
 
 def test_classify_scale_sweep_rejects_nan_and_negative_tol(scalar_quad):

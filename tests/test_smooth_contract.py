@@ -129,30 +129,6 @@ def test_estimate_lipschitz_bounds_gradient_difference_quotients(problem):
     assert 0.0 < worst <= L * (1.0 + 1e-12)
 
 
-def test_ray_grads_is_bitwise_grad_at_each_rung(problem):
-    # The start search's ladder: powers of two from 1 to 2**40.
-    smooth, ladder = problem.smooth, np.array([2.0 ** i for i in range(41)])
-    rays = points(problem, 10, seed=6) + [np.ones(problem.dim), -np.ones(problem.dim)]
-    for u in rays + [np.abs(u) for u in rays]:
-        rows = smooth.ray_grads(u, ladder)
-        assert rows.shape == (len(ladder), problem.dim)
-        for t, row in zip(ladder, rows):
-            assert row.tobytes() == smooth.grad(t * u).tobytes()
-
-
-@pytest.mark.parametrize("d", [33, 128, 500])
-def test_quadratic_ray_grads_is_bitwise_at_larger_dimensions(d):
-    # A @ (t * u) == t * (A @ u) must also hold for the blocked BLAS products
-    # of larger matrices.
-    smooth = gen_zmatrix_quadratic(d, seed=d).smooth
-    ladder = np.array([2.0 ** i for i in range(41)])
-    rng = np.random.default_rng(d)
-    for u in (rng.random(d), -rng.random(d), rng.standard_normal(d)):
-        rows = smooth.ray_grads(u, ladder)
-        for t, row in zip(ladder, rows):
-            assert row.tobytes() == smooth.grad(t * u).tobytes()
-
-
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 @pytest.mark.parametrize("d", [2, 33, 128, 500])
 def test_values_and_grads_rows_are_bitwise_value_and_grad(kind, d):
@@ -205,8 +181,7 @@ class DelegatingLoss(SmoothLoss):
         return self.inner.dim
 
 
-for _hook in ("value", "grad", "values_and_grads", "ray_grads",
-              "lipschitz_matrix", "sweep_state",
+for _hook in ("value", "grad", "values_and_grads", "lipschitz_matrix", "sweep_state",
               "coordinate_rows", "exact_steps", "affine_gradient", "isotonicity_certificate",
               "start_fallback", "active_set_solution"):
     setattr(DelegatingLoss, _hook,

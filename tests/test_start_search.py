@@ -1,7 +1,8 @@
 """The start search against a plain rung-by-rung reference.
 
-find_supersolution/find_subsolution classify the 41 rungs of a ray from
-one ray_grads and one batched classification (the numpy path), or, for a
+find_supersolution/find_subsolution classify the 41 rungs of a ray in one
+kind_codes call (the numpy path), with the gradients t (A u) + b from one
+product A u for a quadratic and one grad per rung otherwise; or, for a
 quadratic with the compiled library, in one qray call per ray that leaves
 each rung at its first coordinate of the wrong kind (the compiled path).
 The reference below is the search as it reads in its documentation: one
@@ -27,7 +28,7 @@ from l1lab import (
     quadratic_problem,
     verification,
 )
-from l1lab.operators import classify_rows
+from l1lab.operators import KIND_BY_CODE, kind_codes
 
 LADDER = [2.0 ** i for i in range(41)]
 DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -74,16 +75,16 @@ def small_logistic(seed):
 def searched(kernel, monkeypatch):
     """search(f, p, **kw): f(p, **kw), checking that it took the path under test.
 
-    The numpy path classifies each ray with classify_rows; the compiled
+    The numpy path classifies each ray with kind_codes; the compiled
     path, taken for quadratics only, never does.
     """
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return classify_rows(*args)
+        return kind_codes(*args)
 
-    monkeypatch.setattr(verification, "classify_rows", counted)
+    monkeypatch.setattr(verification, "kind_codes", counted)
 
     def search(f, p, **kw):
         calls.clear()
@@ -139,8 +140,8 @@ def test_start_search_matches_reference_at_large_d(searched, d):
 def test_start_search_paths_agree_where_the_ray_products_overflow(searched, monkeypatch):
     # c * 2^35 is finite and c * 2^36 overflows, so the top rungs of every ray
     # have t * (A u) = +-inf and an infinite gradient and slack. Both paths
-    # take t * (A u) + b, as ray_grads does; the rung-by-rung reference
-    # takes A (t u), whose infinite products sum to NaN, so it is not used.
+    # take t * (A u) + b; the rung-by-rung reference takes A (t u), whose
+    # infinite products sum to NaN, so it is not used.
     c = 1.6e308 / 2.0 ** 35
     problems = [quadratic_problem(c * np.array(A), b, lam=0.1) for A, b in (
         ([[2.0, -1.0], [-1.0, 2.0]], [-1.7e308, -1.7e308]),  # super at rung 36, g = inf
@@ -201,10 +202,10 @@ def test_start_search_paths_warn_alike_where_the_ray_products_overflow(monkeypat
 
 
 def test_qray_is_the_batched_classification_of_each_rung():
-    # qray on its own, against classify_rows of the rungs t * u with the
+    # qray on its own, against kind_codes of the rungs t * u with the
     # gradients t * a + b: random signs, zeros, infinities and NaNs in u, a
     # and b (which no finite quadratic makes), at several lam and tol. p is a
-    # stand-in with the dim and lam that classify_rows reads, as ProblemSpec
+    # stand-in with the dim and lam that kind_codes reads, as ProblemSpec
     # rejects the infinite lam that qray is still checked at.
     lib = _qsweep.load()
     if lib is None:
@@ -224,11 +225,29 @@ def test_qray_is_the_batched_classification_of_each_rung():
         with np.errstate(all="ignore"):
             points = np.multiply.outer(ts, u)
             grads = np.multiply.outer(ts, a) + b
-            kinds = classify_rows(p, points, grads, tol)
+            codes = kind_codes(p, points, grads, tol).tolist()
         for sign, want in ((1.0, Kind.SUPERSOLUTION), (-1.0, Kind.SUBSOLUTION)):
-            first = next((r for r, kind in enumerate(kinds) if kind is want), -1)
+            first = next((r for r, c in enumerate(codes) if KIND_BY_CODE[c] is want), -1)
             got = lib.qray(4, len(ts), ts.ctypes.data, u.ctypes.data, a.ctypes.data,
                            b.ctypes.data, lam, tol, sign)
             assert got == first, (trial, u, a, b, lam, tol, want)
             hits.add(first >= 0)
     assert hits == {True, False}
+
+
+@pytest.mark.parametrize("d", [5, 33, 128, 500])
+def test_affine_ladder_rows_are_bitwise_grad_at_each_rung(d):
+    # The numpy path's gradients along a ray: with a = A u formed once, the
+    # rows t a + b of every power-of-two rung t are bitwise grad(t u), also
+    # for the blocked BLAS products of larger matrices.
+    smooth = gen_zmatrix_quadratic(d, seed=d).smooth
+    A, b = smooth.affine_gradient()
+    ladder = verification._LADDER
+    assert ladder.tolist() == LADDER
+    rng = np.random.default_rng(d)
+    a = np.empty(d)
+    for u in (np.ones(d), -np.ones(d), rng.random(d), -rng.random(d), rng.standard_normal(d)):
+        np.matmul(A, u, out=a)
+        rows = np.multiply.outer(ladder, a) + b
+        for t, row in zip(ladder, rows):
+            assert row.tobytes() == smooth.grad(t * u).tobytes(), (d, t)
