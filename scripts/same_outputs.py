@@ -63,6 +63,11 @@ COMMANDS = (
     ("run_logistic_stop", ["run", "--problem", "logistic.json", "--alg", "all",
                            "--iters", "5000", "--stop-residual", "1e-8",
                            "--prefix", "logistic_stop_"]),
+    # ccm's inner iterates and tau log on a loss with a numerical 1-D solve,
+    # both derived from the iterates after the run.
+    ("run_logistic_ccm_inner", ["run", "--problem", "logistic.json", "--alg", "ccm",
+                                "--record-inner", "--stop-residual", "1e-8",
+                                "--prefix", "logistic_ccm_inner_"]),
     ("verify_d12_super", ["verify", "--dim", "12", "--seed", "3", "--iters", "100",
                           "--start", "super", "--report", "d12_super_report.json",
                           "--summary", "d12_super_summary.csv"]),
@@ -102,8 +107,8 @@ COMMANDS = (
                                 "--stop-residual", "1e-300", "--prefix", "diverging_ccd_stop_"]),
     # Iterates near 1e153, where |F| passes 1e307 and its rounding is larger
     # than any absolute descent tolerance: without a stop rule one compiled
-    # call makes each gd and ccd run (ccm keeps the numpy steps, as run
-    # records tau). Both commands exit 0 (descent=ok).
+    # call makes each run, and ccm's tau log sweeps its iterates again in
+    # numpy. Both commands exit 0 (descent=ok).
     ("run_overflow", ["run", "--problem", "overflow.json", "--alg", "all", "--iters", "150",
                       "--prefix", "overflow_"]),
     ("run_overflow_stop", ["run", "--problem", "overflow.json", "--alg", "all",

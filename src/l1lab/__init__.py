@@ -54,6 +54,8 @@ from .solvers import (
     SolverConfig,
     TauRecord,
     Trace,
+    ccm_tau_log,
+    inner_iterates,
     run,
     solve_1d_prox,
 )
@@ -88,6 +90,7 @@ __all__ = [
     "SolverConfig",
     "StartSearchError",
     "UnboundedBelowError",
+    "ccm_tau_log",
     "check_isotonicity_quadratic",
     "check_isotonicity_sampled",
     "check_objective_ordering",
@@ -99,6 +102,7 @@ __all__ = [
     "find_subsolution",
     "find_supersolution",
     "gen_zmatrix_quadratic",
+    "inner_iterates",
     "lasso_build",
     "load_problem",
     "load_xy_csv",

@@ -27,7 +27,7 @@ from .problems import (
     load_xy_csv,
     save_problem,
 )
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, ccm_tau_log, inner_iterates, run
 from .verification import find_subsolution, find_supersolution, run_comparison
 
 _DESCENT_TOL = 1e-12
@@ -133,8 +133,13 @@ def _config_defaults(command, path):
 
 
 def _parse_point(text, dim=None):
-    vals = [float(tok) for tok in str(text).split(",") if tok.strip()]
-    v = np.asarray(vals, dtype=float)
+    """The comma-separated numbers of ``text`` as a vector; every token must
+    be a number, so an empty one (``1,,2`` or ``1,2,``) is a precondition
+    failure, as is a count other than ``dim``."""
+    tokens = str(text).split(",")
+    if any(not tok.strip() for tok in tokens):
+        raise PreconditionError(f"point {text!r} has an empty coordinate")
+    v = np.asarray([float(tok) for tok in tokens], dtype=float)
     if dim is not None and v.shape[0] != dim:
         raise PreconditionError(f"point has {v.shape[0]} coordinates, expected {dim}")
     return v
@@ -172,13 +177,18 @@ def cmd_run(args) -> int:
     p = load_problem(args.problem)
     x0 = (_parse_point(args.x0, p.dim) if args.x0 is not None
           else _start(p, args.start or "zero", args.seed))
-    cfg = SolverConfig(max_outer_iters=args.iters, stop_residual=args.stop_residual,
-                       record_inner=args.record_inner, record_tau=True)
+    cfg = SolverConfig(max_outer_iters=args.iters, stop_residual=args.stop_residual)
     out_dir = Path(args.out_dir)
     algs = ("gd", "ccd", "ccm") if args.alg == "all" else (args.alg,)
     all_descent = True
     for name in algs:
         trace = run(name, p, x0, cfg)
+        # Both diagnostics are functions of the iterates; a ccm trace file
+        # always holds its tau log.
+        if args.record_inner and name != "gd":
+            trace.inner = inner_iterates(trace.iterates)
+        if name == "ccm":
+            trace.tau_log = ccm_tau_log(p, trace.iterates)
         out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a trace to write
         csv_path = out_dir / f"{args.prefix}{name}.csv"
         trace.write_csv(csv_path)

@@ -50,20 +50,15 @@ _FIRST_ROWS = 64
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer-loop budget, stopping rule, and within-sweep recording.
+    """Outer-loop budget and stopping rule.
 
     stop_residual is a sup-norm fixed-point residual threshold; the
     default 0 disables early stopping so exactly max_outer_iters
-    iterations run. record_inner keeps the within-sweep iterates of ccd
-    and ccm, derived from the iterates after the run ((d + 1) d floats
-    per sweep); record_tau keeps the TauRecord of every non-trivial ccm
-    update, which costs time per coordinate. Both are off by default.
+    iterations run.
     """
 
     max_outer_iters: int = 100
     stop_residual: float = 0.0
-    record_inner: bool = False
-    record_tau: bool = False
 
     def __post_init__(self):
         iters = self.max_outer_iters
@@ -94,14 +89,13 @@ class Trace:
     the first n rows of its iterate buffer; the writers also take a list
     of rows. f_values[k] is the full objective F at iterate k,
     residuals[k] the fixed-point residual.
-    ``inner`` optionally holds the within-sweep iterates of ccd and ccm:
-    run() gives an (n - 1, d + 1, d) array whose [k, j] is the point after
-    j coordinate steps of the sweep from iterate k ([k, 0] is iterate k,
-    [k, d] iterate k + 1). ``tau_log`` optionally holds the per-update
-    threshold diagnostics of ccm (see SolverConfig). ``gradients`` is an
-    (n, d) array whose row k is grad f at iterate k, bitwise f_grad's; it
-    is kept in memory for classifying the iterates and is not written to
-    files.
+    ``inner`` and ``tau_log`` are diagnostics that run() leaves None; a
+    caller derives them from the iterates and sets them before writing:
+    inner_iterates() gives the within-sweep iterates of ccd and ccm, and
+    ccm_tau_log() the per-update threshold records of ccm. ``gradients``
+    is an (n, d) array whose row k is grad f at iterate k, bitwise
+    f_grad's; it is kept in memory for classifying the iterates and is
+    not written to files.
     """
 
     algorithm: str
@@ -391,8 +385,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     Without one, the buffer holds all K + 1 rows from the start, gd steps by
     its own grad, and a block is measured each time _FIRST_ROWS rows are
     unmeasured and after the loop: the same numbers, and a diverging run
-    stops within _FIRST_ROWS steps of its first fault. The within-sweep
-    iterates of ccd and ccm are derived from the iterates after the loop.
+    stops within _FIRST_ROWS steps of its first fault.
 
     When compiled_step(p, alg) is not None, the iterations run in C, and
     each iterate's product A w is formed once, into row k of a product
@@ -403,17 +396,17 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     all are measured in one block after the loop and a fault is named as
     on the numpy path; a diverging run then makes all K rows before it
     raises. Buffer addresses are taken when a buffer is made, not per
-    call. Logistic data, ccm with record_tau and a run without the library
-    or numpy's dgemv keep the numpy steps and their schedule, with the
-    same bits. One kernel makes every row of a run.
+    call. Logistic data and a run without the library or numpy's dgemv
+    keep the numpy steps and their schedule, with the same bits. One
+    kernel makes every row of a run. The trace's inner and tau_log are
+    None; inner_iterates() and ccm_tau_log() derive them from its iterates.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
     cfg = cfg if cfg is not None else SolverConfig()
     K, stop, d = cfg.max_outer_iters, cfg.stop_residual, p.dim
-    tau_log = [] if cfg.record_tau and alg == "ccm" else None
-    step = None if tau_log is not None else compiled_step(p, alg)
+    step = compiled_step(p, alg)
     kernel = CoordinateKernel(p, alg) if step is None and alg != "gd" else None
     W = np.empty((K + 1 if stop == 0.0 else min(K + 1, _FIRST_ROWS), d))
     W[0] = as_vector(x0, d)
@@ -482,7 +475,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
             elif kernel is not None:
                 W[k] = W[k - 1]
                 try:
-                    kernel.sweep(W[k], k - 1, tau_log)
+                    kernel.sweep(W[k])
                 except L1LabError:
                     # A sweep from a non-finite iterate, or from one whose F
                     # or residual is not finite, may fail; its fault comes first.
@@ -495,19 +488,47 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
             k = last + 1
         measure(n)
 
-    inner = None
-    if cfg.record_inner and alg != "gd":
-        # Sweep k changes each coordinate once, in order: after j steps it is
-        # at iterate k + 1 on coordinates < j and at iterate k on the rest.
-        inner = np.where(np.tri(p.dim + 1, p.dim, -1, dtype=bool),
-                         W[1:n, None, :], W[:n - 1, None, :])
     G, F, R = map(np.concatenate, zip(*blocks))
     return Trace(
         algorithm=alg,
         iterates=W[:n],
         f_values=F.tolist(),
         residuals=R.tolist(),
-        inner=inner,
-        tau_log=tau_log,
         gradients=G,
     )
+
+
+def inner_iterates(iterates) -> np.ndarray:
+    """The within-sweep iterates of a ccd or ccm run with the given (n, d)
+    iterates: an (n - 1, d + 1, d) array whose [k, j] is the point after j
+    coordinate steps of the sweep from iterate k ([k, 0] is iterate k,
+    [k, d] iterate k + 1).
+
+    Sweep k changes each coordinate once, in order: after j steps it is at
+    iterate k + 1 on coordinates < j and at iterate k on the rest.
+    """
+    W = np.asarray(iterates, dtype=np.float64)
+    d = W.shape[1]
+    return np.where(np.tri(d + 1, d, -1, dtype=bool), W[1:, None, :], W[:-1, None, :])
+
+
+def ccm_tau_log(p: ProblemSpec, iterates) -> list:
+    """The TauRecords of a ccm run on p with the given iterates: sweep a
+    copy of each row k but the last with CoordinateKernel(p, "ccm"),
+    logging every non-trivial update with sweep index k.
+
+    A numpy sweep from row k gives row k + 1 bitwise, whichever kernel made
+    the rows, so the records are those of the run itself. Raises ValueError
+    when a sweep does not give the next row bitwise (the iterates are not
+    a ccm run on p, for example a ccd run's).
+    """
+    W = np.asarray(iterates, dtype=np.float64)
+    kernel = CoordinateKernel(p, "ccm")
+    taus = []
+    # As in run(), overflow shows up in the rows, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(len(W) - 1):
+            if kernel.sweep(W[k].copy(), k, taus).tobytes() != W[k + 1].tobytes():
+                raise ValueError(f"a ccm sweep from iterate {k} does not give iterate {k + 1}; "
+                                 "these are not the iterates of a ccm run on this problem")
+    return taus

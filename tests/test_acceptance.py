@@ -8,6 +8,7 @@ import pytest
 
 from l1lab import (
     Kind,
+    ccm_tau_log,
     classify_point,
     classify_scale_sweep,
     check_isotonicity_quadratic,
@@ -193,11 +194,8 @@ def test_acceptance_5_update_threshold_diagnostics(suite):
     for p, rep_super, rep_sub in suite:
         lam, L, A = p.lam, p.lipschitz, p.smooth.A
         for rep in (rep_super, rep_sub):
-            # The comparison keeps no records; the same ccm run, asked for them.
-            ccm = rep.traces["ccm"]
-            logged = run("ccm", p, ccm.iterates[0], SolverConfig(K_SUITE, record_tau=True))
-            ok = ok and logged.f_values == ccm.f_values
-            for rec in logged.tau_log:
+            # The comparison keeps no records; its ccm iterates give them.
+            for rec in ccm_tau_log(p, rep.traces["ccm"].iterates):
                 total += 1
                 ok = ok and 0.0 < rec.tau <= L * (1.0 + 1e-8)
                 ok = ok and abs(rec.tau - A[rec.j, rec.j]) <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 
 from l1lab import (
     SolverConfig,
+    ccm_tau_log,
     check_isotonicity_quadratic,
     find_supersolution,
     gen_zmatrix_quadratic,
@@ -112,8 +113,8 @@ def test_run_all_writes_three_descending_traces(tmp_path):
 
 
 def test_tau_log_is_recorded_only_when_asked_for(tmp_path):
-    # run() and run_comparison keep no TauRecords by default; `l1lab run`
-    # asks for them, so its ccm trace file still holds the log.
+    # run() and run_comparison keep no TauRecords; `l1lab run` derives them
+    # from its ccm iterates, so its ccm trace file still holds the log.
     prob = tmp_path / "prob.json"
     assert main(["gen", "--dim", "6", "--seed", "2", "--out", str(prob)]) == 0
     p = load_problem(prob)
@@ -125,7 +126,7 @@ def test_tau_log_is_recorded_only_when_asked_for(tmp_path):
                  "--start", "super", "--seed", "2", "--out-dir", str(tmp_path)])
     assert code == 0
     logged = json.loads((tmp_path / "trace_ccm.json").read_text())["tau_log"]
-    want = run("ccm", p, x0, SolverConfig(max_outer_iters=10, record_tau=True)).tau_log
+    want = ccm_tau_log(p, run("ccm", p, x0, SolverConfig(max_outer_iters=10)).iterates)
     assert want and logged == [dataclasses.asdict(t) for t in want]
 
 
@@ -232,6 +233,25 @@ def test_run_given_both_an_x0_and_a_start_exits_2_and_writes_nothing(
         out, err = capsys.readouterr()
         assert not out and "--x0 or --start, not both" in err, in_config
         assert list(work.iterdir()) == [], in_config
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,2,"])
+def test_a_point_with_an_empty_coordinate_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, text):
+    # Every comma-separated token is a coordinate: an empty one was once
+    # dropped, so on a 2-d problem "1,,2" was read as (1, 2).
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(2, seed=4), prob)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for args in (["classify", "--problem", str(prob), "--point", text],
+                 ["run", "--problem", str(prob), "--alg", "gd", "--iters", "3",
+                  "--x0", text]):
+        assert main(args) == 2, args
+        out, err = capsys.readouterr()
+        assert not out and "empty coordinate" in err, args
+        assert list(work.iterdir()) == [], args
 
 
 def test_run_start_defaults_to_zero(tmp_path):

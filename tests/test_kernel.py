@@ -8,6 +8,7 @@ and minimize logistic coordinate restrictions by plain bisection, as the
 package did before it kept running state.
 """
 
+import dataclasses
 import platform
 import sys
 
@@ -22,6 +23,7 @@ from l1lab import (
     find_supersolution,
     gen_zmatrix_quadratic,
     logistic_problem,
+    ccm_tau_log,
     quadratic_problem,
     reference_minimizer,
     run,
@@ -125,8 +127,8 @@ def reference_run(alg, p, x0, sweeps, tol):
 
 def assert_same_run(p, alg, x0, atol_of_ref, resolved=0.0):
     """Kernel and reference agree on every iterate and on the (k, j) of
-    every non-trivial ccm update larger than ``resolved``. Logging ccm's
-    updates, which keeps a quadratic on the numpy loop, changes no iterate."""
+    every non-trivial ccm update larger than ``resolved``, the updates
+    logged by ccm_tau_log from the run's iterates."""
     trace = run(alg, p, x0, SolverConfig(max_outer_iters=SWEEPS))
     ref, updates = reference_run(alg, p, x0, SWEEPS, INNER_1D_TOL)
     assert len(trace.iterates) == len(ref)
@@ -134,9 +136,7 @@ def assert_same_run(p, alg, x0, atol_of_ref, resolved=0.0):
         err = float(np.max(np.abs(got - want)))
         assert err <= atol_of_ref(want), (alg, k, err)
     if alg == "ccm":
-        logging = run(alg, p, x0, SolverConfig(max_outer_iters=SWEEPS, record_tau=True))
-        assert same_bits(logging.iterates, trace.iterates)
-        logged = {(t.k, t.j): abs(t.z_new - t.z_old) for t in logging.tau_log}
+        logged = {(t.k, t.j): abs(t.z_new - t.z_old) for t in ccm_tau_log(p, trace.iterates)}
         assert list(logged) == sorted(logged)
         for mine, other in ((logged, updates), (updates, logged)):
             assert {key for key, size in mine.items() if size > resolved} <= set(other)
@@ -204,9 +204,9 @@ def assert_same_traces(both_kernels, p, x0, K, algs=("ccd", "ccm"), stops=(0.0,)
     for alg in algs:
         assert compiled_step(p, alg) is not None
         for stop in stops:
-            cfg = SolverConfig(max_outer_iters=K, stop_residual=stop, record_inner=True)
+            cfg = SolverConfig(max_outer_iters=K, stop_residual=stop)
             compiled, numpy_ = both_kernels(lambda: run(alg, p, x0, cfg))
-            for name in ("iterates", "f_values", "residuals", "gradients", "inner"):
+            for name in ("iterates", "f_values", "residuals", "gradients"):
                 assert same_bits(getattr(compiled, name), getattr(numpy_, name)), \
                     (alg, stop, name)
 
@@ -226,6 +226,37 @@ def test_compiled_sweep_is_bitwise_the_numpy_sweep_on_the_acceptance_family(both
         for x0 in (find_supersolution(p, seed=seed), find_subsolution(p, seed=seed)):
             assert_same_traces(both_kernels, p, x0, 200)
         assert_same_reference(both_kernels, p)
+
+
+def tau_bits(records):
+    """The bytes of TauRecords, every field as a float64."""
+    return np.array([dataclasses.astuple(t) for t in records], dtype=np.float64).tobytes()
+
+
+def test_ccm_tau_log_is_bitwise_the_same_from_compiled_and_numpy_runs(both_kernels):
+    # A numpy ccm sweep from row k gives row k + 1 bitwise whichever kernel
+    # made the rows, so the records derived from a compiled run are those
+    # of the numpy run to the bit, grad_old included.
+    for seed, d in ((1, 7), (2, 16), (3, 30)):
+        p = gen_zmatrix_quadratic(d, seed=seed)
+        assert compiled_step(p, "ccm") is not None
+        x0 = np.random.default_rng(seed).uniform(-3.0, 3.0, d)
+        for stop in (0.0, 1e-9):
+            cfg = SolverConfig(max_outer_iters=80, stop_residual=stop)
+            compiled, numpy_ = both_kernels(
+                lambda: ccm_tau_log(p, run("ccm", p, x0, cfg).iterates))
+            assert compiled and tau_bits(compiled) == tau_bits(numpy_), (seed, stop)
+
+
+def test_ccm_tau_log_rejects_iterates_that_are_not_a_ccm_run():
+    # A ccd sweep steps by L, not by A_jj: a ccm sweep from a ccd run's
+    # first iterate does not give its second.
+    p = gen_zmatrix_quadratic(6, seed=2)
+    x0 = np.linspace(-2.0, 2.0, p.dim)
+    ccd = run("ccd", p, x0, SolverConfig(max_outer_iters=5))
+    with pytest.raises(ValueError, match="from iterate 0 does not give iterate 1"):
+        ccm_tau_log(p, ccd.iterates)
+    assert ccm_tau_log(p, ccd.iterates[:1]) == []
 
 
 @pytest.mark.parametrize("d", [300, 500])
@@ -331,7 +362,7 @@ def test_without_numpy_dgemv_runs_take_the_numpy_steps(monkeypatch):
     # run has the bits of the numpy kernel.
     p = gen_zmatrix_quadratic(9, seed=3)
     x0 = np.linspace(-2.0, 2.0, 9)
-    cfg = SolverConfig(max_outer_iters=70, record_inner=True)
+    cfg = SolverConfig(max_outer_iters=70)
     algs = ("gd", "ccd", "ccm")
     with monkeypatch.context() as m:
         m.setattr(_qsweep, "load", lambda: None)
@@ -341,7 +372,7 @@ def test_without_numpy_dgemv_runs_take_the_numpy_steps(monkeypatch):
     for alg in algs:
         assert compiled_step(p, alg) is None
         got = run(alg, p, x0, cfg)
-        for name in ("iterates", "f_values", "residuals", "gradients", "inner"):
+        for name in ("iterates", "f_values", "residuals", "gradients"):
             assert same_bits(getattr(got, name), getattr(want[alg], name)), (alg, name)
     assert same_bits(reference_minimizer(p).x_star, want_ref.x_star)
 
@@ -581,11 +612,11 @@ def test_solve_1d_prox_linear_derivative_takes_two_steps():
 def test_logistic_ccm_tau_log_holds_only_resolved_updates():
     # An update from the 1-D solve no larger than INNER_1D_TOL is
     # root-bracket noise, and its secant slope says nothing about tau.
-    cfg = SolverConfig(max_outer_iters=40, record_tau=True)
+    cfg = SolverConfig(max_outer_iters=40)
     for seed in range(4):
         p = logistic_data(seed)
         x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=p.dim)
-        tau_log = run("ccm", p, x0, cfg).tau_log
+        tau_log = ccm_tau_log(p, run("ccm", p, x0, cfg).iterates)
         assert tau_log
         for t in tau_log:
             assert abs(t.z_new - t.z_old) > INNER_1D_TOL, t

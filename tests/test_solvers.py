@@ -11,17 +11,21 @@ from l1lab import (
     NonFiniteIterateError,
     SolverConfig,
     UnboundedBelowError,
+    ccm_tau_log,
     f_grad,
     gen_zmatrix_quadratic,
+    inner_iterates,
     logistic_problem,
     objective,
     optimality_residual,
     prox_gradient_map,
     quadratic_problem,
     run,
+    save_problem,
     solve_1d_prox,
 )
 from l1lab import _qsweep
+from l1lab.cli import main
 from l1lab.solvers import CoordinateKernel, TauRecord, Trace, compiled_step
 from tests.conftest import grid_refine_minimum
 
@@ -196,6 +200,23 @@ def test_a_run_without_a_stop_rule_measures_once_on_the_compiled_path(alg, kerne
         assert sizes == [64, 64, 64, K + 1 - 192]
 
 
+def test_l1lab_run_of_ccm_on_a_quadratic_makes_its_rows_in_one_qblock_call(
+        tmp_path, monkeypatch):
+    # The trace file's tau log is derived from the iterates after the run,
+    # so the ccm run takes the compiled steps as every other run does.
+    if _qsweep.load() is None:
+        pytest.skip("the compiled steps cannot be built here")
+    K, prob = 30, tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(8, seed=3), prob)
+    with monkeypatch.context() as m:
+        blocks = count_blocks(m)
+        assert main(["run", "--problem", str(prob), "--alg", "ccm", "--iters", str(K),
+                     "--start", "super", "--out-dir", str(tmp_path)]) == 0
+    assert blocks == [(0, K)]
+    data = json.loads((tmp_path / "trace_ccm.json").read_text())
+    assert len(data["iterates"]) == K + 1 and data["tau_log"]
+
+
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
 def test_trace_gradients_are_f_grad_of_each_iterate(alg):
     rng = np.random.default_rng(3)
@@ -238,8 +259,8 @@ def test_ccd_sweep_uses_refreshed_gradient():
 
 def test_ccd_sweep_records_inner_iterates():
     p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [-1.0, -1.0], lam=0.1, lipschitz=3.0)
-    trace = run("ccd", p, [1.0, 1.0], SolverConfig(max_outer_iters=1, record_inner=True))
-    inner = trace.inner[0]
+    trace = run("ccd", p, [1.0, 1.0], SolverConfig(max_outer_iters=1))
+    inner = inner_iterates(trace.iterates)[0]
     assert len(inner) == 3
     np.testing.assert_array_equal(inner[0], [1.0, 1.0])
     np.testing.assert_array_equal(inner[-1], trace.iterates[1])
@@ -261,15 +282,14 @@ def replay_quadratic_ccd(p, x0, K):
 
 @pytest.mark.parametrize("alg", ["ccd", "ccm"])
 def test_inner_iterates_are_the_sweeps_coordinate_steps(alg):
-    # run() derives the within-sweep points from the iterates: one sweep
-    # changes each coordinate once, in order.
+    # inner_iterates derives the within-sweep points from the iterates: one
+    # sweep changes each coordinate once, in order.
     K = 12
     for p in (gen_zmatrix_quadratic(7, seed=5), small_logistic_problem()):
         d, x0 = p.dim, np.linspace(-1.0, 2.0, p.dim)
         for stop in (0.0, NEVER_STOPS):
-            cfg = SolverConfig(max_outer_iters=K, stop_residual=stop, record_inner=True)
-            trace = run(alg, p, x0, cfg)
-            W, inner = trace.iterates, trace.inner
+            W = run(alg, p, x0, SolverConfig(max_outer_iters=K, stop_residual=stop)).iterates
+            inner = inner_iterates(W)
             assert inner.shape == (len(W) - 1, d + 1, d) == (K, d + 1, d)
             for k, sweep in enumerate(inner):
                 assert sweep[0].tobytes() == W[k].tobytes()
@@ -280,8 +300,10 @@ def test_inner_iterates_are_the_sweeps_coordinate_steps(alg):
             if alg == "ccd" and p.smooth.kind == "quadratic":
                 np.testing.assert_allclose(inner, replay_quadratic_ccd(p, x0, K),
                                            rtol=1e-12, atol=0.0)
-    gd = run("gd", p, x0, SolverConfig(max_outer_iters=K, record_inner=True))
-    assert gd.inner is None
+    # run() itself leaves both diagnostics unset.
+    for alg in ("gd", "ccd", "ccm"):
+        trace = run(alg, p, x0, SolverConfig(max_outer_iters=K))
+        assert trace.inner is None and trace.tau_log is None
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +727,20 @@ def test_diagonal_gd_and_ccd_coincide_sweep_for_step():
 # trace serialization
 # ---------------------------------------------------------------------------
 
+def diagnosed(alg, p, x0, K, record_inner=False):
+    """run() for K iterations with the diagnostics `l1lab run` writes: the
+    inner iterates of ccd and ccm when record_inner, and ccm's tau log."""
+    trace = run(alg, p, x0, SolverConfig(max_outer_iters=K))
+    if record_inner and alg != "gd":
+        trace.inner = inner_iterates(trace.iterates)
+    if alg == "ccm":
+        trace.tau_log = ccm_tau_log(p, trace.iterates)
+    return trace
+
+
 def test_trace_csv_and_json(tmp_path):
     p = quadratic_problem(np.diag([1.0, 2.0]), [-1.0, -2.0], lam=0.1, lipschitz=2.0)
-    cfg = SolverConfig(max_outer_iters=4, record_inner=True, record_tau=True)
-    trace = run("ccm", p, [1.0, 1.0], cfg)
+    trace = diagnosed("ccm", p, [1.0, 1.0], 4, record_inner=True)
     csv_path = tmp_path / "trace.csv"
     trace.write_csv(csv_path)
     lines = csv_path.read_text().strip().splitlines()
@@ -728,8 +760,7 @@ def test_trace_csv_and_json(tmp_path):
 def test_trace_csv_deterministic(tmp_path):
     p = gen_zmatrix_quadratic(3, seed=5)
     for run_name in ("a", "b"):
-        cfg = SolverConfig(max_outer_iters=7, record_inner=True, record_tau=True)
-        trace = run("ccm", p, np.ones(3), cfg)
+        trace = diagnosed("ccm", p, np.ones(3), 7, record_inner=True)
         trace.write_csv(tmp_path / f"{run_name}.csv")
         trace.write_json(tmp_path / f"{run_name}.json")
     for ext in ("csv", "json"):
@@ -783,12 +814,10 @@ def _trace_cases():
     for alg in ("gd", "ccd", "ccm"):
         for record_inner in (False, True):
             # 60 ccm sweeps over 20 coordinates log more than two 512-record chunks.
-            cfg = SolverConfig(max_outer_iters=60, record_inner=record_inner, record_tau=True)
-            yield f"zmat-{alg}-{record_inner}", run(alg, zmat, 3.0 * np.ones(20), cfg)
-        cfg = SolverConfig(max_outer_iters=15, record_tau=True)
-        yield f"logistic-{alg}", run(alg, logistic, np.zeros(20), cfg)
-        cfg = SolverConfig(max_outer_iters=5, record_inner=True, record_tau=True)
-        yield f"d1-{alg}", run(alg, scalar, [4.0], cfg)
+            yield (f"zmat-{alg}-{record_inner}",
+                   diagnosed(alg, zmat, 3.0 * np.ones(20), 60, record_inner))
+        yield f"logistic-{alg}", diagnosed(alg, logistic, np.zeros(20), 15)
+        yield f"d1-{alg}", diagnosed(alg, scalar, [4.0], 5, record_inner=True)
     yield "empty", Trace("ccd", [np.ones(2)], [1.0], [0.0], inner=[], tau_log=[])
     yield "special", _special_trace()
 

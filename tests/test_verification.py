@@ -277,6 +277,34 @@ def test_reference_minimizer_sweeps_ccm_on_a_zero_logistic_column(kernel):
     assert abs(ref.f_star - f_plain) <= 1e-12 * abs(f_plain)
 
 
+def test_reference_minimizer_stops_at_a_numerical_fixed_point_of_the_sweeps(
+        kernel, monkeypatch):
+    # Scaled by 1e4, this instance's sweeps reach a point that one more ccm
+    # sweep leaves unchanged while its residual is still above 1e-12; the
+    # solve stops there and keeps the polish of that point.
+    base = gen_zmatrix_quadratic(7, seed=43, density=0.7)
+    p = quadratic_problem(base.smooth.A, 1e4 * base.smooth.b, 1e4 * base.lam,
+                          lipschitz=base.lipschitz)
+    unchanged = []
+    if kernel == "numpy":
+        sweep = CoordinateKernel.sweep
+
+        def counted(self, w, *args):
+            before = w.copy()
+            out = sweep(self, w, *args)
+            unchanged.append(out.tobytes() == before.tobytes())
+            return out
+
+        monkeypatch.setattr(CoordinateKernel, "sweep", counted)
+    ref = reference_minimizer(p)
+    if kernel == "numpy":
+        assert unchanged[-1] and not any(unchanged[:-1])
+    assert ref.method == "ccm+active-set"
+    assert 1e-12 < ref.residual <= 2e-12
+    x, _, method = sweeps_then_polish(p)
+    assert ref.x_star.tobytes() == x.tobytes() and ref.method == method
+
+
 @pytest.mark.parametrize("max_sweeps", [-1, 2.5, 3.0, "5", float("nan")])
 def test_reference_minimizer_rejects_a_max_sweeps_that_is_not_an_integer_at_least_0(max_sweeps):
     # Before this check -1 raised UnboundLocalError and 2.5 a bare TypeError.
@@ -374,14 +402,20 @@ def test_check_objective_ordering_examples(scalar_quad):
     assert objective(scalar_quad, [1.0]) == 1.5
     assert objective(scalar_quad, [2.0]) == 4.0
     assert check_objective_ordering(scalar_quad, [1.0], [1.0])
+    # The mirror: the subsolution -1 below -2.
+    assert classify_point(scalar_quad, [-1.0]).kind is Kind.SUBSOLUTION
+    assert check_objective_ordering(scalar_quad, [-1.0], [-2.0])
 
 
 def test_check_objective_ordering_preconditions():
     p = quadratic_problem(np.eye(2), [-1.0, -1.0], lam=0.1, lipschitz=1.0)
     with pytest.raises(PreconditionError):
         check_objective_ordering(p, [2.0, -2.0], [3.0, 3.0])  # neither point
-    with pytest.raises(PreconditionError):
-        check_objective_ordering(quadratic_problem([[1.0]], [0.0], 1.0, 1.0), [3.0], [1.0])
+    scalar = quadratic_problem([[1.0]], [0.0], 1.0, 1.0)
+    with pytest.raises(PreconditionError, match="need y <= x componentwise"):
+        check_objective_ordering(scalar, [3.0], [1.0])
+    with pytest.raises(PreconditionError, match="need y >= x componentwise"):
+        check_objective_ordering(scalar, [-3.0], [-1.0])
 
 
 def test_check_objective_ordering_randomized():
