@@ -7,9 +7,14 @@ Extracts <rev> with ``git archive`` into a temporary directory, runs a
 fixed set of ``l1lab`` commands with each source tree, each set in its own
 empty directory, and compares every output byte for byte: the stdout,
 stderr and exit status of each command and every file it wrote (problem
-files, reports, summaries, trace CSV and JSON). Each file that differs,
-or exists on one side only, is printed. The exit status is 1 when any
-does, 0 when none does, and 2 when <rev> cannot be extracted.
+files, reports, summaries, trace CSV and JSON). It then runs the working
+tree's commands a second time on the numpy path, with an empty ``PATH``
+(so no ``cc`` builds the compiled library) and a new empty
+``XDG_CACHE_HOME`` (so no cached one is loaded), and compares those
+outputs with the first ones: the two paths must write the same bytes.
+Each file that differs, or exists on one side only, is printed. The exit
+status is 1 when any does, 0 when none does, and 2 when <rev> cannot be
+extracted.
 
 This is a check for changes that mean to keep every output: a deliberate
 change of an output format makes it report differences.
@@ -190,8 +195,10 @@ def extract(rev, dest):
         tar.extractall(dest, **safe)
 
 
-def run_all(src, out):
-    """Run COMMANDS with the package under ``src``, writing into ``out``."""
+def run_all(src, out, cache=None):
+    """Run COMMANDS with the package under ``src``, writing into ``out``;
+    with ``cache``, a new directory, on the numpy path: no ``cc`` on the
+    empty ``PATH`` and no library in the cache."""
     out.mkdir()
     (out / "logistic.json").write_text(logistic_problem_json(), encoding="utf-8")
     (out / "logistic1d.json").write_text(logistic_problem_json(n=50, d=1, lam=0.05, seed=1),
@@ -202,6 +209,9 @@ def run_all(src, out):
     (out / "verify_config.json").write_text(json.dumps(VERIFY_CONFIG), encoding="utf-8")
     (out / "handwritten.json").write_bytes(HANDWRITTEN)
     env = dict(os.environ, PYTHONPATH=str(src))
+    if cache is not None:
+        cache.mkdir()
+        env.update(PATH="", XDG_CACHE_HOME=str(cache))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     for name, args in COMMANDS:
@@ -235,11 +245,19 @@ def main(argv):
             return 2
         run_all(tmp / "rev" / "src", tmp / "out_rev")
         run_all(ROOT / "src", tmp / "out_tree")
-        bad, total = differing(tmp / "out_rev", tmp / "out_tree")
-    for name in bad:
-        print(f"differs: {name}")
-    print(f"{len(bad)} of {total} outputs differ between {rev} and the working tree")
-    return 1 if bad else 0
+        run_all(ROOT / "src", tmp / "out_numpy", cache=tmp / "cache")
+        if any((tmp / "cache").rglob("*.so")):
+            print("the numpy pass built the compiled library", file=sys.stderr)
+            return 1
+        passes = [(f"between {rev} and the working tree",
+                   differing(tmp / "out_rev", tmp / "out_tree")),
+                  ("between the working tree's compiled and numpy paths",
+                   differing(tmp / "out_tree", tmp / "out_numpy"))]
+    for what, (bad, total) in passes:
+        for name in bad:
+            print(f"differs {what}: {name}")
+        print(f"{len(bad)} of {total} outputs differ {what}")
+    return 1 if any(bad for _, (bad, _) in passes) else 0
 
 
 if __name__ == "__main__":

@@ -46,11 +46,11 @@ def _build_parser():
 
     gen = sub.add_parser("gen", help="generate a problem file")
     gen.add_argument("--kind", choices=("zmatrix", "lasso"), default="zmatrix")
-    gen.add_argument("--dim", type=int, default=5)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--density", type=float, default=0.5)
-    gen.add_argument("--csv", help="CSV of rows x_1..x_d,y for --kind lasso")
-    gen.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.1)
+    gen.add_argument("--dim", type=int, help="zmatrix only")
+    gen.add_argument("--seed", type=int, help="zmatrix only")
+    gen.add_argument("--density", type=float, help="zmatrix only")
+    gen.add_argument("--csv", help="CSV of rows x_1..x_d,y; lasso only, required")
+    gen.add_argument("--lam", "--lambda", dest="lam", type=float, help="lasso only")
     gen.add_argument("--out", default="problem.json")
     gen.add_argument("--config", help=config_help)
     gen.set_defaults(func=cmd_gen)
@@ -153,14 +153,24 @@ def _start(p, mode, seed):
     return find(p, seed=seed)
 
 
+# The gen flags each kind reads; a flag of the other kind is a precondition failure.
+_GEN_FLAGS = {"zmatrix": ("dim", "seed", "density"), "lasso": ("csv", "lam")}
+
+
 def cmd_gen(args) -> int:
+    other = "lasso" if args.kind == "zmatrix" else "zmatrix"
+    for name in _GEN_FLAGS[other]:
+        if getattr(args, name) is not None:
+            raise PreconditionError(f"gen --kind {args.kind} does not take --{name}")
     if args.kind == "zmatrix":
-        p = gen_zmatrix_quadratic(args.dim, seed=args.seed, density=args.density)
+        density = {} if args.density is None else {"density": args.density}
+        p = gen_zmatrix_quadratic(5 if args.dim is None else args.dim,
+                                  seed=0 if args.seed is None else args.seed, **density)
     else:
         if args.csv is None:
             raise PreconditionError("--kind lasso needs --csv")
         X, Y = load_xy_csv(args.csv)
-        p = lasso_build(X, Y, args.lam)
+        p = lasso_build(X, Y, 0.1 if args.lam is None else args.lam)
     save_problem(p, args.out)
     ok, offenders = p.smooth.isotonicity_certificate()
     verdict = "PASS" if ok else f"FAIL ({len(offenders)} positive off-diagonal pairs)"
@@ -180,6 +190,8 @@ def cmd_run(args) -> int:
     cfg = SolverConfig(max_outer_iters=args.iters, stop_residual=args.stop_residual)
     out_dir = Path(args.out_dir)
     algs = ("gd", "ccd", "ccm") if args.alg == "all" else (args.alg,)
+    if "ccm" in algs:
+        p.smooth.exact_steps()  # raises Assumption2Error before any trace is written
     all_descent = True
     for name in algs:
         trace = run(name, p, x0, cfg)
@@ -255,7 +267,7 @@ def main(argv=None) -> int:
     except (PreconditionError, Assumption2Error, StartSearchError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 2
-    except (L1LabError, OSError, ValueError) as exc:
+    except (L1LabError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

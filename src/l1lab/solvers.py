@@ -20,12 +20,7 @@ from operator import attrgetter
 import numpy as np
 
 from ._jsonlayout import json_records, json_value, render, render_pieces
-from .errors import (
-    ConvergenceError,
-    L1LabError,
-    NonFiniteIterateError,
-    UnboundedBelowError,
-)
+from .errors import ConvergenceError, NonFiniteIterateError, UnboundedBelowError
 from .operators import prox_gradient_image
 from .problems import ProblemSpec, as_vector
 
@@ -41,10 +36,8 @@ INNER_1D_TOL = 1e-12
 _ALGORITHMS = ("gd", "ccd", "ccm")
 
 # With a stop rule, the rows run() allocates for iterates at first; the
-# buffer doubles as it fills. Without one, the buffer holds all K + 1 rows
-# from the start: the compiled steps make them in one call, and the numpy
-# steps measure a block each time this many rows are unmeasured, which
-# also bounds the (rows x n) temporaries of a logistic measurement.
+# buffer doubles as it fills. Without one, it holds all K + 1 rows from
+# the start.
 _FIRST_ROWS = 64
 
 
@@ -372,34 +365,31 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     fixed-point residual drops to cfg.stop_residual (if positive). Raises
     NonFiniteIterateError, naming the iteration, at the first iterate,
     objective value or residual that is not finite; at one iteration the
-    iterate is named before F, and F before the residual. Such a fault
-    also comes before any error of a sweep that starts from that iterate
-    or a later one.
+    iterate is named before F, and F before the residual.
 
     One loop only makes the iterates, rows of a buffer. measure() takes the
     rows not yet measured as one block: their finiteness, F, gradients (one
     values_and_grads call, row i bitwise (value(W[i]), grad(W[i]))),
-    prox-gradient images and residuals. A stop rule needs each residual
-    before the next iterate is made, so each iterate is then its own block,
-    gd steps to its measured image, and the buffer doubles as it fills.
-    Without one, the buffer holds all K + 1 rows from the start, gd steps by
-    its own grad, and a block is measured each time _FIRST_ROWS rows are
-    unmeasured and after the loop: the same numbers, and a diverging run
-    stops within _FIRST_ROWS steps of its first fault.
+    prox-gradient images and residuals. Except in a compiled run without a
+    stop rule (below), each row is measured before the next is made, so a
+    step never starts from an unmeasured row: gd steps to its measured
+    image, a diverging run stops at its first fault, and that fault comes
+    before any error of a later sweep. Without a stop rule the buffer holds
+    all K + 1 rows from the start; with one it doubles as it fills.
 
     When compiled_step(p, alg) is not None, the iterations run in C, and
     each iterate's product A w is formed once, into row k of a product
     buffer P the size of W: np.matmul for the start, and for every later
     iterate the BLAS call that np.matmul makes, inside the step call. Both
     the steps and measure() take these products. With a stop rule one step
-    call makes one row. Without one, one step call makes all K rows, so
-    all are measured in one block after the loop and a fault is named as
-    on the numpy path; a diverging run then makes all K rows before it
-    raises. Buffer addresses are taken when a buffer is made, not per
-    call. Logistic data and a run without the library or numpy's dgemv
-    keep the numpy steps and their schedule, with the same bits. One
-    kernel makes every row of a run. The trace's inner and tau_log are
-    None; inner_iterates() and ccm_tau_log() derive them from its iterates.
+    call makes one row. Without one, one step call makes all K rows, and
+    all are measured in one block after the loop, which names the same
+    fault; a diverging run then makes all K rows before it raises. Buffer
+    addresses are taken when a buffer is made, not per call. Logistic data
+    and a run without the library or numpy's dgemv keep the numpy steps,
+    with the same bits. One kernel makes every row of a run. The trace's
+    inner and tau_log are None; inner_iterates() and ccm_tau_log() derive
+    them from its iterates.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
@@ -408,6 +398,8 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     K, stop, d = cfg.max_outer_iters, cfg.stop_residual, p.dim
     step = compiled_step(p, alg)
     kernel = CoordinateKernel(p, alg) if step is None and alg != "gd" else None
+    # A compiled run without a stop rule makes its K rows in one step call.
+    one_call = step is not None and stop == 0.0
     W = np.empty((K + 1 if stop == 0.0 else min(K + 1, _FIRST_ROWS), d))
     W[0] = as_vector(x0, d)
     P = None  # P[i] = np.matmul(A, W[i]), when the steps run in C
@@ -454,37 +446,25 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
         n = K + 1  # iterates in the trace
         k = 1  # the next row to make
         while k <= K:
-            if stop > 0.0:
+            if not one_call:
                 image, r = measure(k)
-                if r <= stop:
+                # Without a stop rule an exact fixed point still makes K rows.
+                if stop > 0.0 and r <= stop:
                     n = k
                     break
-            if k - measured == _FIRST_ROWS:
-                # A diverging run stops within _FIRST_ROWS steps of its fault.
-                measure(k)
             if k == len(W):  # only a stop-rule run fills its buffer
                 W = np.concatenate((W, np.empty((min(k, K + 1 - k), d))))
                 if P is not None:
                     P = np.concatenate((P, np.empty_like(W[k:])))
                     w_at, p_at = W.ctypes.data, P.ctypes.data
-            # The last row made in this pass: one call makes every row of a
-            # compiled run without a stop rule.
-            last = K if P is not None and stop == 0.0 else k
+            last = K if one_call else k  # the last row made in this pass
             if P is not None:
                 step(w_at, p_at, k - 1, last)
             elif kernel is not None:
                 W[k] = W[k - 1]
-                try:
-                    kernel.sweep(W[k])
-                except L1LabError:
-                    # A sweep from a non-finite iterate, or from one whose F
-                    # or residual is not finite, may fail; its fault comes first.
-                    measure(k)
-                    raise
-            elif stop > 0.0:
-                W[k] = image
+                kernel.sweep(W[k])
             else:
-                W[k] = prox_gradient_image(p, W[k - 1], p.smooth.grad(W[k - 1]))
+                W[k] = image
             k = last + 1
         measure(n)
 

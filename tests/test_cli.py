@@ -64,6 +64,50 @@ def test_gen_scalar_instance(tmp_path):
     assert load_problem(out).dim == 1
 
 
+@pytest.mark.parametrize("form", ["flags", "config", "config_and_flag"])
+def test_gen_given_a_flag_its_kind_does_not_read_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, form):
+    # zmatrix reads --dim, --seed and --density, lasso --csv and --lambda;
+    # a flag of the other kind was once dropped without a word, so
+    # "--kind zmatrix --lambda 0.5" wrote lambda 0.1474.
+    csv = tmp_path / "data.csv"
+    csv.write_text("x_1,x_2,y\n1.0,0.0,2.0\n0.0,1.0,2.0\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "cfg.json"
+    needs = {"zmatrix": {}, "lasso": {"csv": str(csv)}}
+    unread = {"zmatrix": {"lam": 0.5, "csv": str(csv)},
+              "lasso": {"dim": 3, "seed": 1, "density": 0.3}}
+    for kind, fields in unread.items():
+        for name, value in fields.items():
+            flag = ["--" + name, str(value)]
+            cfg.write_text(json.dumps({"kind": kind, **needs[kind],
+                                       **({name: value} if form == "config" else {})}))
+            args = {"flags": ["--kind", kind,
+                              *[t for n, v in needs[kind].items() for t in ("--" + n, v)],
+                              *flag],
+                    "config": ["--config", str(cfg)],
+                    "config_and_flag": ["--config", str(cfg), *flag]}[form]
+            assert main(["gen", *args, "--out", "p.json"]) == 2, (kind, name)
+            out, err = capsys.readouterr()
+            assert not out and f"gen --kind {kind} does not take --{name}" in err, (kind, name)
+            assert list(work.iterdir()) == [], (kind, name)
+
+
+def test_gen_defaults_are_those_of_each_kind(tmp_path):
+    # With no --dim, --seed or --density a zmatrix is gen_zmatrix_quadratic's
+    # d = 5, seed 0 instance; with no --lambda a lasso has lambda 0.1.
+    out = tmp_path / "z.json"
+    assert main(["gen", "--out", str(out)]) == 0
+    want = gen_zmatrix_quadratic(5, seed=0)
+    assert load_problem(out).smooth.A.tobytes() == want.smooth.A.tobytes()
+    csv = tmp_path / "data.csv"
+    csv.write_text("x_1,x_2,y\n1.0,0.0,2.0\n0.0,1.0,2.0\n")
+    assert main(["gen", "--kind", "lasso", "--csv", str(csv), "--out", str(out)]) == 0
+    assert load_problem(out).lam == 0.1
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -110,6 +154,21 @@ def test_run_all_writes_three_descending_traces(tmp_path):
     for alg in ("gd", "ccd", "ccm"):
         F = read_csv_column(tmp_path / f"trace_{alg}.csv", "F")
         assert all(b <= a + 1e-12 for a, b in zip(F, F[1:]))
+
+
+def test_run_all_on_a_quadratic_without_ccm_steps_exits_2_and_writes_nothing(
+        tmp_path, capsys):
+    # A_22 = 0 leaves ccm without a step at coordinate 2; gd and ccd run, so
+    # their traces were once written before ccm's Assumption2Error.
+    prob = tmp_path / "p.json"
+    save_problem(quadratic_problem([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], lam=0.1,
+                                   lipschitz=1.0), prob)
+    out = tmp_path / "out"
+    assert main(["run", "--problem", str(prob), "--alg", "all", "--iters", "3",
+                 "--out-dir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert not stdout and "precondition failure: exact coordinate minimization" in err
+    assert not out.exists()
 
 
 def test_tau_log_is_recorded_only_when_asked_for(tmp_path):
@@ -354,6 +413,21 @@ def test_a_run_that_fails_before_its_first_trace_makes_no_out_dir(tmp_path, caps
                  *args]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_budget_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # K = 10**15 rows of iterates cannot be allocated, and numpy says so at
+    # once: the CLI reports it as an error, not as a traceback.
+    prob = tmp_path / "p.json"
+    save_problem(gen_zmatrix_quadratic(2, seed=1), prob)
+    out = tmp_path / "out"
+    K = str(10 ** 15)
+    for args in (["run", "--problem", str(prob), "--alg", "gd", "--out-dir", str(out)],
+                 ["verify", "--problem", str(prob), "--report", str(out / "r.json")]):
+        assert main([*args, "--iters", K]) == 1, args[0]
+        stdout, err = capsys.readouterr()
+        assert not stdout and err.startswith("error: Unable to allocate"), args[0]
+        assert not out.exists(), args[0]
 
 
 @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])

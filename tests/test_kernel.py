@@ -380,10 +380,10 @@ def test_without_numpy_dgemv_runs_take_the_numpy_steps(monkeypatch):
 @pytest.mark.parametrize("K", [63, 64, 65, 128, 129])
 def test_block_boundaries_are_bitwise_the_numpy_steps(both_kernels, K):
     # Without a stop rule the row buffer holds all K + 1 rows from the
-    # start: the numpy steps end a block at each measurement (every 64
-    # rows), and the compiled steps make all rows in one call. With a stop
-    # rule the buffer grows at 64, 128 and 256 rows, each row is its own
-    # call and block, and 1e-9 stops some runs early.
+    # start: the numpy steps measure each row before they make the next,
+    # and the compiled steps make all rows in one call. With a stop rule
+    # the buffer grows at 64, 128 and 256 rows, each row is its own call
+    # and block, and 1e-9 stops some runs early.
     for seed, d in ((1, 7), (2, 16)):
         p = gen_zmatrix_quadratic(d, seed=seed)
         x0 = np.random.default_rng(seed).uniform(-3.0, 3.0, d)

@@ -8,6 +8,7 @@ import pytest
 
 from l1lab import (
     Assumption2Error,
+    ConvergenceError,
     NonFiniteIterateError,
     SolverConfig,
     UnboundedBelowError,
@@ -95,27 +96,33 @@ def rows_made(blocks):
 
 
 def count_numpy_steps(m, p, alg):
-    """Record a 1 for every numpy step of alg on p: a grad call of gd's
-    step, a CoordinateKernel sweep of ccd or ccm."""
-    cls, name = (type(p.smooth), "grad") if alg == "gd" else (CoordinateKernel, "sweep")
+    """Record a 1 for every numpy step of ccd or ccm on p (a CoordinateKernel
+    sweep) and every numpy measurement of gd (a values_and_grads call
+    without products). gd steps to the image of its last measurement, so
+    a numpy gd run makes one step fewer than it measures rows."""
+    if alg == "gd":
+        cls, name = type(p.smooth), "values_and_grads"
+    else:
+        cls, name = CoordinateKernel, "sweep"
     original, steps = getattr(cls, name), []
 
     def counted(*args):
-        steps.append(1)
+        if alg != "gd" or len(args) == 2:
+            steps.append(1)
         return original(*args)
 
     m.setattr(cls, name, counted)
     return steps
 
 
-def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel):
-    # On the numpy path each gd step x_{k+1} = T(x_k) takes one grad at x_k,
-    # and one values_and_grads of all the iterates then gives F, the
-    # gradients, the images and the residuals, as the ccd and ccm runs do:
-    # two products A x per iterate but the last. On the compiled path each
-    # iterate's product A x_k is formed once, and both the step and that
-    # one values_and_grads call take it: np.matmul forms x_0's, and one
-    # qblock call makes x_1..x_K with their products.
+def test_gd_takes_one_gradient_per_iterate(monkeypatch, kernel):
+    # On the numpy path each iterate x_k is measured by its own one-row
+    # values_and_grads call, which gives F, the gradient, the image T(x_k)
+    # and the residual, and gd steps to that image: one product A x per
+    # iterate and no grad call. On the compiled path each iterate's product
+    # A x_k is formed once, and both the step and one values_and_grads call
+    # of all the iterates take it: np.matmul forms x_0's, and one qblock
+    # call makes x_1..x_K with their products.
     p = gen_zmatrix_quadratic(6, seed=4)
     x0 = np.linspace(-2.0, 2.0, 6)
     calls = []
@@ -138,8 +145,8 @@ def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel
         blocks = count_blocks(m) if kernel == "compiled" else []
         trace = run("gd", p, x0, SolverConfig(max_outer_iters=K))
     if kernel == "numpy":
-        assert calls == [("grad", 1)] * K + [("values_and_grads", 1)]
-        assert products == [1] * K + [K + 1]
+        assert calls == [("values_and_grads", 1)] * (K + 1)
+        assert products == [1] * (K + 1)
     else:
         assert calls == [("values_and_grads", 2)]
         assert products == [1]
@@ -155,10 +162,10 @@ def test_gd_steps_by_grad_then_measures_all_iterates_at_once(monkeypatch, kernel
 @pytest.mark.parametrize("alg", ["ccd", "ccm"])
 def test_a_quadratic_sweep_forms_one_product_per_iterate(alg, kernel, monkeypatch):
     # The numpy path takes the gradient at the start of each sweep and again
-    # for the measurement; the compiled path forms each product once: the
-    # start's by np.matmul and every later one in the qblock call that makes
-    # its row, all rows in one call without a stop rule and one per call
-    # with one.
+    # for the measurement of each iterate, with and without a stop rule; the
+    # compiled path forms each product once: the start's by np.matmul and
+    # every later one in the qblock call that makes its row, all rows in one
+    # call without a stop rule and one per call with one.
     K = 25
     p = gen_zmatrix_quadratic(6, seed=4)
     products = count_products(p)
@@ -169,7 +176,7 @@ def test_a_quadratic_sweep_forms_one_product_per_iterate(alg, kernel, monkeypatc
             run(alg, p, np.linspace(-2.0, 2.0, 6), SolverConfig(max_outer_iters=K,
                                                                  stop_residual=stop))
         if kernel == "numpy":
-            assert products == ([1] * K + [K + 1] if stop == 0.0 else [1, 1] * K + [1])
+            assert products == [1, 1] * K + [1]
         else:
             assert products == [1]
             assert rows_made(blocks) == list(range(1, K + 1))
@@ -179,8 +186,8 @@ def test_a_quadratic_sweep_forms_one_product_per_iterate(alg, kernel, monkeypatc
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
 def test_a_run_without_a_stop_rule_measures_once_on_the_compiled_path(alg, kernel, monkeypatch):
     # A compiled run makes its K rows in one qblock call and measures all
-    # K + 1 in one values_and_grads call; the numpy path measures a block
-    # each time 64 rows are unmeasured and after the loop.
+    # K + 1 in one values_and_grads call; the numpy path measures each row
+    # before it makes the next.
     K, p = 200, gen_zmatrix_quadratic(8, seed=3)
     sizes = []
     original = type(p.smooth).values_and_grads
@@ -197,7 +204,7 @@ def test_a_run_without_a_stop_rule_measures_once_on_the_compiled_path(alg, kerne
         assert sizes == [K + 1]
         assert blocks == [(0, K)]
     else:
-        assert sizes == [64, 64, 64, K + 1 - 192]
+        assert sizes == [1] * (K + 1)
 
 
 def test_l1lab_run_of_ccm_on_a_quadratic_makes_its_rows_in_one_qblock_call(
@@ -463,28 +470,44 @@ def test_a_non_finite_iterate_is_named_before_its_objective_value():
             assert str(exc.value) == "ccd produced a non-finite iterate at iteration 1"
 
 
-def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch, kernel):
+def test_a_sweep_error_comes_after_the_fault_of_its_start(monkeypatch):
+    # ccd diverges from the low-L case above, and its F first overflows at
+    # iteration 26. A sweep that raises when it is handed a non-finite row
+    # stands for a sweep that fails there (a 1-D solve that finds no root):
+    # the error names the first bad iteration, not the sweep's failure.
+    p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1, lipschitz=1e-3)
+    monkeypatch.setattr(_qsweep, "load", lambda: None)
+    original = CoordinateKernel.sweep
+
+    def sweep(self, w, *args):
+        if not np.isfinite(w).all():
+            raise ConvergenceError("sweep from a non-finite row")
+        return original(self, w, *args)
+
+    monkeypatch.setattr(CoordinateKernel, "sweep", sweep)
+    for stop in (0.0, NEVER_STOPS):
+        with pytest.raises(NonFiniteIterateError) as exc:
+            run("ccd", p, [0.0, 0.0], SolverConfig(max_outer_iters=400, stop_residual=stop))
+        assert (exc.value.iteration, str(exc.value)) == (
+            26, "ccd produced a non-finite objective value at iteration 26")
+
+
+def test_diverging_run_without_a_stop_rule_stops_at_its_fault(monkeypatch, kernel):
     # The low-L case above: F overflows at iteration 45. On the numpy path
-    # a budget of 10**6 iterations raises the same fault, measured with the
-    # first block of 64 rows, so gd takes fewer than 128 steps (grad calls).
-    # At L = 0.25 F overflows at iteration 149, after the row buffer has
-    # grown twice; a block is measured every 64 rows, so gd takes at most
-    # 64 steps past the fault. On the compiled path one qblock call makes
-    # all K rows, stepping on through the inf and NaN rows past the fault,
-    # and the one measurement after it names the same fault.
-    for lipschitz, fault, most in ((1e-3, 45, 127), (0.25, 149, 149 + 64)):
+    # a budget of 10**6 iterations raises the same fault: each row is
+    # measured before the next is made, so gd makes exactly 45 steps (it
+    # measures rows 0..45, one values_and_grads call each). At L = 0.25 F
+    # overflows at iteration 149, and gd makes 149 steps. On the compiled
+    # path one qblock call makes all K rows, stepping on through the inf
+    # and NaN rows past the fault, and the one measurement after it names
+    # the same fault.
+    for lipschitz, fault in ((1e-3, 45), (0.25, 149)):
         p = quadratic_problem([[2.0, -1.0], [-1.0, 2.0]], [0.5, -0.3], lam=0.1,
                               lipschitz=lipschitz)
         for K in (400, 10 ** 6) if kernel == "numpy" else (400,):
             with monkeypatch.context() as m:
                 if kernel == "numpy":
-                    original, grads = type(p.smooth).grad, []
-
-                    def counted(*args):
-                        grads.append(1)
-                        return original(*args)
-
-                    m.setattr(type(p.smooth), "grad", counted)
+                    measured = count_numpy_steps(m, p, "gd")
                 else:
                     blocks = count_blocks(m)
                 with pytest.raises(NonFiniteIterateError) as exc:
@@ -492,7 +515,8 @@ def test_diverging_run_without_a_stop_rule_stops_within_one_block(monkeypatch, k
             assert (exc.value.iteration, str(exc.value)) == (
                 fault, f"gd produced a non-finite objective value at iteration {fault}")
             if kernel == "numpy":
-                assert fault <= len(grads) <= most
+                # gd steps to each measured image but the faulty one's.
+                assert len(measured) - 1 == fault
             else:
                 assert blocks == [(0, K)]
 
@@ -536,8 +560,8 @@ def small_logistic_problem():
 
 @pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
 def test_stop_rule_path_measures_iterates_bitwise_like_fixed_path(alg):
-    # Without a stop rule run() measures all iterates in one pass after the
-    # loop; with one it measures each iterate as it is made.
+    # Without a stop rule a compiled run measures all iterates in one pass
+    # after the loop; every other run measures each iterate as it is made.
     K = 30
     for p in (gen_zmatrix_quadratic(9, seed=1), small_logistic_problem()):
         x0 = np.linspace(-1.5, 2.0, p.dim)
