@@ -27,7 +27,7 @@ from .problems import (
     load_xy_csv,
     save_problem,
 )
-from .solvers import SolverConfig, ccm_tau_log, inner_iterates, run
+from .solvers import _ALGORITHMS, SolverConfig, ccm_tau_log, inner_iterates, run
 from .verification import find_subsolution, find_supersolution, run_comparison
 
 _DESCENT_TOL = 1e-12
@@ -57,7 +57,7 @@ def _build_parser():
 
     runp = sub.add_parser("run", help="run one or all algorithms and write traces")
     runp.add_argument("--problem")
-    runp.add_argument("--alg", choices=("gd", "ccd", "ccm", "all"), default="all")
+    runp.add_argument("--alg", choices=(*_ALGORITHMS, "all"), default="all")
     runp.add_argument("--iters", type=int, default=100)
     runp.add_argument("--start", choices=("zero", "super", "sub"),
                       help="zero (the default), or a super- or subsolution found from --seed")
@@ -189,7 +189,7 @@ def cmd_run(args) -> int:
           else _start(p, args.start or "zero", args.seed))
     cfg = SolverConfig(max_outer_iters=args.iters, stop_residual=args.stop_residual)
     out_dir = Path(args.out_dir)
-    algs = ("gd", "ccd", "ccm") if args.alg == "all" else (args.alg,)
+    algs = _ALGORITHMS if args.alg == "all" else (args.alg,)
     if "ccm" in algs:
         p.smooth.exact_steps()  # raises Assumption2Error before any trace is written
     all_descent = True

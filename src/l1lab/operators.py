@@ -160,7 +160,7 @@ def classify_scale_sweep(p: ProblemSpec, x, taus, tol: float = _DEFAULT_CLASS_TO
     check_scalar_tolerance(tol)
     x = as_vector(x, p.dim)
     taus = [float(t) for t in taus]
-    if any(t <= 0.0 for t in taus):
+    if not all(t > 0.0 for t in taus):
         raise ValueError("every tau must be positive")
     g = p.smooth.grad(x)
     slacks = [_classification_slack(x, g, p.lam, t) for t in taus]
@@ -181,7 +181,7 @@ def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLAS
     if not 0 <= j < p.dim:
         raise IndexError(f"coordinate index {j} out of range for dimension {p.dim}")
     taus = np.asarray([float(t) for t in taus], dtype=float)
-    if np.any(taus <= 0.0):
+    if not np.all(taus > 0.0):
         raise ValueError("every tau must be positive")
     g = p.smooth.grad(x)
     if kind_codes(p, x[None], g[None], tol)[0] == KIND_BY_CODE.index(Kind.NEITHER):
@@ -214,6 +214,7 @@ def check_isotonicity_sampled(
     orders are probed, not just the strict cone. Finding no violation is
     evidence, not proof.
     """
+    check_scalar_tolerance(tol)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)

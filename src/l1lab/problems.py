@@ -175,8 +175,8 @@ class QuadraticForm(SmoothLoss):
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
         b = np.array(self.b, dtype=float).reshape(-1)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatchError(f"A must be a square matrix, got shape {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+            raise DimensionMismatchError(f"A must be square and nonempty, got shape {A.shape}")
         if b.shape[0] != A.shape[0]:
             raise DimensionMismatchError(
                 f"b has length {b.shape[0]}, expected {A.shape[0]}"

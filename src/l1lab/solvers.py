@@ -296,7 +296,7 @@ def solve_1d_prox(g_deriv, lam, tol: float = INNER_1D_TOL, max_iters: int = 200)
     Illinois-modified regula falsi narrows it to width at most tol; the
     midpoint is returned.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     if not tol > 0.0:
         raise ValueError("tol must be positive")

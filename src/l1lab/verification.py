@@ -37,7 +37,8 @@ from .operators import (
     prox_gradient_image,
 )
 from .problems import ProblemSpec, as_vector, objective
-from .solvers import CoordinateKernel, SolverConfig, compiled_affine, compiled_step, run
+from .solvers import (_ALGORITHMS, CoordinateKernel, SolverConfig, compiled_affine,
+                      compiled_step, run)
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
@@ -291,10 +292,10 @@ def check_objective_ordering(p: ProblemSpec, y, x, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration verdicts of a three-way comparison run.
-
-    bound is F* + L ||x* - x0||^2 / (2k) (infinite at k = 0), and rate_ok
-    holds when gd, ccd and ccm all meet it within the rate slack.
+    """Per-iteration verdicts of a three-way comparison run: the fields
+    named *_ok are PREDICATES, in order. bound is F* + L ||x* - x0||^2 / (2k)
+    (infinite at k = 0), and rate_ok holds when gd, ccd and ccm all meet
+    it within the rate slack.
     """
 
     k: int
@@ -310,16 +311,17 @@ class IterationRecord:
 
     @property
     def all_ok(self):
-        return self.dominance_ok and self.f_order_ok and self.rate_ok and self.persistence_ok
+        return all(getattr(self, name) for name in PREDICATES)
 
 
 @dataclass(eq=False)
 class ComparisonReport:
-    """Outcome of one three-way run from a common classified start: one
-    column per prediction over k = 0..K, f_values and kinds with rows gd,
-    ccd and ccm. kinds holds int8 codes, KIND_BY_CODE[c] the Kind of code
-    c. records views the columns as one IterationRecord per k, the only
-    place besides the JSON writer where the codes become Kind members."""
+    """Outcome of one three-way run from a common classified start: flags
+    maps each name in PREDICATES to its bool column over k = 0..K, and
+    f_values and kinds have rows gd, ccd and ccm. kinds holds int8 codes,
+    KIND_BY_CODE[c] the Kind of code c. records views the columns as one
+    IterationRecord per k, the only place besides the JSON writer where
+    the codes become Kind members."""
 
     start: object
     dominance_tol: float
@@ -328,26 +330,22 @@ class ComparisonReport:
     reference: ReferenceSolution
     f_values: np.ndarray
     bound: np.ndarray
-    dominance_ok: np.ndarray
-    f_order_ok: np.ndarray
-    rate_ok: np.ndarray
     kinds: np.ndarray
-    persistence_ok: np.ndarray
+    flags: dict
     traces: dict = field(repr=False, default_factory=dict)
 
     @property
     def verdict(self):
-        return all(flags.all() for flags in
-                   (self.dominance_ok, self.f_order_ok, self.rate_ok, self.persistence_ok))
+        return all(column.all() for column in self.flags.values())
 
     @property
     def records(self):
         """The columns as one IterationRecord per k, with Python scalars."""
         kinds = [[KIND_BY_CODE[c] for c in row] for row in self.kinds.tolist()]
-        return list(map(IterationRecord, range(len(self.bound)), *self.f_values.tolist(),
-                        self.bound.tolist(), self.dominance_ok.tolist(),
-                        self.f_order_ok.tolist(), self.rate_ok.tolist(),
-                        zip(*kinds), self.persistence_ok.tolist()))
+        columns = {"k": range(len(self.bound)), "bound": self.bound.tolist(),
+                   "classes": zip(*kinds), **dict(zip(_F_FIELDS, self.f_values.tolist())),
+                   **{name: column.tolist() for name, column in self.flags.items()}}
+        return list(map(IterationRecord, *(columns[name] for name in _RECORD_FIELDS)))
 
     def _json_head(self) -> dict:
         # to_json_dict() but per_iteration, with x_star as its array.
@@ -378,18 +376,17 @@ class ComparisonReport:
         def columns(start, stop):
             part = slice(start, stop)
             rows = render(np.vstack([self.f_values[:, part], self.bound[part]]), "json", " ", "\n")
-            f_gd, f_ccd, f_ccm, bound = map(str.split, rows.split("\n"))
-            bound = ["null" if inf else text
-                     for inf, text in zip(np.isinf(self.bound[part]).tolist(), bound)]
-            dominance, f_order, rate, persistence = (
-                ["true" if v else "false" for v in flags[part].tolist()]
-                for flags in (self.dominance_ok, self.f_order_ok, self.rate_ok,
-                              self.persistence_ok))
+            *f_rows, bound = map(str.split, rows.split("\n"))
             kinds = list(zip(*self.kinds[:, part].tolist()))
             spelled = {cs: "".join(json_value([KIND_BY_CODE[c].value for c in cs], ind + 4))
                        for cs in set(kinds)}
-            return (range(start, stop), f_gd, f_ccd, f_ccm, bound, dominance, f_order, rate,
-                    [spelled[cs] for cs in kinds], persistence)
+            texts = {"k": range(start, stop), **dict(zip(_F_FIELDS, f_rows)),
+                     "bound": ["null" if inf else text for inf, text
+                               in zip(np.isinf(self.bound[part]).tolist(), bound)],
+                     "classes": [spelled[cs] for cs in kinds],
+                     **{name: ["true" if v else "false" for v in column[part].tolist()]
+                        for name, column in self.flags.items()}}
+            return [texts[name] for name in _RECORD_FIELDS]
 
         return json_records(_RECORD_FIELDS, len(self.bound), columns, ind)
 
@@ -412,7 +409,7 @@ class ComparisonReport:
         as int(dominance_ok) does.
         """
         rows = np.column_stack([np.arange(len(self.bound)), *self.f_values, self.bound,
-                                self.dominance_ok])
+                                self.flags["dominance_ok"]])
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,F_gd,F_ccd,F_ccm,bound,dominance_ok\n")
             fh.writelines(render_pieces(rows, "%.17g", ",", "\n"))
@@ -420,6 +417,8 @@ class ComparisonReport:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+PREDICATES = tuple(name for name in _RECORD_FIELDS if name.endswith("_ok"))
+_F_FIELDS = tuple(f"f_{alg}" for alg in _ALGORITHMS)
 
 
 def run_comparison(
@@ -466,7 +465,7 @@ def run_comparison(
     from_above = start.kind is not Kind.SUBSOLUTION
 
     cfg = SolverConfig(max_outer_iters=K, stop_residual=0.0)
-    traces = {alg: run(alg, p, x0, cfg) for alg in ("gd", "ccd", "ccm")}
+    traces = {alg: run(alg, p, x0, cfg) for alg in _ALGORITHMS}
     ref = reference_minimizer(p)
 
     # Rows gd, ccd, ccm; stop_residual = 0 gives each trace K + 1 iterates.
@@ -479,17 +478,20 @@ def run_comparison(
     # it plus gap. Negation is exact, so -w <= -v + gap holds exactly when
     # w >= v - gap, the mirror order.
     signed = W if from_above else -W
-    dominance = (signed[1:] <= signed[:-1] + gap).all(axis=(0, 2))
-    f_order = (F[1:] <= F[:-1] + tol * (1.0 + np.abs(F[0]))).all(axis=0)
     # Each iterate against tol scaled by 1 + its own sup norm, from the
     # gradient run() kept.
     kinds = kind_codes(p, W.reshape(-1, p.dim), G.reshape(-1, p.dim),
-                       tol * (1.0 + row_norms.ravel())).reshape(3, K + 1)
-    # Exact points satisfy both defining inequalities, so convergence
-    # does not break persistence of the starting kind.
-    persistence = ((kinds == KIND_BY_CODE.index(start.kind))
-                   | (kinds == KIND_BY_CODE.index(Kind.EXACT))).all(axis=0)
+                       tol * (1.0 + row_norms.ravel())).reshape(len(traces), K + 1)
     rate_flags, headroom = _rate_flags(F, ref, x0, p.lipschitz)
+    flags = {
+        "dominance_ok": (signed[1:] <= signed[:-1] + gap).all(axis=(0, 2)),
+        "f_order_ok": (F[1:] <= F[:-1] + tol * (1.0 + np.abs(F[0]))).all(axis=0),
+        "rate_ok": np.concatenate(([True], rate_flags.all(axis=0))),
+        # Exact points satisfy both defining inequalities, so convergence
+        # does not break persistence of the starting kind.
+        "persistence_ok": ((kinds == KIND_BY_CODE.index(start.kind))
+                           | (kinds == KIND_BY_CODE.index(Kind.EXACT))).all(axis=0),
+    }
 
     return ComparisonReport(
         start=start,
@@ -500,10 +502,7 @@ def run_comparison(
         f_values=F,
         # k = 0 has no bound: the rate predicate starts at k = 1.
         bound=np.concatenate(([math.inf], ref.f_star + headroom)),
-        dominance_ok=dominance,
-        f_order_ok=f_order,
-        rate_ok=np.concatenate(([True], rate_flags.all(axis=0))),
         kinds=kinds,
-        persistence_ok=persistence,
+        flags=flags,
         traces=traces,
     )

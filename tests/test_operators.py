@@ -363,6 +363,28 @@ def test_check_isotonicity_sampled_scalar_convex():
     assert report.ok
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12])
+def test_check_isotonicity_sampled_rejects_nan_and_negative_tol(tol):
+    # gaps < -nan is never true: a NaN tol would pass without comparing anything.
+    p = quadratic_problem([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], lam=0.1, lipschitz=3.0)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        check_isotonicity_sampled(p, samples=10, tol=tol)
+
+
+@pytest.mark.parametrize("taus", [[float("nan")], [1.0, float("nan")], [0.0], [2.0, -1.0]])
+def test_classify_scale_sweep_rejects_nan_and_nonpositive_tau(scalar_quad, taus):
+    with pytest.raises(ValueError, match="every tau must be positive"):
+        classify_scale_sweep(scalar_quad, [3.0], taus)
+
+
+@pytest.mark.parametrize("taus", [[1.0, float("nan"), 2.0], [0.0], [1.0, -2.0]])
+def test_shrink_tau_curve_rejects_nan_and_nonpositive_tau(scalar_quad, taus):
+    # x = 3 is a supersolution, so only the tau grid is at fault.
+    assert classify_point(scalar_quad, [3.0]).kind is Kind.SUPERSOLUTION
+    with pytest.raises(ValueError, match="every tau must be positive"):
+        shrink_tau_curve(scalar_quad, [3.0], 0, taus)
+
+
 def test_exact_kind_agrees_with_residual():
     from l1lab import reference_minimizer
 

@@ -26,10 +26,10 @@ from l1lab import (
     run_comparison,
     solvers,
 )
+from l1lab.verification import PREDICATES
 
 K = 30
 SEEDS = range(20)
-PREDICATES = ("dominance_ok", "f_order_ok", "rate_ok", "persistence_ok")
 
 
 def instance(seed):
@@ -108,7 +108,7 @@ def test_planted_fault_fails_where_measured(starts, monkeypatch, fault):
     alg, plant, passing, failing = FAULTS[fault]
     reports = faulted_reports(starts, monkeypatch, alg, plant)
     got_passing = tuple(i for i, r in enumerate(reports) if r.verdict)
-    got_failing = tuple(sum(not getattr(r, name).all() for r in reports) for name in PREDICATES)
+    got_failing = tuple(sum(not r.flags[name].all() for r in reports) for name in PREDICATES)
     print(f"\n{fault}: passes {len(got_passing)} of {RUNS} runs; failing runs "
           + ", ".join(f"{name} {n}" for name, n in zip(PREDICATES, got_failing)))
     assert got_passing == passing and got_failing == failing, fault

@@ -272,6 +272,11 @@ def test_lasso_build_rejects_empty():
         lasso_build(np.zeros((0, 2)), np.zeros(0), 0.1)
 
 
+def test_quadratic_form_rejects_empty():
+    with pytest.raises(DimensionMismatchError, match="nonempty"):
+        QuadraticForm(np.zeros((0, 0)), np.zeros(0))
+
+
 def test_gen_zmatrix_scalar():
     p = gen_zmatrix_quadratic(1, seed=5)
     assert p.smooth.A.shape == (1, 1)

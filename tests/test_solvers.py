@@ -366,6 +366,12 @@ def test_solve_1d_prox_three_cases():
     assert solve_1d_prox(lambda a: a + 4, 1.0) == pytest.approx(-3.0, abs=1e-11)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), -1.0])
+def test_solve_1d_prox_rejects_nan_and_negative_lam(lam):
+    with pytest.raises(ValueError, match="lam must be nonnegative"):
+        solve_1d_prox(lambda a: a - 4, lam)
+
+
 def test_solve_1d_prox_unbounded_below():
     with pytest.raises(UnboundedBelowError):
         solve_1d_prox(lambda a: -2.0, 1.0)
