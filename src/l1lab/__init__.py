@@ -22,7 +22,6 @@ from .errors import (
 )
 from .operators import (
     Classification,
-    IsotonicityReport,
     Kind,
     check_isotonicity_quadratic,
     check_isotonicity_sampled,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 # check_isotonicity_quadratic lives next to QuadraticForm, whose exact
 # isotonicity certificate it is; it is re-exported here with the sampled check.
-from .problems import ProblemSpec, as_vector, check_isotonicity_quadratic  # noqa: F401
+from .problems import ProblemSpec, as_vector, check_count, check_isotonicity_quadratic  # noqa: F401
 
 _DEFAULT_CLASS_TOL = 1e-10
 _SAMPLED_TOL = 1e-10
@@ -192,31 +192,18 @@ def shrink_tau_curve(p: ProblemSpec, x, j: int, taus, tol: float = _DEFAULT_CLAS
     return _soft(float(x[j]) - gj / taus, p.lam / taus)
 
 
-@dataclass(frozen=True)
-class IsotonicityReport:
-    """Monte-Carlo evidence about order preservation of x - grad f(x)/L."""
-
-    samples: int
-    tol: float
-    violations: tuple
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def check_isotonicity_sampled(
-    p: ProblemSpec, samples: int = 1000, seed: int = 0, tol: float = _SAMPLED_TOL
-) -> IsotonicityReport:
+def check_isotonicity_sampled(p: ProblemSpec, samples: int = 1000, seed: int = 0,
+                              tol: float = _SAMPLED_TOL):
     """Probe ordered pairs x >= y for order preservation of x - grad f(x)/L.
 
-    Perturbations zero out roughly half of the coordinates so that partial
-    orders are probed, not just the strict cone. Finding no violation is
-    evidence, not proof.
+    Returns (ok, violations), the shape of check_isotonicity_quadratic: ok
+    when there are none, and each violation (sample, coordinate, gap) with
+    a gap below -tol. Perturbations zero out roughly half of the
+    coordinates so that partial orders are probed, not just the strict
+    cone. Finding no violation is evidence, not proof.
     """
     check_scalar_tolerance(tol)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    check_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     violations = []
     for s in range(samples):
@@ -229,4 +216,4 @@ def check_isotonicity_sampled(
         gaps = tx - ty
         for j in np.nonzero(gaps < -tol)[0]:
             violations.append((s, int(j), float(gaps[j])))
-    return IsotonicityReport(samples=samples, tol=tol, violations=tuple(violations))
+    return (not violations), violations

@@ -59,6 +59,13 @@ def as_vector(x, dim=None, name="x"):
     return v
 
 
+def check_count(value, name, least):
+    """Raise ValueError unless value is an int or numpy integer >= least;
+    bool is an int, but True is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _has_shifted_cholesky(M, shift):
     """Whether M + shift * I has a Cholesky factor; shifts M's diagonal in place.
 
@@ -516,8 +523,7 @@ def gen_zmatrix_quadratic(d, seed, density=0.5) -> ProblemSpec:
     strictly positive. b is uniform in [-1, 1]^d and lam uniform in [0.01, 0.5].
     Deterministic for a given seed.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    check_count(d, "d", 1)
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = np.random.default_rng(seed)

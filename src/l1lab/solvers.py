@@ -22,7 +22,7 @@ import numpy as np
 from ._jsonlayout import json_records, json_value, render, render_pieces
 from .errors import ConvergenceError, NonFiniteIterateError, UnboundedBelowError
 from .operators import prox_gradient_image
-from .problems import ProblemSpec, as_vector
+from .problems import ProblemSpec, as_vector, check_count
 
 # Coordinate updates smaller than this (relative) are treated as trivial,
 # so no shrinkage-threshold diagnostic is recorded for them. An update from
@@ -30,8 +30,10 @@ from .problems import ProblemSpec, as_vector
 # solve resolves its root; a smaller one is root-bracket noise.
 _TRIVIAL_RTOL = 1e-13
 
-# Bracket width to which solve_1d_prox resolves a coordinate root.
+# Bracket width to which solve_1d_prox resolves a coordinate root, and the
+# secant steps it may take to get there.
 INNER_1D_TOL = 1e-12
+_INNER_1D_MAX_ITERS = 200
 
 _ALGORITHMS = ("gd", "ccd", "ccm")
 
@@ -54,10 +56,7 @@ class SolverConfig:
     stop_residual: float = 0.0
 
     def __post_init__(self):
-        iters = self.max_outer_iters
-        # bool is an int, but True is no iteration count.
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-            raise ValueError("max_outer_iters must be an integer >= 1")
+        check_count(self.max_outer_iters, "max_outer_iters", 1)
         if not self.stop_residual >= 0.0:  # NaN fails this test too
             raise ValueError(f"stop_residual must be nonnegative, got {self.stop_residual}")
 
@@ -244,12 +243,13 @@ class CoordinateKernel:
         return w
 
 
-def _positive_branch_root(q, q0, tol, max_iters):
+def _positive_branch_root(q, q0):
     # q is nondecreasing with q(0) = q0 < 0. Bracket the root by doubling,
     # then shrink the bracket by Illinois-modified regula falsi: the secant
     # point of the bracket, with the value at an end that survives two steps
-    # in a row halved. Each point lies at least tol/2 inside the bracket, so
-    # once a point lands next to the root the following one closes it.
+    # in a row halved. Each point lies at least INNER_1D_TOL/2 inside the
+    # bracket, so once a point lands next to the root the following one
+    # closes it.
     lo, q_lo, hi, step = 0.0, q0, None, 1.0
     for _ in range(60):
         q_step = q(step)
@@ -262,10 +262,10 @@ def _positive_branch_root(q, q0, tol, max_iters):
         raise UnboundedBelowError(
             "no sign change within 60 doublings; the 1-D objective appears unbounded below"
         )
-    h = 0.5 * tol
+    h = 0.5 * INNER_1D_TOL
     side = 0
-    for _ in range(max_iters):
-        if hi - lo <= tol:
+    for _ in range(_INNER_1D_MAX_ITERS):
+        if hi - lo <= INNER_1D_TOL:
             return 0.5 * (lo + hi)
         a = lo - q_lo * (hi - lo) / (q_hi - q_lo)
         a = min(max(a, lo + h), hi - h)
@@ -281,33 +281,29 @@ def _positive_branch_root(q, q0, tol, max_iters):
                 q_hi *= 0.5
             side = -1
     raise ConvergenceError(
-        f"bracketed secant did not reach width {tol:.3e} in {max_iters} iterations "
-        f"(bracket [{lo:.17g}, {hi:.17g}])"
+        f"bracketed secant did not reach width {INNER_1D_TOL:.3e} in {_INNER_1D_MAX_ITERS} "
+        f"iterations (bracket [{lo:.17g}, {hi:.17g}])"
     )
 
 
-def solve_1d_prox(g_deriv, lam, tol: float = INNER_1D_TOL, max_iters: int = 200) -> float:
+def solve_1d_prox(g_deriv, lam) -> float:
     """Minimize g(a) + lam * |a| for a strictly convex differentiable g.
 
     Only the derivative g' is needed. Dispatch on g'(0): inside
     [-lam, lam] the minimizer is 0; otherwise the minimizer has a known
     sign and solves g'(a) + lam = 0 (positive side) or g'(a) - lam = 0
     (negative side). A doubling bracket certifies the root, and
-    Illinois-modified regula falsi narrows it to width at most tol; the
-    midpoint is returned.
+    Illinois-modified regula falsi narrows it to width at most
+    INNER_1D_TOL; the midpoint is returned.
     """
     if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     d0 = float(g_deriv(0.0))
     if abs(d0) <= lam:
         return 0.0
     if d0 < -lam:
-        return _positive_branch_root(lambda a: float(g_deriv(a)) + lam, d0 + lam, tol, max_iters)
-    return -_positive_branch_root(
-        lambda a: -float(g_deriv(-a)) + lam, lam - d0, tol, max_iters
-    )
+        return _positive_branch_root(lambda a: float(g_deriv(a)) + lam, d0 + lam)
+    return -_positive_branch_root(lambda a: -float(g_deriv(-a)) + lam, lam - d0)
 
 
 def compiled_affine(p: ProblemSpec):

@@ -36,7 +36,7 @@ from .operators import (
     optimality_residual,
     prox_gradient_image,
 )
-from .problems import ProblemSpec, as_vector, objective
+from .problems import ProblemSpec, as_vector, check_count, objective
 from .solvers import (_ALGORITHMS, CoordinateKernel, SolverConfig, compiled_affine,
                       compiled_step, run)
 
@@ -177,9 +177,7 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     overflowed), and ValueError when max_sweeps is not an integer >= 0 (a
     bool is not).
     """
-    if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer))
-            or max_sweeps < 0):
-        raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
+    check_count(max_sweeps, "max_sweeps", 0)
     try:
         method, kernel = "ccm", CoordinateKernel(p, "ccm")
     except Assumption2Error:
@@ -442,15 +440,10 @@ def run_comparison(
     bound is checked for gd, ccd and ccm with the fixed relative slack of
     rate_check, and rate_ok holds when all three meet it.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    check_count(K, "K", 1)
     check_scalar_tolerance(tol)
     x0 = as_vector(x0, p.dim)
-    certificate = p.smooth.isotonicity_certificate()
-    if certificate is not None:
-        iso_ok = certificate[0]
-    else:
-        iso_ok = check_isotonicity_sampled(p).ok
+    iso_ok = (p.smooth.isotonicity_certificate() or check_isotonicity_sampled(p))[0]
     start = classify_point(p, x0, tol * (1.0 + _inf_norm(x0)))
     if not report_only:
         if not iso_ok:

@@ -3,6 +3,10 @@ import pytest
 
 from l1lab import _qsweep, quadratic_problem
 
+# Values that no count argument takes: a fraction, NaN, a bool (an int to
+# Python, but no count) and zero, below every count's least value of 1.
+NOT_COUNTS = [2.5, float("nan"), True, 0]
+
 
 @pytest.fixture(params=["compiled", "python"])
 def renderer(request, monkeypatch):
@@ -56,3 +60,25 @@ def monotone_and_bracket(W, x_star, sign, tol=1e-8):
     V = sign * np.asarray(W)
     gap = tol * (1.0 + np.abs(V).max(axis=1, keepdims=True))
     return V[1:] <= V[:-1] + gap[:-1], sign * np.asarray(x_star) <= V + gap
+
+
+def ccm_update_margins(p, W, tol=1e-8):
+    """Entry (k, j): how far coordinate j, right after ccm's update j of
+    sweep k, is from minimizing F along e_j, over tol (1 + |w_{k+1}|_inf).
+    A ccm run on the quadratic p gives entries at most 1.
+
+    The point z right after update j of sweep k agrees with w_{k+1} in
+    coordinates <= j and with w_k in the others, so its gradient at j is
+    coordinate j of tril(A) w_{k+1} + triu(A, 1) w_k + b (the Gauss-Seidel
+    splitting), and z_j is coordinate j of w_{k+1}. The residual
+    |z_j - soft(z_j - g_j / A_jj, lam / A_jj)| is 0 exactly when z_j
+    minimizes F along e_j. Judged from the iterates alone, it does not
+    depend on how a kernel computed them."""
+    A, b = p.smooth.A, p.smooth.b
+    W = np.asarray(W)
+    Z = W[1:]
+    G = Z @ np.tril(A).T + W[:-1] @ np.triu(A, 1).T + b
+    a = A.diagonal()
+    u = Z - G / a
+    residual = np.abs(Z - np.sign(u) * np.maximum(np.abs(u) - p.lam / a, 0.0))
+    return residual / (tol * (1.0 + np.abs(Z).max(axis=1, keepdims=True)))

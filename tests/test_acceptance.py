@@ -29,7 +29,7 @@ from l1lab import (
     SolverConfig,
 )
 from l1lab.cli import main as cli_main
-from tests.conftest import monotone_and_bracket
+from tests.conftest import ccm_update_margins, monotone_and_bracket
 
 K_SUITE = 200
 DOM_TOL = 1e-8
@@ -337,3 +337,20 @@ def test_acceptance_9_monotone_iterates_and_a_bracket_of_x_star(suite):
     for seed, kind, alg, rises, crossings in failures:
         print(f"  seed {seed}, {kind} start, {alg}: {rises} rising and {crossings} crossing entries")
     _report(f"9 (monotone iterates and a bracket of x*, {entries} entries)", not failures)
+
+
+def test_acceptance_10_each_ccm_update_minimizes_F_along_its_coordinate(suite):
+    # The four predicates compare the runs with each other and with F*;
+    # this checks that the run called ccm is ccm: after its update j of
+    # sweep k, coordinate j minimizes F along e_j, to DOM_TOL (1 + |z|_inf).
+    worst, failures = 0.0, []
+    for seed, (p, rep_super, rep_sub) in enumerate(suite):
+        for rep in (rep_super, rep_sub):
+            margin = float(ccm_update_margins(p, rep.traces["ccm"].iterates, DOM_TOL).max())
+            worst = max(worst, margin)
+            if margin > 1.0:
+                failures.append((seed, rep.start.kind.value, margin))
+    for seed, kind, margin in failures:
+        print(f"  seed {seed}, {kind} start: worst residual {margin:.3g} of the tolerance")
+    _report(f"10 (each ccm update minimizes F along its coordinate; worst {worst:.2g} "
+            "of the tolerance)", not failures)

@@ -582,12 +582,11 @@ def quadratic_restrictions():
 
 
 def test_solve_1d_prox_brackets_root_within_tol():
-    tol = 1e-12
     cases = list(logistic_restrictions()) + list(quadratic_restrictions())
     nonzero = 0
     for g_deriv, lam in cases:
-        a = solve_1d_prox(g_deriv, lam, tol)
-        assert_certified_root(g_deriv, lam, tol, a)
+        a = solve_1d_prox(g_deriv, lam)
+        assert_certified_root(g_deriv, lam, INNER_1D_TOL, a)
         nonzero += a != 0.0
     assert nonzero > len(cases) // 2
 

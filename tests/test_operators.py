@@ -21,6 +21,7 @@ from l1lab import (
     vector_shrink,
 )
 from l1lab.operators import KIND_BY_CODE, kind_codes, prox_gradient_image
+from tests.conftest import NOT_COUNTS
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -346,21 +347,30 @@ def test_check_isotonicity_quadratic_matches_pairwise_loop():
 
 def test_check_isotonicity_sampled_zmatrix_clean():
     p = gen_zmatrix_quadratic(5, seed=1)
-    report = check_isotonicity_sampled(p, samples=1000, seed=0)
-    assert report.ok and report.samples == 1000
+    ok, violations = check_isotonicity_sampled(p, samples=1000, seed=0)
+    assert ok and violations == []
 
 
 def test_check_isotonicity_sampled_finds_violation():
     p = quadratic_problem([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], lam=0.1, lipschitz=3.0)
-    report = check_isotonicity_sampled(p, samples=1000, seed=0)
-    assert not report.ok
-    assert len(report.violations) >= 1
+    ok, violations = check_isotonicity_sampled(p, samples=1000, seed=0)
+    assert not ok
+    assert len(violations) >= 1
 
 
 def test_check_isotonicity_sampled_scalar_convex():
     p = logistic_problem([[1.0], [2.0]], [1.0, -1.0], lam=0.1)
-    report = check_isotonicity_sampled(p, samples=500, seed=3)
-    assert report.ok
+    ok, _ = check_isotonicity_sampled(p, samples=500, seed=3)
+    assert ok
+
+
+@pytest.mark.parametrize("samples", NOT_COUNTS)
+def test_check_isotonicity_sampled_rejects_samples_that_are_not_an_integer_at_least_1(samples):
+    # NaN used to pass `samples < 1` and reach range(), which raised
+    # TypeError; True ran one sample.
+    p = gen_zmatrix_quadratic(3, seed=1)
+    with pytest.raises(ValueError, match=f"samples must be an integer >= 1, got {samples!r}"):
+        check_isotonicity_sampled(p, samples=samples)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-12])

@@ -8,7 +8,9 @@ a raised precondition. The control (no fault) must pass every run; each
 fault's passing runs, and its count of failing runs per predicate, are
 pinned. A run that a fault passes is one the comparison cannot tell from a
 correct solver's, so the pass-through counts are the yardstick for new
-predicates.
+predicates. The runs that also pass the test-level check of ccm's updates
+(ccm_update_margins) are pinned too: only the Jacobi-style ccm's runs 0-3
+get through both, and their iterates are bitwise those of correct ccm.
 
 Run with ``pytest tests/test_planted_faults.py -s`` to see the table.
 """
@@ -27,6 +29,7 @@ from l1lab import (
     solvers,
 )
 from l1lab.verification import PREDICATES
+from tests.conftest import ccm_update_margins
 
 K = 30
 SEEDS = range(20)
@@ -63,17 +66,18 @@ def stale_gradient(kernel):
 RUNS = 2 * len(SEEDS)  # run 2 s is seed s's supersolution start, run 2 s + 1 its subsolution
 
 # name: (the algorithm faulted, the plant, the runs whose verdict passes,
-# the failing runs of each of PREDICATES).
+# the failing runs of each of PREDICATES, the runs that pass the verdict
+# and ccm_update_margins).
 FAULTS = {
-    "none": (None, None, tuple(range(RUNS)), (0, 0, 0, 0)),
-    "ccd step L/2": ("ccd", scale_steps(0.5), (), (40, 40, 4, 40)),
-    "ccd skips its last coordinate": ("ccd", skip_last_coordinate, (), (40, 40, 24, 0)),
-    "ccd threshold lam, not lam/L": ("ccd", threshold_lam, (), (40, 39, 3, 37)),
-    "ccm step 0.8 A_jj": ("ccm", scale_steps(0.8), (), (4, 4, 0, 40)),
-    "ccm step 1.05 A_jj": ("ccm", scale_steps(1.05), tuple(range(4, RUNS)), (4, 4, 0, 0)),
+    "none": (None, None, tuple(range(RUNS)), (0, 0, 0, 0), tuple(range(RUNS))),
+    "ccd step L/2": ("ccd", scale_steps(0.5), (), (40, 40, 4, 40), ()),
+    "ccd skips its last coordinate": ("ccd", skip_last_coordinate, (), (40, 40, 24, 0), ()),
+    "ccd threshold lam, not lam/L": ("ccd", threshold_lam, (), (40, 39, 3, 37), ()),
+    "ccm step 0.8 A_jj": ("ccm", scale_steps(0.8), (), (4, 4, 0, 40), ()),
+    "ccm step 1.05 A_jj": ("ccm", scale_steps(1.05), tuple(range(4, RUNS)), (4, 4, 0, 0), ()),
     "ccm from the sweep-start gradient": ("ccm", stale_gradient,
                                           (0, 1, 2, 3, 4, 5, 11, 13, 20, 21, 30, 38),
-                                          (28, 6, 0, 0)),
+                                          (28, 6, 0, 0), (0, 1, 2, 3)),
 }
 
 
@@ -105,10 +109,15 @@ def faulted_reports(starts, monkeypatch, alg, plant):
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_planted_fault_fails_where_measured(starts, monkeypatch, fault):
-    alg, plant, passing, failing = FAULTS[fault]
+    alg, plant, passing, failing, checked = FAULTS[fault]
     reports = faulted_reports(starts, monkeypatch, alg, plant)
     got_passing = tuple(i for i, r in enumerate(reports) if r.verdict)
     got_failing = tuple(sum(not r.flags[name].all() for r in reports) for name in PREDICATES)
+    got_checked = tuple(i for i in got_passing
+                        if ccm_update_margins(starts[i][0], reports[i].traces["ccm"].iterates)
+                        .max() <= 1.0)
     print(f"\n{fault}: passes {len(got_passing)} of {RUNS} runs; failing runs "
-          + ", ".join(f"{name} {n}" for name, n in zip(PREDICATES, got_failing)))
+          + ", ".join(f"{name} {n}" for name, n in zip(PREDICATES, got_failing))
+          + f"; passes the ccm update check too: {len(got_checked)}")
     assert got_passing == passing and got_failing == failing, fault
+    assert got_checked == checked, fault

@@ -25,6 +25,7 @@ from l1lab import (
     save_problem,
 )
 from l1lab.problems import problem_to_dict
+from tests.conftest import NOT_COUNTS
 
 INFL = 1.0 + 1e-8
 
@@ -281,6 +282,13 @@ def test_gen_zmatrix_scalar():
     p = gen_zmatrix_quadratic(1, seed=5)
     assert p.smooth.A.shape == (1, 1)
     assert p.smooth.A[0, 0] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("d", NOT_COUNTS)
+def test_gen_zmatrix_rejects_a_d_that_is_not_an_integer_at_least_1(d):
+    # 2.5 used to reach numpy, which raised TypeError.
+    with pytest.raises(ValueError, match=f"d must be an integer >= 1, got {d!r}"):
+        gen_zmatrix_quadratic(d, seed=0)
 
 
 def test_gen_zmatrix_passes_checker():

@@ -10,12 +10,19 @@ runs that follow bit for bit from the original's:
   x*, and multiplies every F by 2^m.
 
 Each relation runs through run_comparison on both kernels, from both
-starts. The relation (A, 2^m b, 2^m lam) from 2^m x0 is not checked: the
-reference solve's absolute stopping tolerances break it at m = 20.
+starts, and on drawn instances and exponents m. The mirror also runs
+through ``l1lab verify``, whose start search mirrors too, comparing the
+files it writes. The relation (A, 2^m b, 2^m lam) from 2^m x0 is not
+checked: the reference solve's absolute stopping tolerances break it at
+m = 20.
 """
+
+import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l1lab import (
     Kind,
@@ -24,7 +31,9 @@ from l1lab import (
     gen_zmatrix_quadratic,
     quadratic_problem,
     run_comparison,
+    save_problem,
 )
+from l1lab.cli import main as cli_main
 from l1lab.operators import KIND_BY_CODE
 from l1lab.verification import PREDICATES
 
@@ -90,3 +99,62 @@ def test_scaled_instance_keeps_the_iterates(kernel, seed, side, m):
         assert got.traces[alg].iterates.tobytes() == trace.iterates.tobytes(), alg
     assert got.reference.x_star.tobytes() == want.reference.x_star.tobytes()
     assert got.f_values.tobytes() == (s * want.f_values).tobytes()
+
+
+def verify_files(tmp_path, name, p, side, seed, capsys):
+    """``l1lab verify`` on p from its ``side`` start: the exit status, the
+    F*= part of its output, the summary CSV's bytes and the report JSON."""
+    problem, report, summary = (tmp_path / f"{name}.{ext}" for ext in ("json", "report", "csv"))
+    save_problem(p, problem)
+    code = cli_main(["verify", "--problem", str(problem), "--start", side, "--seed", str(seed),
+                     "--report", str(report), "--summary", str(summary)])
+    f_star = re.search(r"F\*=.*", capsys.readouterr().out)[0]
+    return code, f_star, summary.read_bytes(), json.loads(report.read_text())
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11, 20, 33, 48])
+def test_verify_on_the_mirrored_instance_mirrors_the_files(tmp_path, capsys, seed):
+    p = instance(seed)
+    q = transformed(p.smooth.A, -p.smooth.b, p.lam, p.lipschitz)
+    code, f_star, summary, want = verify_files(tmp_path, "p", p, "super", seed, capsys)
+    got_code, got_f_star, got_summary, got = verify_files(tmp_path, "q", q, "sub", seed, capsys)
+
+    assert (code, got_code) == (0, 0)
+    assert got_summary == summary and got_f_star == f_star
+    names = {kind.value: MIRROR.get(kind, kind).value for kind in KIND_BY_CODE}
+    assert got["start_kind"] == names[want["start_kind"]]
+    for record in want["per_iteration"]:
+        record["classes"] = [names[c] for c in record["classes"]]
+    # As numbers: the dead zone writes +0.0 on both sides.
+    x_star = got["reference"].pop("x_star")
+    assert x_star == [-v for v in want["reference"].pop("x_star")]
+    want["start_kind"] = got["start_kind"]
+    assert got == want
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 49), side=st.sampled_from(["super", "sub"]),
+       m=st.one_of(st.integers(-40, -1), st.integers(1, 40)))
+def test_drawn_instances_keep_the_mirror_and_the_scaling(seed, side, m):
+    # report_only: the start's classification tolerance tol (1 + |x0|_inf)
+    # does not scale with the slack, so for m <= -25 it can call the start
+    # exact on the scaled instance, and the precondition would refuse it.
+    p = instance(seed)
+    x0 = start(p, seed, side)
+    want = run_comparison(p, x0, 30, report_only=True)
+    A, b, lam, L = p.smooth.A, p.smooth.b, p.lam, p.lipschitz
+
+    mirror = run_comparison(transformed(A, -b, lam, L), -x0, 30, report_only=True)
+    for alg, trace in want.traces.items():
+        assert np.array_equal(mirror.traces[alg].iterates, -trace.iterates), alg
+    assert np.array_equal(mirror.reference.x_star, -want.reference.x_star)
+    assert mirror.f_values.tobytes() == want.f_values.tobytes()
+    for name in PREDICATES:
+        assert np.array_equal(mirror.flags[name], want.flags[name]), name
+
+    s = 2.0 ** m
+    scaled = run_comparison(transformed(s * A, s * b, s * lam, s * L), x0, 30, report_only=True)
+    for alg, trace in want.traces.items():
+        assert scaled.traces[alg].iterates.tobytes() == trace.iterates.tobytes(), alg
+    assert scaled.reference.x_star.tobytes() == want.reference.x_star.tobytes()
+    assert scaled.f_values.tobytes() == (s * want.f_values).tobytes()

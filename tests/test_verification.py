@@ -34,7 +34,7 @@ from l1lab import (
 from l1lab._jsonlayout import _RECORD_CHUNK
 from l1lab.operators import prox_gradient_image
 from l1lab.solvers import CoordinateKernel
-from tests.conftest import monotone_and_bracket
+from tests.conftest import NOT_COUNTS, monotone_and_bracket
 
 NEG_CONTROL = dict(A=[[2.0, 1.0], [1.0, 2.0]], b=[-1.0, -1.0], lam=0.1)
 
@@ -499,6 +499,23 @@ def test_run_comparison_rejects_nan_and_negative_tol():
     for tol in (float("nan"), -1e-12):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             run_comparison(p, x0, K=5, tol=tol)
+
+
+@pytest.mark.parametrize("K", NOT_COUNTS)
+def test_run_comparison_rejects_a_K_that_is_not_an_integer_at_least_1(K):
+    # 2.5, NaN and True used to pass `K < 1` and fail later, in
+    # SolverConfig, with an error about max_outer_iters.
+    p = gen_zmatrix_quadratic(3, seed=1)
+    x0 = find_supersolution(p, seed=1)
+    with pytest.raises(ValueError, match=f"K must be an integer >= 1, got {K!r}"):
+        run_comparison(p, x0, K)
+
+
+def test_run_comparison_takes_a_numpy_integer_K():
+    p = gen_zmatrix_quadratic(3, seed=1)
+    x0 = find_supersolution(p, seed=1)
+    got, want = run_comparison(p, x0, np.int64(5)), run_comparison(p, x0, 5)
+    assert got.f_values.tobytes() == want.f_values.tobytes() and got.verdict
 
 
 @pytest.mark.parametrize("case,tol", [
