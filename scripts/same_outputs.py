@@ -73,6 +73,12 @@ COMMANDS = (
     ("run_logistic_ccm_inner", ["run", "--problem", "logistic.json", "--alg", "ccm",
                                 "--record-inner", "--stop-residual", "1e-8",
                                 "--prefix", "logistic_ccm_inner_"]),
+    # An all-zero column at lam = 0: that coordinate's derivative is a
+    # signed zero at every point, from the state's tanh in the run and from
+    # the state without the coordinate in ccm's tau log.
+    ("run_logistic_zero_column", ["run", "--problem", "logistic_zero_column.json",
+                                  "--alg", "all", "--iters", "30",
+                                  "--prefix", "logistic_zero_column_"]),
     ("verify_d12_super", ["verify", "--dim", "12", "--seed", "3", "--iters", "100",
                           "--start", "super", "--report", "d12_super_report.json",
                           "--summary", "d12_super_summary.csv"]),
@@ -165,10 +171,13 @@ HANDWRITTEN = (b'{\r\n\t"kind": "quadratic",\r\n\t"A": [\r\n'
                b'\t"lambda": 1e-1\r\n}\r\n')
 
 
-def logistic_problem_json(n=200, d=20, lam=0.02, seed=0):
-    """A dense l1-logistic problem, by default n=200, d=20, as a problem file."""
+def logistic_problem_json(n=200, d=20, lam=0.02, seed=0, zero_column=None):
+    """A dense l1-logistic problem, by default n=200, d=20, as a problem
+    file; column ``zero_column`` of X, when given, is all zero."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
+    if zero_column is not None:
+        X[:, zero_column] = 0.0
     w = np.zeros(d)
     w[rng.choice(d, size=max(1, d // 5), replace=False)] = rng.standard_normal(max(1, d // 5))
     Y = np.where(X @ w >= 0.0, 1.0, -1.0)
@@ -203,6 +212,8 @@ def run_all(src, out, cache=None):
     (out / "logistic.json").write_text(logistic_problem_json(), encoding="utf-8")
     (out / "logistic1d.json").write_text(logistic_problem_json(n=50, d=1, lam=0.05, seed=1),
                                          encoding="utf-8")
+    (out / "logistic_zero_column.json").write_text(
+        logistic_problem_json(lam=0.0, seed=3, zero_column=2), encoding="utf-8")
     (out / "diverging.json").write_text(json.dumps(DIVERGING), encoding="utf-8")
     (out / "overflow.json").write_text(json.dumps(NEAR_OVERFLOW), encoding="utf-8")
     (out / "lasso.csv").write_text(lasso_csv(), encoding="utf-8")

@@ -117,10 +117,15 @@ class SmoothLoss:
     round differently); lipschitz_matrix(), the dense symmetric matrix
     whose largest eigenvalue is the gradient's Lipschitz constant; and for
     the coordinate kernel sweep_state(w), the running state of a sweep at
-    w, and coordinate_rows(), a (rows, deriv) pair: after coordinate j
-    moves by delta the state grows by delta * rows[j], and deriv(j, state)
-    is the partial derivative j, or deriv is None when that is state[j]
-    itself. The hooks below return None where a loss has no such answer.
+    w, and coordinate_rows(), a (rows, link, deriv) triple: after
+    coordinate j moves by delta the state grows by delta * rows[j];
+    link(h, out=t) writes into t, an array of the state's length, the part
+    of every partial derivative at state h that costs O(n); and deriv(j, t)
+    is the partial derivative j at h, one read of that t. t depends on the
+    state alone, so the kernel may evaluate link once per state and reuse t
+    for every derivative it reads until the state moves. link and deriv
+    are None when the partial derivative j is state[j] itself. The hooks
+    below return None where a loss has no such answer.
     """
 
     kind = None
@@ -236,7 +241,7 @@ class QuadraticForm(SmoothLoss):
     sweep_state = grad  # the running state is the gradient itself
 
     def coordinate_rows(self):
-        return self.A, None
+        return self.A, None, None
 
     def exact_steps(self):
         diag = self.A.diagonal()
@@ -290,8 +295,9 @@ class LogisticData(SmoothLoss):
 
     The coordinate-sweep state is the half margins h = Y * (X @ w) / 2;
     the rows are the halved label-scaled columns c_j / 2 = Y * X[:, j] / 2,
-    and the partial derivative j is sum_i c_ij (tanh(h_i) - 1) / (2 n), one
-    tanh per evaluation.
+    and the partial derivative j is sum_i c_ij (tanh(h_i) - 1) / (2 n): the
+    link is tanh, one per state, and each partial derivative one dot product
+    with it.
     """
 
     X: np.ndarray
@@ -354,13 +360,12 @@ class LogisticData(SmoothLoss):
         # Built per call, not cached here: the d x n copy belongs to one solve.
         rows = np.ascontiguousarray((self.X * (0.5 * self.Y)[:, None]).T)
         row_sums = rows.sum(axis=1).tolist()
-        n, buf = self.n, np.empty(self.n)
+        n = self.n
 
-        def deriv(j, h):
-            np.tanh(h, out=buf)
-            return (float(rows[j] @ buf) - row_sums[j]) / n
+        def deriv(j, t):
+            return (float(rows[j] @ t) - row_sums[j]) / n
 
-        return rows, deriv
+        return rows, np.tanh, deriv
 
     def active_set_solution(self, x, lam):
         # Newton's method from x on the support; the Hessian of f there is

@@ -177,26 +177,32 @@ class CoordinateKernel:
     The per-solve parts come from the smooth part and are built once: the
     per-coordinate step (L for ccd; for ccm the closed-form curvature, such
     as a quadratic's A_jj, or a numerical 1-D solve when the loss has none)
-    and the rows and partial derivative of the running state. Each sweep
-    computes its state once, the gradient A w + b of a quadratic or the half
-    margins Y * (X @ w) / 2 of logistic data, and then updates it after
-    every coordinate (state += delta * rows[j]). A coordinate thus costs
-    O(d) or O(n), and rounding drift in the state lasts at most one sweep.
-    The kernel is the numpy reference of the compiled step (compiled_step).
+    and the rows, link and partial derivative of the running state. Each
+    sweep computes its state once, the gradient A w + b of a quadratic or
+    the half margins Y * (X @ w) / 2 of logistic data, and then updates it
+    after every coordinate that moves (state += delta * rows[j]). A
+    coordinate thus costs O(d) or O(n), and rounding drift in the state
+    lasts at most one sweep. The link of a state (tanh for logistic data)
+    is evaluated at most once, when a derivative is first read there, so a
+    ccd coordinate that does not move costs one dot product, as does g'(0)
+    in ccm's 1-D solve from 0 (see sweep). The kernel is the numpy
+    reference of the compiled step (compiled_step).
     """
 
     def __init__(self, p: ProblemSpec, alg: str):
         self.p = p
-        self.rows, self.deriv = p.smooth.coordinate_rows()
+        self.rows, self.link, self.deriv = p.smooth.coordinate_rows()
         exact = p.smooth.exact_steps() if alg == "ccm" else None
         self.solve_1d = alg == "ccm" and exact is None
         self.steps = [p.lipschitz] * p.dim if exact is None else exact
         self.tau_floor = INNER_1D_TOL if self.solve_1d else 0.0
         # Scratch of a state's length for delta * rows[j] and the 1-D
-        # solve's points, and the state without coordinate j (1-D solve).
+        # solve's points, the state without coordinate j (1-D solve), and
+        # the link of the state.
         n = np.shape(self.rows)[1]
         self._buf = np.empty(n)
         self._h0 = np.empty(n) if self.solve_1d else None
+        self._t = None if self.link is None else np.empty(n)
 
     def sweep(self, w: np.ndarray, k: int = 0, taus: list | None = None) -> np.ndarray:
         """Update every coordinate of w in place, in order; return w.
@@ -205,30 +211,57 @@ class CoordinateKernel:
         returned w on coordinates < j and the given w on the rest. Appends
         to ``taus``, when given, a TauRecord (sweep index k) per non-trivial
         update.
+
+        The link of the state is evaluated when a derivative is first read
+        at a state, and reused until a coordinate moves. In ccm's 1-D solve
+        from z_old = 0 (or -0), without ``taus``, the live state stands in
+        for the state without coordinate j, state - z_old * rows[j], and
+        g'(0) reads the state's link: the two states, and so each point
+        rows[j] * a + state of the solve, differ at most in the sign of a
+        zero entry. tanh keeps that sign, so a derivative can differ only
+        in the sign of a zero, which no test of solve_1d_prox tells apart.
+        The tau log reads g' after the state has moved, so with ``taus``
+        the state without coordinate j is a copy.
         """
         state = self.p.smooth.sweep_state(w)
-        lam, rows, deriv, floor = self.p.lam, self.rows, self.deriv, self.tau_floor
-        buf, h0 = self._buf, self._h0
+        lam, rows, link, deriv = self.p.lam, self.rows, self.link, self.deriv
+        floor, buf, t = self.tau_floor, self._buf, self._t
+        current = False  # whether t holds link(state)
+
+        def at_state(j):
+            # The partial derivative j at the state.
+            nonlocal current
+            if not current:
+                link(state, out=t)
+                current = True
+            return deriv(j, t)
+
         for j, s in enumerate(self.steps):
             z_old = float(w[j])
             c = rows[j]
             if self.solve_1d:
-                np.multiply(z_old, c, out=h0)
-                np.subtract(state, h0, out=h0)
+                live = z_old == 0.0 and taus is None
+                h0 = state if live else self._h0
+                if not live:
+                    np.multiply(z_old, c, out=h0)
+                    np.subtract(state, h0, out=h0)
 
                 def g_deriv(a):
+                    if live and a == 0.0:
+                        return at_state(j)
                     np.multiply(c, a, out=buf)
                     np.add(buf, h0, out=buf)
-                    return deriv(j, buf)
+                    return deriv(j, link(buf, out=buf))
 
                 z_new = solve_1d_prox(g_deriv, lam)
             else:
-                gj = float(state[j]) if deriv is None else deriv(j, state)
+                gj = float(state[j]) if deriv is None else at_state(j)
                 z_new = _shrink(z_old - gj / s, lam / s)
             delta = z_new - z_old
             if delta != 0.0:
                 np.multiply(delta, c, out=buf)
                 state += buf
+                current = False
                 # Size 0 when not logging; floor > 0 only for a 1-D solve.
                 size = abs(delta) if taus is not None else 0.0
                 if size > floor and size > _TRIVIAL_RTOL * (1.0 + abs(z_old)):

@@ -61,12 +61,13 @@ def test_grad_matches_central_differences_of_value(problem):
 
 def test_sweep_state_gives_the_gradient_entrywise(problem):
     smooth = problem.smooth
-    rows, deriv = smooth.coordinate_rows()
+    rows, link, deriv = smooth.coordinate_rows()
     for x in points(problem, 10, seed=1):
         g = f_grad(problem, x)
         state = smooth.sweep_state(x)
+        t = None if link is None else link(state, out=np.empty_like(state))
         for j in range(problem.dim):
-            partial = state[j] if deriv is None else deriv(j, state)
+            partial = state[j] if deriv is None else deriv(j, t)
             assert partial == pytest.approx(g[j], abs=1e-14)
             # Moving coordinate j by delta moves the state by delta * rows[j].
             y = x.copy()
