@@ -30,9 +30,6 @@ from .problems import (
 from .solvers import _ALGORITHMS, SolverConfig, ccm_tau_log, inner_iterates, run
 from .verification import find_subsolution, find_supersolution, run_comparison
 
-_DESCENT_TOL = 1e-12
-
-
 def _build_parser():
     """The parser and its subcommand parsers by name. Each flag's default,
     type and choices are stated here once; --config values are checked
@@ -205,7 +202,7 @@ def cmd_run(args) -> int:
         csv_path = out_dir / f"{args.prefix}{name}.csv"
         trace.write_csv(csv_path)
         trace.write_json(out_dir / f"{args.prefix}{name}.json")
-        held = trace.descent_ok(_DESCENT_TOL)
+        held = trace.descent_ok()
         all_descent = all_descent and held
         print(
             f"{name}: {len(trace.iterates) - 1} iterations, "

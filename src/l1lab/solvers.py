@@ -185,8 +185,8 @@ class CoordinateKernel:
     lasts at most one sweep. The link of a state (tanh for logistic data)
     is evaluated at most once, when a derivative is first read there, so a
     ccd coordinate that does not move costs one dot product, as does g'(0)
-    in ccm's 1-D solve from 0 (see sweep). The kernel is the numpy
-    reference of the compiled step (compiled_step).
+    in ccm's 1-D solve from 0 (see sweep). Its step(W, P, k0, k1) is the
+    numpy reference of the compiled step (compiled_step), with its call.
     """
 
     def __init__(self, p: ProblemSpec, alg: str):
@@ -275,6 +275,13 @@ class CoordinateKernel:
             w[j] = z_new
         return w
 
+    def step(self, W: np.ndarray, P, k0: int, k1: int) -> None:
+        """Make rows k0 + 1..k1 of W, row k + 1 the sweep of a copy of row
+        k; P, the compiled step's products, is not read."""
+        for k in range(k0, k1):
+            W[k + 1] = W[k]
+            self.sweep(W[k + 1])
+
 
 def _positive_branch_root(q, q0):
     # q is nondecreasing with q(0) = q0 < 0. Bracket the root by doubling,
@@ -358,15 +365,15 @@ def compiled_step(p: ProblemSpec, alg: str):
     when compiled_affine(p) is None or numpy's dgemv cannot be had
     (_qsweep.dgemv()).
 
-    W and P are the addresses of two C-contiguous float64 buffers of rows
-    of length d, the iterates and their products, with P[k0] holding
-    np.matmul(A, W[k0]) for (A, b) = p.smooth.affine_gradient(). One call
-    (qblock) makes, for k0 <= k < k1, the next iterate W[k + 1], bitwise
-    the numpy step from W[k]: gd's prox-gradient image, or a ccd or ccm
-    sweep (with the steps of CoordinateKernel and a state buffer the step
-    owns). It then forms P[k + 1], bitwise
-    np.matmul(A, W[k + 1]), by the BLAS function numpy's matmul calls.
-    For ccm it calls exact_steps(), which may raise Assumption2Error.
+    W and P are C-contiguous float64 arrays of rows of length d, the
+    iterates and their products, with P[k0] = np.matmul(A, W[k0]) for
+    (A, b) = p.smooth.affine_gradient(). One call (qblock, on the
+    addresses of W and P) makes, for k0 <= k < k1, W[k + 1], bitwise the
+    numpy step from W[k] (gd's prox-gradient image, or
+    CoordinateKernel.step), and then P[k + 1], bitwise np.matmul(A,
+    W[k + 1]), by the BLAS function numpy's matmul calls. The step holds
+    A, b, its steps and its state buffer. For ccm it calls exact_steps(),
+    which may raise Assumption2Error.
     """
     compiled = compiled_affine(p)
     if compiled is None:
@@ -381,10 +388,27 @@ def compiled_step(p: ProblemSpec, alg: str):
     steps = (None if alg == "gd" else
              np.array(p.smooth.exact_steps() if alg == "ccm" else [L] * d, dtype=np.float64))
     state = np.empty(d)
-    step = partial(lib.qblock, dgemv, d, A.ctypes.data, b.ctypes.data,
-                   None if steps is None else steps.ctypes.data, p.lam, L, state.ctypes.data)
-    step.buffers = steps, state  # they live as long as the step; A and b as long as p
+    block = partial(lib.qblock, dgemv, d, A.ctypes.data, b.ctypes.data,
+                    None if steps is None else steps.ctypes.data, p.lam, L, state.ctypes.data)
+
+    def step(W, P, k0, k1):
+        block(W.ctypes.data, P.ctypes.data, k0, k1)
+
+    step.buffers = A, b, steps, state  # the arrays whose addresses block holds
     return step
+
+
+def measure_rows(p: ProblemSpec, W: np.ndarray, P, k0: int, k1: int):
+    """(G, F, R, images) of rows k0..k1-1 of the iterates W: gradients
+    from one values_and_grads call (row i bitwise grad(W[i])), F and the
+    residuals max |x - image| as objective() and optimality_residual()
+    give them, and prox-gradient images. P holds the rows' products A w
+    when the steps run in C (compiled_step), else None."""
+    B = W[k0:k1]
+    values, G = (p.smooth.values_and_grads(B) if P is None
+                 else p.smooth.values_and_grads(B, P[k0:k1]))
+    images = prox_gradient_image(p, B, G)
+    return G, values + p.lam * np.abs(B).sum(axis=1), np.abs(B - images).max(axis=1), images
 
 
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:
@@ -396,29 +420,26 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     objective value or residual that is not finite; at one iteration the
     iterate is named before F, and F before the residual.
 
-    One loop only makes the iterates, rows of a buffer. measure() takes the
-    rows not yet measured as one block: their finiteness, F, gradients (one
-    values_and_grads call, row i bitwise (value(W[i]), grad(W[i]))),
-    prox-gradient images and residuals. Except in a compiled run without a
-    stop rule (below), each row is measured before the next is made, so a
-    step never starts from an unmeasured row: gd steps to its measured
-    image, a diverging run stops at its first fault, and that fault comes
-    before any error of a later sweep. Without a stop rule the buffer holds
-    all K + 1 rows from the start; with one it doubles as it fills.
+    One loop only makes the iterates, rows of a buffer: a step(W, P, k0,
+    k1) call, compiled_step's or CoordinateKernel.step, makes rows k0 +
+    1..k1, and numpy gd steps to its measured image. measure() takes the
+    rows not yet measured as one block (measure_rows) and checks that
+    they are finite. Except in a compiled run without a stop rule, each
+    row is measured before the next is made, so a diverging run stops at
+    its first fault, before any error of a later sweep. Without a stop
+    rule the buffer holds all K + 1 rows from the start; with one it
+    doubles as it fills.
 
     When compiled_step(p, alg) is not None, the iterations run in C, and
-    each iterate's product A w is formed once, into row k of a product
-    buffer P the size of W: np.matmul for the start, and for every later
-    iterate the BLAS call that np.matmul makes, inside the step call. Both
-    the steps and measure() take these products. With a stop rule one step
-    call makes one row. Without one, one step call makes all K rows, and
-    all are measured in one block after the loop, which names the same
-    fault; a diverging run then makes all K rows before it raises. Buffer
-    addresses are taken when a buffer is made, not per call. Logistic data
-    and a run without the library or numpy's dgemv keep the numpy steps,
-    with the same bits. One kernel makes every row of a run. The trace's
-    inner and tau_log are None; inner_iterates() and ccm_tau_log() derive
-    them from its iterates.
+    each iterate's product A w is formed once, into row k of a buffer P
+    the size of W: np.matmul for the start, and for every later iterate
+    the BLAS call that np.matmul makes, inside the step call. The steps
+    and the measurement take these products. With a stop rule one step
+    call makes one row; without one, one call makes all K rows, measured
+    in one block after the loop, which names the same fault. Logistic
+    data and a run without the library or numpy's dgemv keep the numpy
+    steps, with the same bits. The trace's inner and tau_log are None;
+    inner_iterates() and ccm_tau_log() derive them from its iterates.
     """
     alg = str(algorithm).lower()
     if alg not in _ALGORITHMS:
@@ -426,41 +447,32 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
     cfg = cfg if cfg is not None else SolverConfig()
     K, stop, d = cfg.max_outer_iters, cfg.stop_residual, p.dim
     step = compiled_step(p, alg)
-    kernel = CoordinateKernel(p, alg) if step is None and alg != "gd" else None
+    compiled = step is not None
+    if not compiled and alg != "gd":
+        step = CoordinateKernel(p, alg).step
     # A compiled run without a stop rule makes its K rows in one step call.
-    one_call = step is not None and stop == 0.0
+    one_call = compiled and stop == 0.0
     W = np.empty((K + 1 if stop == 0.0 else min(K + 1, _FIRST_ROWS), d))
     W[0] = as_vector(x0, d)
-    P = None  # P[i] = np.matmul(A, W[i]), when the steps run in C
-    if step is not None:
-        P = np.empty_like(W)
-        w_at, p_at = W.ctypes.data, P.ctypes.data
+    P = np.empty_like(W) if compiled else None  # P[i] = np.matmul(A, W[i])
     blocks = []  # (G, F, R) of each measured block of rows, in order
     measured = 0  # rows of W measured so far
 
     def measure(n):
         # Measure rows measured..n-1 of W as one block and raise its first
         # fault: the first bad row, its iterate named before F and F before
-        # the residual. F = f + lam * ||x||_1 and the residual
-        # max |x - image| are objective()'s and optimality_residual()'s.
-        # Return the last row's image and residual.
+        # the residual. Return the last row's image and residual.
         nonlocal measured
         if n == measured:
             return
-        B = W[measured:n]
-        values, G = (p.smooth.values_and_grads(B) if P is None
-                     else p.smooth.values_and_grads(B, P[measured:n]))
-        images = prox_gradient_image(p, B, G)
-        F = values + p.lam * np.abs(B).sum(axis=1)
-        R = np.abs(B - images).max(axis=1)
+        G, F, R, images = measure_rows(p, W, P, measured, n)
         ok = np.isfinite(F) & np.isfinite(R)
         if not ok.all():
             # A non-finite iterate makes F non-finite too (its l1 term is
             # inf, or NaN at lam = 0), so the first bad row is found here.
-            i = int(ok.argmin())
-            what = ("iterate" if not np.isfinite(B[i]).all() else
-                    "objective value" if not np.isfinite(F[i]) else "residual")
-            k = measured + i
+            k = measured + int(ok.argmin())
+            what = ("iterate" if not np.isfinite(W[k]).all() else
+                    "objective value" if not np.isfinite(F[k - measured]) else "residual")
             raise NonFiniteIterateError(
                 f"{alg} produced a non-finite {what} at iteration {k}", iteration=k
             )
@@ -470,7 +482,7 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
 
     # Overflow shows up as a non-finite value checked here, not as a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if P is not None:
+        if compiled:
             np.matmul(p.smooth.affine_gradient()[0], W[0], out=P[0])
         n = K + 1  # iterates in the trace
         k = 1  # the next row to make
@@ -483,17 +495,13 @@ def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> 
                     break
             if k == len(W):  # only a stop-rule run fills its buffer
                 W = np.concatenate((W, np.empty((min(k, K + 1 - k), d))))
-                if P is not None:
+                if compiled:
                     P = np.concatenate((P, np.empty_like(W[k:])))
-                    w_at, p_at = W.ctypes.data, P.ctypes.data
             last = K if one_call else k  # the last row made in this pass
-            if P is not None:
-                step(w_at, p_at, k - 1, last)
-            elif kernel is not None:
-                W[k] = W[k - 1]
-                kernel.sweep(W[k])
-            else:
+            if step is None:
                 W[k] = image
+            else:
+                step(W, P, k - 1, last)
             k = last + 1
         measure(n)
 

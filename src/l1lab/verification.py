@@ -34,11 +34,10 @@ from .operators import (
     classify_point,
     kind_codes,
     optimality_residual,
-    prox_gradient_image,
 )
 from .problems import ProblemSpec, as_vector, check_count, objective
 from .solvers import (_ALGORITHMS, CoordinateKernel, SolverConfig, compiled_affine,
-                      compiled_step, run)
+                      compiled_step, measure_rows, run)
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
@@ -161,10 +160,9 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
 
     Sweeps as run() steps ccm, or ccd when the ccm step raises
     Assumption2Error (a quadratic diagonal entry <= 0), from 0 until the
-    residual is at most 1e-12 or max_sweeps sweeps are done; with the
-    compiled library a sweep is one row of compiled_step(p, method), which
-    also forms the product A x that the next residual's gradient A x + b
-    and the next sweep take.
+    residual is at most 1e-12 or max_sweeps sweeps are done. It sweeps
+    and measures a two-row buffer as run() does its rows: step(W, P, 0, 1)
+    of compiled_step(p, method) or CoordinateKernel, and measure_rows.
     Once the sign pattern of an iterate equals the previous one, the smooth
     part's support polish (the exact solve on the support for quadratics,
     Newton's method for logistic data) is tried, at most once per pattern;
@@ -183,14 +181,15 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     except Assumption2Error:
         method, kernel = "ccd", CoordinateKernel(p, "ccd")
     step = compiled_step(p, method)
-    # Row 0 holds x and, when the sweeps run in C, its product A x; a sweep
-    # writes row 1.
-    W, P = np.zeros((2, p.dim)), np.zeros((2, p.dim))
+    # Row 0 holds x and, when the sweeps run in C, P[0] its product A x; a
+    # sweep writes row 1.
+    W, P = np.zeros((2, p.dim)), None
     x = W[0]
-    if step is not None:
-        A, b = p.smooth.affine_gradient()
-        np.matmul(A, x, out=P[0])
-        w_at, p_at = W.ctypes.data, P.ctypes.data
+    if step is None:
+        step = kernel.step
+    else:
+        P = np.zeros((2, p.dim))
+        np.matmul(p.smooth.affine_gradient()[0], x, out=P[0])
 
     def polish(x):
         # The support polish of x and its residual; an infinite one if none.
@@ -201,9 +200,7 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
     # Overflow shows up as a non-finite residual checked here, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for sweeps in range(max_sweeps + 1):
-            # P[0] + b is bitwise grad(x).
-            image = prox_gradient_image(p, x, p.smooth.grad(x) if step is None else P[0] + b)
-            best_res = _inf_norm(x - image)
+            best_res = float(measure_rows(p, W, P, 0, 1)[2][0])
             if not math.isfinite(best_res):
                 raise ReferenceSolveError(
                     f"reference solve reached a non-finite residual after {sweeps} {method} "
@@ -218,14 +215,12 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
                 cand, cand_res = polish(x)
                 if cand_res <= _REFERENCE_STOP:
                     return _solution(p, cand, cand_res, method + "+active-set")
-            if step is None:
-                W[1] = x
-                kernel.sweep(W[1])
-            else:
-                step(w_at, p_at, 0, 1)
+            step(W, P, 0, 1)
             if np.array_equal(W[1], x):
                 break  # numerical fixed point of the sweep map
-            W[0], P[0] = W[1], P[1]
+            W[0] = W[1]
+            if P is not None:
+                P[0] = P[1]
         label = method
         cand, cand_res = polish(x)
     if cand_res < best_res:

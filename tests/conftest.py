@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from l1lab import _qsweep, quadratic_problem
+from l1lab import _qsweep, gen_zmatrix_quadratic, quadratic_problem
+from l1lab.operators import prox_gradient_image
 
 # Values that no count argument takes: a fraction, NaN, a bool (an int to
 # Python, but no count) and zero, below every count's least value of 1.
@@ -26,6 +27,13 @@ def kernel(request, monkeypatch):
     elif _qsweep.load() is None:
         pytest.skip("the compiled steps cannot be built here")
     return request.param
+
+
+def acceptance_instance(seed):
+    """The acceptance suite's instance of ``seed``: seeds 0-49 are the
+    suite's own, and 50 * s + i the benchmark's verify_small mix of seed s."""
+    return gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
+                                 density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
 
 
 @pytest.fixture
@@ -82,3 +90,32 @@ def ccm_update_margins(p, W, tol=1e-8):
     u = Z - G / a
     residual = np.abs(Z - np.sign(u) * np.maximum(np.abs(u) - p.lam / a, 0.0))
     return residual / (tol * (1.0 + np.abs(Z).max(axis=1, keepdims=True)))
+
+
+def ccd_update_margins(p, W, tol=1e-8):
+    """Entry (k, j): how far coordinate j, right after ccd's update j of
+    sweep k, is from the prox step of that coordinate from the point y
+    before the update, over tol (1 + |w_{k+1}|_inf). A ccd run on the
+    quadratic p gives entries at most 1.
+
+    y agrees with w_{k+1} in coordinates < j and with w_k in the others,
+    so its gradient at j is coordinate j of tril(A, -1) w_{k+1} + triu(A)
+    w_k + b, and y_j is coordinate j of w_k. The residual is
+    |z_j - soft(y_j - g_j / L, lam / L)|, with z_j coordinate j of w_{k+1}.
+    Like ccm_update_margins, it is judged from the iterates alone."""
+    A, b, L = p.smooth.A, p.smooth.b, p.lipschitz
+    W = np.asarray(W)
+    Y, Z = W[:-1], W[1:]
+    G = Z @ np.tril(A, -1).T + Y @ np.triu(A).T + b
+    u = Y - G / L
+    residual = np.abs(Z - np.sign(u) * np.maximum(np.abs(u) - p.lam / L, 0.0))
+    return residual / (tol * (1.0 + np.abs(Z).max(axis=1, keepdims=True)))
+
+
+def gd_step_flags(p, trace):
+    """Flag k: whether row k + 1 of a gd trace's iterates is bitwise
+    prox_gradient_image(p, w_k, g_k), with g_k the trace's gradient at w_k,
+    as a correct gd run's is on either kernel."""
+    W = np.asarray(trace.iterates)
+    images = prox_gradient_image(p, W[:-1], np.asarray(trace.gradients)[:-1])
+    return (images.view(np.uint64) == W[1:].view(np.uint64)).all(axis=1)

@@ -16,7 +16,6 @@ from l1lab import (
     f_value,
     find_subsolution,
     find_supersolution,
-    gen_zmatrix_quadratic,
     lasso_build,
     logistic_problem,
     objective,
@@ -29,7 +28,8 @@ from l1lab import (
     SolverConfig,
 )
 from l1lab.cli import main as cli_main
-from tests.conftest import ccm_update_margins, monotone_and_bracket
+from tests.conftest import (acceptance_instance, ccd_update_margins, ccm_update_margins,
+                            gd_step_flags, monotone_and_bracket)
 
 K_SUITE = 200
 DOM_TOL = 1e-8
@@ -42,18 +42,12 @@ def _report(label, ok):
     assert ok, f"acceptance criterion failed: {label}"
 
 
-def suite_instance(seed):
-    d = 2 + (seed % 19)
-    density = (0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5]
-    return gen_zmatrix_quadratic(d, seed=seed, density=density)
-
-
 @pytest.fixture(scope="module")
 def suite():
     """50 order-preserving instances with comparison runs from both start kinds."""
     out = []
     for seed in range(50):
-        p = suite_instance(seed)
+        p = acceptance_instance(seed)
         sup = find_supersolution(p, seed=seed)
         sub = find_subsolution(p, seed=seed)
         out.append(
@@ -354,3 +348,23 @@ def test_acceptance_10_each_ccm_update_minimizes_F_along_its_coordinate(suite):
         print(f"  seed {seed}, {kind} start: worst residual {margin:.3g} of the tolerance")
     _report(f"10 (each ccm update minimizes F along its coordinate; worst {worst:.2g} "
             "of the tolerance)", not failures)
+
+
+def test_acceptance_11_each_gd_and_ccd_update_is_its_step(suite):
+    # As criterion 10 does for ccm: every gd row is bitwise the prox-gradient
+    # image of the row before, from its recorded gradient, and after ccd's
+    # update j of sweep k, coordinate j is the prox step of that coordinate
+    # from the point before it, to DOM_TOL (1 + |z|_inf).
+    worst, failures = 0.0, []
+    for seed, (p, rep_super, rep_sub) in enumerate(suite):
+        for rep in (rep_super, rep_sub):
+            gd_rows = int((~gd_step_flags(p, rep.traces["gd"])).sum())
+            margin = float(ccd_update_margins(p, rep.traces["ccd"].iterates, DOM_TOL).max())
+            worst = max(worst, margin)
+            if gd_rows or margin > 1.0:
+                failures.append((seed, rep.start.kind.value, gd_rows, margin))
+    for seed, kind, gd_rows, margin in failures:
+        print(f"  seed {seed}, {kind} start: {gd_rows} gd rows not bitwise the step; "
+              f"ccd's worst residual {margin:.3g} of the tolerance")
+    _report(f"11 (each gd row is bitwise its step, each ccd update its prox step; ccd's worst "
+            f"{worst:.2g} of the tolerance)", not failures)

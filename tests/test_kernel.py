@@ -9,6 +9,7 @@ package did before it kept running state.
 """
 
 import dataclasses
+import gc
 import platform
 import sys
 
@@ -32,6 +33,7 @@ from l1lab import (
 from l1lab import _qsweep, solvers
 from l1lab.operators import _soft
 from l1lab.solvers import INNER_1D_TOL, CoordinateKernel, TauRecord, _shrink, compiled_step
+from tests.conftest import acceptance_instance
 
 SWEEPS = 20
 RTOL = 1e-12
@@ -221,8 +223,7 @@ def assert_same_reference(both_kernels, p):
 def test_compiled_sweep_is_bitwise_the_numpy_sweep_on_the_acceptance_family(both_kernels):
     for seed in range(50):
         # The acceptance suite's instances and starts.
-        p = gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
-                                  density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
+        p = acceptance_instance(seed)
         for x0 in (find_supersolution(p, seed=seed), find_subsolution(p, seed=seed)):
             assert_same_traces(both_kernels, p, x0, 200)
         assert_same_reference(both_kernels, p)
@@ -295,8 +296,7 @@ GD = {"algs": ("gd",), "stops": (0.0, 1e-9)}
 
 def test_compiled_gd_step_is_bitwise_the_numpy_step_on_the_acceptance_family(both_kernels):
     for seed in range(50):
-        p = gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
-                                  density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
+        p = acceptance_instance(seed)
         for x0 in (find_supersolution(p, seed=seed), find_subsolution(p, seed=seed)):
             assert_same_traces(both_kernels, p, x0, 200, **GD)
 
@@ -326,6 +326,56 @@ def test_compiled_gd_diverges_as_the_numpy_gd_does(both_kernels):
         compiled, numpy_ = both_kernels(fault)
         assert compiled == numpy_
         assert compiled[0] == 45
+
+
+def step_rows(step, p, x0, K, k0=None):
+    """Rows 0..K of iterates from x0 and their products A w: one
+    step(W, P, k, k + 1) call per row, or, with k0, one-row calls up to row
+    k0 and one block call for the rest."""
+    W, P = np.empty((K + 1, p.dim)), np.empty((K + 1, p.dim))
+    W[0] = x0
+    np.matmul(p.smooth.A, W[0], out=P[0])
+    for k in range(K if k0 is None else k0):
+        step(W, P, k, k + 1)
+    if k0 is not None:
+        step(W, P, k0, K)
+    return W, P
+
+
+def numpy_gd_step(p):
+    """numpy gd's step as a step(W, P, k0, k1): each row the measured image of
+    the row before (measure_rows without products)."""
+    def step(W, P, k0, k1):
+        for k in range(k0, k1):
+            W[k + 1] = solvers.measure_rows(p, W, None, k, k + 1)[3][0]
+    return step
+
+
+@pytest.mark.parametrize("alg", ["gd", "ccd", "ccm"])
+def test_a_block_step_call_is_bitwise_one_row_calls_on_either_kernel(alg):
+    # Both kernels take step(W, P, k0, k1). A block from k0 > 0 gives the
+    # bits of one-row calls, on each kernel, and the two kernels the same
+    # bits (numpy gd steps to its measured image). The compiled step was
+    # made from a problem that is gone by the time it runs: it holds the
+    # arrays whose addresses it passes on.
+    K, k0 = 9, 3
+    p = gen_zmatrix_quadratic(12, seed=5)
+    step = compiled_step(gen_zmatrix_quadratic(12, seed=5), alg)
+    if step is None:
+        pytest.skip("the compiled steps cannot be had here")
+    gc.collect()
+    litter = [np.full(n, np.nan) for n in (12 * 12, 12) * 8]  # reuses freed memory
+    x0 = np.random.default_rng(5).uniform(-3.0, 3.0, p.dim)
+    want, products = step_rows(step, p, x0, K)
+    W, P = step_rows(step, p, x0, K, k0)
+    assert same_bits(W, want) and same_bits(P, products)
+    if alg == "gd":
+        assert same_bits(step_rows(numpy_gd_step(p), p, x0, K)[0], want)
+    else:
+        kernel = CoordinateKernel(p, alg)
+        for rows in (step_rows(kernel.step, p, x0, K), step_rows(kernel.step, p, x0, K, k0)):
+            assert same_bits(rows[0], want)
+    assert all(np.isnan(a).all() for a in litter)
 
 
 # ---------------------------------------------------------------------------

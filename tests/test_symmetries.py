@@ -7,14 +7,18 @@ runs that follow bit for bit from the original's:
 * mirror: (A, -b, lam, L) from -x0 negates every iterate and x*, keeps
   every F, every flag and the verdict, and swaps super- and subsolution;
 * scaling: (2^m A, 2^m b, 2^m lam, 2^m L) from x0 keeps every iterate and
-  x*, and multiplies every F by 2^m.
+  x*, and multiplies every F by 2^m;
+* scaling the point: (A, 2^m b, 2^m lam, L) from 2^m x0 multiplies every
+  iterate and x* by 2^m and every F by 2^(2m).
 
-Each relation runs through run_comparison on both kernels, from both
+The first two run through run_comparison on both kernels, from both
 starts, and on drawn instances and exponents m. The mirror also runs
 through ``l1lab verify``, whose start search mirrors too, comparing the
-files it writes. The relation (A, 2^m b, 2^m lam) from 2^m x0 is not
-checked: the reference solve's absolute stopping tolerances break it at
-m = 20.
+files it writes. The third runs through run() and reference_minimizer on
+all 50 acceptance instances, where it holds at m = -20. At m = 20 the
+iterates still relate, but the reference solve stops at absolute
+tolerances (a residual of 1e-12 to stop, 1e-10 to accept), which do not
+scale with x*: what it gives there is pinned as measured.
 """
 
 import json
@@ -26,30 +30,34 @@ from hypothesis import given, settings, strategies as st
 
 from l1lab import (
     Kind,
+    ReferenceSolveError,
+    SolverConfig,
     find_subsolution,
     find_supersolution,
-    gen_zmatrix_quadratic,
     quadratic_problem,
+    reference_minimizer,
+    run,
     run_comparison,
     save_problem,
 )
 from l1lab.cli import main as cli_main
 from l1lab.operators import KIND_BY_CODE
 from l1lab.verification import PREDICATES
+from tests.conftest import acceptance_instance
 
 K = 200
 SEEDS = (0, 7, 13, 26, 44)
+
+# At m = 20, the instances whose scaled reference solve raises within 3000
+# sweeps (its final residual stays above 1e-10), and those whose scaled x*
+# is bitwise 2^m x*.
+POINT_SCALED_RAISES = (0, 6, 15, 28, 40, 43, 46)
+POINT_SCALED_X_STAR = (1, 2, 3, 8, 19, 20, 22, 24, 25, 30, 33, 38, 39, 41, 47)
 
 # Each kind's mirror image: super- and subsolution swap, the others stay.
 MIRROR = {Kind.SUPERSOLUTION: Kind.SUBSOLUTION, Kind.SUBSOLUTION: Kind.SUPERSOLUTION}
 MIRROR_CODE = np.array([KIND_BY_CODE.index(MIRROR.get(kind, kind)) for kind in KIND_BY_CODE],
                        dtype=np.int8)
-
-
-def instance(seed):
-    """The acceptance suite's instance of ``seed``."""
-    d = 2 + (seed % 19)
-    return gen_zmatrix_quadratic(d, seed=seed, density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
 
 
 def start(p, seed, side):
@@ -62,10 +70,43 @@ def transformed(A, b, lam, L):
     return q
 
 
+@pytest.mark.parametrize("m", [-20, 20])
+def test_scaled_point_scales_the_iterates_and_x_star(kernel, m):
+    # max_sweeps=3000: an instance whose reference solve cannot meet its
+    # absolute tolerances would sweep for the default 10**6.
+    s, cfg = 2.0 ** m, SolverConfig(max_outer_iters=50)
+    raises, x_star = [], []
+    for seed in range(50):
+        p = acceptance_instance(seed)
+        q = transformed(p.smooth.A, s * p.smooth.b, s * p.lam, p.lipschitz)
+        for x0 in (find_supersolution(p, seed=seed), find_subsolution(p, seed=seed)):
+            for alg in ("gd", "ccd", "ccm"):
+                want, got = run(alg, p, x0, cfg), run(alg, q, s * x0, cfg)
+                assert got.iterates.tobytes() == (s * want.iterates).tobytes(), (seed, alg)
+                assert np.array(got.f_values).tobytes() == \
+                    (s * s * np.array(want.f_values)).tobytes(), (seed, alg)
+        want = reference_minimizer(p)
+        try:
+            got = reference_minimizer(q, max_sweeps=3000)
+        except ReferenceSolveError:
+            raises.append(seed)
+            continue
+        if got.x_star.tobytes() == (s * want.x_star).tobytes():
+            x_star.append(seed)
+            assert got.f_star == s * s * want.f_star, seed
+    print(f"\nm = {m}: all 100 runs relate; the reference solve raises on {len(raises)} of 50 "
+          f"instances, and x* relates on {len(x_star)} of the other {50 - len(raises)}")
+    if m < 0:
+        assert not raises and len(x_star) == 50
+    else:
+        assert tuple(raises) == POINT_SCALED_RAISES
+        assert tuple(x_star) == POINT_SCALED_X_STAR
+
+
 @pytest.mark.parametrize("side", ["super", "sub"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mirrored_instance_negates_the_run(kernel, seed, side):
-    p = instance(seed)
+    p = acceptance_instance(seed)
     x0 = start(p, seed, side)
     want = run_comparison(p, x0, K)
     q = transformed(p.smooth.A, -p.smooth.b, p.lam, p.lipschitz)
@@ -88,7 +129,7 @@ def test_mirrored_instance_negates_the_run(kernel, seed, side):
 @pytest.mark.parametrize("side", ["super", "sub"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scaled_instance_keeps_the_iterates(kernel, seed, side, m):
-    p = instance(seed)
+    p = acceptance_instance(seed)
     x0 = start(p, seed, side)
     want = run_comparison(p, x0, K)
     s = 2.0 ** m
@@ -114,7 +155,7 @@ def verify_files(tmp_path, name, p, side, seed, capsys):
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 20, 33, 48])
 def test_verify_on_the_mirrored_instance_mirrors_the_files(tmp_path, capsys, seed):
-    p = instance(seed)
+    p = acceptance_instance(seed)
     q = transformed(p.smooth.A, -p.smooth.b, p.lam, p.lipschitz)
     code, f_star, summary, want = verify_files(tmp_path, "p", p, "super", seed, capsys)
     got_code, got_f_star, got_summary, got = verify_files(tmp_path, "q", q, "sub", seed, capsys)
@@ -139,7 +180,7 @@ def test_drawn_instances_keep_the_mirror_and_the_scaling(seed, side, m):
     # report_only: the start's classification tolerance tol (1 + |x0|_inf)
     # does not scale with the slack, so for m <= -25 it can call the start
     # exact on the scaled instance, and the precondition would refuse it.
-    p = instance(seed)
+    p = acceptance_instance(seed)
     x0 = start(p, seed, side)
     want = run_comparison(p, x0, 30, report_only=True)
     A, b, lam, L = p.smooth.A, p.smooth.b, p.lam, p.lipschitz

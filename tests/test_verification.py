@@ -34,7 +34,7 @@ from l1lab import (
 from l1lab._jsonlayout import _RECORD_CHUNK
 from l1lab.operators import prox_gradient_image
 from l1lab.solvers import CoordinateKernel
-from tests.conftest import NOT_COUNTS, monotone_and_bracket
+from tests.conftest import NOT_COUNTS, acceptance_instance, monotone_and_bracket
 
 NEG_CONTROL = dict(A=[[2.0, 1.0], [1.0, 2.0]], b=[-1.0, -1.0], lam=0.1)
 
@@ -195,18 +195,11 @@ def sweeps_then_polish(p, stop_residual=1e-12, max_sweeps=10 ** 6):
     return x, best_res, method
 
 
-def acceptance_mix(seed):
-    # The acceptance suite's instance formula; seeds 0-49 are the suite's own
-    # instances, and 50 * s + i the benchmark's verify_small mix of seed s.
-    return gen_zmatrix_quadratic(2 + seed % 19, seed=seed,
-                                 density=(0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5])
-
-
 def test_reference_minimizer_is_bitwise_the_plain_solve_on_quadratics():
     # Stopping at the first certified polish keeps every quadratic F* to the
     # bit: the polish is the exact solve on the support that the sweeps to
     # 1e-12 would have reached.
-    cases = [acceptance_mix(seed) for seed in range(150)]
+    cases = [acceptance_instance(seed) for seed in range(150)]
     cases.append(gen_zmatrix_quadratic(300, seed=1))
     methods = []
     for p in cases:
@@ -644,7 +637,7 @@ def differential_cases():
     # Ten instances of the acceptance mix (d = 2 + seed % 19, density by
     # seed % 5), spread over its dimensions and densities, from both starts.
     for seed in (11 * i % 50 for i in range(10)):
-        p = acceptance_mix(seed)
+        p = acceptance_instance(seed)
         yield f"mix{seed}-super", p, find_supersolution(p, seed=seed), 200, 1e-8
         yield f"mix{seed}-sub", p, find_subsolution(p, seed=seed), 200, 1e-8
     yield "far_super", gen_zmatrix_quadratic(8, seed=25), 2.0 ** 30 * np.ones(8), 120, 1e-8
