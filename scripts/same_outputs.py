@@ -88,6 +88,12 @@ COMMANDS = (
     # K = 600: a report whose per_iteration is written in two pieces.
     ("verify_d6_k600", ["verify", "--dim", "6", "--seed", "7", "--iters", "600",
                         "--report", "d6_k600_report.json", "--summary", "d6_k600_summary.csv"]),
+    # A reference whose swept point has a smaller residual than the
+    # certified polish of its support: the polish is kept, as it is when
+    # the comparison's guess certifies.
+    ("verify_d3_seed20", ["verify", "--dim", "3", "--seed", "20", "--iters", "100",
+                          "--report", "d3_seed20_report.json",
+                          "--summary", "d3_seed20_summary.csv"]),
     # A mid-size quadratic reference solve, checked byte for byte.
     ("verify_d60", ["verify", "--problem", "zmat60.json", "--iters", "40",
                     "--report", "d60_report.json", "--summary", "d60_summary.csv"]),

@@ -155,50 +155,65 @@ class ReferenceSolution:
     method: str
 
 
-def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceSolution:
+def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6,
+                        guess=None) -> ReferenceSolution:
     """Solve p to high precision for use as the F* oracle.
 
-    Sweeps as run() steps ccm, or ccd when the ccm step raises
-    Assumption2Error (a quadratic diagonal entry <= 0), from 0 until the
-    residual is at most 1e-12 or max_sweeps sweeps are done. It sweeps
-    and measures a two-row buffer as run() does its rows: step(W, P, 0, 1)
-    of compiled_step(p, method) or CoordinateKernel, and measure_rows.
-    Once the sign pattern of an iterate equals the previous one, the smooth
-    part's support polish (the exact solve on the support for quadratics,
-    Newton's method for logistic data) is tried, at most once per pattern;
-    a polished point whose residual is at most 1e-12 is returned at once.
-    After n failed attempts the next waits until a pattern has held for
-    2**n sweeps, so the attempts stay few when the pattern keeps changing.
-    Past the sweeps the polish is tried once more, and the better of the
-    two points is kept. Raises ReferenceSolveError when the final residual
+    The method is ccm, or ccd when the ccm step raises Assumption2Error (a
+    quadratic diagonal entry <= 0). With a guess, the smooth part's support
+    polish of the guess (the exact solve on its support for quadratics,
+    Newton's method from it for logistic data) is tried first, and returned
+    with no sweep when its residual is at most 1e-12. Otherwise, or without
+    a guess, the method sweeps as run() steps it, from 0 until the residual
+    is at most 1e-12 or max_sweeps sweeps are done. It sweeps and measures
+    a two-row buffer as run() does its rows: step(W, P, 0, 1) of
+    compiled_step(p, method) or CoordinateKernel, and measure_rows.
+    Once the sign pattern of an iterate equals the previous one, the
+    polish is tried, at most once per pattern; a polished point whose
+    residual is at most 1e-12 is returned at once. After n failed attempts
+    the next waits until a pattern has held for 2**n sweeps, so the
+    attempts stay few when the pattern keeps changing. Past the sweeps the
+    polish is tried once more, and kept when its residual is at most 1e-12
+    or below the swept point's. So a quadratic's x* is the exact solve on a
+    certified support, whichever point found it, and a guess that certifies
+    the sign pattern the sweeps certify gives bitwise the guess-free result;
+    on logistic data the two agree to Newton's tolerance. Raises ReferenceSolveError when the final residual
     exceeds 1e-10 or at the first residual that is not finite (the sweeps
-    overflowed), and ValueError when max_sweeps is not an integer >= 0 (a
-    bool is not).
+    overflowed), ValueError when max_sweeps is not an integer >= 0 (a bool
+    is not) or the guess has a non-finite entry, and DimensionMismatchError
+    when the guess is not a vector of length p.dim.
     """
     check_count(max_sweeps, "max_sweeps", 0)
+    if guess is not None:
+        guess = as_vector(guess, p.dim, "guess")
     try:
-        method, kernel = "ccm", CoordinateKernel(p, "ccm")
+        p.smooth.exact_steps()
+        method = "ccm"
     except Assumption2Error:
-        method, kernel = "ccd", CoordinateKernel(p, "ccd")
-    step = compiled_step(p, method)
-    # Row 0 holds x and, when the sweeps run in C, P[0] its product A x; a
-    # sweep writes row 1.
-    W, P = np.zeros((2, p.dim)), None
-    x = W[0]
-    if step is None:
-        step = kernel.step
-    else:
-        P = np.zeros((2, p.dim))
-        np.matmul(p.smooth.affine_gradient()[0], x, out=P[0])
+        method = "ccd"
 
     def polish(x):
         # The support polish of x and its residual; an infinite one if none.
         cand = p.smooth.active_set_solution(x, p.lam)
         return cand, math.inf if cand is None else optimality_residual(p, cand)
 
-    pattern, held, tried = None, 0, set()
     # Overflow shows up as a non-finite residual checked here, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        if guess is not None:
+            cand, cand_res = polish(guess)
+            if cand_res <= _REFERENCE_STOP:
+                return _solution(p, cand, cand_res, method + "+active-set")
+        step = compiled_step(p, method)
+        # Row 0 holds x and, when the sweeps run in C, P[0] its product A x;
+        # a sweep writes row 1.
+        W, P = np.zeros((2, p.dim)), None
+        x = W[0]
+        if step is None:
+            step = CoordinateKernel(p, method).step
+        else:
+            P = np.zeros((2, p.dim))
+            np.matmul(p.smooth.affine_gradient()[0], x, out=P[0])
+        pattern, held, tried = None, 0, set()
         for sweeps in range(max_sweeps + 1):
             best_res = float(measure_rows(p, W, P, 0, 1)[2][0])
             if not math.isfinite(best_res):
@@ -223,7 +238,7 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6) -> ReferenceS
                 P[0] = P[1]
         label = method
         cand, cand_res = polish(x)
-    if cand_res < best_res:
+    if cand_res <= _REFERENCE_STOP or cand_res < best_res:
         x, best_res, label = cand, cand_res, method + "+active-set"
     if best_res > _REFERENCE_RESIDUAL:
         raise ReferenceSolveError(
@@ -433,7 +448,11 @@ def run_comparison(
     Comparison tolerances are ``tol`` scaled by 1 + the sup norm of the
     iterates involved (or 1 + |F| for objective comparisons). The rate
     bound is checked for gd, ccd and ccm with the fixed relative slack of
-    rate_check, and rate_ok holds when all three meet it.
+    rate_check, and rate_ok holds when all three meet it. Its F* is
+    reference_minimizer(p, guess=ccm's last iterate): one support polish
+    when that iterate's polish certifies, sweeps from 0 otherwise; for a
+    quadratic it is bitwise reference_minimizer(p) wherever the two certify
+    one sign pattern.
     """
     check_count(K, "K", 1)
     check_scalar_tolerance(tol)
@@ -454,7 +473,7 @@ def run_comparison(
 
     cfg = SolverConfig(max_outer_iters=K, stop_residual=0.0)
     traces = {alg: run(alg, p, x0, cfg) for alg in _ALGORITHMS}
-    ref = reference_minimizer(p)
+    ref = reference_minimizer(p, guess=traces["ccm"].iterates[-1])
 
     # Rows gd, ccd, ccm; stop_residual = 0 gives each trace K + 1 iterates.
     W = np.stack([t.iterates for t in traces.values()])

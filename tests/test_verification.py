@@ -9,6 +9,7 @@ import pytest
 from l1lab import (
     Assumption2Error,
     ComparisonReport,
+    DimensionMismatchError,
     IterationRecord,
     Kind,
     PreconditionError,
@@ -31,8 +32,10 @@ from l1lab import (
     run_comparison,
     shrink_tau_curve,
 )
+from l1lab import verification
 from l1lab._jsonlayout import _RECORD_CHUNK
 from l1lab.operators import prox_gradient_image
+from l1lab.problems import LogisticData, QuadraticForm
 from l1lab.solvers import CoordinateKernel
 from tests.conftest import NOT_COUNTS, acceptance_instance, monotone_and_bracket
 
@@ -163,7 +166,9 @@ def test_reference_minimizer_logistic():
 
 
 def sweeps_then_polish(p, stop_residual=1e-12, max_sweeps=10 ** 6):
-    """The plain reference solve: sweep from 0 to stop_residual, then polish once.
+    """The plain reference solve: sweep from 0 to stop_residual, then polish
+    once, keeping a polish whose residual is at most 1e-12 or below the
+    swept point's.
 
     Returns (x, residual, method) as reference_minimizer's x_star, residual
     and method, or raises ReferenceSolveError as it does.
@@ -187,7 +192,7 @@ def sweeps_then_polish(p, stop_residual=1e-12, max_sweeps=10 ** 6):
     cand = p.smooth.active_set_solution(x, p.lam)
     if cand is not None:
         cand_res = optimality_residual(p, cand)
-        if cand_res < best_res:
+        if cand_res <= 1e-12 or cand_res < best_res:
             x, best_res = cand, cand_res
             method += "+active-set"
     if best_res > 1e-10:
@@ -210,9 +215,11 @@ def test_reference_minimizer_is_bitwise_the_plain_solve_on_quadratics():
         assert ref.method == method
         assert ref.residual <= 1e-12
         methods.append(method)
-    # Most instances take the polish (138 of 151 when written); the rest,
-    # such as x* = 0 or sweeps that reach a residual of exactly 0, keep x.
-    assert methods.count("ccm+active-set") > 120
+    # A certified polish is kept over the swept point, even where that
+    # point's residual is smaller still (such as x* = 0, or sweeps that
+    # reach a residual of exactly 0), so every instance takes the polish
+    # (151 of 151 when written; 138 when the smaller residual won).
+    assert methods.count("ccm+active-set") == len(cases)
 
 
 def logistic_cases():
@@ -238,6 +245,118 @@ def test_reference_minimizer_agrees_with_the_plain_solve_on_logistic_data():
         assert ref.residual <= 1e-12
         assert ref.residual == optimality_residual(p, ref.x_star)
         assert ref.method == "ccm+active-set"
+
+
+def counted_solve_parts(monkeypatch, smooth_type):
+    """Count the reference solve's polishes and the calls that make sweeps:
+    compiled_step, which builds every sweep path, and CoordinateKernel.step."""
+    calls = {"polish": 0, "compiled_step": 0, "step": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(smooth_type, "active_set_solution",
+                        counting("polish", smooth_type.active_set_solution))
+    monkeypatch.setattr(verification, "compiled_step",
+                        counting("compiled_step", verification.compiled_step))
+    monkeypatch.setattr(CoordinateKernel, "step", counting("step", CoordinateKernel.step))
+    return calls
+
+
+def assert_comparison_reference_is_guess_free(cases, monkeypatch):
+    # run_comparison passes ccm's last iterate as the guess. Its polish
+    # certifies on every instance here, so no comparison sweeps for its
+    # reference, and the exact solve on the certified support is the one
+    # the guess-free sweeps reach.
+    calls = counted_solve_parts(monkeypatch, QuadraticForm)
+    for p, seed, K in cases:
+        want = reference_minimizer(p)
+        for find in (find_supersolution, find_subsolution):
+            x0 = find(p, seed=seed)
+            before = dict(calls)
+            got = run_comparison(p, x0, K).reference
+            assert calls["compiled_step"] == before["compiled_step"], (seed, find.__name__)
+            assert calls["polish"] == before["polish"] + 1, (seed, find.__name__)
+            assert got.x_star.tobytes() == want.x_star.tobytes(), (seed, p.dim, find.__name__)
+            assert (got.f_star, got.residual, got.method) == \
+                (want.f_star, want.residual, want.method)
+
+
+def test_the_comparison_reference_is_bitwise_the_guess_free_solve(kernel, monkeypatch):
+    assert_comparison_reference_is_guess_free(
+        [(acceptance_instance(seed), seed, 200) for seed in range(50)], monkeypatch)
+
+
+def test_the_comparison_reference_is_the_guess_free_solve_on_the_benchmark_mix(monkeypatch):
+    # Seeds 50-149 are the benchmark's verify_small mix; d = 300 at K = 50
+    # is verify_large's size.
+    cases = [(acceptance_instance(seed), seed, 200) for seed in range(50, 150)]
+    cases += [(gen_zmatrix_quadratic(300, seed=seed), seed, 50) for seed in (1, 2)]
+    assert_comparison_reference_is_guess_free(cases, monkeypatch)
+
+
+def test_a_certified_guess_makes_no_sweep(kernel, monkeypatch):
+    for seed in (0, 7, 13, 26, 44):
+        p = acceptance_instance(seed)
+        want = reference_minimizer(p)
+        guess = run("ccm", p, find_supersolution(p, seed=seed),
+                    SolverConfig(max_outer_iters=50)).iterates[-1]
+        for max_sweeps in (10 ** 6, 0):
+            calls = counted_solve_parts(monkeypatch, QuadraticForm)
+            got = reference_minimizer(p, max_sweeps=max_sweeps, guess=guess)
+            monkeypatch.undo()
+            assert calls == {"polish": 1, "compiled_step": 0, "step": 0}, (seed, max_sweeps)
+            assert got.x_star.tobytes() == want.x_star.tobytes() and got.method == want.method
+
+
+def test_a_guess_that_does_not_certify_gives_the_guess_free_result(kernel):
+    # After one ccm sweep the support or the signs are often still wrong:
+    # the polish then flips a sign (None) or leaves a residual above 1e-12,
+    # and the solve sweeps from 0 as without a guess.
+    flipped = above = 0
+    for seed in range(50):
+        p = acceptance_instance(seed)
+        guess = run("ccm", p, find_supersolution(p, seed=seed),
+                    SolverConfig(max_outer_iters=1)).iterates[-1]
+        cand = p.smooth.active_set_solution(guess, p.lam)
+        flipped += cand is None
+        above += cand is not None and optimality_residual(p, cand) > 1e-12
+        want, got = reference_minimizer(p), reference_minimizer(p, guess=guess)
+        assert got.x_star.tobytes() == want.x_star.tobytes(), seed
+        assert (got.f_star, got.residual, got.method) == (want.f_star, want.residual, want.method)
+    assert (flipped, above) == (44, 2)  # as measured: both ways of failing occur
+
+
+def test_a_guess_gives_the_guess_free_f_star_on_logistic_data(monkeypatch):
+    # The logistic polish is Newton's method from the guess, so the two
+    # solves agree to Newton's tolerance, not bitwise.
+    for p in logistic_cases():
+        want = reference_minimizer(p)
+        guess = run("ccm", p, np.zeros(p.dim), SolverConfig(max_outer_iters=20)).iterates[-1]
+        calls = counted_solve_parts(monkeypatch, LogisticData)
+        got = reference_minimizer(p, guess=guess)
+        monkeypatch.undo()
+        assert calls == {"polish": 1, "compiled_step": 0, "step": 0}, p.dim
+        assert abs(got.f_star - want.f_star) <= 1e-12 * abs(want.f_star)
+        assert got.residual <= 1e-12 and got.method == "ccm+active-set"
+
+
+@pytest.mark.parametrize("guess, error", [
+    (np.zeros(4), DimensionMismatchError),
+    (np.zeros((1, 5)), DimensionMismatchError),
+    (np.array([0.0, 1.0, math.nan, 0.0, 0.0]), ValueError),
+    (np.array([0.0, 1.0, 0.0, -math.inf, 0.0]), ValueError),
+])
+def test_reference_minimizer_rejects_a_guess_before_any_polish_or_sweep(
+        guess, error, monkeypatch):
+    p = gen_zmatrix_quadratic(5, seed=1)
+    calls = counted_solve_parts(monkeypatch, QuadraticForm)
+    with pytest.raises(error, match="guess"):
+        reference_minimizer(p, guess=guess)
+    assert calls == {"polish": 0, "compiled_step": 0, "step": 0}
 
 
 def test_reference_minimizer_sweeps_ccd_where_a_diagonal_entry_is_zero(kernel):
