@@ -43,7 +43,8 @@ from l1lab import _qsweep  # noqa: E402
 SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer", "-ffp-contract=off", "-shared", "-fPIC")
 TESTS = ("tests/test_render.py", "tests/test_parse.py", "tests/test_kernel.py",
-         "tests/test_start_search.py", "tests/test_solvers.py")
+         "tests/test_start_search.py", "tests/test_solvers.py", "tests/test_operators.py",
+         "tests/test_verification.py")
 
 
 def runtime(cc: str, name: str) -> str:

@@ -15,15 +15,19 @@ from one repetition to the next:
 - ``render_floats`` on the 51 x 500 iterates of a K=50 ccd run, in both
   spellings (repr and '%.17g');
 - ``parse_floats`` on the X block of a dense logistic problem file,
-  n=2000, d=50, as save_problem writes it.
+  n=2000, d=50, as save_problem writes it;
+- ``qextremes`` on the stacked iterates and gradients of gd, ccd and ccm
+  runs: 3 x 201 rows at d=12 (a verify_small comparison, K=200) and
+  3 x 51 rows at d=500 (K=50);
+- ``qrays`` on the 21 rays of a start search at d=500 whose rays all
+  fail, so that each call walks all 21.
 
-Both sources must have the working tree's ABI: ``qblock``, ``qray``,
-``render_floats``, ``parse_floats`` and ``qaxpy`` with the same parameter
-lists, that is, ``qblock`` without a ``guard`` argument and
-``render_floats`` with a row length and a row separator. Each library is
-loaded by ``_qsweep._open``, with the prototypes the package declares.
-Without numpy's dgemv (_qsweep.dgemv() is None) the ``qblock`` cases are
-left out.
+The functions of the working tree's ABI (``_qsweep.PROTOTYPES``) that both
+sources define must have the same parameter lists, and each library is
+loaded with the prototypes the package declares for those it defines.
+Against a revision from before ``qextremes`` and ``qrays`` were added,
+their cases are left out, and so are the ``qblock`` and ``qrays`` cases
+without numpy's dgemv (_qsweep.dgemv() is None).
 
 First it prints which build of the sweep's row update each library runs
 on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin). Each line
@@ -34,9 +38,9 @@ run, so C changes are timed here first. The two libraries must give
 bitwise-equal outputs on every call timed.
 
 The exit status is 1 when the outputs differ, 2 when <rev> has no
-_qsweep.c, a library cannot be built or loaded, or one of those five
-functions is missing from <rev> or takes other arguments than the
-working tree's; 0 otherwise.
+_qsweep.c, a library cannot be built or loaded, or a function that both
+sources define takes other arguments in <rev> than in the working tree;
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -64,10 +68,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from l1lab import (SolverConfig, _qsweep, find_supersolution, gen_zmatrix_quadratic,  # noqa: E402
                    logistic_problem, run, save_problem)
+from l1lab.verification import _LADDER  # noqa: E402
 
 C_PATH = "src/l1lab/_qsweep.c"
-# The functions whose prototypes must agree: those _qsweep._open declares.
-ABI = ("qblock", "qray", "render_floats", "parse_floats", "qaxpy")
 
 
 def prototype(source: str, name: str) -> str:
@@ -79,7 +82,7 @@ def prototype(source: str, name: str) -> str:
 class Library:
     """One build of _qsweep.c, loaded as the package loads its own."""
 
-    def __init__(self, label: str, source: str, directory: Path):
+    def __init__(self, label: str, source: str, directory: Path, functions):
         self.label = label
         c_file = directory / f"{label}.c"
         c_file.write_text(source, encoding="utf-8")
@@ -88,9 +91,13 @@ class Library:
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"cannot build {label}: {done.stderr.strip()}")
-        self.lib = _qsweep._open(so)  # with the prototypes the package declares
-        if self.lib is None:
-            raise RuntimeError(f"cannot load {label}")
+        try:
+            self.lib = ctypes.CDLL(str(so))
+        except OSError as exc:
+            raise RuntimeError(f"cannot load {label}: {exc}") from None
+        for name in functions:  # with the prototypes the package declares
+            function = getattr(self.lib, name)
+            function.restype, function.argtypes = _qsweep.PROTOTYPES[name]
         probe = np.zeros(1)
         self.row_update = ("baseline", "avx2")[self.lib.qaxpy(-1, 0, 0.0, probe.ctypes.data,
                                                               probe.ctypes.data)]
@@ -137,6 +144,50 @@ class BlockCase:
         return W.tobytes() + P.tobytes()
 
 
+def run_stacks(d: int, K: int):
+    """(X, G): the iterates and gradients of gd, ccd and ccm runs of K
+    iterations from a supersolution, stacked as run_comparison stacks them."""
+    p = gen_zmatrix_quadratic(d, seed=1)
+    x0 = find_supersolution(p, seed=1)
+    traces = [run(alg, p, x0, SolverConfig(max_outer_iters=K)) for alg in ("gd", "ccd", "ccm")]
+    X = np.stack([t.iterates for t in traces]).reshape(-1, d)
+    G = np.stack([t.gradients for t in traces]).reshape(-1, d)
+    return p.lam, X, G
+
+
+class ExtremesCase:
+    """qextremes on the rows of X and G."""
+
+    def __init__(self, d: int, K: int):
+        self.lam, self.X, self.G = run_stacks(d, K)
+        self.out = np.empty((3, len(self.X)))
+
+    def __call__(self, lib: Library) -> bytes:
+        (m, d), out = self.X.shape, self.out
+        lib.lib.qextremes(m, d, self.X.ctypes.data, self.G.ctypes.data, self.lam,
+                          out[0].ctypes.data, out[1].ctypes.data, out[2].ctypes.data)
+        return out.tobytes()
+
+
+class RaysCase:
+    """qrays over the 21 rays of a supersolution search, from ray 0."""
+
+    def __init__(self, d: int, dgemv):
+        p = gen_zmatrix_quadratic(d, seed=d)
+        self.A, self.b = p.smooth.affine_gradient()
+        self.d, self.lam, self.dgemv = d, p.lam, dgemv
+        self.U = np.empty((21, d))
+        self.U[0] = 1.0
+        np.random.default_rng(d).random(out=self.U[1:])
+        self.a = np.empty(d)
+
+    def __call__(self, lib: Library):
+        hit = lib.lib.qrays(self.dgemv, self.d, self.A.ctypes.data, self.b.ctypes.data,
+                            self.lam, 1e-10, 1.0, len(_LADDER), _LADDER.ctypes.data,
+                            self.U.ctypes.data, 0, len(self.U), self.a.ctypes.data)
+        return hit, self.a.tobytes()
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("rev")
@@ -151,15 +202,19 @@ def main(argv) -> int:
         print(f"cannot read {C_PATH} of {args.rev}: {shown.stderr.strip()}", file=sys.stderr)
         return 2
     sources = {args.rev: shown.stdout, "tree": (ROOT / C_PATH).read_text(encoding="utf-8")}
-    for name in ABI:
+    shared = [name for name in _qsweep.PROTOTYPES if prototype(shown.stdout, name)]
+    for name in shared:
         if len({prototype(s, name) for s in sources.values()}) != 1:
             print(f"{name} of {args.rev} takes other arguments than the working tree's",
                   file=sys.stderr)
             return 2
+    for name in _qsweep.PROTOTYPES:
+        if name not in shared:
+            print(f"{args.rev} has no {name}: its cases are left out", file=sys.stderr)
 
     with tempfile.TemporaryDirectory(prefix="l1lab-time-c-") as tmp:
         try:
-            libs = [Library(label, source, Path(tmp))
+            libs = [Library(label, source, Path(tmp), shared)
                     for label, source in zip(("rev", "tree"), sources.values())]
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
@@ -168,8 +223,16 @@ def main(argv) -> int:
         cases = {}  # name -> (calls per timing, call of a library, its comparable output)
         dgemv = _qsweep.dgemv()
         if dgemv is None:
-            print("numpy's dgemv cannot be had: the qblock cases are left out", file=sys.stderr)
-        else:
+            print("numpy's dgemv cannot be had: the qblock and qrays cases are left out",
+                  file=sys.stderr)
+        if "qextremes" in shared:
+            for d, K, calls in ((12, 200, 200), (500, 50, 20)):
+                extremes_case = ExtremesCase(d, K)
+                cases[f"qextremes 3x{K + 1}x{d}"] = (calls, extremes_case, extremes_case)
+        if "qrays" in shared and dgemv is not None:
+            rays_case = RaysCase(500, dgemv)
+            cases["qrays 21 rays d=500"] = (5, rays_case, rays_case)
+        if "qblock" in shared and dgemv is not None:
             for alg, d, K, calls in (("ccd", 11, 200, 50), ("gd", 11, 200, 50),
                                      ("ccd", 300, 50, 4), ("ccd", 500, 50, 2),
                                      ("ccm", 300, 50, 4), ("ccm", 500, 50, 2)):

@@ -6,8 +6,12 @@
  * from the product A x, with the same float operations in the same order,
  * and then the next product A w by the dgemv that numpy's matmul calls.
  *
- * qray: the first rung of a ray t * u that classifies as the wanted kind,
- * the start search's numpy classification with the same float operations.
+ * qrays: the first of a block of rays t * u with a rung that classifies as
+ * the wanted kind, each product A u by numpy's dgemv and each rung by the
+ * start search's numpy classification with the same float operations.
+ *
+ * qextremes: the least and greatest classification slack and the sup norm
+ * of each row of a block of points, as numpy's min and max reduce them.
  *
  * render_floats: a block of doubles as text, in rows, each value spelled
  * as Python's repr (float.__repr__) or '%.17g' % v spells it.
@@ -196,30 +200,37 @@ void qblock(dgemv_fn dgemv, long d, const double *A, const double *b, const doub
     }
 }
 
+/* The slack of one coordinate at the point x with gradient g, lam >= 0:
+ * operators._classification_slack with tau = 1 (dividing by 1 is exact, so
+ * it is left out), g + lam where x - g > lam, g - lam where x - g < -lam,
+ * else x. A NaN x - g fails both tests and keeps x. The two tests exclude
+ * each other, so they are written as two selections, which the compiler
+ * can make without branches. */
+static inline double slack(double x, double g, double lam)
+{
+    double v = x - g;
+    double s = v > lam ? g + lam : x;
+    return v < -lam ? g - lam : s;
+}
+
 /* The first of the rungs ts[0..nt) at which the point x = t u of a
  * quadratic classifies as a supersolution (sign = 1) or a subsolution
  * (sign = -1), or -1 when none does; a = A u. The gradient at x is
  * g = t a + b, bitwise A x + b when t is a power of two: scaling by one is
  * exact (short of overflow and subnormals) in every product and partial
- * sum. The slack of each coordinate is operators._classification_slack
- * with tau = 1 (dividing by 1 is exact, so it is left out): g + lam where
- * x - g > lam, g - lam where x - g < -lam, else x. As in
- * operators._kind_codes, a rung is of the wanted kind when every
- * sign * s >= -tol and some sign * s > tol (every |s| <= tol is EXACT); a
- * NaN fails the first test, so its rung is NEITHER. A rung is left at its
- * first coordinate that fails that test. */
-long qray(long d, long nt, const double *ts, const double *u, const double *a,
-          const double *b, double lam, double tol, double sign)
+ * sum. As in operators.extreme_codes, a rung is of the wanted kind when
+ * every sign * slack >= -tol and some sign * slack > tol (every
+ * |slack| <= tol is EXACT); a NaN fails the first test, so its rung is
+ * NEITHER. A rung is left at its first coordinate that fails that test. */
+static long first_rung(long d, long nt, const double *ts, const double *u, const double *a,
+                       const double *b, double lam, double tol, double sign)
 {
     for (long r = 0; r < nt; r++) {
         double t = ts[r];
         int beyond = 0;  /* some sign * s > tol */
         long i;
         for (i = 0; i < d; i++) {
-            double x = t * u[i];
-            double g = t * a[i] + b[i];
-            double v = x - g;
-            double s = sign * (v > lam ? g + lam : v < -lam ? g - lam : x);
+            double s = sign * slack(t * u[i], t * a[i] + b[i], lam);
             if (!(s >= -tol))
                 break;
             beyond |= s > tol;
@@ -228,6 +239,63 @@ long qray(long d, long nt, const double *ts, const double *u, const double *a,
             return r;
     }
     return -1;
+}
+
+/* The first of the rays U[r0..r1) (rows of d doubles) of a quadratic with
+ * a rung ts[k] of the wanted kind (first_rung), as r * nt + k; -1 when
+ * none has one. Each ray's product a = A u is formed by dgemv, called as
+ * qblock calls it, so a is bitwise np.matmul(A, u); a is scratch of d
+ * doubles. */
+long qrays(dgemv_fn dgemv, long d, const double *A, const double *b, double lam, double tol,
+           double sign, long nt, const double *ts, const double *U, long r0, long r1, double *a)
+{
+    for (long r = r0; r < r1; r++) {
+        const double *u = U + r * d;
+        dgemv(102, 112, d, d, 1.0, A, d, u, 1, 0.0, a, 1);
+        long k = first_rung(d, nt, ts, u, a, b, lam, tol, sign);
+        if (k >= 0)
+            return r * nt + k;
+    }
+    return -1;
+}
+
+/* For each of the m rows of X and G (d doubles each: a point x and its
+ * gradient g), lo[i] and hi[i], the least and the greatest slack of the
+ * row's coordinates, and norm[i] = max |x|, each a NaN when one of its
+ * terms is, as numpy's min and max reduce them; lam is finite and >= 0.
+ * The slack takes a subtraction, an add of +-lam, comparisons and abs,
+ * each rounded as numpy rounds it, and the extremes take no sum, so they
+ * do not depend on the order of the scan; only the sign of a zero extreme
+ * may differ from numpy's, which no comparison tells apart.
+ *
+ * |x| is taken as the bits of x without the sign: for doubles >= 0 the
+ * integer order is the float order, and every NaN lies above +inf, so the
+ * greatest such integer is max |x|, or a NaN when some x is one. A slack
+ * is a NaN exactly when its x is (g + lam and g - lam are taken only when
+ * x - g is not a NaN, and then g is not one; lam is finite), so a NaN norm
+ * marks the rows whose lo and hi are NaN, and the min and max of the slack
+ * need no NaN test of their own. */
+void qextremes(long m, long d, const double *X, const double *G, double lam, double *lo,
+               double *hi, double *norm)
+{
+    for (long i = 0; i < m; i++) {
+        const double *x = X + i * d, *g = G + i * d;
+        double l = __builtin_inf(), h = -l, n;
+        uint64_t nbits = 0;
+        for (long j = 0; j < d; j++) {
+            double s = slack(x[j], g[j], lam);
+            uint64_t bits;
+            memcpy(&bits, x + j, sizeof bits);
+            bits &= ~(1ULL << 63);
+            nbits = bits > nbits ? bits : nbits;
+            l = s < l ? s : l;
+            h = s > h ? s : h;
+        }
+        memcpy(&n, &nbits, sizeof n);
+        lo[i] = n != n ? n : l;
+        hi[i] = n != n ? n : h;
+        norm[i] = n;
+    }
 }
 
 /* Float-to-text by exact integer arithmetic (Steele & White 1990; Adams,

@@ -1,23 +1,28 @@
 """The compiled library _qsweep.c, built with the system cc on first use.
 
-It exports five functions: ``qblock``, a run of ccd, ccm or gd iterations
+It exports six functions: ``qblock``, a run of ccd, ccm or gd iterations
 of a quadratic on rows of iterates (each a cyclic sweep or gd's step from
 the product A x, as the numpy loops do it) that also forms each next
-product A w, ``qray``, the start search's classification of the rungs
-of one ray of a quadratic, ``render_floats``, which spells a block of
+product A w, ``qrays``, the start search's walk over a block of rays of
+a quadratic (each product A u formed as qblock forms its products, each
+ray's rungs classified in turn) to the first rung of the wanted kind,
+``qextremes``, the least and greatest classification slack and the sup
+norm of each row of a block of points and gradients (see
+operators.row_extremes), ``render_floats``, which spells a block of
 floats in rows as repr or '%.17g' does (see _jsonlayout.render),
 ``parse_floats``, which reads a JSON array of numbers, 1-D or
 rectangular 2-D, into doubles as float() reads each token (see
 _jsonlayout.loads), and ``qaxpy``, for the tests: the sweep's row update
 state += delta * row in the variant named (0 the baseline build, 1 the
 AVX2 twin, -1 the one qblock chooses on this CPU), which returns the
-variant run or -1 when this CPU cannot run it. load() returns the
-library, or None when it cannot be had; the callers then keep the numpy
-loops and Python's own number formatting and parsing, with the same bits
-and bytes.
+variant run or -1 when this CPU cannot run it. PROTOTYPES holds their
+ctypes prototypes. load() returns the library, or None when it cannot be
+had; the callers then keep the numpy loops and Python's own number
+formatting and parsing, with the same bits and bytes.
 dgemv() returns the BLAS function numpy's matmul calls for a matrix times
-a vector, which qblock takes to form its products, or None when it cannot
-be found or does not give np.matmul's bits. Nothing here runs at import.
+a vector, which qblock and qrays take to form their products, or None
+when it cannot be found or does not give np.matmul's bits. Nothing here
+runs at import.
 
 The library is cached per user in ``$XDG_CACHE_HOME/l1lab`` (by default
 ``~/.cache/l1lab``), a directory created with mode 0700 and used only if
@@ -157,6 +162,22 @@ def _compile(cc: str, directory: Path, key: str) -> Path | None:
             tmp.unlink(missing_ok=True)
 
 
+_LONG, _DOUBLE, _PTR = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+
+# The exported functions: name -> (restype, argtypes).
+PROTOTYPES = {
+    "qblock": (None, (DGEMV, _LONG, _PTR, _PTR, _PTR, _DOUBLE, _DOUBLE, _PTR, _PTR, _PTR, _LONG,
+                      _LONG)),
+    "qrays": (_LONG, (DGEMV, _LONG, _PTR, _PTR, _DOUBLE, _DOUBLE, _DOUBLE, _LONG, _PTR, _PTR,
+                      _LONG, _LONG, _PTR)),
+    "qextremes": (None, (_LONG, _LONG, _PTR, _PTR, _DOUBLE, _PTR, _PTR, _PTR)),
+    "render_floats": (_LONG, (_LONG, _PTR, ctypes.c_int, ctypes.c_char_p, _LONG, _LONG,
+                              ctypes.c_char_p, _LONG, _PTR, _PTR)),
+    "parse_floats": (_LONG, (ctypes.c_char_p, _LONG, _LONG, _LONG, _PTR, _PTR)),
+    "qaxpy": (_LONG, (_LONG, _LONG, _DOUBLE, _PTR, _PTR)),
+}
+
+
 def _open(path: Path | None):
     if path is None:
         return None
@@ -164,24 +185,9 @@ def _open(path: Path | None):
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    lib.qblock.argtypes = (DGEMV, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-                           ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
-    lib.qblock.restype = None
-    lib.qray.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-                         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-                         ctypes.c_double)
-    lib.qray.restype = ctypes.c_long
-    lib.render_floats.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p,
-                                  ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_long,
-                                  ctypes.c_void_p, ctypes.c_void_p)
-    lib.render_floats.restype = ctypes.c_long
-    lib.parse_floats.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                                 ctypes.c_void_p, ctypes.c_void_p)
-    lib.parse_floats.restype = ctypes.c_long
-    lib.qaxpy.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
-                          ctypes.c_void_p)
-    lib.qaxpy.restype = ctypes.c_long
+    for name, (restype, argtypes) in PROTOTYPES.items():
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
     return lib
 
 
@@ -189,7 +195,8 @@ def _open(path: Path | None):
 def load():
     """The library, with
     ``qblock(dgemv, d, A, b, steps, lam, L, state, W, P, k0, k1)``,
-    ``qray(d, nt, ts, u, a, b, lam, tol, sign)``,
+    ``qrays(dgemv, d, A, b, lam, tol, sign, nt, ts, U, r0, r1, a)``,
+    ``qextremes(m, d, X, G, lam, lo, hi, norm)``,
     ``render_floats(n, values, repr, sep, nsep, rowlen, rowsep, nrowsep, out, holes)``,
     ``parse_floats(text, len, start, cap, out, info)``
     and ``qaxpy(variant, d, delta, row, state)``, or None.

@@ -111,22 +111,51 @@ def check_scalar_tolerance(tol):
 KIND_BY_CODE = (Kind.NEITHER, Kind.SUBSOLUTION, Kind.SUPERSOLUTION, Kind.EXACT)
 
 
-def _kind_codes(slack, tol):
+def extreme_codes(lo, hi, tol):
     """int8 code (see KIND_BY_CODE) of each row of a slack stack, from the
-    row's extremes.
+    row's least slack lo and greatest slack hi.
 
     EXACT when every |s| <= tol, else SUPERSOLUTION when every s >= -tol,
     else SUBSOLUTION when every s <= tol, else NEITHER. tol is one value or
     one per row. A NaN makes both extremes NaN, so its row is NEITHER.
     """
-    codes = 2 * (slack.min(axis=1) >= -tol).astype(np.int8)
-    codes += slack.max(axis=1) <= tol
+    codes = 2 * (lo >= -tol).astype(np.int8)
+    codes += hi <= tol
     return codes
+
+
+def _kind_codes(slack, tol):
+    return extreme_codes(slack.min(axis=1), slack.max(axis=1), tol)
+
+
+def row_extremes(p: ProblemSpec, points: np.ndarray, grads: np.ndarray):
+    """(lo, hi, norms) of the rows of two m x d float64 stacks, a point
+    and its gradient in each row: the least and the greatest slack of
+    _classification_slack(x, g, p.lam, 1.0) and max |x|, each NaN where a
+    term is.
+
+    With the compiled library, in one pass over C-contiguous, aligned
+    stacks (qextremes in _qsweep.c), with numpy's values except possibly
+    the sign of a zero lo or hi, which no comparison tells apart; otherwise
+    the numpy expressions.
+    """
+    from . import _qsweep  # imported, and built, only when C code is wanted
+
+    lib = _qsweep.load()
+    if lib is None or not all(a.flags.c_contiguous and a.flags.aligned for a in (points, grads)):
+        slack = _classification_slack(points, grads, p.lam, 1.0)
+        return slack.min(axis=1), slack.max(axis=1), np.abs(points).max(axis=1)
+    m, d = points.shape
+    out = np.empty((3, m))
+    lib.qextremes(m, d, points.ctypes.data, grads.ctypes.data, p.lam, out[0].ctypes.data,
+                  out[1].ctypes.data, out[2].ctypes.data)
+    return out[0], out[1], out[2]
 
 
 def kind_codes(p: ProblemSpec, points, grads, tol) -> np.ndarray:
     """The int8 code (see KIND_BY_CODE) of each row of ``points``, from its
-    gradient in the same row of ``grads``, in one pass over the stack.
+    gradient in the same row of ``grads``, in one pass over the stack
+    (row_extremes).
 
     ``tol`` is one tolerance or one per row. Row i gets the code of the
     kind that classify_point(p, points[i], tol[i]) gives, without a
@@ -134,13 +163,14 @@ def kind_codes(p: ProblemSpec, points, grads, tol) -> np.ndarray:
     """
     tol = np.asarray(tol, dtype=float)
     check_tolerance(tol)
-    points = np.asarray(points, dtype=float)
-    grads = np.asarray(grads, dtype=float)
+    points = np.require(points, np.float64, "CA")
+    grads = np.require(grads, np.float64, "CA")
     if points.ndim != 2 or points.shape[1] != p.dim or grads.shape != points.shape:
         raise DimensionMismatchError(
             f"points {points.shape} and grads {grads.shape} must both be m x {p.dim}"
         )
-    return _kind_codes(_classification_slack(points, grads, p.lam, 1.0), tol)
+    lo, hi, _ = row_extremes(p, points, grads)
+    return extreme_codes(lo, hi, tol)
 
 
 def classify_point(p: ProblemSpec, x, tol: float = _DEFAULT_CLASS_TOL) -> Classification:

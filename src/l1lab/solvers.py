@@ -347,9 +347,10 @@ def solve_1d_prox(g_deriv, lam) -> float:
 
 
 def compiled_affine(p: ProblemSpec):
-    """(lib, A, b) when p's smooth part has an affine gradient, (A, b) from
-    affine_gradient(), that C code may take by address and the compiled
-    library loads; None otherwise."""
+    """(lib, dgemv, A, b) when p's smooth part has an affine gradient, (A, b)
+    from affine_gradient(), that C code may take by address, the compiled
+    library loads and numpy's dgemv can be had (_qsweep.dgemv()); None
+    otherwise."""
     affine = p.smooth.affine_gradient()
     if affine is None or not (_c_array(affine[0], (p.dim, p.dim))
                               and _c_array(affine[1], (p.dim,))):
@@ -357,13 +358,13 @@ def compiled_affine(p: ProblemSpec):
     from . import _qsweep  # imported, and built, only when C code is wanted
 
     lib = _qsweep.load()
-    return None if lib is None else (lib, *affine)
+    dgemv = None if lib is None else _qsweep.dgemv()
+    return None if dgemv is None else (lib, dgemv, *affine)
 
 
 def compiled_step(p: ProblemSpec, alg: str):
     """step(W, P, k0, k1) when alg's iterations on p run in C; None
-    when compiled_affine(p) is None or numpy's dgemv cannot be had
-    (_qsweep.dgemv()).
+    when compiled_affine(p) is None.
 
     W and P are C-contiguous float64 arrays of rows of length d, the
     iterates and their products, with P[k0] = np.matmul(A, W[k0]) for
@@ -378,12 +379,7 @@ def compiled_step(p: ProblemSpec, alg: str):
     compiled = compiled_affine(p)
     if compiled is None:
         return None
-    from . import _qsweep
-
-    dgemv = _qsweep.dgemv()
-    if dgemv is None:
-        return None
-    lib, A, b = compiled
+    lib, dgemv, A, b = compiled
     d, L = p.dim, p.lipschitz
     steps = (None if alg == "gd" else
              np.array(p.smooth.exact_steps() if alg == "ccm" else [L] * d, dtype=np.float64))

@@ -32,12 +32,15 @@ from .operators import (
     check_isotonicity_sampled,
     check_scalar_tolerance,
     classify_point,
+    extreme_codes,
     kind_codes,
     optimality_residual,
+    prox_gradient_image,
+    row_extremes,
 )
 from .problems import ProblemSpec, as_vector, check_count, objective
 from .solvers import (_ALGORITHMS, CoordinateKernel, SolverConfig, compiled_affine,
-                      compiled_step, measure_rows, run)
+                      compiled_step, run)
 
 _RATE_RTOL = 1e-9
 _REFERENCE_RESIDUAL = 1e-10
@@ -60,6 +63,51 @@ def _inf_norm(v):
 _LADDER = np.array([2.0 ** i for i in range(41)])
 
 
+def _ray_walk(p, U, want, tol):
+    """walk(r0, r1): (r, k) for the first ray U[r], r0 <= r < r1, whose
+    rung _LADDER[k] * U[r] classifies as ``want``, taking the gradient
+    t (A u) + b at rung t when p's gradient is affine; None when no ray has
+    one.
+
+    In C (qrays) when compiled_affine(p) is not None: each ray's product
+    A u by numpy's dgemv, the rungs in order, each left at its first
+    coordinate of the wrong kind. Otherwise every rung of a ray at once
+    (kind_codes), the first of the wanted code winning. The ladder warns
+    nothing where its top rungs overflow.
+    """
+    d = p.dim
+    compiled = compiled_affine(p)
+    if compiled is not None:
+        lib, dgemv, A, b = compiled
+        a = np.empty(d)
+        rays = partial(lib.qrays, dgemv, d, A.ctypes.data, b.ctypes.data, p.lam, float(tol),
+                       1.0 if want is Kind.SUPERSOLUTION else -1.0, len(_LADDER),
+                       _LADDER.ctypes.data, U.ctypes.data)
+
+        def walk(r0, r1):
+            hit = rays(r0, r1, a.ctypes.data)
+            return None if hit < 0 else divmod(hit, len(_LADDER))
+
+        return walk
+
+    affine = p.smooth.affine_gradient()
+    code = KIND_BY_CODE.index(want)
+
+    def walk(r0, r1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(r0, r1):
+                u = U[r]
+                grads = (np.multiply.outer(_LADDER, affine[0] @ u) + affine[1]
+                         if affine is not None else [p.smooth.grad(t * u) for t in _LADDER])
+                hits = np.flatnonzero(
+                    kind_codes(p, np.multiply.outer(_LADDER, u), grads, tol) == code)
+                if hits.size:
+                    return r, int(hits[0])
+        return None
+
+    return walk
+
+
 def _search_start(p, seed, want, tol):
     check_scalar_tolerance(tol)
     certificate = p.smooth.isotonicity_certificate()
@@ -68,53 +116,38 @@ def _search_start(p, seed, want, tol):
             f"isotonicity precondition failed: {len(certificate[1])} positive "
             "off-diagonal pairs"
         )
-    d = p.dim
     sign = 1.0 if want is Kind.SUPERSOLUTION else -1.0
-    code = KIND_BY_CODE.index(want)
-    u = np.empty(d)  # the direction of the ray under test
-    a = np.empty(d)  # its product A u, when the gradient is affine
-    affine = p.smooth.affine_gradient()
-    compiled = compiled_affine(p)
-    if compiled is not None:
-        lib, _, b = compiled
-        ray = partial(lib.qray, d, len(_LADDER), _LADDER.ctypes.data, u.ctypes.data,
-                      a.ctypes.data, b.ctypes.data, p.lam, float(tol), sign)
+    # The rays, times sign: the all-ones direction, then 20 seeded random
+    # ones, drawn once the all-ones ray has no confirmed hit (one draw of
+    # 20 x d is the generator's stream of 20 draws of d).
+    U = np.empty((21, p.dim))
+    U[0] = sign
+    walk = _ray_walk(p, U, want, tol)
 
-    def first_hit():
-        # The first rung of the ray t * u of the wanted kind: in C, the rungs
-        # in order, each left at its first coordinate of the wrong kind;
-        # otherwise every rung at once, the first of the wanted code winning.
-        # The ladder warns nothing where its top rungs overflow: a candidate
-        # warns only in classify_point's confirmation.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if affine is not None:
-                np.matmul(affine[0], u, out=a)
-            if compiled is not None:
-                r = ray()
-            else:
-                grads = (np.multiply.outer(_LADDER, a) + affine[1] if affine is not None
-                         else [p.smooth.grad(t * u) for t in _LADDER])
-                hits = np.flatnonzero(
-                    kind_codes(p, np.multiply.outer(_LADDER, u), grads, tol) == code)
-                r = hits[0] if hits.size else -1
-        return None if r < 0 else _LADDER[r] * u
+    def hits():
+        hit = walk(0, 1)
+        if hit is not None:
+            yield hit
+        np.random.default_rng(seed).random(out=U[1:])
+        np.multiply(U[1:], sign, out=U[1:])
+        hit = walk(1, len(U))
+        while hit is not None:
+            yield hit
+            hit = walk(hit[0] + 1, len(U))
 
-    def candidates():
-        # The first hit of the all-ones ray, of each seeded ray, then the fallback.
-        u.fill(sign)
-        yield first_hit()
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            rng.random(out=u)
-            np.multiply(u, sign, out=u)
-            yield first_hit()
-        yield p.smooth.start_fallback(sign)
+    def confirmed(x):
+        return x is not None and np.isfinite(x).all() and classify_point(p, x, tol).kind is want
 
     # A ray's rungs take the gradient t (A u) + b, which is grad(t u) only
-    # while nothing overflows, so each candidate is confirmed on its own.
-    for x in candidates():
-        if x is not None and np.isfinite(x).all() and classify_point(p, x, tol).kind is want:
+    # while nothing overflows, so each hit is confirmed on its own; after
+    # one that is not, the walk resumes at the next ray.
+    for r, k in hits():
+        x = _LADDER[k] * U[r]
+        if confirmed(x):
             return x
+    x = p.smooth.start_fallback(sign)
+    if confirmed(x):
+        return x
     raise StartSearchError(
         f"no {want.value} found; consider regenerating the instance"
     )
@@ -126,12 +159,15 @@ def find_supersolution(p: ProblemSpec, seed: int = 0, tol: float = 1e-10) -> np.
     Tries scaled all-ones points, then seeded random positive directions,
     and finally the smooth part's own fallback (for quadratics a
     gradient-target linear solve), and returns the first finite candidate
-    that classify_point confirms; StartSearchError when none is. An
-    instance with an exact isotonicity certificate (quadratics: the
-    off-diagonal test) must pass it first.
-    tol is one nonnegative value; anything else raises ValueError. With the
-    compiled library, a quadratic's rays are classified in C (qray in
-    _qsweep.c), with the same result as the numpy classification.
+    that classify_point confirms; StartSearchError when none is. A ray's
+    candidate is its first rung (a power-of-two multiple) of the wanted
+    kind; when classify_point does not confirm it, the search goes on at
+    the next ray. An instance with an exact isotonicity certificate
+    (quadratics: the off-diagonal test) must pass it first.
+    tol is one nonnegative value; anything else raises ValueError. When a
+    quadratic's steps run in C (the compiled library and numpy's dgemv),
+    one call walks its rays (qrays in _qsweep.c), with the same result as
+    the numpy classification of each ray.
     """
     return _search_start(p, seed, Kind.SUPERSOLUTION, tol)
 
@@ -165,9 +201,11 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6,
     Newton's method from it for logistic data) is tried first, and returned
     with no sweep when its residual is at most 1e-12. Otherwise, or without
     a guess, the method sweeps as run() steps it, from 0 until the residual
-    is at most 1e-12 or max_sweeps sweeps are done. It sweeps and measures
-    a two-row buffer as run() does its rows: step(W, P, 0, 1) of
-    compiled_step(p, method) or CoordinateKernel, and measure_rows.
+    is at most 1e-12 or max_sweeps sweeps are done. It sweeps a two-row
+    buffer as run() does its rows, by step(W, P, 0, 1) of
+    compiled_step(p, method) or CoordinateKernel, and takes each sweep's
+    residual as measure_rows does, from its gradient and prox-gradient
+    image, with no objective value.
     Once the sign pattern of an iterate equals the previous one, the
     polish is tried, at most once per pattern; a polished point whose
     residual is at most 1e-12 is returned at once. After n failed attempts
@@ -212,10 +250,13 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6,
             step = CoordinateKernel(p, method).step
         else:
             P = np.zeros((2, p.dim))
-            np.matmul(p.smooth.affine_gradient()[0], x, out=P[0])
+            A, b = p.smooth.affine_gradient()
+            np.matmul(A, x, out=P[0])
         pattern, held, tried = None, 0, set()
         for sweeps in range(max_sweeps + 1):
-            best_res = float(measure_rows(p, W, P, 0, 1)[2][0])
+            # measure_rows' residual of row 0, without its objective value.
+            g = p.smooth.grad(x) if P is None else P[0] + b
+            best_res = float(np.abs(x - prox_gradient_image(p, x, g)).max())
             if not math.isfinite(best_res):
                 raise ReferenceSolveError(
                     f"reference solve reached a non-finite residual after {sweeps} {method} "
@@ -479,16 +520,17 @@ def run_comparison(
     W = np.stack([t.iterates for t in traces.values()])
     G = np.stack([t.gradients for t in traces.values()])
     F = np.array([t.f_values for t in traces.values()])
-    row_norms = np.abs(W).max(axis=2)
+    # Each iterate's least and greatest classification slack, from the
+    # gradient run() kept, and its sup norm, in one pass over the stacks.
+    lo, hi, row_norms = (v.reshape(len(traces), K + 1) for v in
+                         row_extremes(p, W.reshape(-1, p.dim), G.reshape(-1, p.dim)))
     gap = tol * (1.0 + row_norms.max(axis=0))[:, None]
     # From a supersolution ccm <= ccd <= gd, each row at most the row before
     # it plus gap. Negation is exact, so -w <= -v + gap holds exactly when
     # w >= v - gap, the mirror order.
     signed = W if from_above else -W
-    # Each iterate against tol scaled by 1 + its own sup norm, from the
-    # gradient run() kept.
-    kinds = kind_codes(p, W.reshape(-1, p.dim), G.reshape(-1, p.dim),
-                       tol * (1.0 + row_norms.ravel())).reshape(len(traces), K + 1)
+    # Each iterate against tol scaled by 1 + its own sup norm.
+    kinds = extreme_codes(lo, hi, tol * (1.0 + row_norms))
     rate_flags, headroom = _rate_flags(F, ref, x0, p.lipschitz)
     flags = {
         "dominance_ok": (signed[1:] <= signed[:-1] + gap).all(axis=(0, 2)),

@@ -20,7 +20,9 @@ from l1lab import (
     shrink_tau_curve,
     vector_shrink,
 )
-from l1lab.operators import KIND_BY_CODE, kind_codes, prox_gradient_image
+from l1lab import _qsweep
+from l1lab.operators import (KIND_BY_CODE, _classification_slack, extreme_codes, kind_codes,
+                             prox_gradient_image, row_extremes)
 from tests.conftest import NOT_COUNTS
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -209,6 +211,76 @@ def test_kind_codes_nan_slack_is_neither():
     kinds = kinds_of(p, pts, grads, tols)
     assert kinds == [reference_kind(slack, t) for slack, t in zip(pts, tols)]
     assert kinds == [Kind.NEITHER] * 3 + [Kind.SUPERSOLUTION, Kind.EXACT, Kind.SUBSOLUTION]
+
+
+# Entries that stress each branch of the slack and of the extremes: NaN,
+# infinities, signed zeros, subnormals and huge values.
+SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0e-310, -2.0e-310,
+                    1e300, -1e300, 0.5, -0.5])
+
+
+def special_blocks(rng, d, m=40):
+    """(points, grads): random rows with special entries, an all-NaN row,
+    a row whose slack is all signed zeros and one of subnormals."""
+    points, grads = (rng.standard_normal((m, d)) * 10.0 ** rng.integers(-3, 4, (m, d))
+                     for _ in range(2))
+    for v in (points, grads):
+        mask = rng.random(v.shape) < 0.25
+        v[mask] = rng.choice(SPECIAL, mask.sum())
+    points[0] = np.nan
+    points[1], grads[1] = rng.choice([0.0, -0.0], d), 0.0
+    points[2], grads[2] = rng.choice([5e-324, -5e-324, 2.0e-310], d), 0.0
+    return points, grads
+
+
+def numpy_extremes(p, points, grads):
+    slack = _classification_slack(points, grads, p.lam, 1.0)
+    return slack.min(axis=1), slack.max(axis=1), np.abs(points).max(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17])
+def test_compiled_row_extremes_are_numpys(d):
+    # qextremes against the numpy min and max of the slack and of |x|: the
+    # same values, NaN where numpy's is NaN; the norms bitwise (|x| has no
+    # signed zero), lo and hi up to the sign of a zero extreme, which numpy's
+    # own reductions choose by their order. The codes are bitwise.
+    if _qsweep.load() is None:
+        pytest.skip("the compiled library cannot be built here")
+    rng = np.random.default_rng(d)
+    for lam in (0.0, 2.0e-310, 0.5, 3.0):
+        p = quadratic_problem(np.eye(d), np.zeros(d), lam=lam, lipschitz=1.0)
+        for trial in range(5):
+            points, grads = special_blocks(rng, d)
+            with np.errstate(all="ignore"):
+                want = numpy_extremes(p, points, grads)
+                got = row_extremes(p, points, grads)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True), (lam, trial)
+            assert np.isnan(got[0][0]) and np.isnan(got[1][0]) and np.isnan(got[2][0])
+            finite_norms = ~np.isnan(want[2])
+            assert got[2][finite_norms].tobytes() == want[2][finite_norms].tobytes()
+            for tol in (0.0, 5e-324, 1e-10, 0.5, np.inf, rng.random(len(points))):
+                assert (extreme_codes(*got[:2], tol).tobytes()
+                        == extreme_codes(*want[:2], tol).tobytes()), (lam, trial)
+
+
+def test_kind_codes_are_the_same_with_and_without_the_library(kernel):
+    # kind_codes on either path against the rule applied to each slack row.
+    rng = np.random.default_rng(3)
+    seen = set()
+    for d in (1, 3, 8):
+        p = quadratic_problem(np.eye(d), np.zeros(d), lam=0.25, lipschitz=1.0)
+        points, grads = special_blocks(rng, d, m=200)
+        tols = rng.choice([0.0, 1e-3, 0.5, 10.0], len(points))
+        with np.errstate(all="ignore"):
+            slack = _classification_slack(points, grads, p.lam, 1.0)
+            kinds = kinds_of(p, points, grads, tols)
+            assert kinds == [reference_kind(row, t) for row, t in zip(slack, tols)]
+            # A strided view takes the same path to the same codes.
+            wide = np.repeat(points, 2, axis=1)[:, ::2]
+            assert kinds_of(p, wide, grads, tols) == kinds
+        seen.update(kinds)
+    assert seen == set(Kind)
 
 
 def test_kind_codes_rejects_mismatched_stacks():

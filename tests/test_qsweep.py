@@ -107,7 +107,7 @@ def child(env_updates, timeout=TIMEOUT_S):
 
 
 # The library's exports: the functions l1lab calls, and the tests' qaxpy.
-EXPORTS = {"qblock", "qray", "render_floats", "parse_floats", "qaxpy"}
+EXPORTS = {"qblock", "qrays", "qextremes", "render_floats", "parse_floats", "qaxpy"}
 
 
 def c_definitions(source):

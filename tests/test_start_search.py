@@ -1,15 +1,19 @@
 """The start search against a plain rung-by-rung reference.
 
-find_supersolution/find_subsolution classify the 41 rungs of a ray in one
-kind_codes call (the numpy path), with the gradients t (A u) + b from one
-product A u for a quadratic and one grad per rung otherwise; or, for a
-quadratic with the compiled library, in one qray call per ray that leaves
-each rung at its first coordinate of the wrong kind (the compiled path).
-The reference below is the search as it reads in its documentation: one
-classify_point per candidate, in order, the first hit wins. Both paths
-must return its bytes.
+find_supersolution/find_subsolution take 21 rays, the all-ones direction
+and 20 seeded random ones (one 20 x d draw), and classify the 41 rungs of
+a ray in one kind_codes call (the numpy path), with the gradients
+t (A u) + b from one product A u for a quadratic and one grad per rung
+otherwise; or, for a quadratic whose steps run in C (the compiled library
+and numpy's dgemv), walk the rays in one qrays call, which forms each A u
+by dgemv and leaves each rung at its first coordinate of the wrong kind
+(the compiled path). A hit that classify_point does not confirm sends
+either path on to the next ray. The reference below is the search as it
+reads in its documentation: one classify_point per candidate, in order,
+the first hit wins. Both paths must return its bytes.
 """
 
+import ctypes
 import warnings
 from types import SimpleNamespace
 
@@ -29,6 +33,7 @@ from l1lab import (
     verification,
 )
 from l1lab.operators import KIND_BY_CODE, kind_codes
+from tests.conftest import acceptance_instance
 
 LADDER = [2.0 ** i for i in range(41)]
 DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -62,6 +67,10 @@ def zmatrix_instances():
         yield gen_zmatrix_quadratic(1 + i % 20, seed=i, density=DENSITIES[i % 5]), i
     for i, d in enumerate((60, 75, 90, 105, 120)):
         yield gen_zmatrix_quadratic(d, seed=1000 + i, density=DENSITIES[i]), i
+    # The acceptance suite's instances (seeds 0-49) and the benchmark's
+    # verify_small mix (50-149), each searched with its own seed.
+    for seed in range(150):
+        yield acceptance_instance(seed), seed
 
 
 def small_logistic(seed):
@@ -201,37 +210,97 @@ def test_start_search_paths_warn_alike_where_the_ray_products_overflow(monkeypat
     assert compiled and warned() == compiled
 
 
-def test_qray_is_the_batched_classification_of_each_rung():
-    # qray on its own, against kind_codes of the rungs t * u with the
-    # gradients t * a + b: random signs, zeros, infinities and NaNs in u, a
-    # and b (which no finite quadratic makes), at several lam and tol. p is a
-    # stand-in with the dim and lam that kind_codes reads, as ProblemSpec
-    # rejects the infinite lam that qray is still checked at.
+def test_a_rejected_hit_resumes_the_search_at_the_next_ray(searched, monkeypatch):
+    # The all-ones ray's products overflow at its hit, rung 2^37: t * (A u)
+    # + b classifies as a subsolution, but A (t u) sums infinite products
+    # to NaN, so classify_point rejects the candidate and the search goes
+    # on to the seeded rays, where a hit is confirmed. Both paths take the
+    # same candidates in the same order.
+    c = 1.6e308 / 2.0 ** 35 * 0.3738466956991606
+    p = quadratic_problem(c * np.array([[2.0, -0.7571983028406913], [-0.7571983028406913, 2.0]]),
+                          [1.0694838576175056e+308, 1.5761627402153746e+308], lam=0.1)
+    confirmations = []
+
+    def counted(p, x, tol=1e-10):
+        confirmations.append(x.tobytes())
+        return classify_point(p, x, tol)
+
+    monkeypatch.setattr(verification, "classify_point", counted)
+
+    def candidates(seed):
+        confirmations.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = searched(find_subsolution, p, seed=seed)
+        return x, list(confirmations)
+
+    for seed, rejected in ((15, 1), (1, 2), (3, 4)):
+        x, tried = candidates(seed)
+        assert tried[0] == (-2.0 ** 37 * np.ones(2)).tobytes(), seed
+        assert len(tried) == rejected + 1 and tried[-1] == x.tobytes(), seed
+        rays = -np.random.default_rng(seed).random((20, 2))
+        assert any((x / row == x[0] / row[0]).all() for row in rays), seed
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert classify_point(p, x, 1e-10).kind is Kind.SUBSOLUTION
+        with monkeypatch.context() as m:
+            m.setattr(_qsweep, "load", lambda: None)
+            confirmations.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert find_subsolution(p, seed=seed).tobytes() == x.tobytes()
+            assert confirmations == tried, seed
+
+
+def test_qrays_is_the_batched_classification_of_each_rung():
+    # qrays on its own, against kind_codes of the rungs t * u of each ray
+    # with the gradients t * a + b: random signs, zeros, infinities and NaNs
+    # in u, a and b (which no finite quadratic makes), at several lam and
+    # tol, over every span r0..r1 of three rays. The products a come from a
+    # stand-in dgemv, which also checks that it is called as numpy's matmul
+    # calls it, once per ray walked, in order. p is a stand-in with the dim and lam that kind_codes reads, as
+    # ProblemSpec rejects the infinite lam that qrays is still checked at.
     lib = _qsweep.load()
     if lib is None:
         pytest.skip("the compiled library cannot be built here")
     rng = np.random.default_rng(0)
     ts = np.array(LADDER)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    d, nu = 4, 3
+    A, scratch = np.zeros((d, d)), np.empty(d)
     hits = set()
-    for trial in range(3000):
-        u, a, b = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-3, 4, (3, 4))
-        for v in (u, a, b):
-            mask = rng.random(4) < 0.1
+    for trial in range(500):
+        U, products = (rng.standard_normal((nu, d)) * 10.0 ** rng.integers(-3, 4, (nu, d))
+                       for _ in range(2))
+        b = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4, d)
+        for v in (U, products, b):
+            mask = rng.random(v.shape) < 0.1
             v[mask] = rng.choice(special, mask.sum())
         lam = float(rng.choice([0.0, 0.5, 3.0, np.inf]))
         tol = float(rng.choice([0.0, 1e-3, 0.5, np.inf]))
-        p = SimpleNamespace(dim=4, lam=lam)
+        p = SimpleNamespace(dim=d, lam=lam)
+        walked = []
+
+        def dgemv(order, trans, m, n, alpha, a_at, lda, x_at, incx, beta, y_at, incy):
+            r = (x_at - U.ctypes.data) // (8 * d)
+            assert (order, trans, m, n, alpha, a_at, lda, x_at, incx, beta, y_at, incy) == (
+                102, 112, d, d, 1.0, A.ctypes.data, d, U[r].ctypes.data, 1, 0.0,
+                scratch.ctypes.data, 1)
+            walked.append(r)
+            ctypes.memmove(y_at, products[r].ctypes.data, 8 * d)
+
         with np.errstate(all="ignore"):
-            points = np.multiply.outer(ts, u)
-            grads = np.multiply.outer(ts, a) + b
-            codes = kind_codes(p, points, grads, tol).tolist()
+            codes = [kind_codes(p, np.multiply.outer(ts, u), np.multiply.outer(ts, a) + b,
+                                tol).tolist() for u, a in zip(U, products)]
         for sign, want in ((1.0, Kind.SUPERSOLUTION), (-1.0, Kind.SUBSOLUTION)):
-            first = next((r for r, c in enumerate(codes) if KIND_BY_CODE[c] is want), -1)
-            got = lib.qray(4, len(ts), ts.ctypes.data, u.ctypes.data, a.ctypes.data,
-                           b.ctypes.data, lam, tol, sign)
-            assert got == first, (trial, u, a, b, lam, tol, want)
-            hits.add(first >= 0)
+            for r0 in range(nu + 1):
+                for r1 in range(r0, nu + 1):
+                    first = next((r * len(ts) + k for r in range(r0, r1)
+                                  for k, c in enumerate(codes[r]) if KIND_BY_CODE[c] is want), -1)
+                    walked.clear()
+                    got = lib.qrays(_qsweep.DGEMV(dgemv), d, A.ctypes.data, b.ctypes.data, lam,
+                                    tol, sign, len(ts), ts.ctypes.data, U.ctypes.data, r0, r1,
+                                    scratch.ctypes.data)
+                    assert got == first, (trial, r0, r1, want)
+                    assert walked == list(range(r0, r1 if got < 0 else got // len(ts) + 1))
+                    hits.add(got >= 0)
     assert hits == {True, False}
 
 

@@ -32,11 +32,11 @@ from l1lab import (
     run_comparison,
     shrink_tau_curve,
 )
-from l1lab import verification
+from l1lab import _qsweep, verification
 from l1lab._jsonlayout import _RECORD_CHUNK
-from l1lab.operators import prox_gradient_image
+from l1lab.operators import prox_gradient_image, row_extremes
 from l1lab.problems import LogisticData, QuadraticForm
-from l1lab.solvers import CoordinateKernel
+from l1lab.solvers import CoordinateKernel, measure_rows
 from tests.conftest import NOT_COUNTS, acceptance_instance, monotone_and_bracket
 
 NEG_CONTROL = dict(A=[[2.0, 1.0], [1.0, 2.0]], b=[-1.0, -1.0], lam=0.1)
@@ -245,6 +245,26 @@ def test_reference_minimizer_agrees_with_the_plain_solve_on_logistic_data():
         assert ref.residual <= 1e-12
         assert ref.residual == optimality_residual(p, ref.x_star)
         assert ref.method == "ccm+active-set"
+
+
+def test_each_sweeps_residual_is_measure_rows_residual(kernel, monkeypatch):
+    # The reference solve takes each sweep's residual from the gradient and
+    # prox-gradient image alone; it is bitwise the R of measure_rows, which
+    # also computes the objective value.
+    seen = []
+
+    def recorded(p, x, g):
+        image = prox_gradient_image(p, x, g)
+        seen.append((x.copy(), float(np.abs(x - image).max())))
+        return image
+
+    monkeypatch.setattr(verification, "prox_gradient_image", recorded)
+    for p in [acceptance_instance(7), gen_zmatrix_quadratic(300, seed=1), *logistic_cases()]:
+        seen.clear()
+        reference_minimizer(p)
+        assert len(seen) > 1, p.dim
+        for x, residual in seen:
+            assert residual == float(measure_rows(p, x[None], None, 0, 1)[2][0]), p.dim
 
 
 def counted_solve_parts(monkeypatch, smooth_type):
@@ -659,6 +679,37 @@ def test_run_comparison_classes_are_classify_point_of_each_iterate(case, tol):
     # Both the start's kind and EXACT occur, so a tolerance or gradient taken
     # from the wrong row would show.
     assert kinds == {report.start.kind, Kind.EXACT}
+
+
+def test_run_comparison_kinds_and_flags_are_alike_with_and_without_the_library(monkeypatch):
+    # The kinds, the predicate columns and the bound from the compiled
+    # extremes pass (qextremes) against the numpy expressions, on the
+    # acceptance family and the benchmark's verify_small mix (seeds 50-149),
+    # both starts, at two tolerances; the runs step in C either way.
+    if _qsweep.load() is None:
+        pytest.skip("the compiled library cannot be built here")
+
+    def numpy_extremes(*args):
+        with monkeypatch.context() as m:
+            m.setattr(_qsweep, "load", lambda: None)
+            return row_extremes(*args)
+
+    def outcome(p, x0, tol):
+        report = run_comparison(p, x0, K=200, tol=tol)
+        return (report.kinds.tobytes(), report.bound.tobytes(),
+                {name: column.tobytes() for name, column in report.flags.items()})
+
+    codes = set()
+    for seed in range(150):
+        p = acceptance_instance(seed)
+        tol = (1e-8, 1e-3)[seed % 2]
+        for x0 in (find_supersolution(p, seed=seed), find_subsolution(p, seed=seed)):
+            got = outcome(p, x0, tol)
+            with monkeypatch.context() as m:
+                m.setattr(verification, "row_extremes", numpy_extremes)
+                assert outcome(p, x0, tol) == got, (seed, p.dim)
+            codes.update(got[0])
+    assert len(codes) == 3  # both start kinds and EXACT
 
 
 def test_run_comparison_negative_control_refuses():
