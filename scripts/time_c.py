@@ -22,12 +22,13 @@ from one repetition to the next:
 - ``qrays`` on the 21 rays of a start search at d=500 whose rays all
   fail, so that each call walks all 21.
 
-The functions of the working tree's ABI (``_qsweep.PROTOTYPES``) that both
-sources define must have the same parameter lists, and each library is
-loaded with the prototypes the package declares for those it defines.
-Against a revision from before ``qextremes`` and ``qrays`` were added,
-their cases are left out, and so are the ``qblock`` and ``qrays`` cases
-without numpy's dgemv (_qsweep.dgemv() is None).
+Both sources must define every function of the working tree's ABI
+(``_qsweep.PROTOTYPES``) with the same parameter list, except that
+``qextremes`` and ``qrays`` (OPTIONAL) may be missing from <rev>, a
+revision from before they were added; their cases are then left out.
+Each library is loaded by ``_qsweep._open``, with the prototypes the
+package declares for the functions it has. Without numpy's dgemv
+(_qsweep.dgemv() is None) the ``qblock`` and ``qrays`` cases are left out.
 
 First it prints which build of the sweep's row update each library runs
 on this CPU (``qaxpy(-1, ...)``: the baseline or the AVX2 twin). Each line
@@ -39,8 +40,8 @@ bitwise-equal outputs on every call timed.
 
 The exit status is 1 when the outputs differ, 2 when <rev> has no
 _qsweep.c, a library cannot be built or loaded, or a function that both
-sources define takes other arguments in <rev> than in the working tree;
-0 otherwise.
+sources define takes other arguments in <rev> than in the working tree,
+or <rev> lacks a function that is not OPTIONAL; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ from l1lab.verification import _LADDER  # noqa: E402
 
 C_PATH = "src/l1lab/_qsweep.c"
 
+# The exports that <rev> may lack: its cases are then left out.
+OPTIONAL = frozenset({"qextremes", "qrays"})
+
 
 def prototype(source: str, name: str) -> str:
     """The parameter list of the C function ``name`` in ``source``, spaces collapsed."""
@@ -91,13 +95,9 @@ class Library:
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"cannot build {label}: {done.stderr.strip()}")
-        try:
-            self.lib = ctypes.CDLL(str(so))
-        except OSError as exc:
-            raise RuntimeError(f"cannot load {label}: {exc}") from None
-        for name in functions:  # with the prototypes the package declares
-            function = getattr(self.lib, name)
-            function.restype, function.argtypes = _qsweep.PROTOTYPES[name]
+        self.lib = _qsweep._open(so, functions)  # with the prototypes the package declares
+        if self.lib is None:
+            raise RuntimeError(f"cannot load {label}")
         probe = np.zeros(1)
         self.row_update = ("baseline", "avx2")[self.lib.qaxpy(-1, 0, 0.0, probe.ctypes.data,
                                                               probe.ctypes.data)]
@@ -202,15 +202,16 @@ def main(argv) -> int:
         print(f"cannot read {C_PATH} of {args.rev}: {shown.stderr.strip()}", file=sys.stderr)
         return 2
     sources = {args.rev: shown.stdout, "tree": (ROOT / C_PATH).read_text(encoding="utf-8")}
-    shared = [name for name in _qsweep.PROTOTYPES if prototype(shown.stdout, name)]
-    for name in shared:
-        if len({prototype(s, name) for s in sources.values()}) != 1:
-            print(f"{name} of {args.rev} takes other arguments than the working tree's",
-                  file=sys.stderr)
-            return 2
+    shared = []
     for name in _qsweep.PROTOTYPES:
-        if name not in shared:
+        if not prototype(shown.stdout, name) and name in OPTIONAL:
             print(f"{args.rev} has no {name}: its cases are left out", file=sys.stderr)
+        elif len({prototype(s, name) for s in sources.values()}) != 1:
+            print(f"{name} of {args.rev} is missing or takes other arguments than the "
+                  "working tree's", file=sys.stderr)
+            return 2
+        else:
+            shared.append(name)
 
     with tempfile.TemporaryDirectory(prefix="l1lab-time-c-") as tmp:
         try:
@@ -232,7 +233,7 @@ def main(argv) -> int:
         if "qrays" in shared and dgemv is not None:
             rays_case = RaysCase(500, dgemv)
             cases["qrays 21 rays d=500"] = (5, rays_case, rays_case)
-        if "qblock" in shared and dgemv is not None:
+        if dgemv is not None:
             for alg, d, K, calls in (("ccd", 11, 200, 50), ("gd", 11, 200, 50),
                                      ("ccd", 300, 50, 4), ("ccd", 500, 50, 2),
                                      ("ccm", 300, 50, 4), ("ccm", 500, 50, 2)):

@@ -178,16 +178,18 @@ PROTOTYPES = {
 }
 
 
-def _open(path: Path | None):
+def _open(path: Path | None, names=PROTOTYPES):
+    """The library at ``path`` with the prototypes of ``names`` declared, or
+    None when it cannot be loaded or lacks one of them."""
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-    except OSError:
+        for name in names:
+            function = getattr(lib, name)
+            function.restype, function.argtypes = PROTOTYPES[name]
+    except (OSError, AttributeError):
         return None
-    for name, (restype, argtypes) in PROTOTYPES.items():
-        function = getattr(lib, name)
-        function.restype, function.argtypes = restype, argtypes
     return lib
 
 

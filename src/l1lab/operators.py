@@ -58,10 +58,18 @@ def prox_gradient_image(p: ProblemSpec, x: np.ndarray, g: np.ndarray) -> np.ndar
     return _soft(x - g / p.lipschitz, p.lam / p.lipschitz)
 
 
+def residual_and_image(p: ProblemSpec, x: np.ndarray, g: np.ndarray):
+    """(max |x - image|, image) of a point x, or of each row of a stack of
+    points, from its gradient g in hand: the one residual formula of
+    optimality_residual, measure_rows and the reference solve's sweeps."""
+    image = prox_gradient_image(p, x, g)
+    return np.abs(x - image).max(axis=-1), image
+
+
 def optimality_residual(p: ProblemSpec, x) -> float:
     """Sup-norm distance between x and its proximal-gradient image."""
     x = as_vector(x, p.dim)
-    return float(np.max(np.abs(x - prox_gradient_image(p, x, p.smooth.grad(x)))))
+    return float(residual_and_image(p, x, p.smooth.grad(x))[0])
 
 
 class Kind(enum.Enum):
@@ -134,17 +142,18 @@ def row_extremes(p: ProblemSpec, points: np.ndarray, grads: np.ndarray):
     _classification_slack(x, g, p.lam, 1.0) and max |x|, each NaN where a
     term is.
 
-    With the compiled library, in one pass over C-contiguous, aligned
-    stacks (qextremes in _qsweep.c), with numpy's values except possibly
-    the sign of a zero lo or hi, which no comparison tells apart; otherwise
-    the numpy expressions.
+    With the compiled library, in one pass (qextremes in _qsweep.c) over
+    C-contiguous, aligned copies of stacks that are not, with numpy's
+    values except possibly the sign of a zero lo or hi, which no
+    comparison tells apart; otherwise the numpy expressions.
     """
     from . import _qsweep  # imported, and built, only when C code is wanted
 
     lib = _qsweep.load()
-    if lib is None or not all(a.flags.c_contiguous and a.flags.aligned for a in (points, grads)):
+    if lib is None:
         slack = _classification_slack(points, grads, p.lam, 1.0)
         return slack.min(axis=1), slack.max(axis=1), np.abs(points).max(axis=1)
+    points, grads = (np.require(a, np.float64, "CA") for a in (points, grads))
     m, d = points.shape
     out = np.empty((3, m))
     lib.qextremes(m, d, points.ctypes.data, grads.ctypes.data, p.lam, out[0].ctypes.data,
@@ -163,8 +172,8 @@ def kind_codes(p: ProblemSpec, points, grads, tol) -> np.ndarray:
     """
     tol = np.asarray(tol, dtype=float)
     check_tolerance(tol)
-    points = np.require(points, np.float64, "CA")
-    grads = np.require(grads, np.float64, "CA")
+    points = np.asarray(points, dtype=float)
+    grads = np.asarray(grads, dtype=float)
     if points.ndim != 2 or points.shape[1] != p.dim or grads.shape != points.shape:
         raise DimensionMismatchError(
             f"points {points.shape} and grads {grads.shape} must both be m x {p.dim}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._jsonlayout import json_records, json_value, render, render_pieces
 from .errors import ConvergenceError, NonFiniteIterateError, UnboundedBelowError
-from .operators import prox_gradient_image
+from .operators import residual_and_image
 from .problems import ProblemSpec, as_vector, check_count
 
 # Coordinate updates smaller than this (relative) are treated as trivial,
@@ -403,8 +403,8 @@ def measure_rows(p: ProblemSpec, W: np.ndarray, P, k0: int, k1: int):
     B = W[k0:k1]
     values, G = (p.smooth.values_and_grads(B) if P is None
                  else p.smooth.values_and_grads(B, P[k0:k1]))
-    images = prox_gradient_image(p, B, G)
-    return G, values + p.lam * np.abs(B).sum(axis=1), np.abs(B - images).max(axis=1), images
+    R, images = residual_and_image(p, B, G)
+    return G, values + p.lam * np.abs(B).sum(axis=1), R, images
 
 
 def run(algorithm: str, p: ProblemSpec, x0, cfg: SolverConfig | None = None) -> Trace:

@@ -35,7 +35,7 @@ from .operators import (
     extreme_codes,
     kind_codes,
     optimality_residual,
-    prox_gradient_image,
+    residual_and_image,
     row_extremes,
 )
 from .problems import ProblemSpec, as_vector, check_count, objective
@@ -256,7 +256,7 @@ def reference_minimizer(p: ProblemSpec, max_sweeps: int = 10 ** 6,
         for sweeps in range(max_sweeps + 1):
             # measure_rows' residual of row 0, without its objective value.
             g = p.smooth.grad(x) if P is None else P[0] + b
-            best_res = float(np.abs(x - prox_gradient_image(p, x, g)).max())
+            best_res = float(residual_and_image(p, x, g)[0])
             if not math.isfinite(best_res):
                 raise ReferenceSolveError(
                     f"reference solve reached a non-finite residual after {sweeps} {method} "

@@ -253,10 +253,13 @@ def test_qrays_is_the_batched_classification_of_each_rung():
     # qrays on its own, against kind_codes of the rungs t * u of each ray
     # with the gradients t * a + b: random signs, zeros, infinities and NaNs
     # in u, a and b (which no finite quadratic makes), at several lam and
-    # tol, over every span r0..r1 of three rays. The products a come from a
-    # stand-in dgemv, which also checks that it is called as numpy's matmul
-    # calls it, once per ray walked, in order. p is a stand-in with the dim and lam that kind_codes reads, as
-    # ProblemSpec rejects the infinite lam that qrays is still checked at.
+    # tol. Each of 3000 trials draws its own b, lam and tol and three rays,
+    # and walks each ray alone and all three; the first 500 trials walk
+    # every span r0..r1 too. The products a come from a stand-in dgemv,
+    # which also checks that it is called as numpy's matmul calls it, once
+    # per ray walked, in order. p is a stand-in with the dim and lam that
+    # kind_codes reads, as ProblemSpec rejects the infinite lam that qrays
+    # is still checked at.
     lib = _qsweep.load()
     if lib is None:
         pytest.skip("the compiled library cannot be built here")
@@ -266,7 +269,9 @@ def test_qrays_is_the_batched_classification_of_each_rung():
     d, nu = 4, 3
     A, scratch = np.zeros((d, d)), np.empty(d)
     hits = set()
-    for trial in range(500):
+    every_span = [(r0, r1) for r0 in range(nu + 1) for r1 in range(r0, nu + 1)]
+    some_spans = [(r, r + 1) for r in range(nu)] + [(0, nu)]
+    for trial in range(3000):
         U, products = (rng.standard_normal((nu, d)) * 10.0 ** rng.integers(-3, 4, (nu, d))
                        for _ in range(2))
         b = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4, d)
@@ -286,21 +291,22 @@ def test_qrays_is_the_batched_classification_of_each_rung():
             walked.append(r)
             ctypes.memmove(y_at, products[r].ctypes.data, 8 * d)
 
+        callback = _qsweep.DGEMV(dgemv)
+
         with np.errstate(all="ignore"):
             codes = [kind_codes(p, np.multiply.outer(ts, u), np.multiply.outer(ts, a) + b,
                                 tol).tolist() for u, a in zip(U, products)]
         for sign, want in ((1.0, Kind.SUPERSOLUTION), (-1.0, Kind.SUBSOLUTION)):
-            for r0 in range(nu + 1):
-                for r1 in range(r0, nu + 1):
-                    first = next((r * len(ts) + k for r in range(r0, r1)
-                                  for k, c in enumerate(codes[r]) if KIND_BY_CODE[c] is want), -1)
-                    walked.clear()
-                    got = lib.qrays(_qsweep.DGEMV(dgemv), d, A.ctypes.data, b.ctypes.data, lam,
-                                    tol, sign, len(ts), ts.ctypes.data, U.ctypes.data, r0, r1,
-                                    scratch.ctypes.data)
-                    assert got == first, (trial, r0, r1, want)
-                    assert walked == list(range(r0, r1 if got < 0 else got // len(ts) + 1))
-                    hits.add(got >= 0)
+            for r0, r1 in every_span if trial < 500 else some_spans:
+                first = next((r * len(ts) + k for r in range(r0, r1)
+                              for k, c in enumerate(codes[r]) if KIND_BY_CODE[c] is want), -1)
+                walked.clear()
+                got = lib.qrays(callback, d, A.ctypes.data, b.ctypes.data, lam,
+                                tol, sign, len(ts), ts.ctypes.data, U.ctypes.data, r0, r1,
+                                scratch.ctypes.data)
+                assert got == first, (trial, r0, r1, want)
+                assert walked == list(range(r0, r1 if got < 0 else got // len(ts) + 1))
+                hits.add(got >= 0)
     assert hits == {True, False}
 
 

@@ -34,7 +34,7 @@ from l1lab import (
 )
 from l1lab import _qsweep, verification
 from l1lab._jsonlayout import _RECORD_CHUNK
-from l1lab.operators import prox_gradient_image, row_extremes
+from l1lab.operators import prox_gradient_image, residual_and_image, row_extremes
 from l1lab.problems import LogisticData, QuadraticForm
 from l1lab.solvers import CoordinateKernel, measure_rows
 from tests.conftest import NOT_COUNTS, acceptance_instance, monotone_and_bracket
@@ -248,17 +248,17 @@ def test_reference_minimizer_agrees_with_the_plain_solve_on_logistic_data():
 
 
 def test_each_sweeps_residual_is_measure_rows_residual(kernel, monkeypatch):
-    # The reference solve takes each sweep's residual from the gradient and
-    # prox-gradient image alone; it is bitwise the R of measure_rows, which
+    # The reference solve takes each sweep's residual from the gradient
+    # alone, P[0] + b in C; it is bitwise the R of measure_rows, which
     # also computes the objective value.
     seen = []
 
     def recorded(p, x, g):
-        image = prox_gradient_image(p, x, g)
-        seen.append((x.copy(), float(np.abs(x - image).max())))
-        return image
+        residual, image = residual_and_image(p, x, g)
+        seen.append((x.copy(), float(residual)))
+        return residual, image
 
-    monkeypatch.setattr(verification, "prox_gradient_image", recorded)
+    monkeypatch.setattr(verification, "residual_and_image", recorded)
     for p in [acceptance_instance(7), gen_zmatrix_quadratic(300, seed=1), *logistic_cases()]:
         seen.clear()
         reference_minimizer(p)
